@@ -8,11 +8,13 @@ half-separation rho(a), tube and disk areas, the area difference Phi(a, r),
 its large-r limit (the deficit), and the two terms of the deficit's second
 derivative.
 
-Every radicand sinh(2t)**2 - sinh(2a)**2 is evaluated through the exact
-factorization sinh(2(t-a)) * sinh(2(t+a)), which is nonnegative by
-construction and free of cancellation; heads of integrals additionally pull
-the sqrt(t - a) factor out through sinhc so the singular weight can be
-removed by substitution.
+Every integral runs over delta = t - a from the neck, where each integrand
+f(delta) carries a 1/sqrt(delta) singularity and decays like exp(-3 delta).
+The radicand sinh(2t)**2 - sinh(2a)**2 is evaluated through the exact
+factorization sinh(2 delta) * sinh(4a + 2 delta), which is nonnegative by
+construction and free of cancellation.  One helper integrates every such f:
+on delta in [0, 1] it substitutes delta = u**2, which removes the singular
+weight, and past delta = 1 it integrates f itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadrature import Tolerance, quad_finite, quad_semi_infinite, quad_sqrt_endpoint
+from .quadrature import Tolerance, quad_finite, quad_semi_infinite
 
 __all__ = [
     "AreaReport",
@@ -44,12 +46,14 @@ _FOUR_PI = 4.0 * math.pi
 # refuse neck distances past this cap.
 _NECK_CAP = 25.0
 
-# Head/tail split for singular-to-infinite integrals: the substitution needs
-# a finite interval and the exponential decay bounds hold past a + 1.
+# Split of every integral over delta: the u**2 substitution needs a finite
+# interval and the exponential decay bounds hold past delta = 1.  Substituting
+# over the whole ray instead costs more evaluations on the same tolerance.
 _HEAD_SPAN = 1.0
 
-# Integrands below decay like exp(-3t); past a + _TAIL_SPAN their remaining
-# mass is ~1e-41 at worst and is dropped when the upper limit is finite.
+# Integrands below decay like exp(-3 delta); past delta = _TAIL_SPAN their
+# remaining mass is ~1e-41 at worst and is dropped when the upper limit is
+# finite.
 _TAIL_SPAN = 40.0
 
 _DECAY_RATE = 3.0
@@ -58,10 +62,6 @@ _DECAY_RATE = 3.0
 def _check_neck(a: float) -> None:
     if not 0.0 < a <= _NECK_CAP:
         raise ValueError(f"neck distance must be in (0, {_NECK_CAP}], got {a}")
-
-
-def _sinhc(x: float) -> float:
-    return math.sinh(x) / x if x != 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -91,43 +91,67 @@ class AreaReport:
     phi_a_r: float
 
 
-def _profile_head(a: float):
-    """Smooth factor of the catenary integrand on [a, a+1].
+def _profile(a: float):
+    """Catenary integrand sinh(2a) / (cosh t * sqrt(sinh(2t)**2 - sinh(2a)**2))."""
+    sinh_2a = math.sinh(2.0 * a)
 
-    True integrand: sinh(2a) / (cosh t * sqrt(sinh(2t)**2 - sinh(2a)**2)),
-    with the 1/sqrt(t - a) weight pulled out.
+    def f(delta: float) -> float:
+        radicand = math.sinh(2.0 * delta) * math.sinh(4.0 * a + 2.0 * delta)
+        return sinh_2a / (math.cosh(a + delta) * math.sqrt(radicand))
+
+    return f
+
+
+def _ray_integral(f, hi: float, tol: Tolerance) -> float:
+    """int_0^hi f(delta) d delta for f ~ 1/sqrt(delta) at 0; hi may be inf.
+
+    The head is 2 * int u * f(u**2) du over [0, sqrt(min(hi, 1))], which has
+    no singularity; past delta = 1 f decays like exp(-3 delta).  f is never
+    evaluated at delta = 0, so a zero-width range costs nothing.
     """
-    sinh_2a = math.sinh(2.0 * a)
+    if hi == 0.0:
+        return 0.0
 
-    def g(t: float) -> float:
-        scale = 2.0 * _sinhc(2.0 * (t - a)) * math.sinh(2.0 * (t + a))
-        return sinh_2a / (math.cosh(t) * math.sqrt(scale))
+    def head(u: float) -> float:
+        return 2.0 * u * f(u * u)
 
-    return g
-
-
-def _profile_tail(a: float):
-    """Catenary integrand in factored form, valid away from t = a."""
-    sinh_2a = math.sinh(2.0 * a)
-
-    def g(t: float) -> float:
-        radicand = math.sinh(2.0 * (t - a)) * math.sinh(2.0 * (t + a))
-        return sinh_2a / (math.cosh(t) * math.sqrt(radicand))
-
-    return g
+    total = quad_finite(head, 0.0, math.sqrt(min(hi, _HEAD_SPAN)), tol).value
+    if hi <= _HEAD_SPAN:
+        return total
+    if math.isinf(hi):
+        return total + quad_semi_infinite(f, _HEAD_SPAN, _DECAY_RATE, tol).value
+    return total + quad_finite(f, _HEAD_SPAN, min(hi, _TAIL_SPAN), tol).value
 
 
 def gomes_rho(a: float, tol: Tolerance) -> float:
     """Asymptotic half-separation rho(a) of the catenoid's boundary planes.
 
     Integrates sinh(2a) / (cosh t * sqrt(sinh(2t)**2 - sinh(2a)**2)) for t
-    from a to infinity: a square-root-substituted head on [a, a+1] plus an
-    exponentially decaying tail.
+    from a to infinity.
     """
     _check_neck(a)
-    head = quad_sqrt_endpoint(_profile_head(a), "lower", a, a + _HEAD_SPAN, tol)
-    tail = quad_semi_infinite(_profile_tail(a), a + _HEAD_SPAN, _DECAY_RATE, tol)
-    return head.value + tail.value
+    return _ray_integral(_profile(a), math.inf, tol)
+
+
+def _rho_prime(a: float, tol: Tolerance) -> float:
+    """Derivative of rho, differentiated under the integral sign.
+
+    In delta = t - a the singular factor 1/sqrt(sinh 2 delta) does not depend
+    on a, so d/da acts on the profile integrand f through its log-derivative
+    2 coth 2a - tanh(a + delta) - 2 coth(4a + 2 delta).
+    """
+    f = _profile(a)
+    coth_2a = 1.0 / math.tanh(2.0 * a)
+
+    def df(delta: float) -> float:
+        slope = (
+            2.0 * coth_2a
+            - math.tanh(a + delta)
+            - 2.0 / math.tanh(4.0 * a + 2.0 * delta)
+        )
+        return f(delta) * slope
+
+    return _ray_integral(df, math.inf, tol)
 
 
 def catenary_x(a: float, y: float, tol: Tolerance) -> float:
@@ -135,13 +159,7 @@ def catenary_x(a: float, y: float, tol: Tolerance) -> float:
     _check_neck(a)
     if y < a:
         raise ValueError(f"profile coordinate y={y} below the neck distance a={a}")
-    head_hi = min(y, a + _HEAD_SPAN)
-    head = quad_sqrt_endpoint(_profile_head(a), "lower", a, head_hi, tol)
-    if y <= a + _HEAD_SPAN:
-        return head.value
-    # Past a + _TAIL_SPAN the integrand has decayed below ~1e-41; truncate.
-    tail = quad_finite(_profile_tail(a), a + _HEAD_SPAN, min(y, a + _TAIL_SPAN), tol)
-    return head.value + tail.value
+    return _ray_integral(_profile(a), y - a, tol)
 
 
 def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenarySample:
@@ -171,58 +189,31 @@ def disk_area_total(r: float) -> float:
     return _FOUR_PI * (math.cosh(r) - 1.0)
 
 
-def _deficit_head(a: float):
-    """Smooth factor of the combined tube-minus-disk integrand near t = a.
+def _deficit(a: float):
+    """Combined tube-minus-disk integrand.
 
     True integrand: 4*pi*sinh(t) * (sinh(2t)/sqrt(D) - 1) with
     D = sinh(2t)**2 - sinh(2a)**2, rewritten as
     4*pi*sinh(t) * sinh(2a)**2 / (sqrt(D) * (sinh(2t) + sqrt(D))) so the
-    e^(-3t) signal survives in doubles; the 1/sqrt(t - a) weight is pulled
-    out for the substitution.
+    e^(-3t) signal survives in doubles.
     """
     sinh_2a_sq = math.sinh(2.0 * a) ** 2
 
-    def g(t: float) -> float:
-        delta = t - a
-        scale = 2.0 * _sinhc(2.0 * delta) * math.sinh(2.0 * (t + a))
-        sqrt_scale = math.sqrt(scale)
-        sqrt_d = math.sqrt(delta) * sqrt_scale
+    def f(delta: float) -> float:
+        sqrt_d = math.sqrt(math.sinh(2.0 * delta) * math.sinh(4.0 * a + 2.0 * delta))
         return (
             _FOUR_PI
-            * math.sinh(t)
+            * math.sinh(a + delta)
             * sinh_2a_sq
-            / (sqrt_scale * (math.sinh(2.0 * t) + sqrt_d))
+            / (sqrt_d * (math.sinh(2.0 * a + 2.0 * delta) + sqrt_d))
         )
 
-    return g
-
-
-def _deficit_tail(a: float):
-    """Combined tube-minus-disk integrand in factored form, away from t = a."""
-    sinh_2a_sq = math.sinh(2.0 * a) ** 2
-
-    def g(t: float) -> float:
-        sqrt_d = math.sqrt(math.sinh(2.0 * (t - a)) * math.sinh(2.0 * (t + a)))
-        return (
-            _FOUR_PI * math.sinh(t) * sinh_2a_sq / (sqrt_d * (math.sinh(2.0 * t) + sqrt_d))
-        )
-
-    return g
+    return f
 
 
 def _deficit_integral(a: float, r: float, tol: Tolerance) -> float:
     """4*pi * int_a^r sinh(t) * (sinh(2t)/sqrt(D) - 1) dt, r may be inf."""
-    head_hi = min(r, a + _HEAD_SPAN)
-    head = quad_sqrt_endpoint(_deficit_head(a), "lower", a, head_hi, tol)
-    if r <= a + _HEAD_SPAN:
-        return head.value
-    if math.isinf(r):
-        tail = quad_semi_infinite(_deficit_tail(a), a + _HEAD_SPAN, _DECAY_RATE, tol)
-    else:
-        tail = quad_finite(
-            _deficit_tail(a), a + _HEAD_SPAN, min(r, a + _TAIL_SPAN), tol
-        )
-    return head.value + tail.value
+    return _ray_integral(_deficit(a), r - a, tol)
 
 
 def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
@@ -276,30 +267,14 @@ def mvt_f(x: float, K: float) -> float:
     )
 
 
-def _concavity_head(a: float):
-    """Smooth factor of the second concavity integrand near t = 0.
+def _concavity(a: float):
+    """Second concavity integrand, t-shifted so the singularity sits at 0.
 
-    True integrand (t-shifted so the singularity sits at t = 0):
     -4*pi * N(t) / (sqrt(sinh(2t) * sinh(4a+2t)) * sinh(4a+2t)**2) with
     N(t) = 5 cosh(a+t) - 3 cosh(3a+3t) - 3 cosh(5a+t) + cosh(7a+3t).
     """
 
-    def g(t: float) -> float:
-        numer = (
-            5.0 * math.cosh(a + t)
-            - 3.0 * math.cosh(3.0 * a + 3.0 * t)
-            - 3.0 * math.cosh(5.0 * a + t)
-            + math.cosh(7.0 * a + 3.0 * t)
-        )
-        sinh_outer = math.sinh(4.0 * a + 2.0 * t)
-        scale = 2.0 * _sinhc(2.0 * t) * sinh_outer
-        return -_FOUR_PI * numer / (math.sqrt(scale) * sinh_outer * sinh_outer)
-
-    return g
-
-
-def _concavity_tail(a: float):
-    def g(t: float) -> float:
+    def f(t: float) -> float:
         numer = (
             5.0 * math.cosh(a + t)
             - 3.0 * math.cosh(3.0 * a + 3.0 * t)
@@ -310,7 +285,7 @@ def _concavity_tail(a: float):
         radicand = math.sinh(2.0 * t) * sinh_outer
         return -_FOUR_PI * numer / (math.sqrt(radicand) * sinh_outer * sinh_outer)
 
-    return g
+    return f
 
 
 def concavity_terms(a: float, tol: Tolerance) -> tuple[float, float]:
@@ -320,7 +295,6 @@ def concavity_terms(a: float, tol: Tolerance) -> tuple[float, float]:
     _check_neck(a)
     K = compute_K(tol)
     i1 = _deficit_integral(a, math.inf, tol) - _FOUR_PI * K * math.cosh(a)
-    head = quad_sqrt_endpoint(_concavity_head(a), "lower", 0.0, _HEAD_SPAN, tol)
-    tail = quad_semi_infinite(_concavity_tail(a), _HEAD_SPAN, _DECAY_RATE, tol)
-    i2 = head.value + tail.value - _FOUR_PI * (1.0 - K) * math.cosh(a)
+    i2 = _ray_integral(_concavity(a), math.inf, tol)
+    i2 -= _FOUR_PI * (1.0 - K) * math.cosh(a)
     return i1, i2

@@ -162,8 +162,10 @@ class IsometryMap:
     d: complex
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1.0e-12:
+        ad, bc = self.a * self.d, self.b * self.c
+        det = ad - bc
+        # ad - bc carries roundoff of the order eps * max(|ad|, |bc|).
+        if abs(det - 1.0) > 1.0e-12 * max(1.0, abs(ad), abs(bc)):
             raise ValueError(f"matrix determinant must be 1, got {det}")
 
     @classmethod

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .catenoid import area_deficit, area_difference, gomes_rho, sample_catenary
@@ -23,6 +24,9 @@ from .quadrature import EvaluationBudgetError, Tolerance
 
 __all__ = ["main"]
 
+# Any argument that starts with a minus sign and then a digit or a point.
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems with exit code 1."""
@@ -30,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # argparse takes only plain negative numbers for values, so a circle
+        # literal such as -1,0,1 would otherwise be read as an unknown option.
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _fmt(x: float) -> str:

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .catenoid import area_deficit, gomes_rho, mvt_f
+from .catenoid import _rho_prime, area_deficit, gomes_rho, mvt_f
 from .quadrature import EvaluationBudgetError, Tolerance, quad_sqrt_endpoint
 
 __all__ = [
@@ -165,45 +165,14 @@ def compute_K(tol: Tolerance) -> float:
     return quad_sqrt_endpoint(smooth, "upper", 0.0, 1.0, tol).value
 
 
-def _expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    lo_min: float,
-    hi_max: float,
-) -> tuple[float, float]:
-    """Widen a bracket geometrically until the signs differ (bounded fallback)."""
-    flo, fhi = f(lo), f(hi)
-    for _ in range(8):
-        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) != (fhi > 0.0):
-            break
-        width = hi - lo
-        lo = max(lo_min, lo - 0.5 * width)
-        hi = min(hi_max, hi + 0.5 * width)
-        flo, fhi = f(lo), f(hi)
-    return lo, hi
-
-
 def solve_a_c(tol: Tolerance) -> float:
-    """Maximizer a_c of rho, located as the root of a differentiated rho.
+    """Maximizer a_c of rho, located as the root of rho'.
 
-    The derivative uses a Richardson-extrapolated central difference
-    (fourth order, step 1e-5) with the inner quadrature tightened two
-    digits so differencing noise stays well below the root tolerance.
+    rho' is one quadrature of the profile integrand differentiated under the
+    integral sign; rho'(a_c) = 0 is bracketed by [0.3, 0.7].
     """
-    step = 1.0e-5
-    inner = Tolerance(tol.abs_tol * 0.01, tol.max_evaluations)
-
-    def drho(a: float) -> float:
-        return (
-            gomes_rho(a - 2.0 * step, inner)
-            - 8.0 * gomes_rho(a - step, inner)
-            + 8.0 * gomes_rho(a + step, inner)
-            - gomes_rho(a + 2.0 * step, inner)
-        ) / (12.0 * step)
-
-    lo, hi = _expand_bracket(drho, 0.3, 0.7, 0.05, 3.0)
-    return solve_root(drho, RootFindConfig(lo, hi, x_tol=1.0e-10, max_iterations=100))
+    cfg = RootFindConfig(0.3, 0.7, x_tol=1.0e-10, max_iterations=100)
+    return solve_root(lambda a: _rho_prime(a, tol), cfg)
 
 
 def solve_a_0(K: float, tol: Tolerance) -> float:
@@ -220,13 +189,8 @@ def solve_a_0(K: float, tol: Tolerance) -> float:
 
 
 def _solve_a_L_between(a_c: float, a_l: float, tol: Tolerance) -> float:
-    def deficit(a: float) -> float:
-        return area_deficit(a, tol)
-
-    lo, hi = _expand_bracket(deficit, a_c, a_l, 0.25 * a_c, 2.0 * a_l)
-    return solve_root(
-        deficit, RootFindConfig(lo, hi, x_tol=1.0e-10, max_iterations=100)
-    )
+    cfg = RootFindConfig(a_c, a_l, x_tol=1.0e-10, max_iterations=100)
+    return solve_root(lambda a: area_deficit(a, tol), cfg)
 
 
 def solve_a_L(tol: Tolerance) -> float:
@@ -237,6 +201,8 @@ def solve_a_L(tol: Tolerance) -> float:
     return _solve_a_L_between(a_c, a_l, tol)
 
 
+# Bundles kept at once; inserting past this evicts the oldest tolerance.
+_CACHE_SIZE = 32
 _CACHE: dict[tuple[float, int], ConstantsBundle] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -266,4 +232,7 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
         two_rho_aL=2.0 * gomes_rho(a_L, tol),
     )
     with _CACHE_LOCK:
-        return _CACHE.setdefault(key, bundle)
+        bundle = _CACHE.setdefault(key, bundle)
+        if len(_CACHE) > _CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]
+        return bundle

@@ -150,6 +150,21 @@ class TestIsometryMap:
         with pytest.raises(ValueError):
             IsometryMap(2.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
+    def test_determinant_relative_to_entries(self):
+        mapping = IsometryMap.from_matrix(1e3, 1e6 - 1.0 / 3.0, 1.0, 1e3)
+        assert mapping(0.0) == pytest.approx((1e6 - 1.0 / 3.0) / 1e3, rel=1e-12)
+
+    def test_repeated_composition(self):
+        step = IsometryMap.from_matrix(1.1, 0.3 + 0.2j, 0.05, 0.95)
+        mapping = step
+        for _ in range(60):
+            mapping = mapping.compose(step)
+        z = 0.1 + 0.2j
+        expected = z
+        for _ in range(61):
+            expected = step(expected)
+        assert mapping(z) == pytest.approx(expected, rel=1e-9)
+
     def test_from_matrix_normalizes(self):
         mapping = IsometryMap.from_matrix(2.0, 0.0, 0.0, 2.0)
         assert abs(mapping.a * mapping.d - mapping.b * mapping.c - 1.0) <= 1e-12

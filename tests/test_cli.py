@@ -172,6 +172,17 @@ class TestClassifyCommand:
         assert report["distance"] == pytest.approx(2.0, abs=1e-5)
         assert report["solutions"] == []
 
+    def test_negative_circle_coordinates(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--circles", "-1,0,1", "-1,0,2.2")
+        assert code == 0
+        shifted = json.loads(out)
+        code, out, _ = run_cli(capsys, "classify", "--circles", "1,0,1", "1,0,2.2")
+        assert code == 0
+        reference = json.loads(out)
+        assert shifted["distance"] == pytest.approx(0.78845736, abs=1e-8)
+        assert shifted["distance"] == reference["distance"]
+        assert shifted["solutions"] == reference["solutions"]
+
     def test_intersecting_circles(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--circles", "0,0,1", "0.5,0,1")
         assert code == 2

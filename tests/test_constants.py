@@ -12,6 +12,7 @@ from hypcatenoid import (
     Tolerance,
     area_deficit,
     compute_K,
+    constants,
     constants_bundle,
     gomes_rho,
     mvt_f,
@@ -184,6 +185,15 @@ class TestConstantsBundle:
     def test_cache_identity(self, tol):
         assert constants_bundle(tol) is constants_bundle(tol)
         assert constants_bundle(Tolerance()) is constants_bundle(tol)
+
+    def test_cache_bounded(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(constants, "_CACHE", cache)
+        for i in range(100):
+            constants_bundle(Tolerance(abs_tol=1e-8 * (1.0 + i / 100)))
+        assert 0 < len(cache) <= constants._CACHE_SIZE
+        repeated = Tolerance(abs_tol=1e-8 * 1.99)
+        assert constants_bundle(repeated) is constants_bundle(repeated)
 
     def test_self_consistency_across_tolerances(self):
         coarse = constants_bundle(Tolerance(abs_tol=1e-8))
