@@ -1,11 +1,13 @@
 """Circles on the sphere at infinity and their hyperbolic plane distance.
 
-A circle in the boundary plane chart is stored as a spacelike unit vector in
-Minkowski 4-space (inversive coordinates); the distance between the geodesic
-planes spanning two disjoint circles is then arccosh of the inner product's
-magnitude.  The module also provides Moebius actions, reduction of a disjoint
-pair to concentric position, and the enumeration of catenoids asymptotic to
-a given pair.
+A circle in the boundary plane chart, Euclidean lines included, is stored as
+a spacelike unit vector in Minkowski 4-space (inversive coordinates); the
+distance between the geodesic planes spanning two disjoint circles is then
+arccosh of the inner product's magnitude.  The same vector is the circle's
+Hermitian matrix, on which a Moebius map acts linearly, so images of circles
+and the reduction of a disjoint pair to concentric position are exact
+(Schwerdtfeger, Geometry of Complex Numbers, 1962).  The module also
+enumerates the catenoids asymptotic to a given pair.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ __all__ = [
 # Pairs with inversive product magnitude within this margin of 1 are treated
 # as tangent; the underlying theory requires strictly disjoint circles.
 _TANGENCY_MARGIN = 1.0e-12
-
-# Relative collinearity threshold for the three-point circle refit.
-_COLLINEAR_TOL = 1.0e-10
 
 # Outer-branch brackets stop expanding here; separations below 2*rho(25)
 # (about 3e-11) are indistinguishable from zero anyway.
@@ -97,7 +96,11 @@ def _circle_from_coords(v1: float, v2: float, v3: float, v4: float) -> CircleAtI
             f"inversive vector is not spacelike (norm^2 = {norm_sq})"
         )
     scale = 1.0 / math.sqrt(norm_sq)
-    v1, v2, v3, v4 = v1 * scale, v2 * scale, v3 * scale, v4 * scale
+    return _canonical(v1 * scale, v2 * scale, v3 * scale, v4 * scale)
+
+
+def _canonical(v1: float, v2: float, v3: float, v4: float) -> CircleAtInfinity:
+    """Sign a unit vector so v4 - v3 >= 0, breaking ties for lines on v1, v2."""
     gap = v4 - v3
     if gap < 0.0 or (gap == 0.0 and (v1 < 0.0 or (v1 == 0.0 and v2 < 0.0))):
         v1, v2, v3, v4 = -v1, -v2, -v3, -v4
@@ -184,8 +187,12 @@ class IsometryMap:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
     def compose(self, other: IsometryMap) -> IsometryMap:
-        """The map z -> self(other(z))."""
-        return IsometryMap.from_matrix(
+        """The map z -> self(other(z)).
+
+        The product of unit-determinant matrices is unit-determinant, so no
+        renormalization is needed (and none can fail on a rounded det of 0).
+        """
+        return IsometryMap(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -204,52 +211,42 @@ def axis_translation(lam: float) -> IsometryMap:
     return IsometryMap(complex(root), 0.0j, 0.0j, complex(1.0 / root))
 
 
-def _three_points(circle: CircleAtInfinity, mapping: IsometryMap) -> list[complex]:
-    """Three points of the circle, steered away from the mapping's pole."""
-    if circle.is_line:
-        v1, v2, v3, _ = circle.coords
-        normal = complex(v1, v2)
-        base = v3 * normal
-        direction = complex(-v2, v1)
-        return [base - direction, base, base + direction]
-    center = circle.center
-    radius = circle.radius
-    base_angle = 0.0
-    if mapping.c != 0:
-        pole = -mapping.d / mapping.c
-        offset = pole - center
-        if offset != 0:
-            # The pole may sit on the circle; keep all samples at angular
-            # distance >= pi/3 from it.
-            base_angle = math.atan2(offset.imag, offset.real) + math.pi / 3.0
-    third = 2.0 * math.pi / 3.0
-    return [
-        center + radius * cmath.exp(1j * (base_angle + k * third)) for k in range(3)
-    ]
-
-
 def apply_isometry(mapping: IsometryMap, circle: CircleAtInfinity) -> CircleAtInfinity:
-    """Image of a circle under a linear fractional map, by three-point refit."""
-    try:
-        w1, w2, w3 = (mapping(z) for z in _three_points(circle, mapping))
-    except ZeroDivisionError as exc:
-        raise DegenerateCircleError("a sample point hit the mapping's pole") from exc
-    num = (
-        (w1.real * w1.real + w1.imag * w1.imag) * (w2 - w3)
-        + (w2.real * w2.real + w2.imag * w2.imag) * (w3 - w1)
-        + (w3.real * w3.real + w3.imag * w3.imag) * (w1 - w2)
-    )
-    den = w1.conjugate() * (w2 - w3) + w2.conjugate() * (w3 - w1) + w3.conjugate() * (w1 - w2)
-    span = max(abs(w1 - w2), abs(w2 - w3), abs(w3 - w1))
-    if not span > 0.0 or not math.isfinite(span):
-        raise DegenerateCircleError("image points collapsed or overflowed")
-    if abs(den) <= _COLLINEAR_TOL * span * span:
-        raise DegenerateCircleError(
-            "image points are nearly collinear; the image is a line through infinity"
+    """Image of a circle (or line) under a linear fractional map, exactly.
+
+    The circle is the zero set of h11 |z|^2 + 2 Re(h12 conj(z)) + h22 with
+    (h11, h12, h22) = (v4 - v3, -(v1 + i v2), v4 + v3); its image under M is
+    the zero set of N^dagger H N with N = M^-1.  det N = 1 keeps det H = -1,
+    so the image vector stays unit and only its sign is canonicalized.
+    """
+    v1, v2, v3, v4 = circle.coords
+    h11, h12, h22 = v4 - v3, -complex(v1, v2), v4 + v3
+    n11, n12, n21, n22 = mapping.d, -mapping.b, -mapping.c, mapping.a
+
+    def form(p: complex, q: complex, r: complex, s: complex) -> complex:
+        """(p, q)^dagger H (r, s)."""
+        return p.conjugate() * (h11 * r + h12 * s) + q.conjugate() * (
+            h12.conjugate() * r + h22 * s
         )
-    center = num / den
-    radius = (abs(w1 - center) + abs(w2 - center) + abs(w3 - center)) / 3.0
-    return circle_from_center_radius(center, radius)
+
+    g11 = form(n11, n21, n11, n21).real
+    g12 = form(n11, n21, n12, n22)
+    g22 = form(n12, n22, n12, n22).real
+    return _canonical(-g12.real, -g12.imag, 0.5 * (g22 - g11), 0.5 * (g22 + g11))
+
+
+def _limit_point(
+    u: tuple[float, ...], w: tuple[float, ...], t: float
+) -> tuple[complex, complex]:
+    """Homogeneous point (x : y) of the null vector n = u + t w.
+
+    Both (n1 + i n2 : n4 - n3) and (n4 + n3 : n1 - i n2) span the kernel of
+    n's rank-one Hermitian matrix; the one with the larger pivot is used.
+    """
+    n1, n2, n3, n4 = (ui + t * wi for ui, wi in zip(u, w))
+    if abs(n4 - n3) >= abs(n4 + n3):
+        return complex(n1, n2), complex(n4 - n3)
+    return complex(n4 + n3), complex(n1, -n2)
 
 
 def normalize_coaxial(
@@ -257,39 +254,25 @@ def normalize_coaxial(
 ) -> IsometryMap:
     """Isometry carrying a disjoint pair to concentric circles about 0.
 
-    Sends the pencil's two limit points to 0 and infinity, oriented so the
-    first circle's image is the inner one; log of the image radii ratio then
-    reproduces the plane distance.
+    The pencil's limit points are the null vectors u + t w of the pair's
+    span, 1 + 2 t p + t^2 = 0 with p = <u, w>.  The map sends one to 0 and
+    the other to infinity, oriented so the first circle's image is the inner
+    one; log of the image radii ratio then reproduces the plane distance.
+    Separated, nested, concentric and line pairs all take this one path.
     """
-    if abs(inversive_product(circle1, circle2)) <= 1.0 + _TANGENCY_MARGIN:
+    p = inversive_product(circle1, circle2)
+    if abs(p) <= 1.0 + _TANGENCY_MARGIN:
         raise IntersectingCirclesError("coaxial normalization needs a disjoint pair")
-    if circle1.is_line or circle2.is_line:
-        raise DegenerateCircleError("coaxial normalization supports chart circles only")
-    c1, r1 = circle1.center, circle1.radius
-    c2, r2 = circle2.center, circle2.radius
-    sep = abs(c2 - c1)
-
-    if sep <= 1.0e-14 * max(r1, r2, 1.0):
-        # Already concentric: translate the common center to 0 and invert
-        # if needed so the first circle lands inside.
-        recenter = IsometryMap.from_matrix(1.0, -c1, 0.0, 1.0)
-        if r1 > r2:
-            return IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0).compose(recenter)
-        return recenter
-
-    axis = (c2 - c1) / sep
-    midpoint = (sep * sep + r1 * r1 - r2 * r2) / (2.0 * sep)
-    disc = midpoint * midpoint - r1 * r1
-    if disc <= 0.0:
-        raise IntersectingCirclesError(
-            "limit points are not real; circles are too close to tangency"
-        )
-    shift = math.sqrt(disc)
-    p = c1 + (midpoint - shift) * axis
-    q = c1 + (midpoint + shift) * axis
-    mapping = IsometryMap.from_matrix(1.0, -p, 1.0, -q)
-    if apply_isometry(mapping, circle1).radius > apply_isometry(mapping, circle2).radius:
-        mapping = IsometryMap.from_matrix(1.0, -q, 1.0, -p)
+    # The root of larger magnitude avoids cancellation; the roots multiply to 1.
+    t = -p - math.copysign(math.sqrt((abs(p) - 1.0) * (abs(p) + 1.0)), p)
+    (x1, y1), (x2, y2) = (
+        _limit_point(circle1.coords, circle2.coords, root) for root in (t, 1.0 / t)
+    )
+    mapping = IsometryMap.from_matrix(y1, -x1, y2, -x2)
+    image1, image2 = (apply_isometry(mapping, c).coords for c in (circle1, circle2))
+    # The inner image has the larger curvature v4 - v3 = 1 / radius.
+    if image1[3] - image1[2] < image2[3] - image2[2]:
+        mapping = IsometryMap.from_matrix(y2, -x2, y1, -x1)
     return mapping
 
 
@@ -325,8 +308,11 @@ def catenoids_for_separation(
         return 2.0 * gomes_rho(a, tol) - d
 
     x_tol = max(tol.abs_tol, 1.0e-12)
+    # rho(a) < a log(2/a) on the inner branch, and lo = d / (4 log(4/d)),
+    # half the leading-order inverse of rho = d/2, has lo log(2/lo) < d/2.
+    lo = d / (4.0 * math.log(4.0 / d))
     inner = solve_root(
-        residual, RootFindConfig(1.0e-6, bundle.a_c, x_tol=x_tol, max_iterations=100)
+        residual, RootFindConfig(lo, bundle.a_c, x_tol=x_tol, max_iterations=100)
     )
 
     hi = 2.0 * bundle.a_c
@@ -360,16 +346,12 @@ def catenoids_for_circles(
     return catenoids_for_separation(d, bundle, tol, critical_window=critical_window)
 
 
-def boundary_circles(
-    a: float, bundle: ConstantsBundle, tol: Tolerance
-) -> tuple[CircleAtInfinity, CircleAtInfinity]:
+def boundary_circles(a: float, tol: Tolerance) -> tuple[CircleAtInfinity, CircleAtInfinity]:
     """Asymptotic boundary circles of the standard catenoid with neck distance a.
 
     The axis is the vertical line of the half-space chart and the surface is
     symmetric about height 1, giving concentric circles of radii
-    exp(-rho(a)) and exp(+rho(a)); their plane distance is 2*rho(a).  The
-    bundle argument mirrors the other classification entry points and is not
-    consulted.
+    exp(-rho(a)) and exp(+rho(a)); their plane distance is 2*rho(a).
     """
     rho = gomes_rho(a, tol)
     return (

@@ -1,8 +1,8 @@
 """Brute-force oracles and random-geometry samplers shared across test modules.
 
 Everything here is deliberately independent of the package's own quadrature:
-composite rules over numpy arrays, plus rejection samplers for circle pairs
-and benign Moebius maps used by the distance-equivalence properties.
+composite rules over numpy arrays, plus samplers for disjoint circle pairs
+and Moebius maps used by the distance-equivalence properties.
 """
 
 import math
@@ -48,37 +48,24 @@ def random_disjoint_pair(rng):
             return circle1, circle2
 
 
-def _pole_clears(mapping, circle, clearance=0.25):
-    if mapping.c == 0:
-        return True
-    pole = -mapping.d / mapping.c
-    return abs(abs(pole - circle.center) - circle.radius) >= clearance
-
-
-def random_benign_isometry(rng, circles):
-    """Random isometry whose pole keeps clear of every given circle.
-
-    Composed from rotations, axis scalings, translations, and an optional
-    inversion, then rejection-sampled so the three-point refit of
-    apply_isometry stays well-conditioned on the given circles.
-    """
-    while True:
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        mapping = IsometryMap.from_matrix(
-            complex(math.cos(angle), math.sin(angle)), 0.0, 0.0, 1.0
-        )
-        mapping = axis_translation(math.exp(rng.uniform(-1.0, 1.0))).compose(mapping)
+def random_isometry(rng):
+    """Random isometry composed from a rotation, an axis scaling, a translation
+    and, half of the time, an inversion followed by another translation."""
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    mapping = IsometryMap.from_matrix(
+        complex(math.cos(angle), math.sin(angle)), 0.0, 0.0, 1.0
+    )
+    mapping = axis_translation(math.exp(rng.uniform(-1.0, 1.0))).compose(mapping)
+    shift = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    mapping = IsometryMap.from_matrix(1.0, shift, 0.0, 1.0).compose(mapping)
+    if rng.random() < 0.5:
+        mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0).compose(mapping)
         shift = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         mapping = IsometryMap.from_matrix(1.0, shift, 0.0, 1.0).compose(mapping)
-        if rng.random() < 0.5:
-            mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0).compose(mapping)
-            shift = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            mapping = IsometryMap.from_matrix(1.0, shift, 0.0, 1.0).compose(mapping)
-        if all(_pole_clears(mapping, circle) for circle in circles):
-            return mapping
+    return mapping
 
 
 def mapped_pair(rng, circle1, circle2):
-    """A random benign isometry applied to both circles of a pair."""
-    mapping = random_benign_isometry(rng, (circle1, circle2))
+    """A random isometry applied to both circles of a pair."""
+    mapping = random_isometry(rng)
     return apply_isometry(mapping, circle1), apply_isometry(mapping, circle2)

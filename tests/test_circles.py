@@ -22,7 +22,7 @@ from hypcatenoid import (
     plane_distance,
 )
 
-from _oracles import mapped_pair, random_disjoint_pair
+from _oracles import mapped_pair, random_disjoint_pair, random_isometry
 
 # Frozen roots of 2*rho(a) = d from an independent high-precision solve.
 ROOTS_08 = (0.208851818955, 0.980635751523)
@@ -40,6 +40,18 @@ def _norm_tol(circle):
     v1, v2, v3, v4 = circle.coords
     magnitude = v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4
     return 1e-14 * max(1.0, magnitude)
+
+
+def _incidence(circle, w):
+    """Scale-free distance of the point w from a circle or line.
+
+    w is the null vector P = (Re w, Im w, (|w|^2 - 1)/2, (|w|^2 + 1)/2); it
+    lies on the circle exactly when the Minkowski product <v, P> vanishes.
+    """
+    p = (w.real, w.imag, 0.5 * (abs(w) ** 2 - 1.0), 0.5 * (abs(w) ** 2 + 1.0))
+    v = circle.coords
+    product = v[0] * p[0] + v[1] * p[1] + v[2] * p[2] - v[3] * p[3]
+    return abs(product) / (math.hypot(*v) * math.hypot(*p))
 
 
 class TestCircleAtInfinity:
@@ -157,11 +169,11 @@ class TestIsometryMap:
     def test_repeated_composition(self):
         step = IsometryMap.from_matrix(1.1, 0.3 + 0.2j, 0.05, 0.95)
         mapping = step
-        for _ in range(60):
+        for _ in range(300):
             mapping = mapping.compose(step)
         z = 0.1 + 0.2j
         expected = z
-        for _ in range(61):
+        for _ in range(301):
             expected = step(expected)
         assert mapping(z) == pytest.approx(expected, rel=1e-9)
 
@@ -247,10 +259,52 @@ class TestApplyIsometry:
             assert abs(_norm_sq(image2) - 1.0) <= _norm_tol(image2)
 
     def test_circle_through_pole_becomes_line(self):
+        # z -> 1/(z - 1) sends the unit circle to the line Re z = -1/2.
         circle = circle_from_center_radius(0.0j, 1.0)
         mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, -1.0)
-        with pytest.raises(DegenerateCircleError):
-            apply_isometry(mapping, circle)
+        image = apply_isometry(mapping, circle)
+        assert image.is_line
+        for got, want in zip(image.coords, (1.0, 0.0, -0.5, -0.5)):
+            assert got == pytest.approx(want, abs=1e-15)
+
+    def test_pole_on_or_near_circle_keeps_distance(self):
+        circle1 = circle_from_center_radius(0.0j, 1.0)
+        circle2 = circle_from_center_radius(3.0 + 1.0j, 0.5)
+        reference = plane_distance(circle1, circle2)
+        for angle in (0.0, 0.7, math.pi / 2.0, 2.5, 4.0):
+            on_circle = cmath.exp(1j * angle)
+            for pole in (on_circle, on_circle * (1.0 + 1e-9), on_circle * (1.0 - 1e-9)):
+                mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, -pole)
+                moved = plane_distance(
+                    apply_isometry(mapping, circle1), apply_isometry(mapping, circle2)
+                )
+                assert abs(moved - reference) <= 1e-12
+
+    def test_sampled_points_lie_on_image(self):
+        # Independent of the Hermitian action: push five points of a random
+        # circle or line through the map pointwise and check each against the
+        # image.  Half the maps invert about a point within 1e-9 of the circle,
+        # so those images are nearly lines.
+        rng = random.Random(4242)
+        for trial in range(600):
+            circle, _ = random_disjoint_pair(rng)
+            center, radius = circle.center, circle.radius
+            points = [
+                center + radius * cmath.exp(2j * math.pi * (k + rng.random()) / 5)
+                for k in range(5)
+            ]
+            if trial % 3 == 2:
+                normal = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                offset = rng.uniform(-3.0, 3.0)
+                circle = CircleAtInfinity((normal.real, normal.imag, offset, offset))
+                points = [normal * (offset + 1j * rng.uniform(-5.0, 5.0)) for _ in range(5)]
+            mapping = random_isometry(rng)
+            if trial % 2:
+                pole = rng.choice(points) * (1.0 + rng.uniform(-1e-9, 1e-9))
+                mapping = mapping.compose(IsometryMap.from_matrix(0.0, 1.0, 1.0, -pole))
+            image = apply_isometry(mapping, circle)
+            for z in points:
+                assert _incidence(image, mapping(z)) <= 1e-12
 
     def test_line_maps_to_circle(self):
         # Inversion of the line Re z = 1/2 is the circle through 0 and 2.
@@ -313,11 +367,23 @@ class TestNormalizeCoaxial:
         with pytest.raises(IntersectingCirclesError):
             normalize_coaxial(circle1, circle2)
 
-    def test_line_rejected(self):
+    def test_line_pair(self):
+        # The line Re z = 2 and the unit circle, in either order.
         line = CircleAtInfinity((1.0, 0.0, 2.0, 2.0))
         circle = circle_from_center_radius(0.0j, 1.0)
-        with pytest.raises(DegenerateCircleError):
-            normalize_coaxial(line, circle)
+        reference = plane_distance(line, circle)
+        for first, second in ((line, circle), (circle, line)):
+            mapping = normalize_coaxial(first, second)
+            image1 = apply_isometry(mapping, first)
+            image2 = apply_isometry(mapping, second)
+            assert abs(image1.center) <= 1e-12 * image1.radius
+            assert abs(image2.center) <= 1e-12 * image2.radius
+            assert image1.radius < image2.radius
+            log_ratio = math.log(image2.radius / image1.radius)
+            assert log_ratio == pytest.approx(reference, abs=1e-12)
+        # Parallel lines touch at infinity.
+        with pytest.raises(IntersectingCirclesError):
+            normalize_coaxial(line, CircleAtInfinity((1.0, 0.0, -1.0, -1.0)))
 
 
 class TestDistanceProperties:
@@ -380,6 +446,19 @@ class TestCatenoidsForSeparation:
         for a, _ in found.solutions:
             assert abs(2.0 * gomes_rho(a, tol) - d) <= 1e-6
 
+    def test_tiny_separation_two_roots(self, bundle, tol):
+        d = 1e-6
+        found = catenoids_for_separation(d, bundle, tol)
+        assert len(found.solutions) == 2
+        (a_inner, label_inner), (a_outer, _) = found.solutions
+        assert 0.0 < a_inner < bundle.a_c < a_outer
+        assert label_inner.kind is RegimeKind.UNSTABLE
+        # The root is within x_tol of exact and d(2 rho)/da < 2 log(2/a) on
+        # the inner branch; each rho carries up to abs_tol of error.
+        x_tol = max(tol.abs_tol, 1e-12)
+        bound = 2.0 * math.log(2.0 / a_inner) * x_tol + 2.0 * tol.abs_tol
+        assert abs(2.0 * gomes_rho(a_inner, tol) - d) <= bound
+
     def test_domain(self, bundle, tol):
         with pytest.raises(ValueError):
             catenoids_for_separation(0.0, bundle, tol)
@@ -413,21 +492,21 @@ class TestCatenoidsForCircles:
 
 class TestBoundaryCircles:
     def test_critical_distance(self, bundle, tol):
-        inner, outer = boundary_circles(bundle.a_c, bundle, tol)
+        inner, outer = boundary_circles(bundle.a_c, tol)
         assert plane_distance(inner, outer) == pytest.approx(1.00229, abs=1e-4)
 
     def test_threshold_distance(self, bundle, tol):
-        inner, outer = boundary_circles(bundle.a_L, bundle, tol)
+        inner, outer = boundary_circles(bundle.a_L, tol)
         assert plane_distance(inner, outer) == pytest.approx(0.876895, abs=1e-5)
 
-    def test_matches_doubled_rho(self, bundle, tol):
-        inner, outer = boundary_circles(0.6, bundle, tol)
+    def test_matches_doubled_rho(self, tol):
+        inner, outer = boundary_circles(0.6, tol)
         assert plane_distance(inner, outer) == pytest.approx(
             2.0 * gomes_rho(0.6, tol), abs=1e-8
         )
 
-    def test_swapped_by_unit_inversion(self, bundle, tol):
-        inner, outer = boundary_circles(0.6, bundle, tol)
+    def test_swapped_by_unit_inversion(self, tol):
+        inner, outer = boundary_circles(0.6, tol)
         inversion = IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0)
         swapped = apply_isometry(inversion, inner)
         for got, want in zip(swapped.coords, outer.coords):

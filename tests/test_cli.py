@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from hypcatenoid import tube_area
+import hypcatenoid
+from hypcatenoid import gomes_rho, tube_area
 from hypcatenoid.cli import main
 
 
@@ -156,6 +158,18 @@ class TestClassifyCommand:
         report = json.loads(out)
         kinds = [entry["kind"] for entry in report["solutions"]]
         assert kinds == ["unstable", "stable_not_minimizing"]
+
+    def test_by_separation_tiny(self, capsys, tol):
+        code, out, _ = run_cli(capsys, "classify", "--distance", "1e-6")
+        assert code == 0
+        report = json.loads(out)
+        kinds = [entry["kind"] for entry in report["solutions"]]
+        assert kinds == ["unstable", "area_minimizing"]
+        a_inner = report["solutions"][0]["a"]
+        # Root within x_tol, slope of 2 rho below 2 log(2/a), rho within abs_tol.
+        x_tol = max(tol.abs_tol, 1e-12)
+        bound = 2.0 * math.log(2.0 / a_inner) * x_tol + 2.0 * tol.abs_tol
+        assert abs(2.0 * gomes_rho(a_inner, tol) - 1e-6) <= bound
 
     def test_by_separation_empty(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--distance", "1.5")
@@ -316,11 +330,15 @@ class TestUsageErrors:
 
 class TestModuleEntryPoint:
     def test_subprocess_smoke(self):
+        # The child imports the same package as this process, installed or not.
+        package_root = os.path.dirname(os.path.dirname(hypcatenoid.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "hypcatenoid", "constants"],
             capture_output=True,
             text=True,
             timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "a_L" in result.stdout

@@ -73,7 +73,7 @@ def test_catenoids_for_circles(count_evaluations):
     inner = circle_from_center_radius(0j, 1.0)
     outer = circle_from_center_radius(0j, 2.2)
     count = count_evaluations(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
-    assert count == 2910
+    assert count == 2790
 
 
 def test_deficit_sweep(count_evaluations):
