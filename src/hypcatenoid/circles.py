@@ -288,19 +288,20 @@ def catenoids_for_separation(
     d: float,
     bundle: ConstantsBundle,
     tol: Tolerance,
-    critical_window: float = 1.0e-4,
 ) -> CatenoidSolutions:
     """Solve 2*rho(a) = d for all neck distances a.
 
     Above the maximal separation 2*rho(a_c) there is no solution; within
-    critical_window of it the two branches merge into the single a_c; below
-    it one root lies on each side of a_c.
+    2*abs_tol of it, the accuracy of 2*rho itself, the two branches merge
+    into the single a_c; below it one root lies on each side of a_c.  The
+    outer root is sought below a = 25, so d must exceed 2*rho(25) ~ 3.3e-11.
     """
     if not d > 0.0:
         raise ValueError(f"plane separation must be positive, got {d}")
-    if d > bundle.two_rho_ac + critical_window:
+    window = 2.0 * tol.abs_tol
+    if d > bundle.two_rho_ac + window:
         return CatenoidSolutions(d, ())
-    if abs(d - bundle.two_rho_ac) <= critical_window:
+    if abs(d - bundle.two_rho_ac) <= window:
         a = bundle.a_c
         return CatenoidSolutions(d, ((a, classify_regime(a, bundle)),))
 
@@ -317,11 +318,11 @@ def catenoids_for_separation(
 
     hi = 2.0 * bundle.a_c
     while residual(hi) > 0.0:
-        hi *= 2.0
-        if hi > _BRANCH_CAP:
+        if hi == _BRANCH_CAP:
             raise BracketError(
                 f"outer branch of 2*rho(a) = {d} not bracketed below a = {_BRANCH_CAP}"
             )
+        hi = min(2.0 * hi, _BRANCH_CAP)
     outer = solve_root(
         residual, RootFindConfig(bundle.a_c, hi, x_tol=x_tol, max_iterations=100)
     )
@@ -339,11 +340,9 @@ def catenoids_for_circles(
     circle2: CircleAtInfinity,
     bundle: ConstantsBundle,
     tol: Tolerance,
-    critical_window: float = 1.0e-4,
 ) -> CatenoidSolutions:
     """Catenoids asymptotic to a disjoint circle pair, via their plane distance."""
-    d = plane_distance(circle1, circle2)
-    return catenoids_for_separation(d, bundle, tol, critical_window=critical_window)
+    return catenoids_for_separation(plane_distance(circle1, circle2), bundle, tol)
 
 
 def boundary_circles(a: float, tol: Tolerance) -> tuple[CircleAtInfinity, CircleAtInfinity]:

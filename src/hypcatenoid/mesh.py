@@ -122,39 +122,34 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
 
     Vertices are laid out row-major: profile row j (from the mirrored far
     end through the neck to y_max) times angular step m, at index
-    j * n_angle + m.  Each quad of the sweep lattice is split along its
-    shorter diagonal.
+    j * n_angle + m.  The sweep about the half-space axis is a Euclidean
+    rotation about the ball's first coordinate axis, so row j is the circle
+    (u_j, r_j cos theta_m, r_j sin theta_m) and needs one chart map.  Every
+    quad is then an isosceles trapezoid whose two diagonals have the same
+    length, so all quads are split the same way.
     """
     if tol is None:
         tol = Tolerance()
     rows = _profile_rows(params, tol)
     n_angle = params.n_angle
     step = 2.0 * math.pi / n_angle
+    cos_sin = [(math.cos(m * step), math.sin(m * step)) for m in range(n_angle)]
 
     mesh = MeshData(params=params)
     for x, y in rows:
-        for m in range(n_angle):
-            mesh.vertices.append(ball_from_halfspace(*halfspace_point(x, y, m * step)))
+        u, r, _ = ball_from_halfspace(*halfspace_point(x, y, 0.0))
+        mesh.vertices.extend((u, r * c, r * s) for c, s in cos_sin)
 
-    def index(j: int, m: int) -> int:
-        return j * n_angle + m % n_angle
-
-    def gap_sq(i: int, k: int) -> float:
-        p, q = mesh.vertices[i], mesh.vertices[k]
-        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
-
-    for j in range(len(rows) - 1):
-        for m in range(n_angle):
-            i00 = index(j, m)
-            i01 = index(j, m + 1)
-            i10 = index(j + 1, m)
-            i11 = index(j + 1, m + 1)
-            if gap_sq(i00, i11) <= gap_sq(i01, i10):
-                mesh.faces.append((i00, i01, i11))
-                mesh.faces.append((i00, i11, i10))
-            else:
-                mesh.faces.append((i00, i01, i10))
-                mesh.faces.append((i01, i11, i10))
+    # One int object per vertex index, shared by every face that uses it.
+    below = list(range(n_angle))
+    for j in range(1, len(rows)):
+        above = list(range(j * n_angle, (j + 1) * n_angle))
+        for i00, i01, i10, i11 in zip(
+            below, below[1:] + below[:1], above, above[1:] + above[:1]
+        ):
+            mesh.faces.append((i00, i01, i11))
+            mesh.faces.append((i00, i11, i10))
+        below = above
     return mesh
 
 

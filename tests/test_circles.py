@@ -427,17 +427,29 @@ class TestCatenoidsForSeparation:
         assert label_outer.kind is RegimeKind.STABLE_NOT_MINIMIZING
 
     def test_critical_separation_collapses_to_single(self, bundle, tol):
-        found = catenoids_for_separation(1.00229, bundle, tol)
-        assert len(found.solutions) == 1
-        a, label = found.solutions[0]
-        assert a == bundle.a_c
-        assert label.at_a_c
-        assert label.kind is RegimeKind.STABLE_NOT_MINIMIZING
+        # 2 rho(a_c) is accurate to 2 abs_tol, so d within that of it is
+        # indistinguishable from the maximum.
+        for d in (bundle.two_rho_ac - tol.abs_tol, bundle.two_rho_ac + tol.abs_tol):
+            found = catenoids_for_separation(d, bundle, tol)
+            assert len(found.solutions) == 1
+            a, label = found.solutions[0]
+            assert a == bundle.a_c
+            assert label.at_a_c
+            assert label.kind is RegimeKind.STABLE_NOT_MINIMIZING
 
     def test_supercritical_separation_empty(self, bundle, tol):
         assert catenoids_for_separation(1.5, bundle, tol).solutions == ()
         just_above = bundle.two_rho_ac + 2e-4
         assert catenoids_for_separation(just_above, bundle, tol).solutions == ()
+        # 4.1e-6 above the true maximum 1.0022859: no catenoid exists.
+        assert catenoids_for_separation(1.00229, bundle, tol).solutions == ()
+
+    def test_near_critical_two_roots(self, bundle, tol):
+        found = catenoids_for_separation(bundle.two_rho_ac - 0.99e-4, bundle, tol)
+        assert len(found.solutions) == 2
+        (a_inner, _), (a_outer, _) = found.solutions
+        assert a_inner == pytest.approx(0.48798, abs=1e-5)
+        assert a_outer == pytest.approx(0.50365, abs=1e-5)
 
     def test_just_below_window_two_roots(self, bundle, tol):
         d = bundle.two_rho_ac - 2e-4
@@ -458,6 +470,16 @@ class TestCatenoidsForSeparation:
         x_tol = max(tol.abs_tol, 1e-12)
         bound = 2.0 * math.log(2.0 / a_inner) * x_tol + 2.0 * tol.abs_tol
         assert abs(2.0 * gomes_rho(a_inner, tol) - d) <= bound
+
+    def test_tiny_separation_outer_root(self, bundle, tol):
+        # The outer root 16.99 lies past the doubling bracket 15.86 but
+        # below the branch cap 25.
+        found = catenoids_for_separation(1e-7, bundle, tol)
+        assert len(found.solutions) == 2
+        a_outer, label_outer = found.solutions[1]
+        assert 15.86 < a_outer < 25.0
+        assert label_outer.kind is RegimeKind.AREA_MINIMIZING
+        assert abs(2.0 * gomes_rho(a_outer, tol) - 1e-7) <= tol.abs_tol
 
     def test_domain(self, bundle, tol):
         with pytest.raises(ValueError):

@@ -171,6 +171,17 @@ class TestClassifyCommand:
         bound = 2.0 * math.log(2.0 / a_inner) * x_tol + 2.0 * tol.abs_tol
         assert abs(2.0 * gomes_rho(a_inner, tol) - 1e-6) <= bound
 
+    def test_by_separation_outer_bracket(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--distance", "1e-7")
+        assert code == 0
+        solutions = json.loads(out)["solutions"]
+        assert [entry["kind"] for entry in solutions] == ["unstable", "area_minimizing"]
+        assert solutions[1]["a"] == pytest.approx(16.99196, abs=1e-5)
+        # Below 2 rho(25) ~ 3.3e-11 the outer root is not sought.
+        code, _, err = run_cli(capsys, "classify", "--distance", "1e-11")
+        assert code == 2
+        assert "error:" in err
+
     def test_by_separation_empty(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--distance", "1.5")
         assert code == 0

@@ -169,6 +169,28 @@ class TestBuildMesh:
             flux = 2.0 * math.pi * math.sinh(ym) * math.cosh(ym) * sin_theta
             assert flux == pytest.approx(expected, rel=0.01)
 
+    def test_rows_share_first_coordinate(self, mesh):
+        # Each row is the image of one chart point rotated about the u axis.
+        for row in _rows(mesh):
+            assert len({vertex[0] for vertex in row}) == 1
+
+    def test_quad_diagonals_equal(self, mesh):
+        # Rotation about the u axis makes every quad an isosceles trapezoid,
+        # which is why a single split serves all of them.
+        rows = _rows(mesh)
+        n_angle = mesh.params.n_angle
+        for below, above in zip(rows, rows[1:]):
+            for m in range(n_angle):
+                p00, p01 = below[m], below[(m + 1) % n_angle]
+                p10, p11 = above[m], above[(m + 1) % n_angle]
+                one = math.dist(p00, p11)
+                other = math.dist(p01, p10)
+                assert abs(one - other) <= 1e-12 * max(one, other)
+
+    def test_faces_independent_of_neck(self, mesh, tol):
+        other = build_mesh(MeshParams(1.1, 2.5, 16, 24), tol)
+        assert other.faces == mesh.faces
+
     def test_neck_cross_section_is_round(self, mesh):
         params = mesh.params
         neck = _rows(mesh)[params.n_profile - 1]
