@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .catenoid import gomes_rho
@@ -45,6 +46,8 @@ _TANGENCY_MARGIN = 1.0e-12
 # Outer-branch brackets stop expanding here; separations below 2*rho(25)
 # (about 3e-11) are indistinguishable from zero anyway.
 _BRANCH_CAP = 25.0
+
+_EPS = sys.float_info.epsilon
 
 
 class IntersectingCirclesError(ValueError):
@@ -308,12 +311,13 @@ def catenoids_for_separation(
     def residual(a: float) -> float:
         return 2.0 * gomes_rho(a, tol) - d
 
-    x_tol = max(tol.abs_tol, 1.0e-12)
     # rho(a) < a log(2/a) on the inner branch, and lo = d / (4 log(4/d)),
     # half the leading-order inverse of rho = d/2, has lo log(2/lo) < d/2.
+    # Each branch is solved to solve_root's relative floor: x_tol is eps
+    # times the bracket's lower end, so a tiny inner root keeps its digits.
     lo = d / (4.0 * math.log(4.0 / d))
     inner = solve_root(
-        residual, RootFindConfig(lo, bundle.a_c, x_tol=x_tol, max_iterations=100)
+        residual, RootFindConfig(lo, bundle.a_c, x_tol=_EPS * lo, max_iterations=100)
     )
 
     hi = 2.0 * bundle.a_c
@@ -324,7 +328,8 @@ def catenoids_for_separation(
             )
         hi = min(2.0 * hi, _BRANCH_CAP)
     outer = solve_root(
-        residual, RootFindConfig(bundle.a_c, hi, x_tol=x_tol, max_iterations=100)
+        residual,
+        RootFindConfig(bundle.a_c, hi, x_tol=_EPS * bundle.a_c, max_iterations=100),
     )
     return CatenoidSolutions(
         d,

@@ -3,8 +3,9 @@
 The bundle collects: the integral constant K, the maximizer a_c of rho with
 the maximal separation 2*rho(a_c), the concavity threshold a_0, the closed
 form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
-2*rho(a_L).  All are recovered from first principles by quadrature plus
-bracketed root finding, computed lazily once per tolerance and cached.
+2*rho(a_L).  All are recovered from first principles by quadrature or
+Carlson's closed forms plus bracketed root finding, computed lazily once per
+tolerance and cached.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def compute_K(tol: Tolerance) -> float:
 def solve_a_c(tol: Tolerance) -> float:
     """Maximizer a_c of rho, located as the root of rho'.
 
-    rho' is one quadrature of the profile integrand differentiated under the
-    integral sign; rho'(a_c) = 0 is bracketed by [0.3, 0.7].
+    rho' is a closed form in Carlson's R_J and R_D; rho'(a_c) = 0 is
+    bracketed by [0.3, 0.7].
     """
     cfg = RootFindConfig(0.3, 0.7, x_tol=1.0e-10, max_iterations=100)
     return solve_root(lambda a: _rho_prime(a, tol), cfg)

@@ -126,7 +126,8 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     rotation about the ball's first coordinate axis, so row j is the circle
     (u_j, r_j cos theta_m, r_j sin theta_m) and needs one chart map.  Every
     quad is then an isosceles trapezoid whose two diagonals have the same
-    length, so all quads are split the same way.
+    length, so all quads are split the same way.  The profile is exact to
+    rounding whatever tol is, so the mesh does not depend on it.
     """
     if tol is None:
         tol = Tolerance()

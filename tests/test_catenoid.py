@@ -23,6 +23,7 @@ from hypcatenoid import (
 # Reference values frozen from an independent high-precision evaluation
 # (50-digit arithmetic, substituted-head composite rules, direct root solves).
 RHO_2 = 0.15996262350963
+RHO_1E12 = 2.801731547704844e-11  # mpmath, 30 digits
 X_05_1 = 0.42666568117547
 TUBE_05_2 = 35.485035220537
 PHI_A3 = 0.78131417197
@@ -55,6 +56,10 @@ class TestGomesRho:
     def test_frozen_reference(self, tol):
         assert gomes_rho(2.0, tol) == pytest.approx(RHO_2, abs=1e-8)
 
+    def test_tiny_neck_relative(self, tol):
+        # Far below the default abs_tol: the value must still be exact.
+        assert gomes_rho(1e-12, tol) == pytest.approx(RHO_1E12, rel=1e-14)
+
     def test_domain(self, tol):
         with pytest.raises(ValueError):
             gomes_rho(0.0, tol)
@@ -72,6 +77,12 @@ class TestCatenaryX:
     def test_saturates_to_rho(self, tol):
         assert catenary_x(0.5, 30.0, tol) == pytest.approx(
             gomes_rho(0.5, tol), abs=1e-8
+        )
+
+    def test_far_from_neck_equals_rho(self, tol):
+        # y - a is clamped where the remaining mass is below rounding.
+        assert catenary_x(0.5, 1000.0, tol) == pytest.approx(
+            gomes_rho(0.5, tol), abs=1e-15
         )
 
     def test_frozen_reference(self, tol):

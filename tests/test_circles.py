@@ -10,12 +10,14 @@ from hypcatenoid import (
     IntersectingCirclesError,
     IsometryMap,
     RegimeKind,
+    Tolerance,
     apply_isometry,
     axis_translation,
     boundary_circles,
     catenoids_for_circles,
     catenoids_for_separation,
     circle_from_center_radius,
+    constants_bundle,
     gomes_rho,
     inversive_product,
     normalize_coaxial,
@@ -27,6 +29,8 @@ from _oracles import mapped_pair, random_disjoint_pair, random_isometry
 # Frozen roots of 2*rho(a) = d from an independent high-precision solve.
 ROOTS_08 = (0.208851818955, 0.980635751523)
 ROOTS_095 = (0.33514006972, 0.702753813899)
+# mpmath root of 2*rho(a) = 1e-9 on the inner branch.
+INNER_ROOT_1E9 = 1.998203049352599e-11
 
 
 def _norm_sq(circle):
@@ -480,6 +484,13 @@ class TestCatenoidsForSeparation:
         assert 15.86 < a_outer < 25.0
         assert label_outer.kind is RegimeKind.AREA_MINIMIZING
         assert abs(2.0 * gomes_rho(a_outer, tol) - 1e-7) <= tol.abs_tol
+
+    @pytest.mark.parametrize("abs_tol", (1e-8, 1e-10, 1e-12))
+    def test_tiny_inner_root_relative(self, abs_tol):
+        # The root is 2e-11, so only a relative stopping rule resolves it.
+        tol = Tolerance(abs_tol=abs_tol)
+        found = catenoids_for_separation(1e-9, constants_bundle(tol), tol)
+        assert found.solutions[0][0] == pytest.approx(INNER_ROOT_1E9, rel=1e-12)
 
     def test_domain(self, bundle, tol):
         with pytest.raises(ValueError):

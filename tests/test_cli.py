@@ -176,7 +176,7 @@ class TestClassifyCommand:
         assert code == 0
         solutions = json.loads(out)["solutions"]
         assert [entry["kind"] for entry in solutions] == ["unstable", "area_minimizing"]
-        assert solutions[1]["a"] == pytest.approx(16.99196, abs=1e-5)
+        assert solutions[1]["a"] == pytest.approx(16.99201, abs=1e-5)
         # Below 2 rho(25) ~ 3.3e-11 the outer root is not sought.
         code, _, err = run_cli(capsys, "classify", "--distance", "1e-11")
         assert code == 2

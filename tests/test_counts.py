@@ -61,11 +61,11 @@ def count_evaluations(monkeypatch):
 
 def test_cold_bundle(count_evaluations, monkeypatch):
     monkeypatch.setattr(constants, "_CACHE", {})
-    assert count_evaluations(lambda: constants_bundle(TOL)) == 3015
+    assert count_evaluations(lambda: constants_bundle(TOL)) == 1545
 
 
 def test_solve_a_c(count_evaluations):
-    assert count_evaluations(lambda: constants.solve_a_c(TOL)) == 1170
+    assert count_evaluations(lambda: constants.solve_a_c(TOL)) == 0
 
 
 def test_catenoids_for_circles(count_evaluations):
@@ -73,7 +73,7 @@ def test_catenoids_for_circles(count_evaluations):
     inner = circle_from_center_radius(0j, 1.0)
     outer = circle_from_center_radius(0j, 2.2)
     count = count_evaluations(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
-    assert count == 2790
+    assert count == 0
 
 
 def test_deficit_sweep(count_evaluations):
@@ -86,4 +86,4 @@ def test_deficit_sweep(count_evaluations):
 
 def test_build_mesh(count_evaluations):
     count = count_evaluations(lambda: build_mesh(MeshParams(0.6, 3.0, 48, 64), TOL))
-    assert count == 1620
+    assert count == 0

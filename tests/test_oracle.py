@@ -151,6 +151,24 @@ class TestQuadratureValues:
 
 
 @pytest.mark.parametrize("abs_tol", TOLERANCES)
+class TestClosedForms:
+    """rho and x(y) come from Carlson integrals, exact whatever abs_tol is."""
+
+    def test_rho_relative(self, abs_tol):
+        tol = Tolerance(abs_tol=abs_tol)
+        for a in (1e-9, 1e-6, 1e-3, 0.5, 5.0, 25.0):
+            _close(gomes_rho(a, tol), oracle_rho(a), 1e-13 * float(oracle_rho(a)))
+
+    def test_catenary_x_relative(self, abs_tol):
+        tol = Tolerance(abs_tol=abs_tol)
+        for a in (1e-6, 0.5, 5.0):
+            for offset in (1e-12, 1e-6, 0.3, 3.0):
+                y = a + offset
+                reference = oracle_x(a, y)
+                _close(catenary_x(a, y, tol), reference, 1e-13 * float(reference))
+
+
+@pytest.mark.parametrize("abs_tol", TOLERANCES)
 def test_thresholds(abs_tol):
     bundle = constants_bundle(Tolerance(abs_tol=abs_tol))
     allowed = 20.0 * abs_tol + 2.0e-10
