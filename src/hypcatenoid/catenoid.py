@@ -8,21 +8,16 @@ half-separation rho(a), tube and disk areas, the area difference Phi(a, r),
 its large-r limit (the deficit), and the two terms of the deficit's second
 derivative.
 
-The profile is an elliptic integral of the third kind.  With w = sinh(a)**2
-and s = sinh(t)**2 - w its integrand becomes
-sinh(2a) / (4 (s + 1 + w) sqrt(s (s + w) (s + 1 + 2w))) ds, so rho(a), its
-derivative and x(y) are Carlson symmetric integrals R_F, R_J and R_D,
+Every one of them is a closed form.  With w = sinh(a)**2 and
+s = sinh(t)**2 - w, the profile integrand becomes
+sinh(2a) / (4 (s + 1 + w) sqrt(s (s + w) (s + 1 + 2w))) ds and the tube
+integrand 2 pi (s + w) / sqrt(s (s + w) (s + 1 + 2w)) ds.  So rho(a), its
+derivative and x(y) are Carlson symmetric integrals R_F, R_J and R_D, and
+the areas are R_F and R_D after one integration by parts.  All are
 evaluated to rounding by duplication (Carlson, Numer. Algorithms 10, 1995;
 DLMF 19.36) with no quadrature; their tol arguments do not affect them.
-
-The area integrals run over delta = t - a from the neck, where each
-integrand f(delta) carries a 1/sqrt(delta) singularity and decays like
-exp(-3 delta).  The radicand sinh(2t)**2 - sinh(2a)**2 is evaluated through
-the exact factorization sinh(2 delta) * sinh(4a + 2 delta), which is
-nonnegative by construction and free of cancellation.  One helper
-integrates every such f: on delta in [0, 1] it substitutes delta = u**2,
-which removes the singular weight, and past delta = 1 it integrates f
-itself.
+The constant K in the second-derivative terms is a Beta integral, in
+Gamma functions (DLMF 5.12).
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .quadrature import Tolerance, quad_finite, quad_semi_infinite
+from .quadrature import Tolerance
 
 __all__ = [
     "AreaReport",
@@ -55,17 +50,14 @@ _FOUR_PI = 4.0 * math.pi
 # refuse neck distances past this cap.
 _NECK_CAP = 25.0
 
-# Split of every integral over delta: the u**2 substitution needs a finite
-# interval and the exponential decay bounds hold past delta = 1.  Substituting
-# over the whole ray instead costs more evaluations on the same tolerance.
-_HEAD_SPAN = 1.0
-
-# Integrands below decay like exp(-3 delta); past delta = _TAIL_SPAN their
-# remaining mass is ~1e-41 at worst and is dropped when the upper limit is
-# finite.  catenary_x clamps y - a here for the same reason.
+# Past y - a = _TAIL_SPAN the profile and the areas have converged to their
+# limits to rounding (their integrands decay like exp(-3 (y - a))); the
+# distance is clamped there, which keeps sinh finite.
 _TAIL_SPAN = 40.0
 
-_DECAY_RATE = 3.0
+# K = int_0^1 x**-2 ((1 - x**4)**(-1/2) - 1) dx is the Beta integral
+# int_0^1 x**(s-1) ((1 - x**4)**(-1/2) - 1) dx continued to s = -1.
+_K = 1.0 - math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
 
 
 def _check_neck(a: float) -> None:
@@ -175,27 +167,6 @@ def _carlson(
     return rf, rj
 
 
-def _ray_integral(f, hi: float, tol: Tolerance) -> float:
-    """int_0^hi f(delta) d delta for f ~ 1/sqrt(delta) at 0; hi may be inf.
-
-    The head is 2 * int u * f(u**2) du over [0, sqrt(min(hi, 1))], which has
-    no singularity; past delta = 1 f decays like exp(-3 delta).  f is never
-    evaluated at delta = 0, so a zero-width range costs nothing.
-    """
-    if hi == 0.0:
-        return 0.0
-
-    def head(u: float) -> float:
-        return 2.0 * u * f(u * u)
-
-    total = quad_finite(head, 0.0, math.sqrt(min(hi, _HEAD_SPAN)), tol).value
-    if hi <= _HEAD_SPAN:
-        return total
-    if math.isinf(hi):
-        return total + quad_semi_infinite(f, _HEAD_SPAN, _DECAY_RATE, tol).value
-    return total + quad_finite(f, _HEAD_SPAN, min(hi, _TAIL_SPAN), tol).value
-
-
 def _rho_rj(w: float) -> float:
     """R_J(0, w, 1 + 2w, 1 + w); rho(a) is sinh(2a) / 6 times it at w = sinh(a)**2."""
     return _carlson(0.0, w, 1.0 + 2.0 * w, 1.0 + w, -w * (1.0 + w))[1]
@@ -290,45 +261,48 @@ def disk_area_total(r: float) -> float:
     return _FOUR_PI * (math.cosh(r) - 1.0)
 
 
-def _deficit(a: float):
-    """Combined tube-minus-disk integrand.
+def _area_excess(a: float, t: float) -> float:
+    """Phi(a, r) at t = T = sinh(r - a) * sinh(r + a); t = inf gives phi(a).
 
-    True integrand: 4*pi*sinh(t) * (sinh(2t)/sqrt(D) - 1) with
-    D = sinh(2t)**2 - sinh(2a)**2, rewritten as
-    4*pi*sinh(t) * sinh(2a)**2 / (sqrt(D) * (sinh(2t) + sqrt(D))) so the
-    e^(-3t) signal survives in doubles.
+    With w = sinh(a)**2, c = 1 + 2w, p = 1 + w and P(s) = s (s + w) (s + c),
+    the tube area is 2 pi int_0^T (s + w) / sqrt(P) ds.  Integrating by parts
+    against sqrt(P) / (s + c) leaves only Carlson terms:
+    Phi = 4 pi [1 + lead - p (F(0) - F(T)) + (c p / 3) (D(0) - D(T))] with
+    F(x) = R_F(x, x + w, x + c) and D(x) = R_D(x, x + w, x + c).  Here
+    lead = sqrt(P(T)) / (T + c) - cosh r, rearranged below so that nothing
+    cancels.  F(T), D(T) and lead vanish as T grows, so Phi keeps the
+    absolute accuracy of phi whatever r is.
     """
-    sinh_2a_sq = math.sinh(2.0 * a) ** 2
-
-    def f(delta: float) -> float:
-        sqrt_d = math.sqrt(math.sinh(2.0 * delta) * math.sinh(4.0 * a + 2.0 * delta))
-        return (
-            _FOUR_PI
-            * math.sinh(a + delta)
-            * sinh_2a_sq
-            / (sqrt_d * (math.sinh(2.0 * a + 2.0 * delta) + sqrt_d))
-        )
-
-    return f
-
-
-def _deficit_integral(a: float, r: float, tol: Tolerance) -> float:
-    """4*pi * int_a^r sinh(t) * (sinh(2t)/sqrt(D) - 1) dt, r may be inf."""
-    return _ray_integral(_deficit(a), r - a, tol)
+    w = math.sinh(a) ** 2
+    c, p = 1.0 + 2.0 * w, 1.0 + w
+    rf, rd = _carlson(0.0, w, c, c, 0.0)
+    if math.isinf(t):
+        return _FOUR_PI * (1.0 - p * rf + c * p / 3.0 * rd)
+    rf_t, rd_t = _carlson(t, t + w, t + c, t + c, 0.0)
+    lead = -p * (2.0 * t + c) / (
+        math.sqrt(t + c) * (math.sqrt(t * (t + w)) + math.sqrt((t + p) * (t + c)))
+    )
+    return _FOUR_PI * (1.0 + lead - p * (rf - rf_t) + c * p / 3.0 * (rd - rd_t))
 
 
 def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
     """Area difference Phi(a, r) between the tube and its two spanning disks.
 
-    Phi is evaluated from the combined integrand, never as a difference of
-    two large areas, so its absolute accuracy is independent of r; the tube
-    area is reconstructed as Phi plus the closed-form disk area.
+    Phi is a closed form in R_F and R_D, exact to rounding whatever tol is.
+    It is never a difference of two large areas, so its absolute accuracy is
+    independent of r; the tube area is reconstructed as Phi plus the
+    closed-form disk area.  Past r - a = _TAIL_SPAN, Phi equals its limit
+    to rounding and r - a is clamped there.
     """
     _check_neck(a)
     if r < a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
-    phi = _deficit_integral(a, r, tol) - _FOUR_PI * (math.cosh(a) - 1.0)
     disks = disk_area_total(r)
+    if r == a:
+        phi = -disks  # the tube is the neck circle and has no area
+    else:
+        delta = min(r - a, _TAIL_SPAN)
+        phi = _area_excess(a, math.sinh(delta) * math.sinh(2.0 * a + delta))
     return AreaReport(tube_area=phi + disks, disk_area_total=disks, phi_a_r=phi)
 
 
@@ -338,9 +312,16 @@ def tube_area(a: float, r: float, tol: Tolerance) -> float:
 
 
 def area_deficit(a: float, tol: Tolerance) -> float:
-    """Limit phi(a) of Phi(a, r) as r grows; positive exactly below its zero."""
+    """Limit phi(a) of Phi(a, r) as r grows; positive exactly below its zero.
+
+    phi(a) = 4 pi [1 - p R_F(0, w, c) + (c p / 3) R_D(0, w, c)] with
+    w = sinh(a)**2, c = 1 + 2w and p = 1 + w, exact to rounding whatever tol
+    is: against mpmath its absolute error stays below 1.1e-13 * max(1, |phi|)
+    for a in [1e-6, 25].  Below a ~ 1e-3 phi is small and the three terms
+    cancel, so that bound is not a relative one there.
+    """
     _check_neck(a)
-    return _deficit_integral(a, math.inf, tol) - _FOUR_PI * (math.cosh(a) - 1.0)
+    return _area_excess(a, math.inf)
 
 
 def plane_separation(a: float, r: float, tol: Tolerance) -> float:
@@ -368,34 +349,22 @@ def mvt_f(x: float, K: float) -> float:
     )
 
 
-def _concavity(a: float):
-    """Second concavity integrand, t-shifted so the singularity sits at 0.
-
-    -4*pi * N(t) / (sqrt(sinh(2t) * sinh(4a+2t)) * sinh(4a+2t)**2) with
-    N(t) = 5 cosh(a+t) - 3 cosh(3a+3t) - 3 cosh(5a+t) + cosh(7a+3t).
-    """
-
-    def f(t: float) -> float:
-        numer = (
-            5.0 * math.cosh(a + t)
-            - 3.0 * math.cosh(3.0 * a + 3.0 * t)
-            - 3.0 * math.cosh(5.0 * a + t)
-            + math.cosh(7.0 * a + 3.0 * t)
-        )
-        sinh_outer = math.sinh(4.0 * a + 2.0 * t)
-        radicand = math.sinh(2.0 * t) * sinh_outer
-        return -_FOUR_PI * numer / (math.sqrt(radicand) * sinh_outer * sinh_outer)
-
-    return f
-
-
 def concavity_terms(a: float, tol: Tolerance) -> tuple[float, float]:
-    """The two terms I1(a), I2(a) whose sum is the deficit's second derivative."""
-    from .constants import compute_K  # deferred: constants builds on this module
+    """The two terms I1(a), I2(a) whose sum is the deficit's second derivative.
 
+    I1 = phi(a) + 4 pi ((1 - K) cosh a - 1) and I2 = phi''(a) - I1.  As a
+    function of w = sinh(a)**2, phi / (4 pi) = 1 - p R_F + (c p / 3) R_D at
+    (0, w, c).  The derivatives of R_F and R_D (DLMF 19.18) and the relation
+    w R_D(0, c, w) + c R_D(0, w, c) = 3 R_F(0, w, c), Euler's identity for
+    the degree -1/2 homogeneous R_F, give d phi / dw = 4 pi (p R_D / 3 -
+    R_F / 2) and, with dw/da = sinh(2a) and cosh(2a) = c,
+    phi''(a) = 4 pi (p (c**2 + 2) R_D / 3 - (2 + 3w + 2w**2) R_F) / c.
+    Both terms are exact to rounding whatever tol is.
+    """
     _check_neck(a)
-    K = compute_K(tol)
-    i1 = _deficit_integral(a, math.inf, tol) - _FOUR_PI * K * math.cosh(a)
-    i2 = _ray_integral(_concavity(a), math.inf, tol)
-    i2 -= _FOUR_PI * (1.0 - K) * math.cosh(a)
-    return i1, i2
+    w = math.sinh(a) ** 2
+    c, p = 1.0 + 2.0 * w, 1.0 + w
+    rf, rd = _carlson(0.0, w, c, c, 0.0)
+    second = (p * (c * c + 2.0) * rd / 3.0 - (2.0 + 3.0 * w + 2.0 * w * w) * rf) / c
+    i1 = area_deficit(a, tol) + _FOUR_PI * ((1.0 - _K) * math.cosh(a) - 1.0)
+    return i1, _FOUR_PI * second - i1

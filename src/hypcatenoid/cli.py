@@ -271,7 +271,12 @@ def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int:
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=1.0e-10, help="absolute quadrature tolerance"
+        "--tol",
+        type=float,
+        default=1.0e-10,
+        help="classify --distance reports the single critical catenoid "
+        "within 2*TOL of 2*rho(a_c); every computed value is exact to "
+        "rounding whatever TOL is",
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--out", default=None, help="write output to this file")

@@ -3,9 +3,10 @@
 The bundle collects: the integral constant K, the maximizer a_c of rho with
 the maximal separation 2*rho(a_c), the concavity threshold a_0, the closed
 form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
-2*rho(a_L).  All are recovered from first principles by quadrature or
-Carlson's closed forms plus bracketed root finding, computed lazily once per
-tolerance and cached.
+2*rho(a_L).  K is a closed form in Gamma functions; a_c, a_0 and a_L are
+roots of closed forms (rho', mvt_f and phi), each solved to solve_root's
+relative floor, so no value depends on the tolerance.  The bundle is still
+computed lazily once per tolerance and cached.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .catenoid import _rho_prime, area_deficit, gomes_rho, mvt_f
-from .quadrature import EvaluationBudgetError, Tolerance, quad_sqrt_endpoint
+from .catenoid import _K, _rho_prime, area_deficit, gomes_rho, mvt_f
+from .quadrature import EvaluationBudgetError, Tolerance
 
 __all__ = [
     "BracketError",
@@ -150,52 +151,48 @@ def solve_root(f: Callable[[float], float], cfg: RootFindConfig) -> float:
 def compute_K(tol: Tolerance) -> float:
     """The constant K = int_0^1 (1/x**2) (1/sqrt(1-x**4) - 1) dx.
 
-    The integrand extends continuously by 0 at x = 0 (it behaves like
-    x**2/2 there) and carries a 1/sqrt(1-x) singularity at x = 1; it is
-    evaluated in the cancellation-free form
-    x**2 / (sqrt(1-x**4) * (1 + sqrt(1-x**4))) with the singular factor
-    split off for the substitution.
+    K = 1 - sqrt(pi) Gamma(3/4) / Gamma(1/4) = 0.4009298826322038892..., the
+    Beta integral int_0^1 x**(s-1) ((1-x**4)**(-1/2) - 1) dx continued to
+    s = -1 (DLMF 5.12); exact to rounding whatever tol is.
     """
-
-    def smooth(x: float) -> float:
-        quartic = max(1.0 - x * x * x * x, 0.0)
-        return x * x / (
-            math.sqrt((1.0 + x) * (1.0 + x * x)) * (1.0 + math.sqrt(quartic))
-        )
-
-    return quad_sqrt_endpoint(smooth, "upper", 0.0, 1.0, tol).value
+    return _K
 
 
 def solve_a_c(tol: Tolerance) -> float:
     """Maximizer a_c of rho, located as the root of rho'.
 
     rho' is a closed form in Carlson's R_J and R_D; rho'(a_c) = 0 is
-    bracketed by [0.3, 0.7].
+    bracketed by [0.3, 0.7] and solved to solve_root's relative floor.
     """
-    cfg = RootFindConfig(0.3, 0.7, x_tol=1.0e-10, max_iterations=100)
+    cfg = RootFindConfig(0.3, 0.7, x_tol=_EPS * 0.3, max_iterations=100)
     return solve_root(lambda a: _rho_prime(a, tol), cfg)
 
 
 def solve_a_0(K: float, tol: Tolerance) -> float:
-    """Unique zero of the comparison function mvt_f on (0, log(3/2))."""
+    """Unique zero of the comparison function mvt_f on (0, log(3/2)).
+
+    mvt_f is elementary, so the root is solved to solve_root's relative
+    floor whatever tol is.
+    """
     if not 0.0 < K < 1.0:
         raise ValueError(f"K must lie in (0, 1), got {K}")
     cfg = RootFindConfig(
-        1.0e-6,
-        math.log(1.5),
-        x_tol=max(tol.abs_tol, 1.0e-14),
-        max_iterations=200,
+        1.0e-6, math.log(1.5), x_tol=_EPS * 1.0e-6, max_iterations=200
     )
     return solve_root(lambda x: mvt_f(x, K), cfg)
 
 
 def _solve_a_L_between(a_c: float, a_l: float, tol: Tolerance) -> float:
-    cfg = RootFindConfig(a_c, a_l, x_tol=1.0e-10, max_iterations=100)
+    cfg = RootFindConfig(a_c, a_l, x_tol=_EPS * a_c, max_iterations=100)
     return solve_root(lambda a: area_deficit(a, tol), cfg)
 
 
 def solve_a_L(tol: Tolerance) -> float:
-    """Unique zero a_L of the area deficit, bracketed between a_c and a_l."""
+    """Unique zero a_L of the area deficit, bracketed between a_c and a_l.
+
+    phi is a closed form in R_F and R_D, so a_L is solved to solve_root's
+    relative floor whatever tol is.
+    """
     a_c = solve_a_c(tol)
     K = compute_K(tol)
     a_l = math.acosh(1.0 / (1.0 - K))

@@ -1,11 +1,17 @@
 """Adaptive numerical integration engine.
 
-All integrals in this package share two pathologies: an inverse-square-root
+The integrals it was built for share two pathologies: an inverse-square-root
 singularity at one endpoint, and semi-infinite upper limits with exponential
 decay.  The singularity is removed exactly by the substitution u**2 = t - lo
 (or hi - t), and infinite tails are truncated at a point where an explicit
 exponential envelope bound drops below the tolerance.  The finite-interval
 core is a globally adaptive Gauss-Kronrod 7/15 scheme.
+
+The package itself no longer integrates numerically: every quantity it
+ships is a closed form.  The other modules still use Tolerance and
+EvaluationBudgetError (raised by the root solver); the quad_* routines are
+kept for their own tests and for the span tracer in perfbench/, which wraps
+them.
 """
 
 from __future__ import annotations

@@ -55,6 +55,15 @@ class TestConstantsCommand:
         for name in ("K", "a_c", "a_0", "a_l", "a_L"):
             assert loose[name] == pytest.approx(tight[name], abs=1e-6)
 
+    def test_loose_tolerance(self, capsys):
+        # The constants are closed forms or roots of closed forms, so even a
+        # tolerance of 10 leaves them exact.
+        code, out, _ = run_cli(capsys, "constants", "--tol", "10")
+        assert code == 0
+        lines = out.splitlines()
+        assert "a_0        = 0.287190817189" in lines
+        assert "a_L        = 0.847485601949" in lines
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "constants.txt"
         code, out, _ = run_cli(capsys, "constants", "--out", str(path))

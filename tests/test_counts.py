@@ -1,12 +1,14 @@
 """Pinned integrand-evaluation counts of canonical calls at abs_tol 1e-10.
 
-Every integrand call made through quad_finite is counted by wrapping the
-integrand, in every module namespace that holds quad_finite.
-quad_sqrt_endpoint and quad_semi_infinite integrate through quad_finite, so
-their calls are counted too; only the eight envelope samples of
-quad_semi_infinite bypass it.  The counts are deterministic, so a change to
-any of them is a change in the algorithm and must be explained.
+quad_finite, quad_semi_infinite and quad_sqrt_endpoint are each wrapped in
+every module namespace that holds them, and the integrand of the outermost
+quad_* call is counted, so the envelope samples of quad_semi_infinite, which
+never reach quad_finite, are counted too.  Every quantity the package ships
+is a closed form, so every pin is 0: a nonzero count means a package path
+reached the quadrature layer again.
 """
+
+import math
 
 import pytest
 
@@ -15,40 +17,59 @@ from hypcatenoid import (
     MeshParams,
     Tolerance,
     area_deficit,
+    area_difference,
     build_mesh,
     catenoid,
     catenoids_for_circles,
     circle_from_center_radius,
     circles,
     competitor,
+    compute_K,
+    concavity_terms,
     constants,
     constants_bundle,
+    find_cheaper_competitor,
     mesh,
     quadrature,
 )
 
 TOL = Tolerance(abs_tol=1.0e-10)
+QUAD = ("quad_finite", "quad_semi_infinite", "quad_sqrt_endpoint")
 
 
 @pytest.fixture
 def count_evaluations(monkeypatch):
-    """Run fn and return how many integrand calls reached quad_finite."""
-    original = quadrature.quad_finite
+    """Run fn and return how many integrand calls reached any quad_*."""
     calls = 0
+    depth = 0
 
-    def counting(g, lo, hi, tol):
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return g(x)
+    def counting(original):
+        def wrapper(g, *args):
+            nonlocal depth
+            if depth == 0:  # count only the caller's integrand, once
+                inner = g
 
-        return original(counted, lo, hi, tol)
+                def g(x):
+                    nonlocal calls
+                    calls += 1
+                    return inner(x)
+
+            depth += 1
+            try:
+                return original(g, *args)
+            finally:
+                depth -= 1
+
+        return wrapper
 
     modules = (quadrature, catenoid, constants, circles, competitor, mesh)
-    for namespace in (hypcatenoid, *modules):
-        for name, value in list(vars(namespace).items()):
-            if value is original:
-                monkeypatch.setattr(namespace, name, counting)
+    for name in QUAD:
+        original = getattr(quadrature, name)
+        replacement = counting(original)
+        for namespace in (hypcatenoid, *modules):
+            for attr, value in list(vars(namespace).items()):
+                if value is original:
+                    monkeypatch.setattr(namespace, attr, replacement)
 
     def run(fn):
         nonlocal calls
@@ -59,13 +80,30 @@ def count_evaluations(monkeypatch):
     return run
 
 
+def test_fixture_counts_envelope_samples(count_evaluations):
+    results = []
+
+    def decaying(t):
+        return math.exp(-3.0 * t)
+
+    def integrate():
+        results.append(quadrature.quad_semi_infinite(decaying, 1.0, 3.0, TOL))
+
+    count = count_evaluations(integrate)
+    assert count == results[0].evaluations > 8
+
+
 def test_cold_bundle(count_evaluations, monkeypatch):
     monkeypatch.setattr(constants, "_CACHE", {})
-    assert count_evaluations(lambda: constants_bundle(TOL)) == 1545
+    assert count_evaluations(lambda: constants_bundle(TOL)) == 0
 
 
 def test_solve_a_c(count_evaluations):
     assert count_evaluations(lambda: constants.solve_a_c(TOL)) == 0
+
+
+def test_compute_K(count_evaluations):
+    assert count_evaluations(lambda: compute_K(TOL)) == 0
 
 
 def test_catenoids_for_circles(count_evaluations):
@@ -81,7 +119,23 @@ def test_deficit_sweep(count_evaluations):
         for i in range(300):
             area_deficit(0.01 + i * (2.99 / 299), TOL)
 
-    assert count_evaluations(sweep) == 50610
+    assert count_evaluations(sweep) == 0
+
+
+def test_area_difference(count_evaluations):
+    def evaluate():
+        for r in (0.6, 0.6 + 1e-7, 3.0, 50.0):
+            area_difference(0.6, r, TOL)
+
+    assert count_evaluations(evaluate) == 0
+
+
+def test_find_cheaper_competitor(count_evaluations):
+    assert count_evaluations(lambda: find_cheaper_competitor(0.6, 3.0, TOL)) == 0
+
+
+def test_concavity_terms(count_evaluations):
+    assert count_evaluations(lambda: concavity_terms(0.6, TOL)) == 0
 
 
 def test_build_mesh(count_evaluations):
