@@ -5,138 +5,109 @@ The package computes the classical constants governing spherical catenoids
 companions), evaluates the area deficit against spanning disks, classifies
 disjoint boundary circle pairs by the catenoids they bound, and exports
 surface meshes for external viewers.
+
+Public names are resolved on first use (PEP 562), so importing the package
+loads none of its modules, and a CLI subcommand compiles only the modules
+it imports.
 """
 
-from .catenoid import (
-    AreaReport,
-    CatenarySample,
-    Catenoid,
-    area_deficit,
-    area_difference,
-    catenary_x,
-    concavity_terms,
-    disk_area_total,
-    gomes_rho,
-    mvt_f,
-    plane_separation,
-    sample_catenary,
-    tube_area,
-)
-from .circles import (
-    CatenoidSolutions,
-    CircleAtInfinity,
-    DegenerateCircleError,
-    IntersectingCirclesError,
-    IsometryMap,
-    apply_isometry,
-    axis_translation,
-    boundary_circles,
-    catenoids_for_circles,
-    catenoids_for_separation,
-    circle_from_center_radius,
-    inversive_product,
-    normalize_coaxial,
-    plane_distance,
-)
-from .cli import main
-from .competitor import (
-    CompetitorReport,
-    RegimeKind,
-    RegimeLabel,
-    classify_regime,
-    competitor_area,
-    find_cheaper_competitor,
-)
-from .constants import (
-    BracketError,
-    ConsistencyError,
-    ConstantsBundle,
-    RootFindConfig,
-    compute_K,
-    constants_bundle,
-    solve_a_0,
-    solve_a_L,
-    solve_a_c,
-    solve_root,
-)
-from .mesh import (
-    MeshData,
-    MeshParams,
-    ball_from_halfspace,
-    build_mesh,
-    export_mesh,
-    halfspace_from_ball,
-    halfspace_point,
-    write_obj,
-)
-from .quadrature import (
-    EvaluationBudgetError,
-    QuadratureResult,
-    Tolerance,
-    quad_finite,
-    quad_semi_infinite,
-    quad_sqrt_endpoint,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AreaReport",
-    "BracketError",
-    "CatenarySample",
-    "Catenoid",
-    "CatenoidSolutions",
-    "CircleAtInfinity",
-    "CompetitorReport",
-    "ConsistencyError",
-    "ConstantsBundle",
-    "DegenerateCircleError",
-    "EvaluationBudgetError",
-    "IntersectingCirclesError",
-    "IsometryMap",
-    "MeshData",
-    "MeshParams",
-    "QuadratureResult",
-    "RegimeKind",
-    "RegimeLabel",
-    "RootFindConfig",
-    "Tolerance",
-    "apply_isometry",
-    "area_deficit",
-    "area_difference",
-    "axis_translation",
-    "ball_from_halfspace",
-    "boundary_circles",
-    "build_mesh",
-    "catenary_x",
-    "catenoids_for_circles",
-    "catenoids_for_separation",
-    "circle_from_center_radius",
-    "classify_regime",
-    "competitor_area",
-    "compute_K",
-    "concavity_terms",
-    "constants_bundle",
-    "disk_area_total",
-    "export_mesh",
-    "find_cheaper_competitor",
-    "gomes_rho",
-    "halfspace_from_ball",
-    "halfspace_point",
-    "inversive_product",
-    "main",
-    "mvt_f",
-    "normalize_coaxial",
-    "plane_distance",
-    "plane_separation",
-    "quad_finite",
-    "quad_semi_infinite",
-    "quad_sqrt_endpoint",
-    "sample_catenary",
-    "solve_a_0",
-    "solve_a_L",
-    "solve_a_c",
-    "solve_root",
-    "tube_area",
-    "write_obj",
-]
+# Home module of every public name.
+_EXPORTS = {
+    "catenoid": (
+        "AreaReport",
+        "CatenarySample",
+        "Catenoid",
+        "ConsistencyError",
+        "EvaluationBudgetError",
+        "Tolerance",
+        "area_deficit",
+        "area_difference",
+        "catenary_x",
+        "concavity_terms",
+        "disk_area_total",
+        "gomes_rho",
+        "mvt_f",
+        "plane_separation",
+        "sample_catenary",
+        "tube_area",
+    ),
+    "circles": (
+        "CatenoidSolutions",
+        "CircleAtInfinity",
+        "DegenerateCircleError",
+        "IntersectingCirclesError",
+        "IsometryMap",
+        "apply_isometry",
+        "axis_translation",
+        "boundary_circles",
+        "catenoids_for_circles",
+        "catenoids_for_separation",
+        "circle_from_center_radius",
+        "inversive_product",
+        "normalize_coaxial",
+        "plane_distance",
+    ),
+    "cli": ("main",),
+    "competitor": (
+        "CompetitorReport",
+        "RegimeKind",
+        "RegimeLabel",
+        "classify_regime",
+        "competitor_area",
+        "find_cheaper_competitor",
+    ),
+    "constants": (
+        "BracketError",
+        "ConstantsBundle",
+        "RootFindConfig",
+        "compute_K",
+        "constants_bundle",
+        "solve_a_0",
+        "solve_a_L",
+        "solve_a_c",
+        "solve_root",
+    ),
+    "mesh": (
+        "MeshData",
+        "MeshParams",
+        "ball_from_halfspace",
+        "build_mesh",
+        "export_mesh",
+        "halfspace_from_ball",
+        "halfspace_point",
+        "write_obj",
+    ),
+    "quadrature": (
+        "QuadratureResult",
+        "quad_finite",
+        "quad_semi_infinite",
+        "quad_sqrt_endpoint",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        if name in _EXPORTS:
+            return import_module(f"{__name__}.{name}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{home}")
+    value = getattr(module, name)
+    # Bind only the home module's own definition, so later lookups skip this
+    # hook.  A stand-in patched into the home module (by a test or a tracer)
+    # is returned but not bound, so it cannot outlive its patch here.
+    if getattr(value, "__module__", None) == module.__name__:
+        globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

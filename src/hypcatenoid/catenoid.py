@@ -18,6 +18,9 @@ evaluated to rounding by duplication (Carlson, Numer. Algorithms 10, 1995;
 DLMF 19.36) with no quadrature; their tol arguments do not affect them.
 The constant K in the second-derivative terms is a Beta integral, in
 Gamma functions (DLMF 5.12).
+
+Every other module builds on this one, so it also holds Tolerance and the
+error types that the solvers raise and the CLI reports.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .quadrature import Tolerance
-
 __all__ = [
     "AreaReport",
     "Catenoid",
     "CatenarySample",
+    "ConsistencyError",
+    "EvaluationBudgetError",
+    "Tolerance",
     "area_deficit",
     "area_difference",
     "catenary_x",
@@ -58,6 +62,30 @@ _TAIL_SPAN = 40.0
 # K = int_0^1 x**-2 ((1 - x**4)**(-1/2) - 1) dx is the Beta integral
 # int_0^1 x**(s-1) ((1 - x**4)**(-1/2) - 1) dx continued to s = -1.
 _K = 1.0 - math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
+
+
+class EvaluationBudgetError(RuntimeError):
+    """Raised when the evaluation budget runs out before the tolerance is met."""
+
+
+class ConsistencyError(RuntimeError):
+    """Raised when solved constants violate their required ordering."""
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Absolute tolerance and evaluation budget for one integral."""
+
+    abs_tol: float = 1.0e-10
+    max_evaluations: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        if not self.abs_tol > 0.0:
+            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if self.max_evaluations < 1:
+            raise ValueError(
+                f"max_evaluations must be a positive integer, got {self.max_evaluations}"
+            )
 
 
 def _check_neck(a: float) -> None:

@@ -17,10 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .catenoid import gomes_rho
+from .catenoid import Tolerance, gomes_rho
 from .competitor import RegimeLabel, classify_regime
 from .constants import BracketError, ConstantsBundle, RootFindConfig, solve_root
-from .quadrature import Tolerance
 
 __all__ = [
     "CatenoidSolutions",

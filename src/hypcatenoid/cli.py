@@ -1,26 +1,30 @@
 """Command-line interface: constants table, figure sweeps, classification, export.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on numerical or I/O failure.
+
+Each subcommand imports the modules it needs when it runs, and json only
+when it emits JSON, so a run compiles no module it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from .catenoid import area_deficit, area_difference, gomes_rho, sample_catenary
-from .circles import (
-    catenoids_for_circles,
-    catenoids_for_separation,
-    circle_from_center_radius,
-    plane_distance,
+from .catenoid import (
+    ConsistencyError,
+    EvaluationBudgetError,
+    Tolerance,
+    area_deficit,
+    area_difference,
+    gomes_rho,
+    sample_catenary,
 )
-from .competitor import classify_regime, competitor_area, find_cheaper_competitor
-from .constants import ConsistencyError, ConstantsBundle, constants_bundle
-from .mesh import export_mesh
-from .quadrature import EvaluationBudgetError, Tolerance
+
+if TYPE_CHECKING:
+    from .constants import ConstantsBundle
 
 __all__ = ["main"]
 
@@ -45,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+def _json(value) -> str:
+    import json
+
+    return json.dumps(value, indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -94,6 +104,8 @@ def _solutions_json(solutions) -> list[dict]:
 
 
 def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> int:
+    from .constants import constants_bundle
+
     bundle = constants_bundle(tol)
     fields = [
         ("K", bundle.K),
@@ -105,7 +117,7 @@ def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> int:
         ("two_rho_aL", bundle.two_rho_aL),
     ]
     if args.json:
-        text = json.dumps(dict(fields), indent=2) + "\n"
+        text = _json(dict(fields))
     else:
         width = max(len(name) for name, _ in fields)
         text = "".join(f"{name:<{width}} = {_fmt(value)}\n" for name, value in fields)
@@ -133,18 +145,14 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
     argmax_a = abscissas[max(range(args.n), key=values.__getitem__)]
 
     if args.json:
-        text = (
-            json.dumps(
-                {
-                    "quantity": args.quantity,
-                    "tolerance": tol.abs_tol,
-                    "abscissas": abscissas,
-                    "values": values,
-                    "argmax_a": argmax_a,
-                },
-                indent=2,
-            )
-            + "\n"
+        text = _json(
+            {
+                "quantity": args.quantity,
+                "tolerance": tol.abs_tol,
+                "abscissas": abscissas,
+                "values": values,
+                "argmax_a": argmax_a,
+            }
         )
     else:
         rows = [f"{_fmt(a)},{_fmt(v)}\n" for a, v in zip(abscissas, values)]
@@ -154,6 +162,15 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> int:
+    from .circles import (
+        catenoids_for_circles,
+        catenoids_for_separation,
+        circle_from_center_radius,
+        plane_distance,
+    )
+    from .competitor import classify_regime
+    from .constants import constants_bundle
+
     bundle = constants_bundle(tol)
     if args.a is not None:
         label = classify_regime(args.a, bundle)
@@ -185,23 +202,19 @@ def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> int:
             "solutions": _solutions_json(found.solutions),
             "bundle": _bundle_dict(bundle),
         }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(_json(report), args.out)
     return 0
 
 
 def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> int:
     sample = sample_catenary(args.a, args.y_max, args.n, tol)
     if args.json:
-        text = (
-            json.dumps(
-                {
-                    "a": args.a,
-                    "y_max": args.y_max,
-                    "points": [[x, y] for x, y in sample.points],
-                },
-                indent=2,
-            )
-            + "\n"
+        text = _json(
+            {
+                "a": args.a,
+                "y_max": args.y_max,
+                "points": [[x, y] for x, y in sample.points],
+            }
         )
     else:
         rows = [f"{_fmt(x)},{_fmt(y)}\n" for x, y in sample.points]
@@ -211,6 +224,8 @@ def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> int:
 
 
 def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> int:
+    from .competitor import competitor_area, find_cheaper_competitor
+
     if args.s is not None:
         competitor = competitor_area(args.a, args.r, args.s, tol)
         catenoid = area_difference(args.a, args.r, tol).tube_area
@@ -236,7 +251,7 @@ def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> int:
             "witness": found.margin is not None,
         }
     if args.json:
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json(report)
     else:
         text = "".join(
             f"{key} = {value if not isinstance(value, float) else _fmt(value)}\n"
@@ -250,6 +265,8 @@ def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int:
     if args.out is None:
         print("hypcatenoid mesh: error: --out PATH is required", file=sys.stderr)
         return 1
+    from .mesh import export_mesh
+
     mesh = export_mesh(args.a, args.y_max, args.n_profile, args.n_angle, args.out, tol)
     summary = {
         "out": args.out,
@@ -259,7 +276,7 @@ def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int:
         "y_max": args.y_max,
     }
     if args.json:
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+        sys.stdout.write(_json(summary))
     else:
         sys.stdout.write(
             f"wrote {args.out}: {summary['vertices']} vertices, "

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .catenoid import area_difference, plane_separation
-from .constants import ConstantsBundle
-from .quadrature import Tolerance
+from .catenoid import Tolerance, area_difference, plane_separation
+
+if TYPE_CHECKING:
+    from .constants import ConstantsBundle
 
 __all__ = [
     "CompetitorReport",

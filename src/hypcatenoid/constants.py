@@ -17,8 +17,16 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .catenoid import _K, _rho_prime, area_deficit, gomes_rho, mvt_f
-from .quadrature import EvaluationBudgetError, Tolerance
+from .catenoid import (
+    ConsistencyError,
+    EvaluationBudgetError,
+    Tolerance,
+    _K,
+    _rho_prime,
+    area_deficit,
+    gomes_rho,
+    mvt_f,
+)
 
 __all__ = [
     "BracketError",
@@ -38,10 +46,6 @@ _EPS = sys.float_info.epsilon
 
 class BracketError(ValueError):
     """Raised when a root bracket fails to straddle a sign change."""
-
-
-class ConsistencyError(RuntimeError):
-    """Raised when solved constants violate their required ordering."""
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .catenoid import sample_catenary
-from .quadrature import Tolerance
+from .catenoid import Tolerance, sample_catenary
 
 __all__ = [
     "MeshData",
@@ -23,6 +22,10 @@ __all__ = [
     "halfspace_point",
     "write_obj",
 ]
+
+# OBJ lines formatted per write: enough to amortise each call, few enough
+# that one block's strings take well under a megabyte.
+_OBJ_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,10 @@ class MeshParams:
     n_angle: int
 
     def __post_init__(self) -> None:
+        for name in ("n_profile", "n_angle"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise TypeError(f"{name} must be an int, got {count!r}")
         if not self.neck_distance > 0.0:
             raise ValueError(f"neck distance must be positive, got {self.neck_distance}")
         if not self.y_max > self.neck_distance:
@@ -155,12 +162,19 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
 
 
 def write_obj(mesh: MeshData, path: str) -> None:
-    """Write the mesh as ASCII OBJ with 1-based face indices and LF endings."""
+    """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
+
+    Lines are formatted and written a block at a time, so the transient
+    strings stay bounded by the block whatever the mesh size.
+    """
+    vertices, faces = mesh.vertices, mesh.faces
     with open(path, "w", newline="\n") as handle:
-        for u, v, w in mesh.vertices:
-            handle.write(f"v {u:.12g} {v:.12g} {w:.12g}\n")
-        for i, j, k in mesh.faces:
-            handle.write(f"f {i + 1} {j + 1} {k + 1}\n")
+        for start in range(0, len(vertices), _OBJ_BLOCK):
+            block = vertices[start : start + _OBJ_BLOCK]
+            handle.write("".join(map("v %.12g %.12g %.12g\n".__mod__, block)))
+        for start in range(0, len(faces), _OBJ_BLOCK):
+            block = faces[start : start + _OBJ_BLOCK]
+            handle.write("".join([f"f {i + 1} {j + 1} {k + 1}\n" for i, j, k in block]))
 
 
 def export_mesh(

@@ -8,10 +8,10 @@ exponential envelope bound drops below the tolerance.  The finite-interval
 core is a globally adaptive Gauss-Kronrod 7/15 scheme.
 
 The package itself no longer integrates numerically: every quantity it
-ships is a closed form.  The other modules still use Tolerance and
-EvaluationBudgetError (raised by the root solver); the quad_* routines are
-kept for their own tests and for the span tracer in perfbench/, which wraps
-them.
+ships is a closed form, and no package path imports this module.  The
+quad_* routines are kept for their own tests and for the span tracer in
+perfbench/, which wraps them; Tolerance and EvaluationBudgetError live in
+catenoid.py and are re-exported here.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+from .catenoid import EvaluationBudgetError, Tolerance
+
 __all__ = [
     "EvaluationBudgetError",
     "QuadratureResult",
@@ -30,26 +32,6 @@ __all__ = [
     "quad_semi_infinite",
     "quad_sqrt_endpoint",
 ]
-
-
-class EvaluationBudgetError(RuntimeError):
-    """Raised when the evaluation budget runs out before the tolerance is met."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute tolerance and evaluation budget for one integral."""
-
-    abs_tol: float = 1.0e-10
-    max_evaluations: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be a positive integer, got {self.max_evaluations}"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -88,6 +90,19 @@ class TestMeshParams:
             MeshParams(0.6, 3.0, 1, 24)
         with pytest.raises(ValueError):
             MeshParams(0.6, 3.0, 16, 2)
+
+    @pytest.mark.parametrize(
+        "field, counts",
+        [
+            ("n_profile", (8.0, 16)),
+            ("n_angle", (8, 16.0)),
+            ("n_profile", (True, 16)),
+            ("n_angle", (8, "16")),
+        ],
+    )
+    def test_counts_must_be_ints(self, field, counts):
+        with pytest.raises(TypeError, match=field):
+            MeshParams(0.6, 3.0, *counts)
 
 
 class TestBuildMesh:
@@ -198,7 +213,64 @@ class TestBuildMesh:
         assert max(radii) - min(radii) <= 1e-12
 
 
+def _obj_line_by_line(mesh, path):
+    """Reference OBJ formatter: one formatted write per line."""
+    with open(path, "w", newline="\n") as handle:
+        for u, v, w in mesh.vertices:
+            handle.write(f"v {u:.12g} {v:.12g} {w:.12g}\n")
+        for i, j, k in mesh.faces:
+            handle.write(f"f {i + 1} {j + 1} {k + 1}\n")
+
+
+def _scrambled_mesh():
+    # Vertex and face counts that are not multiples of any block size, values
+    # spanning every float format branch, faces joining far-apart vertices.
+    rng = random.Random(2024)
+    specials = [0.0, -0.0, 1e-300, -2.5e-8, 1.0, -1.0, 123456789012.5, 1e22]
+    vertices = [
+        tuple(rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-1.0, 1.0)
+              for _ in range(3))
+        for _ in range(10_007)
+    ]
+    n = len(vertices)
+    faces = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(9_001)]
+    faces += [(0, n - 1, n // 2), (n - 1, 0, 1)]
+    rng.shuffle(faces)
+    return MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
+
+
 class TestObjOutput:
+    def test_bytes_match_line_by_line_writer(self, tol, tmp_path):
+        meshes = {
+            "48x64": build_mesh(MeshParams(0.6, 3.0, 48, 64), tol),
+            "scrambled": _scrambled_mesh(),
+            "empty": MeshData(MeshParams(0.6, 3.0, 2, 3)),
+        }
+        for name, mesh in meshes.items():
+            got, want = tmp_path / f"{name}.obj", tmp_path / f"{name}-ref.obj"
+            write_obj(mesh, str(got))
+            _obj_line_by_line(mesh, str(want))
+            assert got.read_bytes() == want.read_bytes(), name
+
+    def test_pinned_hash(self, tol, tmp_path):
+        path = tmp_path / "pinned.obj"
+        mesh = export_mesh(0.6, 3.0, 48, 64, str(path), tol)
+        assert (len(mesh.vertices), len(mesh.faces)) == (6_080, 12_032)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "8b15d20a9e513aa0c3f0e0a01f4e487d179eaed8176a88a2806fb9da12452ad5"
+
+    def test_transient_memory_bounded(self, tol, tmp_path):
+        # A whole-file join would need over 12 MB here and a table of index
+        # strings about 4 MB; formatting a block at a time stays under 1 MB.
+        mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
+        tracemalloc.start()
+        try:
+            write_obj(mesh, str(tmp_path / "large.obj"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_file_round_trip(self, mesh, tmp_path):
         path = tmp_path / "tube.obj"
         write_obj(mesh, str(path))

@@ -1,0 +1,133 @@
+"""The lazily resolved public surface, and the modules each entry point loads."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hypcatenoid
+
+SUBMODULES = ("catenoid", "circles", "cli", "competitor", "constants", "mesh", "quadrature")
+
+
+class TestPublicSurface:
+    def test_names_resolve_to_their_home_objects(self):
+        listed = dir(hypcatenoid)
+        for name in hypcatenoid.__all__:
+            obj = getattr(hypcatenoid, name)
+            assert obj.__module__.startswith("hypcatenoid."), name
+            assert obj is getattr(importlib.import_module(obj.__module__), name), name
+            assert name in listed, name
+
+    def test_all_is_every_module_export(self):
+        exported = set()
+        for name in SUBMODULES:
+            exported.update(importlib.import_module(f"hypcatenoid.{name}").__all__)
+        assert sorted(exported) == hypcatenoid.__all__
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from hypcatenoid import *", namespace)
+        for name in hypcatenoid.__all__:
+            assert namespace[name] is getattr(hypcatenoid, name)
+
+    def test_shared_types_are_one_object(self):
+        from hypcatenoid import catenoid, constants, quadrature
+
+        assert quadrature.Tolerance is hypcatenoid.Tolerance is catenoid.Tolerance
+        assert quadrature.EvaluationBudgetError is hypcatenoid.EvaluationBudgetError
+        assert constants.ConsistencyError is hypcatenoid.ConsistencyError
+
+    def test_submodules_are_attributes(self):
+        for name in SUBMODULES:
+            assert getattr(hypcatenoid, name) is importlib.import_module(f"hypcatenoid.{name}")
+
+    def test_patched_stand_in_is_not_bound(self, monkeypatch):
+        from hypcatenoid import catenoid
+
+        monkeypatch.delitem(vars(hypcatenoid), "gomes_rho", raising=False)
+        original = catenoid.gomes_rho
+        with monkeypatch.context() as patch:
+            patch.setattr(catenoid, "gomes_rho", lambda a, tol=None: 0.0)
+            assert hypcatenoid.gomes_rho is catenoid.gomes_rho
+        assert hypcatenoid.gomes_rho is original
+        assert vars(hypcatenoid)["gomes_rho"] is original
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="'hypcatenoid' has no attribute 'no_such_name'"):
+            hypcatenoid.no_such_name
+        assert not hasattr(hypcatenoid, "quad_gauss")
+
+
+def _loaded(code, cwd):
+    """Package submodules a fresh interpreter loads running code, and whether json."""
+    package_root = os.path.dirname(os.path.dirname(hypcatenoid.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stderr.write(repr(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    modules = ast.literal_eval(result.stderr.splitlines()[-1])
+    package = {m.split(".", 1)[1] for m in modules if m.startswith("hypcatenoid.")}
+    return package - {"__main__"}, "json" in modules
+
+
+def _run_cli(*argv):
+    # What `python -m hypcatenoid ARGV` runs, with the exit status checked.
+    return (
+        f"sys.argv = {['hypcatenoid', *argv]!r}\n"
+        "import runpy\n"
+        "try:\n"
+        "    runpy.run_module('hypcatenoid', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+    )
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_module(self, tmp_path):
+        assert _loaded("import hypcatenoid", tmp_path) == (set(), False)
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (("constants",), {"cli", "catenoid", "constants"}),
+            (("sweep", "phi", "--n", "5"), {"cli", "catenoid"}),
+            (("catenary", "--a", "0.6", "--y-max", "2", "--n", "5"), {"cli", "catenoid"}),
+            (
+                ("mesh", "--a", "0.6", "--y-max", "2", "--n-profile", "4",
+                 "--n-angle", "8", "--out", "m.obj"),
+                {"cli", "catenoid", "mesh"},
+            ),
+            (("compete", "--a", "0.6", "--r", "3"), {"cli", "catenoid", "competitor"}),
+        ],
+    )
+    def test_text_subcommands(self, tmp_path, argv, modules):
+        loaded, json_loaded = _loaded(_run_cli(*argv), tmp_path)
+        assert (loaded, json_loaded) == (modules, False)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--json"),
+            ("classify", "--a", "0.6"),
+            ("classify", "--circles", "0,0,1", "0,0,2.2"),
+        ],
+    )
+    def test_json_subcommands_skip_quadrature(self, tmp_path, argv):
+        loaded, _ = _loaded(_run_cli(*argv), tmp_path)
+        assert "quadrature" not in loaded
