@@ -63,7 +63,6 @@ _EXPORTS = {
     "constants": (
         "BracketError",
         "ConstantsBundle",
-        "RootFindConfig",
         "compute_K",
         "constants_bundle",
         "solve_a_0",

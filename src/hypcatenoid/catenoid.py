@@ -212,8 +212,8 @@ def gomes_rho(a: float, tol: Tolerance) -> float:
     return math.sinh(2.0 * a) / 6.0 * _rho_rj(math.sinh(a) ** 2)
 
 
-def _rho_prime(a: float, tol: Tolerance) -> float:
-    """Derivative of rho in closed form, exact to rounding whatever tol is.
+def _rho_prime(a: float) -> float:
+    """Derivative of rho in closed form, exact to rounding.
 
     d/da of (sinh(2a) / 6) * R_J(0, w, 1 + 2w, 1 + w) with dw/da = sinh(2a).
     The partial derivatives of R_J come from R_D and the degree -3/2

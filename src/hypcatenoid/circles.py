@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
-from .catenoid import Tolerance, gomes_rho
+from .catenoid import _NECK_CAP, Tolerance, gomes_rho
 from .competitor import RegimeLabel, classify_regime
-from .constants import BracketError, ConstantsBundle, RootFindConfig, solve_root
+from .constants import BracketError, ConstantsBundle, solve_root
 
 __all__ = [
     "CatenoidSolutions",
@@ -41,12 +40,6 @@ __all__ = [
 # Pairs with inversive product magnitude within this margin of 1 are treated
 # as tangent; the underlying theory requires strictly disjoint circles.
 _TANGENCY_MARGIN = 1.0e-12
-
-# Outer-branch brackets stop expanding here; separations below 2*rho(25)
-# (about 3e-11) are indistinguishable from zero anyway.
-_BRANCH_CAP = 25.0
-
-_EPS = sys.float_info.epsilon
 
 
 class IntersectingCirclesError(ValueError):
@@ -133,20 +126,14 @@ def inversive_product(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> f
     return u1 * w1 + u2 * w2 + u3 * w3 - u4 * w4
 
 
-def plane_distance(
-    circle1: CircleAtInfinity, circle2: CircleAtInfinity, closed: bool = False
-) -> float:
+def plane_distance(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> float:
     """Hyperbolic distance between the geodesic planes spanning two circles.
 
-    Requires a disjoint pair (inversive product magnitude above 1).  With
-    closed=True, tangent or identical circles return distance 0 instead of
-    raising.
+    Requires a disjoint pair (inversive product magnitude above 1).
     """
     product = inversive_product(circle1, circle2)
     magnitude = abs(product)
     if magnitude <= 1.0 + _TANGENCY_MARGIN:
-        if closed and magnitude >= 1.0 - _TANGENCY_MARGIN:
-            return 0.0
         raise IntersectingCirclesError(
             f"circles intersect or are tangent (inversive product {product})"
         )
@@ -294,9 +281,10 @@ def catenoids_for_separation(
     """Solve 2*rho(a) = d for all neck distances a.
 
     Above the maximal separation 2*rho(a_c) there is no solution; within
-    2*abs_tol of it, the accuracy of 2*rho itself, the two branches merge
-    into the single a_c; below it one root lies on each side of a_c.  The
-    outer root is sought below a = 25, so d must exceed 2*rho(25) ~ 3.3e-11.
+    2*abs_tol of it, the tie window the caller sets (``--tol`` on the CLI),
+    the two branches merge into the single a_c; below it one root lies on
+    each side of a_c.  The outer root is sought below a = 25, the end of
+    rho's domain, so d must exceed 2*rho(25) ~ 3.3e-11.
     """
     if not d > 0.0:
         raise ValueError(f"plane separation must be positive, got {d}")
@@ -312,24 +300,19 @@ def catenoids_for_separation(
 
     # rho(a) < a log(2/a) on the inner branch, and lo = d / (4 log(4/d)),
     # half the leading-order inverse of rho = d/2, has lo log(2/lo) < d/2.
-    # Each branch is solved to solve_root's relative floor: x_tol is eps
-    # times the bracket's lower end, so a tiny inner root keeps its digits.
+    # solve_root stops at eps times the bracket's lower end, so a tiny inner
+    # root keeps its digits.
     lo = d / (4.0 * math.log(4.0 / d))
-    inner = solve_root(
-        residual, RootFindConfig(lo, bundle.a_c, x_tol=_EPS * lo, max_iterations=100)
-    )
+    inner = solve_root(residual, lo, bundle.a_c)
 
     hi = 2.0 * bundle.a_c
     while residual(hi) > 0.0:
-        if hi == _BRANCH_CAP:
+        if hi == _NECK_CAP:
             raise BracketError(
-                f"outer branch of 2*rho(a) = {d} not bracketed below a = {_BRANCH_CAP}"
+                f"outer branch of 2*rho(a) = {d} not bracketed below a = {_NECK_CAP}"
             )
-        hi = min(2.0 * hi, _BRANCH_CAP)
-    outer = solve_root(
-        residual,
-        RootFindConfig(bundle.a_c, hi, x_tol=_EPS * bundle.a_c, max_iterations=100),
-    )
+        hi = min(2.0 * hi, _NECK_CAP)
+    outer = solve_root(residual, bundle.a_c, hi)
     return CatenoidSolutions(
         d,
         (

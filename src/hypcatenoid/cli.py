@@ -20,6 +20,7 @@ from .catenoid import (
     area_deficit,
     area_difference,
     gomes_rho,
+    plane_separation,
     sample_catenary,
 )
 
@@ -224,17 +225,18 @@ def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> int:
 
 
 def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> int:
-    from .competitor import competitor_area, find_cheaper_competitor
+    from .competitor import _margin, competitor_area, find_cheaper_competitor
 
     if args.s is not None:
         competitor = competitor_area(args.a, args.r, args.s, tol)
-        catenoid = area_difference(args.a, args.r, tol).tube_area
-        margin = catenoid - competitor
+        area = area_difference(args.a, args.r, tol)
+        L = plane_separation(args.a, args.r, tol)
+        margin = _margin(area.phi_a_r, L, args.s)
         report = {
             "a": args.a,
             "r": args.r,
             "s": args.s,
-            "area_catenoid": catenoid,
+            "area_catenoid": area.tube_area,
             "area_competitor": competitor,
             "margin": margin,
             "witness": margin > 0.0,

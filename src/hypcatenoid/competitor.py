@@ -31,6 +31,10 @@ __all__ = [
 
 _FOUR_PI = 4.0 * math.pi
 
+# Neck distances within this of a_c or a_L are flagged as at the threshold,
+# and ties at a_c resolve to the stable side.
+_BOUNDARY_TOL = 1.0e-9
+
 # Deepest level of the geometric search grid s = a/2, a/4, ..., a/2**20.
 _GRID_DEPTH = 20
 
@@ -63,16 +67,14 @@ class CompetitorReport:
     margin: Optional[float]
 
 
-def classify_regime(
-    a: float, bundle: ConstantsBundle, boundary_tol: float = 1.0e-9
-) -> RegimeLabel:
+def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
     """Classify the catenoid with neck distance a against the bundle thresholds.
 
-    Ties within boundary_tol of a_c resolve to the stable side.
+    Ties within 1e-9 of a_c resolve to the stable side.
     """
     if not a > 0.0:
         raise ValueError(f"neck distance must be positive, got {a}")
-    if a < bundle.a_c - boundary_tol:
+    if a < bundle.a_c - _BOUNDARY_TOL:
         kind = RegimeKind.UNSTABLE
     elif a < bundle.a_L:
         kind = RegimeKind.STABLE_NOT_MINIMIZING
@@ -80,8 +82,8 @@ def classify_regime(
         kind = RegimeKind.AREA_MINIMIZING
     return RegimeLabel(
         kind=kind,
-        at_a_c=abs(a - bundle.a_c) <= boundary_tol,
-        at_a_L=abs(a - bundle.a_L) <= boundary_tol,
+        at_a_c=abs(a - bundle.a_c) <= _BOUNDARY_TOL,
+        at_a_L=abs(a - bundle.a_L) <= _BOUNDARY_TOL,
     )
 
 
@@ -92,6 +94,16 @@ def _cylinder_plus_disks(L: float, r: float, s: float) -> float:
         + _FOUR_PI * (math.cosh(r) - 1.0)
         - _FOUR_PI * (math.cosh(s) - 1.0)
     )
+
+
+def _margin(phi: float, L: float, s: float) -> float:
+    """Tube area minus competitor area, from Phi = tube area - disk area.
+
+    Both areas contain the disks' 4 pi (cosh r - 1); subtracting them would
+    cancel every digit at large r, so the margin is Phi - pi L sinh 2s +
+    4 pi (cosh s - 1).
+    """
+    return phi - math.pi * L * math.sinh(2.0 * s) + _FOUR_PI * (math.cosh(s) - 1.0)
 
 
 def competitor_area(a: float, r: float, s: float, tol: Tolerance) -> float:
@@ -127,7 +139,7 @@ def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorRep
     best_margin = 0.0
     for k in range(1, _GRID_DEPTH + 1):
         s = a / (2.0**k)
-        margin = sigma - _cylinder_plus_disks(L, r, s)
+        margin = _margin(report.phi_a_r, L, s)
         if margin > best_margin:
             best_s = s
             best_margin = margin

@@ -4,9 +4,10 @@ The bundle collects: the integral constant K, the maximizer a_c of rho with
 the maximal separation 2*rho(a_c), the concavity threshold a_0, the closed
 form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
 2*rho(a_L).  K is a closed form in Gamma functions; a_c, a_0 and a_L are
-roots of closed forms (rho', mvt_f and phi), each solved to solve_root's
-relative floor, so no value depends on the tolerance.  The bundle is still
-computed lazily once per tolerance and cached.
+roots of closed forms (rho', mvt_f and phi), found by solve_root, which
+stops at eps times the bracket's smaller end, so no value depends on the
+tolerance.  The bundle is still computed lazily once per tolerance and
+cached.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "BracketError",
     "ConsistencyError",
     "ConstantsBundle",
-    "RootFindConfig",
     "compute_K",
     "constants_bundle",
     "solve_a_0",
@@ -43,31 +43,13 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 
+# Every bracket the package solves closes within a few dozen iterations; this
+# is the guard against one that cannot close.
+_MAX_ITERATIONS = 100
+
 
 class BracketError(ValueError):
     """Raised when a root bracket fails to straddle a sign change."""
-
-
-@dataclass(frozen=True)
-class RootFindConfig:
-    """Bracket and stopping parameters for solve_root."""
-
-    bracket_lo: float
-    bracket_hi: float
-    x_tol: float = 1.0e-12
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.bracket_lo < self.bracket_hi:
-            raise ValueError(
-                f"bracket out of order: [{self.bracket_lo}, {self.bracket_hi}]"
-            )
-        if not self.x_tol > 0.0:
-            raise ValueError(f"x_tol must be positive, got {self.x_tol}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be a positive integer, got {self.max_iterations}"
-            )
 
 
 @dataclass(frozen=True)
@@ -91,14 +73,19 @@ class ConstantsBundle:
             )
 
 
-def solve_root(f: Callable[[float], float], cfg: RootFindConfig) -> float:
-    """Find a root of f inside a sign-changing bracket (Brent's method).
+def solve_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Find a root of f inside the sign-changing bracket [lo, hi] (Brent's method).
 
     Combines bisection with inverse-quadratic acceleration; every iterate
-    stays inside the current bracket, so convergence to x_tol is guaranteed
-    for continuous f.
+    stays inside the current bracket.  It stops once the bracket is within
+    x_tol = eps * min(|lo|, |hi|), so a root near a small bracket end keeps
+    its relative digits, and raises EvaluationBudgetError if that takes more
+    than _MAX_ITERATIONS steps.
     """
-    a, b = cfg.bracket_lo, cfg.bracket_hi
+    if not lo < hi:
+        raise ValueError(f"bracket out of order: [{lo}, {hi}]")
+    x_tol = _EPS * min(abs(lo), abs(hi))
+    a, b = lo, hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -110,14 +97,14 @@ def solve_root(f: Callable[[float], float], cfg: RootFindConfig) -> float:
         )
     c, fc = a, fa
     d = e = b - a
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * cfg.x_tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * x_tol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -147,8 +134,7 @@ def solve_root(f: Callable[[float], float], cfg: RootFindConfig) -> float:
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
     raise EvaluationBudgetError(
-        f"root not bracketed to x_tol={cfg.x_tol} within "
-        f"{cfg.max_iterations} iterations"
+        f"root not bracketed to x_tol={x_tol} within {_MAX_ITERATIONS} iterations"
     )
 
 
@@ -166,41 +152,26 @@ def solve_a_c(tol: Tolerance) -> float:
     """Maximizer a_c of rho, located as the root of rho'.
 
     rho' is a closed form in Carlson's R_J and R_D; rho'(a_c) = 0 is
-    bracketed by [0.3, 0.7] and solved to solve_root's relative floor.
+    bracketed by [0.3, 0.7].
     """
-    cfg = RootFindConfig(0.3, 0.7, x_tol=_EPS * 0.3, max_iterations=100)
-    return solve_root(lambda a: _rho_prime(a, tol), cfg)
+    return solve_root(_rho_prime, 0.3, 0.7)
 
 
 def solve_a_0(K: float, tol: Tolerance) -> float:
     """Unique zero of the comparison function mvt_f on (0, log(3/2)).
 
-    mvt_f is elementary, so the root is solved to solve_root's relative
-    floor whatever tol is.
+    mvt_f is elementary and checks K itself, so the root does not depend on
+    tol.
     """
-    if not 0.0 < K < 1.0:
-        raise ValueError(f"K must lie in (0, 1), got {K}")
-    cfg = RootFindConfig(
-        1.0e-6, math.log(1.5), x_tol=_EPS * 1.0e-6, max_iterations=200
-    )
-    return solve_root(lambda x: mvt_f(x, K), cfg)
-
-
-def _solve_a_L_between(a_c: float, a_l: float, tol: Tolerance) -> float:
-    cfg = RootFindConfig(a_c, a_l, x_tol=_EPS * a_c, max_iterations=100)
-    return solve_root(lambda a: area_deficit(a, tol), cfg)
+    return solve_root(lambda x: mvt_f(x, K), 1.0e-6, math.log(1.5))
 
 
 def solve_a_L(tol: Tolerance) -> float:
-    """Unique zero a_L of the area deficit, bracketed between a_c and a_l.
+    """Unique zero a_L of the area deficit, the bundle's root of phi on [a_c, a_l].
 
-    phi is a closed form in R_F and R_D, so a_L is solved to solve_root's
-    relative floor whatever tol is.
+    phi is a closed form in R_F and R_D, so a_L does not depend on tol.
     """
-    a_c = solve_a_c(tol)
-    K = compute_K(tol)
-    a_l = math.acosh(1.0 / (1.0 - K))
-    return _solve_a_L_between(a_c, a_l, tol)
+    return constants_bundle(tol).a_L
 
 
 # Bundles kept at once; inserting past this evicts the oldest tolerance.
@@ -222,7 +193,7 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
     rho_max = gomes_rho(a_c, tol)
     a_0 = solve_a_0(K, tol)
     a_l = math.acosh(1.0 / (1.0 - K))
-    a_L = _solve_a_L_between(a_c, a_l, tol)
+    a_L = solve_root(lambda a: area_deficit(a, tol), a_c, a_l)
     bundle = ConstantsBundle(
         K=K,
         a_c=a_c,

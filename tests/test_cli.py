@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hypcatenoid
-from hypcatenoid import gomes_rho, tube_area
+from hypcatenoid import area_difference, gomes_rho, plane_separation, tube_area
 from hypcatenoid.cli import main
 
 
@@ -175,10 +175,8 @@ class TestClassifyCommand:
         kinds = [entry["kind"] for entry in report["solutions"]]
         assert kinds == ["unstable", "area_minimizing"]
         a_inner = report["solutions"][0]["a"]
-        # Root within x_tol, slope of 2 rho below 2 log(2/a), rho within abs_tol.
-        x_tol = max(tol.abs_tol, 1e-12)
-        bound = 2.0 * math.log(2.0 / a_inner) * x_tol + 2.0 * tol.abs_tol
-        assert abs(2.0 * gomes_rho(a_inner, tol) - 1e-6) <= bound
+        # Root at solve_root's relative floor and 2 rho exact to rounding.
+        assert abs(2.0 * gomes_rho(a_inner, tol) - 1e-6) <= 1e-13 * 1e-6
 
     def test_by_separation_outer_bracket(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--distance", "1e-7")
@@ -281,6 +279,31 @@ class TestCompeteCommand:
         assert report["area_catenoid"] == pytest.approx(
             tube_area(0.6, 3.0, tol), abs=1e-9
         )
+
+    @pytest.mark.parametrize("r", ["30", "40", "60"])
+    def test_witness_at_large_radius(self, capsys, r):
+        code, out, _ = run_cli(capsys, "compete", "--a", "0.6", "--r", r)
+        assert code == 0
+        assert "witness = True" in out
+        assert "margin = 0.722454639189\n" in out
+
+    @pytest.mark.parametrize("r", ["30", "40", "60"])
+    def test_fixed_cylinder_height_at_large_radius(self, capsys, tol, r):
+        s = 0.6 / 2**20
+        code, out, _ = run_cli(
+            capsys, "compete", "--a", "0.6", "--r", r, "--s", repr(s), "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        phi = area_difference(0.6, float(r), tol).phi_a_r
+        L = plane_separation(0.6, float(r), tol)
+        expected = (
+            phi
+            - math.pi * L * math.sinh(2.0 * s)
+            + 4.0 * math.pi * (math.cosh(s) - 1.0)
+        )
+        assert report["witness"] is True
+        assert abs(report["margin"] - expected) <= 1e-12
 
     def test_text_mode(self, capsys):
         code, out, _ = run_cli(capsys, "compete", "--a", "1.0", "--r", "3")

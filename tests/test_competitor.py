@@ -18,6 +18,9 @@ from hypcatenoid import (
 # 2 pi L sinh(s) cosh(s) + disks(r) - 4 pi (cosh(s) - 1).
 PI_06_3_005 = 114.24235424238
 MARGIN_06_3_005 = 0.42652908564463
+# Best margin for a = 0.6 at s = 0.6 / 2**20 once r - a is large enough that
+# Phi(0.6, r) has reached phi(0.6).
+MARGIN_06_FAR = 0.72245463918920
 
 
 class TestClassifyRegime:
@@ -61,11 +64,6 @@ class TestClassifyRegime:
         label = classify_regime(bundle.a_L - 1e-12, bundle)
         assert label.kind is RegimeKind.STABLE_NOT_MINIMIZING
         assert label.at_a_L
-
-    def test_custom_boundary_tolerance(self, bundle):
-        label = classify_regime(bundle.a_c - 1e-6, bundle, boundary_tol=1e-5)
-        assert label.kind is RegimeKind.STABLE_NOT_MINIMIZING
-        assert label.at_a_c
 
     def test_domain(self, bundle):
         with pytest.raises(ValueError):
@@ -143,6 +141,23 @@ class TestFindCheaperCompetitor:
         report = find_cheaper_competitor(0.6, 3.0, tol)
         phi = area_difference(0.6, 3.0, tol).phi_a_r
         assert abs(report.margin - phi) < 1e-5
+
+    @pytest.mark.parametrize("r", [30.0, 40.0, 60.0])
+    def test_margin_at_large_radius(self, tol, r):
+        # Tube and competitor areas are both about 4 pi cosh r, so their
+        # difference would lose every digit; the margin comes from Phi.
+        report = find_cheaper_competitor(0.6, r, tol)
+        assert report.s == 0.6 / 2**20
+        s = report.s
+        phi = area_difference(0.6, r, tol).phi_a_r
+        L = plane_separation(0.6, r, tol)
+        expected = (
+            phi
+            - math.pi * L * math.sinh(2.0 * s)
+            + 4.0 * math.pi * (math.cosh(s) - 1.0)
+        )
+        assert abs(report.margin - expected) <= 1e-12
+        assert report.margin == pytest.approx(MARGIN_06_FAR, abs=1e-12)
 
     def test_no_witness_above_threshold(self, tol):
         report = find_cheaper_competitor(1.0, 3.0, tol)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypcatenoid import (
     ConsistencyError,
     ConstantsBundle,
     EvaluationBudgetError,
-    RootFindConfig,
     Tolerance,
     area_deficit,
     compute_K,
@@ -34,36 +34,39 @@ TWO_RHO_AL_REF = 0.876894857279
 
 class TestSolveRoot:
     def test_linear(self):
-        cfg = RootFindConfig(0.0, 2.0, x_tol=1e-12, max_iterations=100)
-        assert solve_root(lambda x: x - 1.0, cfg) == pytest.approx(1.0, abs=1e-12)
+        assert solve_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine(self):
-        cfg = RootFindConfig(1.0, 2.0, x_tol=1e-14, max_iterations=100)
-        assert solve_root(math.cos, cfg) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert solve_root(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_cube_root_of_two(self):
-        cfg = RootFindConfig(1.0, 2.0, x_tol=1e-13, max_iterations=100)
-        assert solve_root(lambda x: x**3 - 2.0, cfg) == pytest.approx(
+        assert solve_root(lambda x: x**3 - 2.0, 1.0, 2.0) == pytest.approx(
             2.0 ** (1.0 / 3.0), abs=1e-12
         )
 
+    def test_relative_floor(self):
+        # x_tol is eps times the smaller bracket end, so a tiny root keeps
+        # its relative digits.
+        root = solve_root(lambda x: x**3 - 2.7e-35, 1e-13, 1.0)
+        assert root == pytest.approx(3e-12, rel=4.0 * sys.float_info.epsilon)
+
     def test_no_sign_change(self):
-        cfg = RootFindConfig(1.0, 2.0, x_tol=1e-12, max_iterations=100)
         with pytest.raises(BracketError):
-            solve_root(lambda x: x * x + 1.0, cfg)
+            solve_root(lambda x: x * x + 1.0, 1.0, 2.0)
 
     def test_iteration_budget(self):
-        cfg = RootFindConfig(1.0, 2.0, x_tol=1e-15, max_iterations=2)
+        # A step function over 600 decades cannot be closed to the relative
+        # floor within the iteration cap.
         with pytest.raises(EvaluationBudgetError):
-            solve_root(math.cos, cfg)
+            solve_root(lambda x: math.copysign(1.0, x - 1.0), 1e-300, 1e300)
 
-    def test_config_validation(self):
+    def test_bracket_order(self):
         with pytest.raises(ValueError):
-            RootFindConfig(2.0, 1.0, x_tol=1e-12, max_iterations=10)
+            solve_root(lambda x: x - 1.5, 2.0, 1.0)
         with pytest.raises(ValueError):
-            RootFindConfig(0.0, 1.0, x_tol=0.0, max_iterations=10)
+            solve_root(lambda x: x - 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            RootFindConfig(0.0, 1.0, x_tol=1e-12, max_iterations=0)
+            solve_root(lambda x: x - 1.0, math.nan, 2.0)
 
 
 class TestComputeK:

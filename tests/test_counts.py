@@ -1,4 +1,4 @@
-"""Pinned integrand-evaluation counts of canonical calls at abs_tol 1e-10.
+"""Pinned integrand-evaluation and root-solver counts of canonical calls.
 
 quad_finite, quad_semi_infinite and quad_sqrt_endpoint are each wrapped in
 every module namespace that holds them, and the integrand of the outermost
@@ -6,6 +6,10 @@ quad_* call is counted, so the envelope samples of quad_semi_infinite, which
 never reach quad_finite, are counted too.  Every quantity the package ships
 is a closed form, so every pin is 0: a nonzero count means a package path
 reached the quadrature layer again.
+
+The solver pins count calls of the f handed to solve_root, wrapped in the
+constants and circles namespaces: the calls Brent's method makes to reach
+solve_root's relative floor.
 """
 
 import math
@@ -14,6 +18,7 @@ import pytest
 
 import hypcatenoid
 from hypcatenoid import (
+    EvaluationBudgetError,
     MeshParams,
     Tolerance,
     area_deficit,
@@ -21,6 +26,7 @@ from hypcatenoid import (
     build_mesh,
     catenoid,
     catenoids_for_circles,
+    catenoids_for_separation,
     circle_from_center_radius,
     circles,
     competitor,
@@ -31,6 +37,7 @@ from hypcatenoid import (
     find_cheaper_competitor,
     mesh,
     quadrature,
+    solve_root,
 )
 
 TOL = Tolerance(abs_tol=1.0e-10)
@@ -141,3 +148,62 @@ def test_concavity_terms(count_evaluations):
 def test_build_mesh(count_evaluations):
     count = count_evaluations(lambda: build_mesh(MeshParams(0.6, 3.0, 48, 64), TOL))
     assert count == 0
+
+
+@pytest.fixture
+def count_solver_calls(monkeypatch):
+    """Run fn and return the f-call count of each solve_root call, in order."""
+    solves = []
+
+    def counted_solve(f, lo, hi):
+        solves.append(0)
+        index = len(solves) - 1
+
+        def g(x):
+            solves[index] += 1
+            return f(x)
+
+        return solve_root(g, lo, hi)
+
+    for namespace in (constants, circles):
+        monkeypatch.setattr(namespace, "solve_root", counted_solve)
+
+    def run(fn):
+        solves.clear()
+        fn()
+        return list(solves)
+
+    return run
+
+
+def test_cold_bundle_solver_calls(count_solver_calls, monkeypatch):
+    monkeypatch.setattr(constants, "_CACHE", {})
+    # rho' for a_c, mvt_f for a_0, phi for a_L.
+    assert count_solver_calls(lambda: constants_bundle(TOL)) == [12, 11, 12]
+
+
+def test_circles_solver_calls(count_solver_calls):
+    bundle = constants_bundle(TOL)
+    inner = circle_from_center_radius(0j, 1.0)
+    outer = circle_from_center_radius(0j, 2.2)
+    solves = count_solver_calls(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
+    assert sum(solves) == 17
+
+
+def test_tiny_separation_solver_calls(count_solver_calls):
+    bundle = constants_bundle(TOL)
+    solves = count_solver_calls(lambda: catenoids_for_separation(1e-9, bundle, TOL))
+    assert sum(solves) == 23
+
+
+def test_solver_budget_calls():
+    calls = 0
+
+    def step(x):
+        nonlocal calls
+        calls += 1
+        return math.copysign(1.0, x - 1.0)
+
+    with pytest.raises(EvaluationBudgetError):
+        solve_root(step, 1e-300, 1e300)
+    assert calls == 102  # both bracket ends, then the 100-iteration cap
