@@ -11,11 +11,12 @@ derivative.
 Every one of them is a closed form.  With w = sinh(a)**2 and
 s = sinh(t)**2 - w, the profile integrand becomes
 sinh(2a) / (4 (s + 1 + w) sqrt(s (s + w) (s + 1 + 2w))) ds and the tube
-integrand 2 pi (s + w) / sqrt(s (s + w) (s + 1 + 2w)) ds.  So rho(a), its
-derivative and x(y) are Carlson symmetric integrals R_F, R_J and R_D, and
-the areas are R_F and R_D after one integration by parts.  All are
-evaluated to rounding by duplication (Carlson, Numer. Algorithms 10, 1995;
-DLMF 19.36) with no quadrature; their tol arguments do not affect them.
+integrand 2 pi (s + w) / sqrt(s (s + w) (s + 1 + 2w)) ds.  So rho(a) and
+x(y) are Carlson symmetric integrals R_J and R_F, and the areas are R_F and
+R_D after one integration by parts; since phi'(a) = 2 pi sinh(2a) rho'(a),
+rho' is the same R_F and R_D pair as phi.  All are evaluated to rounding
+by duplication (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36) with no
+quadrature; their tol arguments do not affect them.
 The constant K in the second-derivative terms is a Beta integral, in
 Gamma functions (DLMF 5.12).
 
@@ -195,11 +196,6 @@ def _carlson(
     return rf, rj
 
 
-def _rho_rj(w: float) -> float:
-    """R_J(0, w, 1 + 2w, 1 + w); rho(a) is sinh(2a) / 6 times it at w = sinh(a)**2."""
-    return _carlson(0.0, w, 1.0 + 2.0 * w, 1.0 + w, -w * (1.0 + w))[1]
-
-
 def gomes_rho(a: float, tol: Tolerance) -> float:
     """Asymptotic half-separation rho(a) of the catenoid's boundary planes.
 
@@ -209,26 +205,26 @@ def gomes_rho(a: float, tol: Tolerance) -> float:
     evaluated to rounding whatever tol is.
     """
     _check_neck(a)
-    return math.sinh(2.0 * a) / 6.0 * _rho_rj(math.sinh(a) ** 2)
+    w = math.sinh(a) ** 2
+    rj = _carlson(0.0, w, 1.0 + 2.0 * w, 1.0 + w, -w * (1.0 + w))[1]
+    return math.sinh(2.0 * a) / 6.0 * rj
 
 
 def _rho_prime(a: float) -> float:
     """Derivative of rho in closed form, exact to rounding.
 
-    d/da of (sinh(2a) / 6) * R_J(0, w, 1 + 2w, 1 + w) with dw/da = sinh(2a).
-    The partial derivatives of R_J come from R_D and the degree -3/2
-    homogeneity of R_J, with the exact differences p - y = 1, p - z = -w.
+    rho'(a) = (2p / 3) R_D(0, w, c) - R_F(0, w, c) with w = sinh(a)**2,
+    c = 1 + 2w and p = 1 + w: the Carlson pair of phi, with no R_J term.
+    This is the identity phi'(a) = 2 pi sinh(2a) rho'(a), with d phi / dw =
+    4 pi (p R_D / 3 - R_F / 2) (see concavity_terms) and dw/da = sinh(2a):
+    the neck circle's flux pi sinh(2a) times the rate d(2 rho)/da at which
+    the boundary planes separate, as the first variation of area predicts.
+    So a_c, the maximizer of rho, is also the maximizer of phi.
     """
     w = math.sinh(a) ** 2
-    y, z, p = w, 1.0 + 2.0 * w, 1.0 + w
-    rj = _rho_rj(w)
-    d_y = -0.5 * (_carlson(0.0, z, y, y, 0.0)[1] - rj)
-    d_z = (_carlson(0.0, y, z, z, 0.0)[1] - rj) / (2.0 * w)
-    d_p = (-1.5 * rj - y * d_y - z * d_z) / p
-    return (
-        math.cosh(2.0 * a) / 3.0 * rj
-        + math.sinh(2.0 * a) ** 2 / 6.0 * (d_y + 2.0 * d_z + d_p)
-    )
+    c = 1.0 + 2.0 * w
+    rf, rd = _carlson(0.0, w, c, c, 0.0)
+    return 2.0 * (1.0 + w) * rd / 3.0 - rf
 
 
 def catenary_x(a: float, y: float, tol: Tolerance) -> float:

@@ -83,17 +83,6 @@ class CircleAtInfinity:
         return complex(v1 * rho, v2 * rho)
 
 
-def _circle_from_coords(v1: float, v2: float, v3: float, v4: float) -> CircleAtInfinity:
-    """Normalize a raw Minkowski vector to a canonical unit representative."""
-    norm_sq = v1 * v1 + v2 * v2 + v3 * v3 - v4 * v4
-    if not norm_sq > 0.0:
-        raise DegenerateCircleError(
-            f"inversive vector is not spacelike (norm^2 = {norm_sq})"
-        )
-    scale = 1.0 / math.sqrt(norm_sq)
-    return _canonical(v1 * scale, v2 * scale, v3 * scale, v4 * scale)
-
-
 def _canonical(v1: float, v2: float, v3: float, v4: float) -> CircleAtInfinity:
     """Sign a unit vector so v4 - v3 >= 0, breaking ties for lines on v1, v2."""
     gap = v4 - v3
@@ -103,20 +92,29 @@ def _canonical(v1: float, v2: float, v3: float, v4: float) -> CircleAtInfinity:
 
 
 def circle_from_center_radius(c: complex, rho_e: float) -> CircleAtInfinity:
-    """Circle with Euclidean center c and radius rho_e in the boundary chart."""
+    """Circle with Euclidean center c and radius rho_e in the boundary chart.
+
+    Its vector (Re c, Im c, (|c|**2 - rho_e**2 - 1) / 2, (|c|**2 - rho_e**2
+    + 1) / 2) / rho_e has Minkowski norm exactly 1 and v4 - v3 = 1 / rho_e
+    > 0, so it is stored as built, already unit and canonically signed.
+    Recomputing the norm would cancel terms of size (|c|**2 / rho_e)**2.
+    The chart still limits a pair far from its origin compared with both
+    radii: each circle's v3 and v4 then nearly agree, and the pair's
+    inversive product loses digits.
+    """
     c = complex(c)
     if not rho_e > 0.0:
         raise ValueError(f"radius must be positive, got {rho_e}")
     if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(rho_e)):
         raise ValueError(f"circle parameters must be finite, got c={c}, rho_e={rho_e}")
-    cc = c.real * c.real + c.imag * c.imag
+    power = c.real * c.real + c.imag * c.imag - rho_e * rho_e  # of the origin
     half_inv = 0.5 / rho_e
-    return _circle_from_coords(
-        c.real / rho_e,
-        c.imag / rho_e,
-        (cc - rho_e * rho_e - 1.0) * half_inv,
-        (cc - rho_e * rho_e + 1.0) * half_inv,
-    )
+    v3, v4 = (power - 1.0) * half_inv, (power + 1.0) * half_inv
+    if not v4 > v3:
+        raise DegenerateCircleError(
+            f"circle of radius {rho_e} at {c} does not fit the inversive chart"
+        )
+    return CircleAtInfinity((c.real / rho_e, c.imag / rho_e, v3, v4))
 
 
 def inversive_product(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> float:
@@ -243,10 +241,14 @@ def normalize_coaxial(
 ) -> IsometryMap:
     """Isometry carrying a disjoint pair to concentric circles about 0.
 
-    The pencil's limit points are the null vectors u + t w of the pair's
-    span, 1 + 2 t p + t^2 = 0 with p = <u, w>.  The map sends one to 0 and
-    the other to infinity, oriented so the first circle's image is the inner
-    one; log of the image radii ratio then reproduces the plane distance.
+    The pencil's limit points are the null vectors u + s w of the pair's
+    span, s**2 + 2 p s + 1 = 0 with p = <u, w>; the roots are t and 1/t
+    with |t| > 1.  A map sending the limit point of s to 0 and the other
+    to infinity carries u and w to concentric circles of radii r_u and r_w
+    with r_u / r_w = |s|: written in the two null vectors, each image's
+    radius squared is the ratio of its two coefficients.  So the map sends
+    the limit point of 1/t to 0, and the first circle's image is the inner
+    one; log of the radii ratio then reproduces the plane distance.
     Separated, nested, concentric and line pairs all take this one path.
     """
     p = inversive_product(circle1, circle2)
@@ -257,12 +259,7 @@ def normalize_coaxial(
     (x1, y1), (x2, y2) = (
         _limit_point(circle1.coords, circle2.coords, root) for root in (t, 1.0 / t)
     )
-    mapping = IsometryMap.from_matrix(y1, -x1, y2, -x2)
-    image1, image2 = (apply_isometry(mapping, c).coords for c in (circle1, circle2))
-    # The inner image has the larger curvature v4 - v3 = 1 / radius.
-    if image1[3] - image1[2] < image2[3] - image2[2]:
-        mapping = IsometryMap.from_matrix(y2, -x2, y1, -x1)
-    return mapping
+    return IsometryMap.from_matrix(y2, -x2, y1, -x1)
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,9 @@ def compute_K(tol: Tolerance) -> float:
 def solve_a_c(tol: Tolerance) -> float:
     """Maximizer a_c of rho, located as the root of rho'.
 
-    rho' is a closed form in Carlson's R_J and R_D; rho'(a_c) = 0 is
-    bracketed by [0.3, 0.7].
+    With w = sinh(a)**2, c = 1 + 2w and p = 1 + w, rho' = (2p/3) R_D(0, w, c)
+    - R_F(0, w, c), the Carlson pair of phi, and phi' = 2 pi sinh(2a) rho',
+    so a_c also maximizes phi.  rho'(a_c) = 0 is bracketed by [0.3, 0.7].
     """
     return solve_root(_rho_prime, 0.3, 0.7)
 

@@ -112,18 +112,20 @@ def test_criterion_09():
         circle1, circle2 = random_disjoint_pair(rng)
         reference = plane_distance(circle1, circle2)
 
-        mapping = normalize_coaxial(circle1, circle2)
-        image1 = apply_isometry(mapping, circle1)
-        image2 = apply_isometry(mapping, circle2)
-        log_ratio = abs(math.log(image2.radius / image1.radius))
-        ok &= abs(log_ratio - reference) <= 1e-9
+        for first, second in ((circle1, circle2), (circle2, circle1)):
+            mapping = normalize_coaxial(first, second)
+            image1 = apply_isometry(mapping, first)
+            image2 = apply_isometry(mapping, second)
+            ok &= image1.radius < image2.radius
+            log_ratio = math.log(image2.radius / image1.radius)
+            ok &= abs(log_ratio - reference) <= 1e-9
 
         moved1, moved2 = mapped_pair(rng, circle1, circle2)
         ok &= abs(plane_distance(moved1, moved2) - reference) <= 1e-9
 
     assert _report(
-        9, "distance oracle equivalence and isometry invariance within 1e-9 "
-        "on 1000 pairs", ok,
+        9, "distance oracle equivalence (inner image first, both orders) and "
+        "isometry invariance within 1e-9 on 1000 pairs", ok,
     )
 
 

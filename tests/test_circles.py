@@ -92,6 +92,11 @@ class TestCircleAtInfinity:
         with pytest.raises(ValueError):
             circle_from_center_radius(complex(math.inf, 0.0), 1.0)
 
+    def test_beyond_chart_precision_rejected(self):
+        # |c|^2 - rho^2 +- 1 round to one double, so v4 - v3 = 1 / rho is lost.
+        with pytest.raises(DegenerateCircleError):
+            circle_from_center_radius(1e9 + 0.0j, 1.0)
+
     def test_line_has_no_chart(self):
         line = CircleAtInfinity((1.0, 0.0, 0.5, 0.5))
         assert line.is_line
@@ -146,6 +151,22 @@ class TestPlaneDistance:
         assert plane_distance(circle1, circle2) == pytest.approx(
             math.acosh(11.5), abs=1e-12
         )
+
+    def test_small_far_circle_against_closed_form(self):
+        # A circle of radius r centred at x on the real axis lies at distance
+        # acosh(|1 + r^2 - x^2| / 2r) from the unit circle.  Its vector has
+        # v3 ~ v4 ~ x^2 / 2r, so recomputing its norm cancels every digit.
+        rng = random.Random(90210)
+        cases = [(1e4, 0.05), (2375.7822453599765, 0.002830409492403474)]
+        cases += [
+            (10.0 ** rng.uniform(0.5, 5.0), 10.0 ** rng.uniform(-3.0, 0.0))
+            for _ in range(2000)
+        ]
+        unit = circle_from_center_radius(0.0j, 1.0)
+        for x, r in cases:
+            reference = math.acosh(abs(1.0 + r * r - x * x) / (2.0 * r))
+            distance = plane_distance(unit, circle_from_center_radius(x, r))
+            assert distance == pytest.approx(reference, rel=1e-13)
 
     def test_symmetry_is_exact(self):
         rng = random.Random(7)
@@ -355,7 +376,8 @@ class TestNormalizeCoaxial:
         image2 = apply_isometry(mapping, circle2)
         assert abs(image1.center) <= 1e-9 * image1.radius
         assert abs(image2.center) <= 1e-9 * image2.radius
-        log_ratio = abs(math.log(image2.radius / image1.radius))
+        assert image1.radius < image2.radius
+        log_ratio = math.log(image2.radius / image1.radius)
         assert log_ratio == pytest.approx(
             plane_distance(circle1, circle2), abs=1e-9
         )
@@ -392,11 +414,14 @@ class TestDistanceProperties:
             circle1, circle2 = random_disjoint_pair(rng)
             reference = plane_distance(circle1, circle2)
 
-            mapping = normalize_coaxial(circle1, circle2)
-            image1 = apply_isometry(mapping, circle1)
-            image2 = apply_isometry(mapping, circle2)
-            log_ratio = abs(math.log(image2.radius / image1.radius))
-            assert abs(log_ratio - reference) <= 1e-9
+            # The first circle's image is the inner one, in either order.
+            for first, second in ((circle1, circle2), (circle2, circle1)):
+                mapping = normalize_coaxial(first, second)
+                image1 = apply_isometry(mapping, first)
+                image2 = apply_isometry(mapping, second)
+                assert image1.radius < image2.radius
+                log_ratio = math.log(image2.radius / image1.radius)
+                assert abs(log_ratio - reference) <= 1e-9
 
             moved1, moved2 = mapped_pair(rng, circle1, circle2)
             assert abs(plane_distance(moved1, moved2) - reference) <= 1e-9

@@ -215,6 +215,13 @@ class TestClassifyCommand:
         assert shifted["distance"] == reference["distance"]
         assert shifted["solutions"] == reference["solutions"]
 
+    def test_small_far_circle(self, capsys):
+        # Distance acosh((x^2 - 1 - r^2) / 2r) from the unit circle.
+        code, out, _ = run_cli(capsys, "classify", "--circles", "0,0,1", "10000,0,0.05")
+        assert code == 0
+        reference = math.acosh((1e8 - 1.0 - 0.0025) / 0.1)
+        assert json.loads(out)["distance"] == pytest.approx(reference, rel=1e-13)
+
     def test_intersecting_circles(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--circles", "0,0,1", "0.5,0,1")
         assert code == 2

@@ -9,7 +9,9 @@ reached the quadrature layer again.
 
 The solver pins count calls of the f handed to solve_root, wrapped in the
 constants and circles namespaces: the calls Brent's method makes to reach
-solve_root's relative floor.
+solve_root's relative floor.  The Carlson pins count calls of _carlson in
+the catenoid namespace, one duplication sequence each, and the last pin
+checks that normalize_coaxial builds its map without applying any.
 """
 
 import math
@@ -18,6 +20,7 @@ import pytest
 
 import hypcatenoid
 from hypcatenoid import (
+    CircleAtInfinity,
     EvaluationBudgetError,
     MeshParams,
     Tolerance,
@@ -36,6 +39,7 @@ from hypcatenoid import (
     constants_bundle,
     find_cheaper_competitor,
     mesh,
+    normalize_coaxial,
     quadrature,
     solve_root,
 )
@@ -179,7 +183,7 @@ def count_solver_calls(monkeypatch):
 def test_cold_bundle_solver_calls(count_solver_calls, monkeypatch):
     monkeypatch.setattr(constants, "_CACHE", {})
     # rho' for a_c, mvt_f for a_0, phi for a_L.
-    assert count_solver_calls(lambda: constants_bundle(TOL)) == [12, 11, 12]
+    assert count_solver_calls(lambda: constants_bundle(TOL)) == [10, 11, 12]
 
 
 def test_circles_solver_calls(count_solver_calls):
@@ -187,13 +191,13 @@ def test_circles_solver_calls(count_solver_calls):
     inner = circle_from_center_radius(0j, 1.0)
     outer = circle_from_center_radius(0j, 2.2)
     solves = count_solver_calls(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
-    assert sum(solves) == 17
+    assert solves == [10, 9]
 
 
 def test_tiny_separation_solver_calls(count_solver_calls):
     bundle = constants_bundle(TOL)
     solves = count_solver_calls(lambda: catenoids_for_separation(1e-9, bundle, TOL))
-    assert sum(solves) == 23
+    assert solves == [9, 15]
 
 
 def test_solver_budget_calls():
@@ -207,3 +211,51 @@ def test_solver_budget_calls():
     with pytest.raises(EvaluationBudgetError):
         solve_root(step, 1e-300, 1e300)
     assert calls == 102  # both bracket ends, then the 100-iteration cap
+
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Run fn with module.name wrapped and return how many calls it made."""
+
+    def run(module, name, fn):
+        calls = 0
+        original = getattr(module, name)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        try:
+            fn()
+        finally:
+            monkeypatch.setattr(module, name, original)
+        return calls
+
+    return run
+
+
+def test_rho_prime_carlson_calls(count_calls):
+    for a in (0.01, 0.5, 3.0):
+        assert count_calls(catenoid, "_carlson", lambda: catenoid._rho_prime(a)) == 1
+
+
+def test_cold_bundle_carlson_calls(count_calls, monkeypatch):
+    monkeypatch.setattr(constants, "_CACHE", {})
+    # 10 rho' calls for a_c, rho(a_c), 12 phi calls for a_L, rho(a_L).
+    assert count_calls(catenoid, "_carlson", lambda: constants_bundle(TOL)) == 24
+
+
+def test_normalize_coaxial_applies_no_isometry(count_calls):
+    nested = (circle_from_center_radius(0.3, 1.0), circle_from_center_radius(0j, 3.0))
+    separated = (circle_from_center_radius(0j, 1.0), circle_from_center_radius(5.0, 1.0))
+    line = (CircleAtInfinity((1.0, 0.0, 2.0, 2.0)), circle_from_center_radius(0j, 1.0))
+
+    def normalize_both_orders():
+        for first, second in (nested, separated, line):
+            normalize_coaxial(first, second)
+            normalize_coaxial(second, first)
+
+    assert count_calls(circles, "apply_isometry", normalize_both_orders) == 0

@@ -9,10 +9,14 @@ integrand differentiated under the integral sign; K comes from its closed
 form 1 + Gamma(-1/4) sqrt(pi) / (4 Gamma(1/4)).
 
 Every shipped value is a closed form or a root of one, exact to rounding
-whatever abs_tol is.  rho, rho' and x(y) are held to abs_tol, and rho and
-x(y) also to 1e-13 relative; phi and Phi to 1e-13 * max(1, |value|), phi
-never looser than abs_tol; I2 to 1e-12 * max(1, |I2|); K to 1e-15; a_c and
-a_L to 1e-14 relative.
+whatever abs_tol is.  rho and x(y) are held to abs_tol and to 1e-13
+relative; rho' to 1e-14 * max(1, |rho'|); phi and Phi to
+1e-13 * max(1, |value|), phi never looser than abs_tol; I2 to
+1e-12 * max(1, |I2|); K to 1e-15; a_c and a_L to 1e-15 relative.
+
+The package computes rho' from phi's Carlson pair through the identity
+phi'(a) = 2 pi sinh(2a) rho'(a); test_phi_rho_identity checks it between
+the two oracles alone, with phi' the complex-step derivative of phi.
 """
 
 import functools
@@ -181,9 +185,9 @@ class TestQuadratureValues:
             _close(gomes_rho(a, tol), oracle_rho(a), abs_tol)
 
     def test_rho_prime(self, abs_tol):
-        tol = Tolerance(abs_tol=abs_tol)
-        for a in NECKS + (float(oracle_a_c()),):
-            _close(_rho_prime(a), oracle_drho(a), abs_tol)
+        for a in (1e-4,) + NECKS + (float(oracle_a_c()),):
+            reference = oracle_drho(a)
+            _close(_rho_prime(a), reference, _scaled(reference, 1e-14))
 
     def test_phi(self, abs_tol):
         tol = Tolerance(abs_tol=abs_tol)
@@ -235,5 +239,14 @@ class TestClosedForms:
 @pytest.mark.parametrize("abs_tol", TOLERANCES)
 def test_thresholds(abs_tol):
     bundle = constants_bundle(Tolerance(abs_tol=abs_tol))
-    _close(bundle.a_c, oracle_a_c(), 1e-14 * float(oracle_a_c()))
-    _close(bundle.a_L, oracle_a_L(), 1e-14 * float(oracle_a_L()))
+    _close(bundle.a_c, oracle_a_c(), 1e-15 * float(oracle_a_c()))
+    _close(bundle.a_L, oracle_a_L(), 1e-15 * float(oracle_a_L()))
+
+
+def test_phi_rho_identity():
+    """phi'(a) = 2 pi sinh(2a) rho'(a), from the oracles and no package code."""
+    for a in NECKS + (float(oracle_a_c()),):
+        with mp.workdps(DIGITS):
+            dphi = mpmath.im(_phi(mpf(a) + 1j * STEP)) / STEP
+            expected = 2 * mpmath.pi * mpmath.sinh(2 * mpf(a)) * oracle_drho(a)
+            _close(dphi, expected, _scaled(expected, 1e-25))
