@@ -14,7 +14,8 @@ sinh(2a) / (4 (s + 1 + w) sqrt(s (s + w) (s + 1 + 2w))) ds and the tube
 integrand 2 pi (s + w) / sqrt(s (s + w) (s + 1 + 2w)) ds.  So rho(a) and
 x(y) are Carlson symmetric integrals R_J and R_F, and the areas are R_F and
 R_D after one integration by parts; since phi'(a) = 2 pi sinh(2a) rho'(a),
-rho' is the same R_F and R_D pair as phi.  All are evaluated to rounding
+rho' is the same R_F and R_D pair as phi, and one duplication sequence
+gives rho, rho', phi and phi'' together.  All are evaluated to rounding
 by duplication (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36) with no
 quadrature; their tol arguments do not affect them.
 The constant K in the second-derivative terms is a Beta integral, in
@@ -137,31 +138,47 @@ def _rc_unit(e: float) -> float:
     return math.atanh(s) / s
 
 
+def _rj_series(x: float, y: float, z: float, p: float) -> float:
+    """Carlson's fifth-order series for R_J(x, y, z, p) at nearly equal arguments."""
+    mean = (x + y + z + 2.0 * p) / 5.0
+    dx, dy, dz = 1.0 - x / mean, 1.0 - y / mean, 1.0 - z / mean
+    dp = -0.5 * (dx + dy + dz)
+    xyz = dx * dy * dz
+    e2 = dx * dy + dx * dz + dy * dz - 3.0 * dp * dp
+    e3 = xyz + 2.0 * e2 * dp + 4.0 * dp**3
+    e4 = (2.0 * xyz + e2 * dp + 3.0 * dp**3) * dp
+    e5 = xyz * dp * dp
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return series / (mean * math.sqrt(mean))
+
+
 def _carlson(
     x: float, y: float, z: float, p: float, gap: float
-) -> tuple[float, float]:
-    """Carlson's R_F(x, y, z) and R_J(x, y, z, p) from one duplication sequence.
+) -> tuple[float, float, float]:
+    """Carlson's R_F(x, y, z), R_J(x, y, z, p) and R_D(x, y, z) from one sequence.
 
     x, y, z >= 0 with at most one zero, p > 0, and gap = (p-x)(p-y)(p-z)
-    supplied exactly by the caller; R_D(x, y, z) is R_J(x, y, z, z) with
-    gap 0.  Each step moves every argument v to (v + lam) / 4, which leaves
-    R_F unchanged and changes R_J by a known R_C term, until the arguments
-    agree closely enough for a fifth-order series about their mean
+    supplied exactly by the caller.  Each step moves every argument v to
+    (v + lam) / 4, which leaves R_F unchanged and changes R_J and R_D =
+    R_J(x, y, z, z) by known R_C terms (R_C(1, 1) = 1 for R_D), until the
+    arguments agree closely enough for a fifth-order series about their mean
     (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.i).  The first R_C
-    term loses digits as gap / ((sp + sx)(sp + sy)(sp + sz))**2 nears -1,
-    with sv = sqrt(v); for every caller here that ratio stays above -0.02.
+    term of R_J loses digits as gap / ((sp + sx)(sp + sy)(sp + sz))**2 nears
+    -1, with sv = sqrt(v); for every caller here that ratio stays above -0.02.
     """
     # Every step keeps the order of the arguments and divides their spread
     # by 4, so the spread need not be recomputed: only the smallest moves.
     spread = (max(x, y, z, p) - min(x, y, z, p)) / _DUPLICATION_SPREAD
     least = min(x, y, z, p)
     scale = 1.0  # 4**-m after m steps
-    tail = 0.0
+    tail = tail_d = 0.0
     while spread * scale > least:
         sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
         tail += scale * _rc_unit(gap * scale**3 / (d * d)) / d
+        tail_d += scale / (sz * (z + lam))
         x, y = 0.25 * (x + lam), 0.25 * (y + lam)
         z, p = 0.25 * (z + lam), 0.25 * (p + lam)
         least = 0.25 * (least + lam)
@@ -174,26 +191,34 @@ def _carlson(
     e3 = dx * dy * dz
     rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0)
     rf /= math.sqrt(mean)
+    rj = scale * _rj_series(x, y, z, p) + 6.0 * tail
+    rd = scale * _rj_series(x, y, z, z) + 3.0 * tail_d
+    return rf, rj, rd
 
-    mean = (x + y + z + 2.0 * p) / 5.0
-    dx, dy, dz = 1.0 - x / mean, 1.0 - y / mean, 1.0 - z / mean
-    dp = -0.5 * (dx + dy + dz)
-    xyz = dx * dy * dz
-    e2 = dx * dy + dx * dz + dy * dz - 3.0 * dp * dp
-    e3 = xyz + 2.0 * e2 * dp + 4.0 * dp**3
-    e4 = (2.0 * xyz + e2 * dp + 3.0 * dp**3) * dp
-    e5 = xyz * dp * dp
-    series = (
-        1.0
-        - 3.0 * e2 / 14.0
-        + e3 / 6.0
-        + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0
-        - 9.0 * e2 * e3 / 52.0
-        + 3.0 * e5 / 26.0
-    )
-    rj = scale * series / (mean * math.sqrt(mean)) + 6.0 * tail
-    return rf, rj
+
+def _neck_terms(a: float) -> tuple[float, float, float, float, float]:
+    """rho, rho', phi, phi' and phi'' at a from one duplication sequence.
+
+    With w = sinh(a)**2, c = 1 + 2w = cosh(2a), p = 1 + w and R_F, R_J, R_D
+    at (0, w, c, p): rho = (sinh(2a) / 6) R_J, phi = 4 pi (1 - p R_F +
+    (c p / 3) R_D) (see _area_excess), and, from the derivatives of R_F and
+    R_D (DLMF 19.18) and Euler's identity w R_D(0, c, w) + c R_D(0, w, c) =
+    3 R_F(0, w, c) for the degree -1/2 homogeneous R_F, d phi / dw =
+    4 pi (p R_D / 3 - R_F / 2) and phi'' = 4 pi (p (c**2 + 2) R_D / 3 -
+    (2 + 3w + 2w**2) R_F) / c.  With dw/da = sinh(2a) this is phi' =
+    2 pi sinh(2a) rho' with rho' = (2p / 3) R_D - R_F: the neck circle's
+    flux times the rate d(2 rho)/da at which the boundary planes separate,
+    as the first variation of area predicts, so a_c maximizes both rho and
+    phi.  All five are exact to rounding.
+    """
+    w = math.sinh(a) ** 2
+    c, p = 1.0 + 2.0 * w, 1.0 + w
+    rf, rj, rd = _carlson(0.0, w, c, p, -w * p)
+    s2a = math.sinh(2.0 * a)
+    drho = 2.0 * p * rd / 3.0 - rf
+    phi = _FOUR_PI * (1.0 - p * rf + c * p / 3.0 * rd)
+    second = (p * (c * c + 2.0) * rd / 3.0 - (2.0 + 3.0 * w + 2.0 * w * w) * rf) / c
+    return s2a / 6.0 * rj, drho, phi, 2.0 * math.pi * s2a * drho, _FOUR_PI * second
 
 
 def gomes_rho(a: float, tol: Tolerance) -> float:
@@ -205,26 +230,7 @@ def gomes_rho(a: float, tol: Tolerance) -> float:
     evaluated to rounding whatever tol is.
     """
     _check_neck(a)
-    w = math.sinh(a) ** 2
-    rj = _carlson(0.0, w, 1.0 + 2.0 * w, 1.0 + w, -w * (1.0 + w))[1]
-    return math.sinh(2.0 * a) / 6.0 * rj
-
-
-def _rho_prime(a: float) -> float:
-    """Derivative of rho in closed form, exact to rounding.
-
-    rho'(a) = (2p / 3) R_D(0, w, c) - R_F(0, w, c) with w = sinh(a)**2,
-    c = 1 + 2w and p = 1 + w: the Carlson pair of phi, with no R_J term.
-    This is the identity phi'(a) = 2 pi sinh(2a) rho'(a), with d phi / dw =
-    4 pi (p R_D / 3 - R_F / 2) (see concavity_terms) and dw/da = sinh(2a):
-    the neck circle's flux pi sinh(2a) times the rate d(2 rho)/da at which
-    the boundary planes separate, as the first variation of area predicts.
-    So a_c, the maximizer of rho, is also the maximizer of phi.
-    """
-    w = math.sinh(a) ** 2
-    c = 1.0 + 2.0 * w
-    rf, rd = _carlson(0.0, w, c, c, 0.0)
-    return 2.0 * (1.0 + w) * rd / 3.0 - rf
+    return _neck_terms(a)[0]
 
 
 def catenary_x(a: float, y: float, tol: Tolerance) -> float:
@@ -246,7 +252,7 @@ def catenary_x(a: float, y: float, tol: Tolerance) -> float:
     w = math.sinh(a) ** 2
     c, p = 1.0 + 2.0 * w, 1.0 + w
     wc = w * c
-    rf, rj = _carlson(
+    rf, rj, _ = _carlson(
         c * (t + w),
         w * (t + c),
         wc,
@@ -286,7 +292,7 @@ def disk_area_total(r: float) -> float:
 
 
 def _area_excess(a: float, t: float) -> float:
-    """Phi(a, r) at t = T = sinh(r - a) * sinh(r + a); t = inf gives phi(a).
+    """Phi(a, r) at t = T = sinh(r - a) * sinh(r + a) for r > a.
 
     With w = sinh(a)**2, c = 1 + 2w, p = 1 + w and P(s) = s (s + w) (s + c),
     the tube area is 2 pi int_0^T (s + w) / sqrt(P) ds.  Integrating by parts
@@ -294,15 +300,14 @@ def _area_excess(a: float, t: float) -> float:
     Phi = 4 pi [1 + lead - p (F(0) - F(T)) + (c p / 3) (D(0) - D(T))] with
     F(x) = R_F(x, x + w, x + c) and D(x) = R_D(x, x + w, x + c).  Here
     lead = sqrt(P(T)) / (T + c) - cosh r, rearranged below so that nothing
-    cancels.  F(T), D(T) and lead vanish as T grows, so Phi keeps the
-    absolute accuracy of phi whatever r is.
+    cancels.  F(T), D(T) and lead vanish as T grows, leaving the deficit
+    phi(a) = 4 pi [1 - p F(0) + (c p / 3) D(0)], so Phi keeps the absolute
+    accuracy of phi whatever r is.
     """
     w = math.sinh(a) ** 2
     c, p = 1.0 + 2.0 * w, 1.0 + w
-    rf, rd = _carlson(0.0, w, c, c, 0.0)
-    if math.isinf(t):
-        return _FOUR_PI * (1.0 - p * rf + c * p / 3.0 * rd)
-    rf_t, rd_t = _carlson(t, t + w, t + c, t + c, 0.0)
+    rf, _, rd = _carlson(0.0, w, c, c, 0.0)
+    rf_t, _, rd_t = _carlson(t, t + w, t + c, t + c, 0.0)
     lead = -p * (2.0 * t + c) / (
         math.sqrt(t + c) * (math.sqrt(t * (t + w)) + math.sqrt((t + p) * (t + c)))
     )
@@ -345,7 +350,7 @@ def area_deficit(a: float, tol: Tolerance) -> float:
     cancel, so that bound is not a relative one there.
     """
     _check_neck(a)
-    return _area_excess(a, math.inf)
+    return _neck_terms(a)[2]
 
 
 def plane_separation(a: float, r: float, tol: Tolerance) -> float:
@@ -376,19 +381,11 @@ def mvt_f(x: float, K: float) -> float:
 def concavity_terms(a: float, tol: Tolerance) -> tuple[float, float]:
     """The two terms I1(a), I2(a) whose sum is the deficit's second derivative.
 
-    I1 = phi(a) + 4 pi ((1 - K) cosh a - 1) and I2 = phi''(a) - I1.  As a
-    function of w = sinh(a)**2, phi / (4 pi) = 1 - p R_F + (c p / 3) R_D at
-    (0, w, c).  The derivatives of R_F and R_D (DLMF 19.18) and the relation
-    w R_D(0, c, w) + c R_D(0, w, c) = 3 R_F(0, w, c), Euler's identity for
-    the degree -1/2 homogeneous R_F, give d phi / dw = 4 pi (p R_D / 3 -
-    R_F / 2) and, with dw/da = sinh(2a) and cosh(2a) = c,
-    phi''(a) = 4 pi (p (c**2 + 2) R_D / 3 - (2 + 3w + 2w**2) R_F) / c.
-    Both terms are exact to rounding whatever tol is.
+    I1 = phi(a) + 4 pi ((1 - K) cosh a - 1) and I2 = phi''(a) - I1, with
+    phi and phi'' the Carlson forms of _neck_terms.  Both terms are exact to
+    rounding whatever tol is.
     """
     _check_neck(a)
-    w = math.sinh(a) ** 2
-    c, p = 1.0 + 2.0 * w, 1.0 + w
-    rf, rd = _carlson(0.0, w, c, c, 0.0)
-    second = (p * (c * c + 2.0) * rd / 3.0 - (2.0 + 3.0 * w + 2.0 * w * w) * rf) / c
-    i1 = area_deficit(a, tol) + _FOUR_PI * ((1.0 - _K) * math.cosh(a) - 1.0)
-    return i1, _FOUR_PI * second - i1
+    _, _, phi, _, second = _neck_terms(a)
+    i1 = phi + _FOUR_PI * ((1.0 - _K) * math.cosh(a) - 1.0)
+    return i1, second - i1

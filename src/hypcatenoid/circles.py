@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .catenoid import _NECK_CAP, Tolerance, gomes_rho
+from .catenoid import _NECK_CAP, Tolerance, _neck_terms, gomes_rho
 from .competitor import RegimeLabel, classify_regime
 from .constants import BracketError, ConstantsBundle, solve_root
 
@@ -98,9 +98,10 @@ def circle_from_center_radius(c: complex, rho_e: float) -> CircleAtInfinity:
     + 1) / 2) / rho_e has Minkowski norm exactly 1 and v4 - v3 = 1 / rho_e
     > 0, so it is stored as built, already unit and canonically signed.
     Recomputing the norm would cancel terms of size (|c|**2 / rho_e)**2.
-    The chart still limits a pair far from its origin compared with both
-    radii: each circle's v3 and v4 then nearly agree, and the pair's
-    inversive product loses digits.
+    A pair far from the chart origin compared with both radii (v3 and v4
+    then nearly agree), or with radii far below 1, loses digits in its
+    inversive product that no later step restores; classify --circles
+    builds the pair after moving the first circle onto the unit circle.
     """
     c = complex(c)
     if not rho_e > 0.0:
@@ -127,7 +128,9 @@ def inversive_product(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> f
 def plane_distance(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> float:
     """Hyperbolic distance between the geodesic planes spanning two circles.
 
-    Requires a disjoint pair (inversive product magnitude above 1).
+    Requires a disjoint pair (inversive product magnitude above 1).  Vectors
+    built far from the chart origin compared with both radii have already
+    lost digits (see circle_from_center_radius) that it cannot restore.
     """
     product = inversive_product(circle1, circle2)
     magnitude = abs(product)
@@ -280,8 +283,8 @@ def catenoids_for_separation(
     Above the maximal separation 2*rho(a_c) there is no solution; within
     2*abs_tol of it, the tie window the caller sets (``--tol`` on the CLI),
     the two branches merge into the single a_c; below it one root lies on
-    each side of a_c.  The outer root is sought below a = 25, the end of
-    rho's domain, so d must exceed 2*rho(25) ~ 3.3e-11.
+    each side of a_c.  The outer root is sought up to a = 25, the end of
+    rho's domain, so d below 2*rho(25) ~ 3.3e-11 raises BracketError.
     """
     if not d > 0.0:
         raise ValueError(f"plane separation must be positive, got {d}")
@@ -292,24 +295,32 @@ def catenoids_for_separation(
         a = bundle.a_c
         return CatenoidSolutions(d, ((a, classify_regime(a, bundle)),))
 
-    def residual(a: float) -> float:
-        return 2.0 * gomes_rho(a, tol) - d
+    def residual(a: float) -> tuple[float, float]:
+        rho, drho = _neck_terms(a)[:2]
+        return math.log(2.0 * rho / d), drho / rho
 
-    # rho(a) < a log(2/a) on the inner branch, and lo = d / (4 log(4/d)),
-    # half the leading-order inverse of rho = d/2, has lo log(2/lo) < d/2.
-    # solve_root stops at eps times the bracket's lower end, so a tiny inner
-    # root keeps its digits.
+    # Near the maximum each root starts at a_c -+ q on the parabola through
+    # (a_c, rho(a_c)), flat there, and (a_L, rho(a_L)).
+    q = (bundle.a_L - bundle.a_c) * math.sqrt(
+        (bundle.two_rho_ac - d) / (bundle.two_rho_ac - bundle.two_rho_aL)
+    )
+    # rho(a) < a log(2/a) on the inner branch and lo = d / (4 log(4/d)) has
+    # lo log(2/lo) < d/2, so lo is below the root; one fixed-point step of
+    # a = (d/2) / log(2/a) from 2 lo starts near it.  rho(a_c) > d/2 signs
+    # the other end, and the floor eps * lo keeps a tiny root's digits.
     lo = d / (4.0 * math.log(4.0 / d))
-    inner = solve_root(residual, lo, bundle.a_c)
-
-    hi = 2.0 * bundle.a_c
-    while residual(hi) > 0.0:
-        if hi == _NECK_CAP:
-            raise BracketError(
-                f"outer branch of 2*rho(a) = {d} not bracketed below a = {_NECK_CAP}"
-            )
-        hi = min(2.0 * hi, _NECK_CAP)
-    outer = solve_root(residual, bundle.a_c, hi)
+    start = max(0.5 * d / math.log(1.0 / lo), bundle.a_c - q)
+    inner = solve_root(residual, lo, bundle.a_c, start)
+    # rho(a) e^a rises to 2 (1 - K), so a = log(4 (1 - K) / d) lies past the
+    # outer root, and is the closer start once d < 2 rho(a_L) puts it past a_L.
+    far = math.log(4.0 * (1.0 - bundle.K) / d)
+    start = bundle.a_c + q if d >= bundle.two_rho_aL else far
+    try:
+        outer = solve_root(residual, bundle.a_c, _NECK_CAP, start)
+    except BracketError as exc:
+        raise BracketError(
+            f"outer branch of 2*rho(a) = {d} not bracketed below a = {_NECK_CAP}"
+        ) from exc
     return CatenoidSolutions(
         d,
         (

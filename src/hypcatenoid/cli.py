@@ -167,7 +167,6 @@ def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> int:
         catenoids_for_circles,
         catenoids_for_separation,
         circle_from_center_radius,
-        plane_distance,
     )
     from .competitor import classify_regime
     from .constants import constants_bundle
@@ -194,12 +193,15 @@ def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> int:
         }
     else:
         (cx1, cy1, r1), (cx2, cy2, r2) = args.circles
-        circle1 = circle_from_center_radius(complex(cx1, cy1), r1)
-        circle2 = circle_from_center_radius(complex(cx2, cy2), r2)
+        # Translating and dilating the first circle onto the unit circle is an
+        # isometry, and keeps the digits the chart loses for a far or small pair.
+        circle1 = circle_from_center_radius(0j, 1.0)
+        shift = complex((cx2 - cx1) / r1, (cy2 - cy1) / r1)
+        circle2 = circle_from_center_radius(shift, r2 / r1)
         found = catenoids_for_circles(circle1, circle2, bundle, tol)
         report = {
             "mode": "circles",
-            "distance": plane_distance(circle1, circle2),
+            "distance": found.separation,
             "solutions": _solutions_json(found.solutions),
             "bundle": _bundle_dict(bundle),
         }

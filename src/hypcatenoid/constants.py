@@ -4,10 +4,10 @@ The bundle collects: the integral constant K, the maximizer a_c of rho with
 the maximal separation 2*rho(a_c), the concavity threshold a_0, the closed
 form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
 2*rho(a_L).  K is a closed form in Gamma functions; a_c, a_0 and a_L are
-roots of closed forms (rho', mvt_f and phi), found by solve_root, which
-stops at eps times the bracket's smaller end, so no value depends on the
-tolerance.  The bundle is still computed lazily once per tolerance and
-cached.
+roots of closed forms with closed-form slopes (phi', mvt_f and phi), found
+by solve_root's safeguarded Newton iteration in 4, 7 and 6 calls to eps
+times the bracket's smaller end, so no value depends on the tolerance.  The
+bundle is still computed lazily once per tolerance and cached.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .catenoid import (
     EvaluationBudgetError,
     Tolerance,
     _K,
-    _rho_prime,
-    area_deficit,
+    _neck_terms,
     gomes_rho,
     mvt_f,
 )
@@ -73,68 +72,52 @@ class ConstantsBundle:
             )
 
 
-def solve_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Find a root of f inside the sign-changing bracket [lo, hi] (Brent's method).
+def solve_root(
+    f: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    start: float | None = None,
+) -> float:
+    """Root of f in [lo, hi] by Newton's method, safeguarded by bisection.
 
-    Combines bisection with inverse-quadratic acceleration; every iterate
-    stays inside the current bracket.  It stops once the bracket is within
-    x_tol = eps * min(|lo|, |hi|), so a root near a small bracket end keeps
-    its relative digits, and raises EvaluationBudgetError if that takes more
-    than _MAX_ITERATIONS steps.
+    f(x) returns (value, slope) and must change sign once on [lo, hi].  The
+    iteration starts at start (clamped to the bracket; the midpoint by
+    default), takes the direction of the crossing from the first slope (or
+    from f(lo) if that slope is 0), and moves the end of each iterate's sign
+    to it.  It takes the Newton step while that lands in the bracket and at
+    most halves the step before last, and bisects otherwise, until a step is
+    within x_tol = eps * min(|lo|, |hi|) plus rounding, 2 eps |x|; so a root
+    near a small end keeps its relative digits.  An end is evaluated only if
+    the iteration closes on it, raising BracketError if f has no sign change
+    there; EvaluationBudgetError after _MAX_ITERATIONS steps.
     """
     if not lo < hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
     x_tol = _EPS * min(abs(lo), abs(hi))
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(
-            f"no sign change on [{a}, {b}]: f(lo)={fa:.6e}, f(hi)={fb:.6e}"
-        )
-    c, fc = a, fa
-    d = e = b - a
+    x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
+    lo_seen = hi_seen = False  # until an iterate replaces it, an end is trusted
+    up = 0.0  # +1 if f crosses upward, -1 if downward
+    step = last = hi - lo
     for _ in range(_MAX_ITERATIONS):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * x_tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
+        value, slope = f(x)
+        if not up:
+            up = math.copysign(1.0, slope if slope else -f(lo)[0])
+        if value * up > 0.0:
+            hi, hi_seen = x, True
         else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
+            lo, lo_seen = x, True
+        newton = value / slope if slope else math.inf
+        inside = lo <= x - newton <= hi and 2.0 * abs(newton) <= abs(last)
+        last, step = step, newton if inside else x - 0.5 * (lo + hi)
+        x -= step
+        tol = x_tol + 2.0 * _EPS * abs(x)
+        if abs(step) <= tol:
+            for end, seen, sign in ((lo, lo_seen, -up), (hi, hi_seen, up)):
+                if not seen and abs(end - x) <= tol and not f(end)[0] * sign >= 0.0:
+                    raise BracketError(f"f does not change sign at the bracket end {end}")
+            return x
     raise EvaluationBudgetError(
-        f"root not bracketed to x_tol={x_tol} within {_MAX_ITERATIONS} iterations"
+        f"root not reached to x_tol={x_tol} within {_MAX_ITERATIONS} iterations"
     )
 
 
@@ -149,22 +132,29 @@ def compute_K(tol: Tolerance) -> float:
 
 
 def solve_a_c(tol: Tolerance) -> float:
-    """Maximizer a_c of rho, located as the root of rho'.
+    """Maximizer a_c of rho, located as the root of phi' = 2 pi sinh(2a) rho'.
 
     With w = sinh(a)**2, c = 1 + 2w and p = 1 + w, rho' = (2p/3) R_D(0, w, c)
-    - R_F(0, w, c), the Carlson pair of phi, and phi' = 2 pi sinh(2a) rho',
-    so a_c also maximizes phi.  rho'(a_c) = 0 is bracketed by [0.3, 0.7].
+    - R_F(0, w, c), the Carlson pair of phi, so phi' shares rho's root and
+    its slope phi'' comes from the same call (see _neck_terms).  The root
+    is bracketed by [0.3, 0.7].
     """
-    return solve_root(_rho_prime, 0.3, 0.7)
+    return solve_root(lambda a: _neck_terms(a)[3:], 0.3, 0.7)
 
 
 def solve_a_0(K: float, tol: Tolerance) -> float:
     """Unique zero of the comparison function mvt_f on (0, log(3/2)).
 
-    mvt_f is elementary and checks K itself, so the root does not depend on
-    tol.
+    mvt_f and the slope handed with it are elementary, and mvt_f checks K
+    itself, so the root does not depend on tol.
     """
-    return solve_root(lambda x: mvt_f(x, K), 1.0e-6, math.log(1.5))
+
+    def f(x: float) -> tuple[float, float]:
+        sinh, cosh = math.sinh, math.cosh
+        slope = 10.0 * (7.0 * cosh(7.0 * x) - 9.0 * (sinh(3.0 * x) + sinh(5.0 * x)))
+        return mvt_f(x, K), slope + 120.0 * (1.0 - K) * sinh(8.0 * x)
+
+    return solve_root(f, 1.0e-6, math.log(1.5))
 
 
 def solve_a_L(tol: Tolerance) -> float:
@@ -194,7 +184,7 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
     rho_max = gomes_rho(a_c, tol)
     a_0 = solve_a_0(K, tol)
     a_l = math.acosh(1.0 / (1.0 - K))
-    a_L = solve_root(lambda a: area_deficit(a, tol), a_c, a_l)
+    a_L = solve_root(lambda a: _neck_terms(a)[2:4], a_c, a_l)
     bundle = ConstantsBundle(
         K=K,
         a_c=a_c,

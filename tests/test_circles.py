@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hypcatenoid import (
+    BracketError,
     CircleAtInfinity,
     DegenerateCircleError,
     IntersectingCirclesError,
@@ -501,7 +502,41 @@ class TestCatenoidsForSeparation:
         a_outer, label_outer = found.solutions[1]
         assert 15.86 < a_outer < 25.0
         assert label_outer.kind is RegimeKind.AREA_MINIMIZING
-        assert abs(2.0 * gomes_rho(a_outer, tol) - 1e-7) <= tol.abs_tol
+        assert abs(2.0 * gomes_rho(a_outer, tol) - 1e-7) <= 1e-13 * 1e-7
+
+    def test_root_residuals_over_the_range(self, bundle, tol):
+        # 413 log-spaced separations up to just below 2 rho(a_c) = 1.0022859,
+        # and separations 10**-k below it, past the 2 abs_tol window.
+        top = math.log10(1.0022)
+        separations = [10.0 ** (-10.0 + k * (top + 10.0) / 412) for k in range(413)]
+        separations += [bundle.two_rho_ac - 10.0**-k for k in range(2, 14)]
+        for d in separations:
+            found = catenoids_for_separation(d, bundle, tol)
+            if bundle.two_rho_ac - d <= 2.0 * tol.abs_tol:
+                (a, label), = found.solutions
+                assert a == bundle.a_c and label.at_a_c
+                continue
+            (a_inner, label_inner), (a_outer, label_outer) = found.solutions
+            assert 0.0 < a_inner < bundle.a_c < a_outer <= 25.0
+            assert label_inner.kind is RegimeKind.UNSTABLE
+            outer_kind = (
+                RegimeKind.STABLE_NOT_MINIMIZING
+                if d > bundle.two_rho_aL
+                else RegimeKind.AREA_MINIMIZING
+            )
+            assert label_outer.kind is outer_kind
+            for a in (a_inner, a_outer):
+                assert abs(2.0 * gomes_rho(a, tol) - d) <= 1e-14 * d, (d, a)
+
+    def test_below_the_outer_branch_cap(self, bundle, tol):
+        # The outer root is sought up to a = 25, so d < 2 rho(25) has none.
+        two_rho_cap = 2.0 * gomes_rho(25.0, tol)
+        for d in (0.999 * two_rho_cap, 1e-11):
+            with pytest.raises(BracketError):
+                catenoids_for_separation(d, bundle, tol)
+        assert catenoids_for_separation(two_rho_cap, bundle, tol).solutions[1][0] == 25.0
+        a_outer = catenoids_for_separation(1.001 * two_rho_cap, bundle, tol).solutions[1][0]
+        assert 24.99 < a_outer < 25.0
 
     @pytest.mark.parametrize("abs_tol", (1e-8, 1e-10, 1e-12))
     def test_tiny_inner_root_relative(self, abs_tol):

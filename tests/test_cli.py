@@ -1,9 +1,12 @@
+import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import hypcatenoid
@@ -221,6 +224,45 @@ class TestClassifyCommand:
         assert code == 0
         reference = math.acosh((1e8 - 1.0 - 0.0025) / 0.1)
         assert json.loads(out)["distance"] == pytest.approx(reference, rel=1e-13)
+
+    @pytest.mark.parametrize("offset", (0.0, 3000.0, 1e4))
+    def test_far_pair_keeps_its_distance(self, capsys, offset):
+        # Two radius-0.05 circles 0.13 apart, moved by offset across the
+        # line of their centres, at distance 1.51286582171391910... (one ulp
+        # below the output):
+        # built where they stand, the pair read 1.5128658217139368 at the
+        # origin, 1.31696 at 3,000 and "intersecting" at 10**4.
+        circles = (f"0,{offset!r},0.05", f"0.13,{offset!r},0.05")
+        code, out, _ = run_cli(capsys, "classify", "--circles", *circles)
+        assert code == 0
+        assert json.loads(out)["distance"] == 1.5128658217139193
+
+    def test_far_pairs_against_closed_form(self, capsys):
+        # acosh(||c1 - c2|**2 - r1**2 - r2**2| / (2 r1 r2)) for separated and
+        # nested pairs moved out to 10**6, with the centres' difference taken
+        # exactly from the doubles the command line receives.
+        rng = random.Random(20061)
+        for _ in range(120):
+            r1, r2 = 10.0 ** rng.uniform(-3, 0), 10.0 ** rng.uniform(-3, 0)
+            if rng.random() < 0.5:
+                span = (r1 + r2) * (1.0 + 10.0 ** rng.uniform(-2, 1))
+            else:
+                span = abs(r1 - r2) * rng.uniform(0.0, 0.9)
+            c1 = cmath.rect(10.0 ** rng.uniform(0, 6), rng.uniform(0, 2 * math.pi))
+            c2 = c1 + cmath.rect(span, rng.uniform(0, 2 * math.pi))
+            code, out, _ = run_cli(
+                capsys,
+                "classify",
+                "--circles",
+                f"{c1.real!r},{c1.imag!r},{r1!r}",
+                f"{c2.real!r},{c2.imag!r},{r2!r}",
+            )
+            assert code == 0
+            with mpmath.workdps(40):
+                gap = abs(mpmath.mpc(c2) - mpmath.mpc(c1)) ** 2
+                arg = abs(gap - mpmath.mpf(r1) ** 2 - mpmath.mpf(r2) ** 2) / (2 * r1 * r2)
+                reference = float(mpmath.acosh(arg))
+            assert json.loads(out)["distance"] == pytest.approx(reference, rel=1e-13)
 
     def test_intersecting_circles(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--circles", "0,0,1", "0.5,0,1")

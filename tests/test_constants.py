@@ -34,39 +34,60 @@ TWO_RHO_AL_REF = 0.876894857279
 
 class TestSolveRoot:
     def test_linear(self):
-        assert solve_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        root = solve_root(lambda x: (x - 1.0, 1.0), 0.0, 2.0)
+        assert root == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine(self):
-        assert solve_root(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        root = solve_root(lambda x: (math.cos(x), -math.sin(x)), 1.0, 2.0)
+        assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_cube_root_of_two(self):
-        assert solve_root(lambda x: x**3 - 2.0, 1.0, 2.0) == pytest.approx(
-            2.0 ** (1.0 / 3.0), abs=1e-12
-        )
+        root = solve_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 1.0, 2.0)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
 
     def test_relative_floor(self):
         # x_tol is eps times the smaller bracket end, so a tiny root keeps
         # its relative digits.
-        root = solve_root(lambda x: x**3 - 2.7e-35, 1e-13, 1.0)
+        root = solve_root(lambda x: (x**3 - 2.7e-35, 3.0 * x * x), 1e-13, 1.0)
         assert root == pytest.approx(3e-12, rel=4.0 * sys.float_info.epsilon)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            solve_root(lambda x: x * x + 1.0, 1.0, 2.0)
+            solve_root(lambda x: (x * x + 1.0, 2.0 * x), 1.0, 2.0)
+
+    def test_no_sign_change_at_start_end(self):
+        # A start clamped onto an end whose sign is wrong is re-checked there.
+        with pytest.raises(BracketError):
+            solve_root(lambda x: (x - 3.0, 1.0), 0.0, 2.0, start=5.0)
+
+    def test_ends_not_evaluated(self):
+        # Ends whose signs the caller knows are never evaluated unless the
+        # iteration closes on them.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.log(x / 3.0), 1.0 / x
+
+        root = solve_root(f, 1e-3, 10.0, start=2.0)
+        assert root == pytest.approx(3.0, rel=4.0 * sys.float_info.epsilon)
+        assert 1e-3 not in seen and 10.0 not in seen
+        assert len(seen) <= 6
 
     def test_iteration_budget(self):
-        # A step function over 600 decades cannot be closed to the relative
-        # floor within the iteration cap.
+        # A step function over 600 decades has slope 0, so every step is a
+        # bisection, and it cannot be closed to the relative floor within the
+        # iteration cap.
         with pytest.raises(EvaluationBudgetError):
-            solve_root(lambda x: math.copysign(1.0, x - 1.0), 1e-300, 1e300)
+            solve_root(lambda x: (math.copysign(1.0, x - 1.0), 0.0), 1e-300, 1e300)
 
     def test_bracket_order(self):
         with pytest.raises(ValueError):
-            solve_root(lambda x: x - 1.5, 2.0, 1.0)
+            solve_root(lambda x: (x - 1.5, 1.0), 2.0, 1.0)
         with pytest.raises(ValueError):
-            solve_root(lambda x: x - 1.0, 1.0, 1.0)
+            solve_root(lambda x: (x - 1.0, 1.0), 1.0, 1.0)
         with pytest.raises(ValueError):
-            solve_root(lambda x: x - 1.0, math.nan, 2.0)
+            solve_root(lambda x: (x - 1.0, 1.0), math.nan, 2.0)
 
 
 class TestComputeK:

@@ -8,10 +8,11 @@ is a closed form, so every pin is 0: a nonzero count means a package path
 reached the quadrature layer again.
 
 The solver pins count calls of the f handed to solve_root, wrapped in the
-constants and circles namespaces: the calls Brent's method makes to reach
-solve_root's relative floor.  The Carlson pins count calls of _carlson in
-the catenoid namespace, one duplication sequence each, and the last pin
-checks that normalize_coaxial builds its map without applying any.
+constants and circles namespaces: the (value, slope) calls its safeguarded
+Newton iteration makes to reach solve_root's relative floor, with no call
+at a bracket end whose sign is known.  The Carlson pins count calls of
+_carlson in the catenoid namespace, one duplication sequence each, and the
+last pin checks that normalize_coaxial builds its map without applying any.
 """
 
 import math
@@ -159,7 +160,7 @@ def count_solver_calls(monkeypatch):
     """Run fn and return the f-call count of each solve_root call, in order."""
     solves = []
 
-    def counted_solve(f, lo, hi):
+    def counted_solve(f, lo, hi, start=None):
         solves.append(0)
         index = len(solves) - 1
 
@@ -167,7 +168,7 @@ def count_solver_calls(monkeypatch):
             solves[index] += 1
             return f(x)
 
-        return solve_root(g, lo, hi)
+        return solve_root(g, lo, hi, start)
 
     for namespace in (constants, circles):
         monkeypatch.setattr(namespace, "solve_root", counted_solve)
@@ -182,8 +183,8 @@ def count_solver_calls(monkeypatch):
 
 def test_cold_bundle_solver_calls(count_solver_calls, monkeypatch):
     monkeypatch.setattr(constants, "_CACHE", {})
-    # rho' for a_c, mvt_f for a_0, phi for a_L.
-    assert count_solver_calls(lambda: constants_bundle(TOL)) == [10, 11, 12]
+    # phi' for a_c, mvt_f for a_0, phi for a_L.
+    assert count_solver_calls(lambda: constants_bundle(TOL)) == [4, 7, 6]
 
 
 def test_circles_solver_calls(count_solver_calls):
@@ -191,13 +192,14 @@ def test_circles_solver_calls(count_solver_calls):
     inner = circle_from_center_radius(0j, 1.0)
     outer = circle_from_center_radius(0j, 2.2)
     solves = count_solver_calls(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
-    assert solves == [10, 9]
+    assert solves == [5, 5]
 
 
 def test_tiny_separation_solver_calls(count_solver_calls):
     bundle = constants_bundle(TOL)
     solves = count_solver_calls(lambda: catenoids_for_separation(1e-9, bundle, TOL))
-    assert solves == [9, 15]
+    # The outer root's asymptotic start is already exact to rounding.
+    assert solves == [4, 1]
 
 
 def test_solver_budget_calls():
@@ -206,11 +208,12 @@ def test_solver_budget_calls():
     def step(x):
         nonlocal calls
         calls += 1
-        return math.copysign(1.0, x - 1.0)
+        return math.copysign(1.0, x - 1.0), 0.0
 
     with pytest.raises(EvaluationBudgetError):
         solve_root(step, 1e-300, 1e300)
-    assert calls == 102  # both bracket ends, then the 100-iteration cap
+    # The 100-iteration cap, and f(lo) for the direction, as every slope is 0.
+    assert calls == 101
 
 
 
@@ -238,14 +241,29 @@ def count_calls(monkeypatch):
 
 
 def test_rho_prime_carlson_calls(count_calls):
+    # rho, rho', phi and both slopes of phi, for every residual and slope
+    # the solvers use, come from one duplication sequence.
     for a in (0.01, 0.5, 3.0):
-        assert count_calls(catenoid, "_carlson", lambda: catenoid._rho_prime(a)) == 1
+        assert count_calls(catenoid, "_carlson", lambda: catenoid._neck_terms(a)) == 1
 
 
 def test_cold_bundle_carlson_calls(count_calls, monkeypatch):
     monkeypatch.setattr(constants, "_CACHE", {})
-    # 10 rho' calls for a_c, rho(a_c), 12 phi calls for a_L, rho(a_L).
-    assert count_calls(catenoid, "_carlson", lambda: constants_bundle(TOL)) == 24
+    # 4 phi' calls for a_c, rho(a_c), 6 phi calls for a_L, rho(a_L).
+    assert count_calls(catenoid, "_carlson", lambda: constants_bundle(TOL)) == 12
+
+
+def test_separation_carlson_calls(count_calls):
+    # One call per residual: rho and rho' come from one duplication sequence.
+    bundle = constants_bundle(TOL)
+    tiny = count_calls(catenoid, "_carlson", lambda: catenoids_for_separation(1e-9, bundle, TOL))
+    assert tiny == 5
+    inner = circle_from_center_radius(0j, 1.0)
+    outer = circle_from_center_radius(0j, 2.2)
+    pair = count_calls(
+        catenoid, "_carlson", lambda: catenoids_for_circles(inner, outer, bundle, TOL)
+    )
+    assert pair == 10
 
 
 def test_normalize_coaxial_applies_no_isometry(count_calls):

@@ -17,9 +17,17 @@ relative; rho' to 1e-14 * max(1, |rho'|); phi and Phi to
 The package computes rho' from phi's Carlson pair through the identity
 phi'(a) = 2 pi sinh(2a) rho'(a); test_phi_rho_identity checks it between
 the two oracles alone, with phi' the complex-step derivative of phi.
+
+The Carlson tests alone call mpmath's elliprf, elliprj and elliprd: they
+hold the one duplication sequence that yields R_F, R_J and R_D together to
+1e-15 relative, and the solvers' slopes phi' and phi'' (and with them
+rho'' = (phi'' - 4 pi cosh(2a) rho') / (2 pi sinh(2a))) to mpmath's
+derivative of the closed form of rho'.
 """
 
 import functools
+import hashlib
+import math
 
 import mpmath
 import pytest
@@ -35,7 +43,7 @@ from hypcatenoid import (
     constants_bundle,
     gomes_rho,
 )
-from hypcatenoid.catenoid import _rho_prime
+from hypcatenoid.catenoid import _K, _carlson, _neck_terms
 
 TOLERANCES = (1e-8, 1e-10, 1e-12)
 NECKS = (0.05, 0.3, 0.8, 2.0)
@@ -45,6 +53,8 @@ AREA_POINTS = (
     (0.6, 0.6 + 1e-7), (0.3, 0.3 + 1e-3), (0.8, 1.3), (1.5, 4.5), (0.6, 20.0)
 )
 DIGITS = 30
+# Neck distances log-spaced over the package's domain [1e-6, 25].
+SPAN = tuple(10.0 ** (-6.0 + k * (math.log10(25.0) + 6.0) / 24) for k in range(25))
 STEP = mpf("1e-20")  # complex step: truncation error ~ STEP**2
 
 
@@ -187,7 +197,7 @@ class TestQuadratureValues:
     def test_rho_prime(self, abs_tol):
         for a in (1e-4,) + NECKS + (float(oracle_a_c()),):
             reference = oracle_drho(a)
-            _close(_rho_prime(a), reference, _scaled(reference, 1e-14))
+            _close(_neck_terms(a)[1], reference, _scaled(reference, 1e-14))
 
     def test_phi(self, abs_tol):
         tol = Tolerance(abs_tol=abs_tol)
@@ -250,3 +260,63 @@ def test_phi_rho_identity():
             dphi = mpmath.im(_phi(mpf(a) + 1j * STEP)) / STEP
             expected = 2 * mpmath.pi * mpmath.sinh(2 * mpf(a)) * oracle_drho(a)
             _close(dphi, expected, _scaled(expected, 1e-25))
+
+
+def test_carlson_one_pass():
+    """R_F, R_J and R_D at (0, w, 1 + 2w, 1 + w) against mpmath."""
+    for a in SPAN:
+        w = math.sinh(a) ** 2
+        c, p = 1.0 + 2.0 * w, 1.0 + w
+        values = _carlson(0.0, w, c, p, -w * p)
+        with mp.workdps(DIGITS):
+            x, y, z = mpf(0), mpf(w), mpf(c)
+            references = (
+                mpmath.elliprf(x, y, z),
+                mpmath.elliprj(x, y, z, mpf(p)),
+                mpmath.elliprd(x, y, z),
+            )
+        for value, reference in zip(values, references):
+            _close(value, reference, 1e-15 * float(reference))
+
+
+def test_rho_bits_pinned():
+    """rho's R_J path is pinned bit for bit on 401 necks over [1e-6, 25]."""
+    tol = Tolerance()
+    necks = [10.0 ** (-6.0 + k * (math.log10(25.0) + 6.0) / 400) for k in range(400)]
+    bits = ",".join(gomes_rho(a, tol).hex() for a in necks + [25.0])
+    digest = hashlib.sha256(bits.encode()).hexdigest()
+    assert digest == "61564c2fc21263dc25ea7d2bf5b61cdee4fbfe1592cded4b998bd6559360b7e4"
+
+
+def test_rho_asymptote():
+    """rho(a) e**a rises to 2 (1 - K) = 1.19814023473559..."""
+    limit = 2.0 * (1.0 - _K)
+    assert limit == pytest.approx(1.19814023473559, abs=1e-14)
+    for a in (20.0, 25.0):
+        assert gomes_rho(a, Tolerance()) * math.exp(a) == pytest.approx(limit, rel=1e-15)
+
+
+def _drho_closed(a):
+    w = mpmath.sinh(a) ** 2
+    c = 1 + 2 * w
+    return 2 * (1 + w) / 3 * mpmath.elliprd(0, w, c) - mpmath.elliprf(0, w, c)
+
+
+def test_solver_slopes():
+    """phi', phi'' and rho'' from one Carlson call against mpmath."""
+    for a in (1e-3, 0.05, 0.3, float(oracle_a_c()), 0.8, 2.0, 5.0, 12.0):
+        _, drho, _, dphi, d2phi = _neck_terms(a)
+        d2rho = (d2phi - 4.0 * math.pi * math.cosh(2.0 * a) * drho) / (
+            2.0 * math.pi * math.sinh(2.0 * a)
+        )
+        with mp.workdps(DIGITS):
+            t = mpf(a)
+            slope = _drho_closed(t)
+            curvature = mpmath.diff(_drho_closed, t)
+            ref_dphi = 2 * mpmath.pi * mpmath.sinh(2 * t) * slope
+            ref_d2phi = 4 * mpmath.pi * mpmath.cosh(2 * t) * slope + (
+                2 * mpmath.pi * mpmath.sinh(2 * t) * curvature
+            )
+        _close(d2rho, curvature, 1e-14 * abs(float(curvature)))
+        _close(dphi, ref_dphi, _scaled(ref_dphi, 1e-14))
+        _close(d2phi, ref_d2phi, _scaled(ref_d2phi, 1e-14))
