@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -434,3 +435,66 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert "a_L" in result.stdout
+
+
+# Every README "Command line" example, more writer paths and the error
+# cases, each pinned as the sha256 of its exit code, stdout, stderr and
+# every file it leaves in its working directory.
+GOLDEN = {
+    "constants":
+        "39cd2c79a0917483cbbbabcb0e495f604994b96a7e3b88418b6a6544b4fc0fbd",
+    "constants --json":
+        "9e379f64baa7bc88c777ac73a40683519a5b74a5697da83586bed9b779efee48",
+    "sweep rho --lo 0.01 --hi 3 --n 300":
+        "fc59ffcb666a92ceb0b4fee640d5e4190ebbf83104578cd9e7b6a9f4acd807ae",
+    "sweep phi --json":
+        "60c2536cba94cf236a799946535180071ded080608b30e23777ddfc7e99fe148",
+    "classify --a 0.6":
+        "2a54194a7633211506e46fc45ec2ee37c48c264b37d43be67c69853954546bb3",
+    "classify --distance 0.8":
+        "3e646b1f226df377569f2e2343f973567ffc8b0236bc5da48b19fac9ed325f95",
+    "classify --circles 0,0,1 0,0,2.2":
+        "476504f1e6f24a249bd4033ab6875e4def26971fec0f13a632420d2e11100586",
+    "catenary --a 0.5 --y-max 2.5 --n 100":
+        "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
+    "compete --a 0.6 --r 3 --json":
+        "808abdb60aa494c9a4b02e9c91f948976d7c761cc857c10eb27cef7f69588827",
+    "mesh --a 0.6 --y-max 3 --out tube.obj":
+        "57bfedd84c17e5f7737fcd854333ebc01e2f5ae210d77ecb2b4c4ec46e57173d",
+    "constants --out constants.txt":
+        "3d4a0d54060b2c112b98b0e79f667066f06da1765a09761c05c566c6c5395078",
+    "sweep rho --lo 0 --hi 1 --n 3":
+        "4df9569fb03768c4be98f9aad1281a9dd99bf1a55086ee8887178b61325acca5",
+    "classify --distance 1.5 --out classify.json":
+        "10bb2e40c532437f19f542c26c6b3ebdf9e16a7c026f728313eb6627aba25ec9",
+    "catenary --a 0.5 --y-max 2.5 --n 5 --json":
+        "6e9d72366fd45d5b27add24dc5ab1e2e57ef0df39d8ac2b37ed7d84b29db6da3",
+    "compete --a 0.6 --r 3":
+        "8d02e119dd9f7555d5fffca32a2d8a07dc7345217597445c9bcdbdc66a603199",
+    "compete --a 1.0 --r 3":
+        "901904fceda29d3206521fa7d19006b7ffc0de61df0d83082ae27826072d6c47",
+    "compete --a 0.6 --r 3 --s 0.05":
+        "1cc523be70ac194beb989bdf213925e1d727bc8eca1872078592abeaa7e1b715",
+    "compete --a 0.6 --r 3 --s 0.05 --json --out compete.json":
+        "dd1d529bc89e92fb2dc29cfd5fa09ca509b4c0f1c043bc01ee4bcff2338d4200",
+    "mesh --a 0.6 --y-max 2 --n-profile 6 --n-angle 8 --out m.obj --json":
+        "5bfc4042fd4e695ae79dd7beac0dbf9201b785702ed2f8f4155dcac907d7794b",
+    "compete --a 0.6 --r 0.5":
+        "b3d060984bff267607014622f9870c3eed29483df827c2479e39a9a7b20d5a0b",
+    "mesh --a 0.6 --y-max 3":
+        "2074d73518b5544825da9fba5f858e1f9ca60886c656062109b118be0c81a727",
+    "classify --circles 0,0,1 0.5,0,1":
+        "868af710317c78c8e6d6dc8dece759dada2be24836f57b1da624614ca6c01a12",
+    "sweep rho --lo 2 --hi 1":
+        "8a86a22f54a4bb3f28ad1ebf1083558801dface7adac5ec2a026854114deda3b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_transcript(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    files = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+    record = repr((code, captured.out, captured.err, files)).encode()
+    assert hashlib.sha256(record).hexdigest() == GOLDEN[argv]
