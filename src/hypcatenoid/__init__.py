@@ -47,6 +47,7 @@ _EXPORTS = {
         "catenoids_for_circles",
         "catenoids_for_separation",
         "circle_from_center_radius",
+        "circle_pair",
         "inversive_product",
         "normalize_coaxial",
         "plane_distance",

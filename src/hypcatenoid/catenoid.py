@@ -128,12 +128,9 @@ _DUPLICATION_SPREAD = (sys.float_info.epsilon / 4.0) ** (1.0 / 6.0)
 
 
 def _rc_unit(e: float) -> float:
-    """Carlson's R_C(1, 1 + e) for e > -1: atan(sqrt(e)) / sqrt(e), or atanh."""
-    if abs(e) < 1.0e-4:
+    """Carlson's R_C(1, 1 + e) = atanh(sqrt(-e)) / sqrt(-e) for -1 < e <= 0."""
+    if e > -1.0e-4:
         return 1.0 - e * (1.0 / 3.0 - e * (0.2 - e / 7.0))
-    if e > 0.0:
-        s = math.sqrt(e)
-        return math.atan(s) / s
     s = math.sqrt(-e)
     return math.atanh(s) / s
 
@@ -158,9 +155,10 @@ def _carlson(
 ) -> tuple[float, float, float]:
     """Carlson's R_F(x, y, z), R_J(x, y, z, p) and R_D(x, y, z) from one sequence.
 
-    x, y, z >= 0 with at most one zero, p > 0, and gap = (p-x)(p-y)(p-z)
-    supplied exactly by the caller.  Each step moves every argument v to
-    (v + lam) / 4, which leaves R_F unchanged and changes R_J and R_D =
+    x, y, z >= 0 with at most one zero, p > 0, and gap = (p-x)(p-y)(p-z),
+    supplied exactly by the caller, <= 0, so each R_C term is an atanh or
+    its series.  Each step moves every argument v to (v + lam) / 4, which
+    leaves R_F unchanged and changes R_J and R_D =
     R_J(x, y, z, z) by known R_C terms (R_C(1, 1) = 1 for R_D), until the
     arguments agree closely enough for a fifth-order series about their mean
     (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.i).  The first R_C

@@ -32,15 +32,11 @@ __all__ = [
     "catenoids_for_circles",
     "catenoids_for_separation",
     "circle_from_center_radius",
+    "circle_pair",
     "inversive_product",
     "normalize_coaxial",
     "plane_distance",
 ]
-
-# Pairs with inversive product magnitude within this margin of 1 are treated
-# as tangent; the underlying theory requires strictly disjoint circles.
-_TANGENCY_MARGIN = 1.0e-12
-
 
 class IntersectingCirclesError(ValueError):
     """Raised for circle pairs that intersect or touch; no plane distance exists."""
@@ -100,22 +96,42 @@ def circle_from_center_radius(c: complex, rho_e: float) -> CircleAtInfinity:
     Recomputing the norm would cancel terms of size (|c|**2 / rho_e)**2.
     A pair far from the chart origin compared with both radii (v3 and v4
     then nearly agree), or with radii far below 1, loses digits in its
-    inversive product that no later step restores; classify --circles
-    builds the pair after moving the first circle onto the unit circle.
+    inversive product that no later step restores; circle_pair builds the
+    pair after moving the first circle onto the unit circle.
     """
     c = complex(c)
     if not rho_e > 0.0:
         raise ValueError(f"radius must be positive, got {rho_e}")
     if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(rho_e)):
         raise ValueError(f"circle parameters must be finite, got c={c}, rho_e={rho_e}")
-    power = c.real * c.real + c.imag * c.imag - rho_e * rho_e  # of the origin
+    norm = c.real * c.real + c.imag * c.imag
     half_inv = 0.5 / rho_e
-    v3, v4 = (power - 1.0) * half_inv, (power + 1.0) * half_inv
+    # 1 - rho_e**2 as a product keeps its digits for radii near 1.
+    v3 = (norm - rho_e * rho_e - 1.0) * half_inv
+    v4 = (norm + (1.0 - rho_e) * (1.0 + rho_e)) * half_inv
     if not v4 > v3:
         raise DegenerateCircleError(
             f"circle of radius {rho_e} at {c} does not fit the inversive chart"
         )
     return CircleAtInfinity((c.real / rho_e, c.imag / rho_e, v3, v4))
+
+
+def circle_pair(
+    c1: complex, r1: float, c2: complex, r2: float
+) -> tuple[CircleAtInfinity, CircleAtInfinity]:
+    """Two circles of centres c1, c2 and radii r1, r2, moved by z -> (z - c1) / r1.
+
+    Translating and dilating is an isometry, so plane distances and
+    catenoids are unchanged; with the first circle on the unit circle, the
+    pair keeps the digits it would lose if built far from the chart origin
+    or with radii far below 1 (see circle_from_center_radius).
+    """
+    if not r1 > 0.0:
+        raise ValueError(f"radius must be positive, got {r1}")
+    shift = complex(c2) - complex(c1)
+    shift = complex(shift.real / r1, shift.imag / r1)
+    unit = circle_from_center_radius(0j, 1.0)
+    return unit, circle_from_center_radius(shift, r2 / r1)
 
 
 def inversive_product(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> float:
@@ -125,20 +141,42 @@ def inversive_product(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> f
     return u1 * w1 + u2 * w2 + u3 * w3 - u4 * w4
 
 
+def _disjoint_excess(
+    circle1: CircleAtInfinity, circle2: CircleAtInfinity
+) -> tuple[float, float]:
+    """The inversive product p and |p| - 1 > 0, or IntersectingCirclesError.
+
+    For unit vectors u, w and n = u - sign(p) w, |p| - 1 = -<n, n> / 2.  When
+    n is small against the terms of p, the pair is near tangency or near
+    coincidence and p - sign(p) cancels, while <n, n> keeps its digits; so
+    the sign of |p| - 1 decides disjointness with no margin.
+    """
+    u, w = circle1.coords, circle2.coords
+    p = inversive_product(circle1, circle2)
+    n1, n2, n3, n4 = (ui - math.copysign(1.0, p) * wi for ui, wi in zip(u, w))
+    spatial = n1 * n1 + n2 * n2 + n3 * n3
+    if spatial + n4 * n4 < sum(abs(ui * wi) for ui, wi in zip(u, w)):
+        excess = 0.5 * (n4 * n4 - spatial)
+    else:
+        excess = abs(p) - 1.0
+    if not excess > 0.0:
+        raise IntersectingCirclesError(
+            f"circles intersect or are tangent (inversive product {p})"
+        )
+    return p, excess
+
+
 def plane_distance(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> float:
     """Hyperbolic distance between the geodesic planes spanning two circles.
 
-    Requires a disjoint pair (inversive product magnitude above 1).  Vectors
-    built far from the chart origin compared with both radii have already
-    lost digits (see circle_from_center_radius) that it cannot restore.
+    Requires a disjoint pair (inversive product magnitude above 1).  The
+    distance d has cosh d = |p|, computed as 2 asinh(sqrt((|p| - 1) / 2)) so
+    that a near-tangent pair keeps its digits.  Vectors built far from the
+    chart origin compared with both radii have already lost digits (see
+    circle_from_center_radius) that it cannot restore.
     """
-    product = inversive_product(circle1, circle2)
-    magnitude = abs(product)
-    if magnitude <= 1.0 + _TANGENCY_MARGIN:
-        raise IntersectingCirclesError(
-            f"circles intersect or are tangent (inversive product {product})"
-        )
-    return math.acosh(magnitude)
+    excess = _disjoint_excess(circle1, circle2)[1]
+    return 2.0 * math.asinh(math.sqrt(0.5 * excess))
 
 
 @dataclass(frozen=True)
@@ -254,11 +292,9 @@ def normalize_coaxial(
     one; log of the radii ratio then reproduces the plane distance.
     Separated, nested, concentric and line pairs all take this one path.
     """
-    p = inversive_product(circle1, circle2)
-    if abs(p) <= 1.0 + _TANGENCY_MARGIN:
-        raise IntersectingCirclesError("coaxial normalization needs a disjoint pair")
+    p, excess = _disjoint_excess(circle1, circle2)
     # The root of larger magnitude avoids cancellation; the roots multiply to 1.
-    t = -p - math.copysign(math.sqrt((abs(p) - 1.0) * (abs(p) + 1.0)), p)
+    t = -p - math.copysign(math.sqrt(excess * (excess + 2.0)), p)
     (x1, y1), (x2, y2) = (
         _limit_point(circle1.coords, circle2.coords, root) for root in (t, 1.0 / t)
     )

@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 on usage errors, 2 on numerical or I/O failure.
 
+Each subcommand builds its payload from library calls and hands it, with
+its text form if it has one, to one writer, _emit: the text goes to --out
+or stdout, or the payload as JSON under --json or without a text form.
+mesh writes the OBJ file to --out, so its summary always goes to stdout.
 Each subcommand imports the modules it needs when it runs, and json only
 when it emits JSON, so a run compiles no module it does not use.
 """
@@ -9,6 +13,7 @@ when it emits JSON, so a run compiles no module it does not use.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -52,31 +57,31 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _json(value) -> str:
-    import json
+def _emit(args: argparse.Namespace, payload, text: str | None = None) -> None:
+    """Write text, or payload as JSON under --json or without a text form."""
+    if args.json or text is None:
+        import json
 
-    return json.dumps(value, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as handle:
+        with open(args.out, "w", newline="\n") as handle:
             handle.write(text)
 
 
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(f"{_fmt(u)},{_fmt(v)}\n" for u, v in rows)
+
+
+# Bundle fields in output order; the constants table leaves out rho_max.
+_BUNDLE_FIELDS = (
+    "K", "a_c", "two_rho_ac", "a_0", "a_l", "a_L", "two_rho_aL", "rho_max"
+)
+
+
 def _bundle_dict(bundle: ConstantsBundle) -> dict[str, float]:
-    return {
-        "K": bundle.K,
-        "a_c": bundle.a_c,
-        "two_rho_ac": bundle.two_rho_ac,
-        "a_0": bundle.a_0,
-        "a_l": bundle.a_l,
-        "a_L": bundle.a_L,
-        "two_rho_aL": bundle.two_rho_aL,
-        "rho_max": bundle.rho_max,
-    }
+    return {name: getattr(bundle, name) for name in _BUNDLE_FIELDS}
 
 
 def _circle_literal(text: str) -> tuple[float, float, float]:
@@ -92,180 +97,108 @@ def _circle_literal(text: str) -> tuple[float, float, float]:
     return cx, cy, r
 
 
-def _solutions_json(solutions) -> list[dict]:
-    return [
-        {
-            "a": a,
-            "kind": label.kind.value,
-            "at_a_c": label.at_a_c,
-            "at_a_L": label.at_a_L,
-        }
-        for a, label in solutions
-    ]
+def _solution(a: float, label) -> dict:
+    return {
+        "a": a,
+        "kind": label.kind.value,
+        "at_a_c": label.at_a_c,
+        "at_a_L": label.at_a_L,
+    }
 
 
-def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> None:
     from .constants import constants_bundle
 
-    bundle = constants_bundle(tol)
-    fields = [
-        ("K", bundle.K),
-        ("a_c", bundle.a_c),
-        ("two_rho_ac", bundle.two_rho_ac),
-        ("a_0", bundle.a_0),
-        ("a_l", bundle.a_l),
-        ("a_L", bundle.a_L),
-        ("two_rho_aL", bundle.two_rho_aL),
-    ]
-    if args.json:
-        text = _json(dict(fields))
-    else:
-        width = max(len(name) for name, _ in fields)
-        text = "".join(f"{name:<{width}} = {_fmt(value)}\n" for name, value in fields)
-    _emit(text, args.out)
-    return 0
+    fields = _bundle_dict(constants_bundle(tol))
+    del fields["rho_max"]
+    width = max(map(len, fields))
+    text = "".join(f"{name:<{width}} = {_fmt(v)}\n" for name, v in fields.items())
+    _emit(args, fields, text)
 
 
-def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> None:
     if not 0.0 <= args.lo < args.hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={args.lo}, hi={args.hi}")
     if args.n < 2:
         raise ValueError(f"need at least 2 sweep points, got n={args.n}")
-
-    def value_at(a: float) -> float:
-        if a == 0.0:
-            # The degenerate catenoid collapses onto the doubled disk.
-            return 0.0
-        if args.quantity == "rho":
-            return gomes_rho(a, tol)
-        return area_deficit(a, tol)
-
+    quantity = gomes_rho if args.quantity == "rho" else area_deficit
     step = (args.hi - args.lo) / (args.n - 1)
     abscissas = [args.lo + i * step for i in range(args.n)]
-    values = [value_at(a) for a in abscissas]
-    argmax_a = abscissas[max(range(args.n), key=values.__getitem__)]
-
-    if args.json:
-        text = _json(
-            {
-                "quantity": args.quantity,
-                "tolerance": tol.abs_tol,
-                "abscissas": abscissas,
-                "values": values,
-                "argmax_a": argmax_a,
-            }
-        )
-    else:
-        rows = [f"{_fmt(a)},{_fmt(v)}\n" for a, v in zip(abscissas, values)]
-        text = "a,value\n" + "".join(rows)
-    _emit(text, args.out)
-    return 0
+    # The degenerate catenoid at a = 0 collapses onto the doubled disk.
+    values = [quantity(a, tol) if a != 0.0 else 0.0 for a in abscissas]
+    payload = {
+        "quantity": args.quantity,
+        "tolerance": tol.abs_tol,
+        "abscissas": abscissas,
+        "values": values,
+        "argmax_a": abscissas[max(range(args.n), key=values.__getitem__)],
+    }
+    _emit(args, payload, _csv("a,value", zip(abscissas, values)))
 
 
-def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> int:
-    from .circles import (
-        catenoids_for_circles,
-        catenoids_for_separation,
-        circle_from_center_radius,
-    )
+def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> None:
+    from .circles import catenoids_for_circles, catenoids_for_separation, circle_pair
     from .competitor import classify_regime
     from .constants import constants_bundle
 
     bundle = constants_bundle(tol)
     if args.a is not None:
-        label = classify_regime(args.a, bundle)
         report = {
             "mode": "neck",
-            "a": args.a,
-            "kind": label.kind.value,
-            "at_a_c": label.at_a_c,
-            "at_a_L": label.at_a_L,
+            **_solution(args.a, classify_regime(args.a, bundle)),
             "separation": 2.0 * gomes_rho(args.a, tol),
-            "bundle": _bundle_dict(bundle),
-        }
-    elif args.distance is not None:
-        found = catenoids_for_separation(args.distance, bundle, tol)
-        report = {
-            "mode": "separation",
-            "distance": found.separation,
-            "solutions": _solutions_json(found.solutions),
-            "bundle": _bundle_dict(bundle),
         }
     else:
-        (cx1, cy1, r1), (cx2, cy2, r2) = args.circles
-        # Translating and dilating the first circle onto the unit circle is an
-        # isometry, and keeps the digits the chart loses for a far or small pair.
-        circle1 = circle_from_center_radius(0j, 1.0)
-        shift = complex((cx2 - cx1) / r1, (cy2 - cy1) / r1)
-        circle2 = circle_from_center_radius(shift, r2 / r1)
-        found = catenoids_for_circles(circle1, circle2, bundle, tol)
+        if args.distance is not None:
+            found = catenoids_for_separation(args.distance, bundle, tol)
+            mode = "separation"
+        else:
+            (cx1, cy1, r1), (cx2, cy2, r2) = args.circles
+            pair = circle_pair(complex(cx1, cy1), r1, complex(cx2, cy2), r2)
+            found = catenoids_for_circles(*pair, bundle, tol)
+            mode = "circles"
         report = {
-            "mode": "circles",
+            "mode": mode,
             "distance": found.separation,
-            "solutions": _solutions_json(found.solutions),
-            "bundle": _bundle_dict(bundle),
+            "solutions": [_solution(a, label) for a, label in found.solutions],
         }
-    _emit(_json(report), args.out)
-    return 0
+    report["bundle"] = _bundle_dict(bundle)
+    _emit(args, report)
 
 
-def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> int:
-    sample = sample_catenary(args.a, args.y_max, args.n, tol)
-    if args.json:
-        text = _json(
-            {
-                "a": args.a,
-                "y_max": args.y_max,
-                "points": [[x, y] for x, y in sample.points],
-            }
-        )
-    else:
-        rows = [f"{_fmt(x)},{_fmt(y)}\n" for x, y in sample.points]
-        text = "x,y\n" + "".join(rows)
-    _emit(text, args.out)
-    return 0
+def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> None:
+    points = sample_catenary(args.a, args.y_max, args.n, tol).points
+    payload = {"a": args.a, "y_max": args.y_max, "points": [[x, y] for x, y in points]}
+    _emit(args, payload, _csv("x,y", points))
 
 
-def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> None:
     from .competitor import _margin, competitor_area, find_cheaper_competitor
 
     if args.s is not None:
         competitor = competitor_area(args.a, args.r, args.s, tol)
         area = area_difference(args.a, args.r, tol)
         L = plane_separation(args.a, args.r, tol)
-        margin = _margin(area.phi_a_r, L, args.s)
         report = {
             "a": args.a,
             "r": args.r,
             "s": args.s,
             "area_catenoid": area.tube_area,
             "area_competitor": competitor,
-            "margin": margin,
-            "witness": margin > 0.0,
+            "margin": _margin(area.phi_a_r, L, args.s),
         }
     else:
-        found = find_cheaper_competitor(args.a, args.r, tol)
-        report = {
-            "a": found.a,
-            "r": found.r,
-            "s": found.s,
-            "area_catenoid": found.area_catenoid,
-            "area_competitor": found.area_competitor,
-            "margin": found.margin,
-            "witness": found.margin is not None,
-        }
-    if args.json:
-        text = _json(report)
-    else:
-        text = "".join(
-            f"{key} = {value if not isinstance(value, float) else _fmt(value)}\n"
-            for key, value in report.items()
-        )
-    _emit(text, args.out)
-    return 0
+        report = dataclasses.asdict(find_cheaper_competitor(args.a, args.r, tol))
+    # The search reports a margin only when it is positive.
+    report["witness"] = report["margin"] is not None and report["margin"] > 0.0
+    text = "".join(
+        f"{key} = {_fmt(value) if isinstance(value, float) else value}\n"
+        for key, value in report.items()
+    )
+    _emit(args, report, text)
 
 
-def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int | None:
     if args.out is None:
         print("hypcatenoid mesh: error: --out PATH is required", file=sys.stderr)
         return 1
@@ -279,14 +212,9 @@ def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int:
         "a": args.a,
         "y_max": args.y_max,
     }
-    if args.json:
-        sys.stdout.write(_json(summary))
-    else:
-        sys.stdout.write(
-            f"wrote {args.out}: {summary['vertices']} vertices, "
-            f"{summary['faces']} faces\n"
-        )
-    return 0
+    text = f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces\n"
+    args.out = None  # --out named the OBJ file; the summary goes to stdout
+    _emit(args, summary, text)
 
 
 def _build_parser() -> _Parser:
@@ -362,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = Tolerance(abs_tol=args.tol)
-        return args.handler(args, tol)
+        return args.handler(args, tol) or 0
     except (
         EvaluationBudgetError,
         ConsistencyError,

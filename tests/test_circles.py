@@ -18,6 +18,7 @@ from hypcatenoid import (
     catenoids_for_circles,
     catenoids_for_separation,
     circle_from_center_radius,
+    circle_pair,
     constants_bundle,
     gomes_rho,
     inversive_product,
@@ -32,6 +33,8 @@ ROOTS_08 = (0.208851818955, 0.980635751523)
 ROOTS_095 = (0.33514006972, 0.702753813899)
 # mpmath root of 2*rho(a) = 1e-9 on the inner branch.
 INNER_ROOT_1E9 = 1.998203049352599e-11
+# Concentric partners of the unit circle at plane distance ~ 1e-6 to 1e-12.
+NEAR_UNIT_RADII = [1.0 + sign * 10.0**-k for sign in (1, -1) for k in range(6, 13)]
 
 
 def _norm_sq(circle):
@@ -92,6 +95,9 @@ class TestCircleAtInfinity:
             circle_from_center_radius(0.0j, -2.0)
         with pytest.raises(ValueError):
             circle_from_center_radius(complex(math.inf, 0.0), 1.0)
+        for r1, r2 in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                circle_pair(0.0j, r1, 2.0 + 0.0j, r2)
 
     def test_beyond_chart_precision_rejected(self):
         # |c|^2 - rho^2 +- 1 round to one double, so v4 - v3 = 1 / rho is lost.
@@ -122,6 +128,12 @@ class TestPlaneDistance:
         circle1 = circle_from_center_radius(0.0j, 1.0)
         circle2 = circle_from_center_radius(0.0j, math.e)
         assert plane_distance(circle1, circle2) == pytest.approx(1.0, abs=1e-12)
+        # Near coincidence |p| - 1 ~ (r - 1)**2 / 2 is read from <n, n>, so
+        # the distance |log r| keeps its digits down to r - 1 = 1e-12.
+        for radius in NEAR_UNIT_RADII:
+            circle2 = circle_from_center_radius(0.0j, radius)
+            distance = plane_distance(circle1, circle2)
+            assert distance == pytest.approx(abs(math.log(radius)), rel=1e-14)
 
     def test_identical_circles_rejected(self):
         circle = circle_from_center_radius(1.0 + 1.0j, 2.0)
@@ -348,12 +360,13 @@ class TestNormalizeCoaxial:
         assert image2.radius / image1.radius == pytest.approx(3.0, rel=1e-10)
 
     def test_concentric_larger_first_gets_inverted(self):
-        circle1 = circle_from_center_radius(0.0j, 3.0)
         circle2 = circle_from_center_radius(0.0j, 1.0)
-        mapping = normalize_coaxial(circle1, circle2)
-        image1 = apply_isometry(mapping, circle1)
-        image2 = apply_isometry(mapping, circle2)
-        assert image1.radius < image2.radius
+        for radius in (3.0, *NEAR_UNIT_RADII):
+            circle1 = circle_from_center_radius(0.0j, radius)
+            mapping = normalize_coaxial(circle1, circle2)
+            image1 = apply_isometry(mapping, circle1)
+            image2 = apply_isometry(mapping, circle2)
+            assert image1.radius < image2.radius
 
     def test_separated_pair(self):
         circle1 = circle_from_center_radius(0.0j, 1.0)

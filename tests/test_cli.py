@@ -11,7 +11,14 @@ import mpmath
 import pytest
 
 import hypcatenoid
-from hypcatenoid import area_difference, gomes_rho, plane_separation, tube_area
+from hypcatenoid import (
+    area_difference,
+    circle_pair,
+    gomes_rho,
+    plane_distance,
+    plane_separation,
+    tube_area,
+)
 from hypcatenoid.cli import main
 
 
@@ -264,6 +271,15 @@ class TestClassifyCommand:
                 arg = abs(gap - mpmath.mpf(r1) ** 2 - mpmath.mpf(r2) ** 2) / (2 * r1 * r2)
                 reference = float(mpmath.acosh(arg))
             assert json.loads(out)["distance"] == pytest.approx(reference, rel=1e-13)
+            pair = circle_pair(c1, r1, c2, r2)
+            assert plane_distance(*pair) == pytest.approx(reference, rel=1e-13)
+
+    def test_near_coincident_circles(self, capsys):
+        # |p| - 1 = 5e-15 here, below the margin once used to decide tangency.
+        code, out, _ = run_cli(capsys, "classify", "--circles", "0,0,1", "0,0,1.0000001")
+        assert code == 0
+        distance = json.loads(out)["distance"]
+        assert distance == pytest.approx(math.log(1.0000001), rel=1e-14)
 
     def test_intersecting_circles(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--circles", "0,0,1", "0.5,0,1")
