@@ -14,10 +14,12 @@ sinh(2a) / (4 (s + 1 + w) sqrt(s (s + w) (s + 1 + 2w))) ds and the tube
 integrand 2 pi (s + w) / sqrt(s (s + w) (s + 1 + 2w)) ds.  So rho(a) and
 x(y) are Carlson symmetric integrals R_J and R_F, and the areas are R_F and
 R_D after one integration by parts; since phi'(a) = 2 pi sinh(2a) rho'(a),
-rho' is the same R_F and R_D pair as phi, and one duplication sequence
-gives rho, rho', phi and phi'' together.  All are evaluated to rounding
-by duplication (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36) with no
-quadrature; their tol arguments do not affect them.
+rho' is an R_F and R_D pair like phi.  rho, rho', phi and phi'' need only
+complete integrals, so one AGM loop of Bulirsch's cel gives all of them
+together (Bulirsch, Numer. Math. 13, 1969; DLMF 19.2(iii), 19.8); the
+incomplete x(y) and Phi(a, r) use Carlson's duplication (Numer. Algorithms
+10, 1995; DLMF 19.36).  All are exact to rounding with no quadrature; their
+tol arguments do not affect them.
 The constant K in the second-derivative terms is a Beta integral, in
 Gamma functions (DLMF 5.12).
 
@@ -126,13 +128,9 @@ class AreaReport:
 # fifth-order series then errs by O(spread**6) ~ eps / 4 (Carlson 1995).
 _DUPLICATION_SPREAD = (sys.float_info.epsilon / 4.0) ** (1.0 / 6.0)
 
-
-def _rc_unit(e: float) -> float:
-    """Carlson's R_C(1, 1 + e) = atanh(sqrt(-e)) / sqrt(-e) for -1 < e <= 0."""
-    if e > -1.0e-4:
-        return 1.0 - e * (1.0 / 3.0 - e * (0.2 - e / 7.0))
-    s = math.sqrt(-e)
-    return math.atanh(s) / s
+# The AGM stops once its two means agree to this relative spread: the
+# closing step squares it, so the complete integrals are exact to rounding.
+_AGM_SPREAD = math.sqrt(sys.float_info.epsilon)
 
 
 def _rj_series(x: float, y: float, z: float, p: float) -> float:
@@ -150,33 +148,38 @@ def _rj_series(x: float, y: float, z: float, p: float) -> float:
     return series / (mean * math.sqrt(mean))
 
 
-def _carlson(
-    x: float, y: float, z: float, p: float, gap: float
-) -> tuple[float, float, float]:
-    """Carlson's R_F(x, y, z), R_J(x, y, z, p) and R_D(x, y, z) from one sequence.
+def _carlson(x: float, y: float, z: float, p: float, gap: float) -> tuple[float, float]:
+    """Carlson's R_F(x, y, z) and R_J(x, y, z, p) from one duplication sequence.
 
     x, y, z >= 0 with at most one zero, p > 0, and gap = (p-x)(p-y)(p-z),
     supplied exactly by the caller, <= 0, so each R_C term is an atanh or
-    its series.  Each step moves every argument v to (v + lam) / 4, which
-    leaves R_F unchanged and changes R_J and R_D =
-    R_J(x, y, z, z) by known R_C terms (R_C(1, 1) = 1 for R_D), until the
-    arguments agree closely enough for a fifth-order series about their mean
-    (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.i).  The first R_C
-    term of R_J loses digits as gap / ((sp + sx)(sp + sy)(sp + sz))**2 nears
-    -1, with sv = sqrt(v); for every caller here that ratio stays above -0.02.
+    its series; p = z with gap = 0 gives R_D(x, y, z) = R_J(x, y, z, z).
+    Each step moves every argument v to (v + lam) / 4, which leaves R_F
+    unchanged and changes R_J by a known R_C term, until the arguments agree
+    closely enough for a fifth-order series about their mean (Carlson,
+    Numer. Algorithms 10, 1995; DLMF 19.36.i).  The first R_C term loses
+    digits as gap / ((sp + sx)(sp + sy)(sp + sz))**2 nears -1, with
+    sv = sqrt(v); for every caller here that ratio stays above -0.02.
     """
     # Every step keeps the order of the arguments and divides their spread
     # by 4, so the spread need not be recomputed: only the smallest moves.
     spread = (max(x, y, z, p) - min(x, y, z, p)) / _DUPLICATION_SPREAD
     least = min(x, y, z, p)
     scale = 1.0  # 4**-m after m steps
-    tail = tail_d = 0.0
+    tail = 0.0
     while spread * scale > least:
         sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
-        tail += scale * _rc_unit(gap * scale**3 / (d * d)) / d
-        tail_d += scale / (sz * (z + lam))
+        # R_C(1, 1 + e) = atanh(sqrt(-e)) / sqrt(-e); e shrinks 64-fold a
+        # step, so after the first few steps its cubic series is exact.
+        e = gap * scale**3 / (d * d)
+        if e > -1.0e-4:
+            rc = 1.0 - e * (1.0 / 3.0 - e * (0.2 - e / 7.0))
+        else:
+            root = math.sqrt(-e)
+            rc = math.atanh(root) / root
+        tail += scale * rc / d
         x, y = 0.25 * (x + lam), 0.25 * (y + lam)
         z, p = 0.25 * (z + lam), 0.25 * (p + lam)
         least = 0.25 * (least + lam)
@@ -188,14 +191,11 @@ def _carlson(
     e2 = dx * dy - dz * dz
     e3 = dx * dy * dz
     rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0)
-    rf /= math.sqrt(mean)
-    rj = scale * _rj_series(x, y, z, p) + 6.0 * tail
-    rd = scale * _rj_series(x, y, z, z) + 3.0 * tail_d
-    return rf, rj, rd
+    return rf / math.sqrt(mean), scale * _rj_series(x, y, z, p) + 6.0 * tail
 
 
 def _neck_terms(a: float) -> tuple[float, float, float, float, float]:
-    """rho, rho', phi, phi' and phi'' at a from one duplication sequence.
+    """rho, rho', phi, phi' and phi'' at a from one AGM loop.
 
     With w = sinh(a)**2, c = 1 + 2w = cosh(2a), p = 1 + w and R_F, R_J, R_D
     at (0, w, c, p): rho = (sinh(2a) / 6) R_J, phi = 4 pi (1 - p R_F +
@@ -207,16 +207,61 @@ def _neck_terms(a: float) -> tuple[float, float, float, float, float]:
     2 pi sinh(2a) rho' with rho' = (2p / 3) R_D - R_F: the neck circle's
     flux times the rate d(2 rho)/da at which the boundary planes separate,
     as the first variation of area predicts, so a_c maximizes both rho and
-    phi.  All five are exact to rounding.
+    phi.
+
+    All of them are complete integrals, so each is one of Bulirsch's
+    cel(kc, P, A, B) = A R_F(0, kc**2, 1) + (B - P A) R_J(0, kc**2, 1, P) / 3
+    with kc = sqrt(w / c) (Bulirsch, Numer. Math. 13, 1969; DLMF 19.2(iii)):
+    R_J = 3 cel(kc, p / c, 0, 1) / c**1.5, rho' sqrt(c) = cel(kc, 1, -1, 1/c),
+    phi / 4 pi = 1 - cel(kc, 1, p / sqrt(c), 0) and phi'' c**1.5 / 4 pi =
+    cel(kc, 1, -(2 + 3w + 2w**2), 1/c).  cel runs the AGM of (1, kc), here
+    carried as em = 2**n a_n and qc = 2**n g_n, with one sequence p_n per P;
+    each (A, B) pair moves linearly along its P's sequence, so every output
+    has its own pair instead of being a difference of rounded integrals.
+    kc = sinh(a) / sqrt(c) is positive for every a > 0, so the AGM closes.
+    All five are exact to rounding; only phi cancels, below a ~ 1e-3.
     """
-    w = math.sinh(a) ** 2
+    sa = math.sinh(a)
+    w = sa * sa
     c, p = 1.0 + 2.0 * w, 1.0 + w
-    rf, rj, rd = _carlson(0.0, w, c, p, -w * p)
-    s2a = math.sinh(2.0 * a)
-    drho = 2.0 * p * rd / 3.0 - rf
-    phi = _FOUR_PI * (1.0 - p * rf + c * p / 3.0 * rd)
-    second = (p * (c * c + 2.0) * rd / 3.0 - (2.0 + 3.0 * w + 2.0 * w * w) * rf) / c
-    return s2a / 6.0 * rj, drho, phi, 2.0 * math.pi * s2a * drho, _FOUR_PI * second
+    root_c = math.sqrt(c)
+    em = 1.0
+    qc = e = kc = sa / root_c  # e = qc * em
+    # rho's pair (aj, bj) on the sequence pj of P = p / c, which starts at
+    # sqrt(P) with B / sqrt(P); the pairs of rho', phi and phi'' on the
+    # sequence p1 of P = 1.
+    pj = math.sqrt(p / c)
+    aj, bj = 0.0, 1.0 / pj
+    p1 = 1.0
+    ad, bd = -1.0, 1.0 / c
+    af, bf = p / root_c, 0.0
+    a2, b2 = -(2.0 + 3.0 * w + 2.0 * w * w), 1.0 / c
+    while True:
+        g = e / pj
+        aj, bj = aj + bj / pj, 2.0 * (bj + aj * g)
+        pj += g
+        inv = 1.0 / p1
+        g = e * inv
+        ad, bd = ad + bd * inv, 2.0 * (bd + ad * g)
+        af, bf = af + bf * inv, 2.0 * (bf + af * g)
+        a2, b2 = a2 + b2 * inv, 2.0 * (b2 + a2 * g)
+        p1 += g
+        g = em
+        em += qc
+        if abs(g - qc) <= g * _AGM_SPREAD:
+            break
+        qc = 2.0 * math.sqrt(e)
+        e = qc * em
+    # cel = (pi / 2) (B + A em) / (em (em + p_n)) once the AGM has closed,
+    # and rho = sinh(2a) R_J / 6 = kc cosh(a) cel(kc, p / c, 0, 1) / c.
+    ca = math.cosh(a)
+    rho = 0.5 * math.pi * kc * ca * (bj + aj * em) / (em * (em + pj) * c)
+    one = 0.5 * math.pi / (em * (em + p1))
+    per_root_c = one / root_c
+    drho = (bd + ad * em) * per_root_c
+    phi = _FOUR_PI * (1.0 - (bf + af * em) * one)
+    second = _FOUR_PI * (b2 + a2 * em) * per_root_c / c
+    return rho, drho, phi, 2.0 * math.pi * (2.0 * sa * ca) * drho, second
 
 
 def gomes_rho(a: float, tol: Tolerance) -> float:
@@ -225,7 +270,7 @@ def gomes_rho(a: float, tol: Tolerance) -> float:
     rho(a) is the integral of sinh(2a) / (cosh t * sqrt(sinh(2t)**2 -
     sinh(2a)**2)) for t from a to infinity.  With w = sinh(a)**2 and
     s = sinh(t)**2 - w it is (sinh(2a) / 6) * R_J(0, w, 1 + 2w, 1 + w),
-    evaluated to rounding whatever tol is.
+    from the AGM loop of _neck_terms, exact to rounding whatever tol is.
     """
     _check_neck(a)
     return _neck_terms(a)[0]
@@ -250,7 +295,7 @@ def catenary_x(a: float, y: float, tol: Tolerance) -> float:
     w = math.sinh(a) ** 2
     c, p = 1.0 + 2.0 * w, 1.0 + w
     wc = w * c
-    rf, rj, _ = _carlson(
+    rf, rj = _carlson(
         c * (t + w),
         w * (t + c),
         wc,
@@ -299,23 +344,24 @@ def _area_excess(a: float, t: float) -> float:
     F(x) = R_F(x, x + w, x + c) and D(x) = R_D(x, x + w, x + c).  Here
     lead = sqrt(P(T)) / (T + c) - cosh r, rearranged below so that nothing
     cancels.  F(T), D(T) and lead vanish as T grows, leaving the deficit
-    phi(a) = 4 pi [1 - p F(0) + (c p / 3) D(0)], so Phi keeps the absolute
-    accuracy of phi whatever r is.
+    phi(a) = 4 pi [1 - p F(0) + (c p / 3) D(0)], so Phi = phi(a) +
+    4 pi [lead + p F(T) - (c p / 3) D(T)] takes phi from _neck_terms and
+    keeps its absolute accuracy whatever r is.
     """
     w = math.sinh(a) ** 2
     c, p = 1.0 + 2.0 * w, 1.0 + w
-    rf, _, rd = _carlson(0.0, w, c, c, 0.0)
-    rf_t, _, rd_t = _carlson(t, t + w, t + c, t + c, 0.0)
+    rf, rd = _carlson(t, t + w, t + c, t + c, 0.0)
     lead = -p * (2.0 * t + c) / (
         math.sqrt(t + c) * (math.sqrt(t * (t + w)) + math.sqrt((t + p) * (t + c)))
     )
-    return _FOUR_PI * (1.0 + lead - p * (rf - rf_t) + c * p / 3.0 * (rd - rd_t))
+    return _neck_terms(a)[2] + _FOUR_PI * (lead + p * rf - c * p / 3.0 * rd)
 
 
 def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
     """Area difference Phi(a, r) between the tube and its two spanning disks.
 
-    Phi is a closed form in R_F and R_D, exact to rounding whatever tol is.
+    Phi is phi(a) plus incomplete R_F and R_D terms, exact to rounding
+    whatever tol is.
     It is never a difference of two large areas, so its absolute accuracy is
     independent of r; the tube area is reconstructed as Phi plus the
     closed-form disk area.  Past r - a = _TAIL_SPAN, Phi equals its limit
@@ -342,9 +388,10 @@ def area_deficit(a: float, tol: Tolerance) -> float:
     """Limit phi(a) of Phi(a, r) as r grows; positive exactly below its zero.
 
     phi(a) = 4 pi [1 - p R_F(0, w, c) + (c p / 3) R_D(0, w, c)] with
-    w = sinh(a)**2, c = 1 + 2w and p = 1 + w, exact to rounding whatever tol
-    is: against mpmath its absolute error stays below 1.1e-13 * max(1, |phi|)
-    for a in [1e-6, 25].  Below a ~ 1e-3 phi is small and the three terms
+    w = sinh(a)**2, c = 1 + 2w and p = 1 + w, which _neck_terms evaluates as
+    4 pi [1 - cel(kc, 1, p / sqrt(c), 0)], exact to rounding whatever tol
+    is: against mpmath its absolute error stays below 1.5e-14 * max(1, |phi|)
+    for a in [1e-6, 25].  Below a ~ 1e-3 phi is small and the two terms
     cancel, so that bound is not a relative one there.
     """
     _check_neck(a)
@@ -380,7 +427,7 @@ def concavity_terms(a: float, tol: Tolerance) -> tuple[float, float]:
     """The two terms I1(a), I2(a) whose sum is the deficit's second derivative.
 
     I1 = phi(a) + 4 pi ((1 - K) cosh a - 1) and I2 = phi''(a) - I1, with
-    phi and phi'' the Carlson forms of _neck_terms.  Both terms are exact to
+    phi and phi'' from the AGM loop of _neck_terms.  Both terms are exact to
     rounding whatever tol is.
     """
     _check_neck(a)

@@ -5,9 +5,11 @@ the maximal separation 2*rho(a_c), the concavity threshold a_0, the closed
 form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
 2*rho(a_L).  K is a closed form in Gamma functions; a_c, a_0 and a_L are
 roots of closed forms with closed-form slopes (phi', mvt_f and phi), found
-by solve_root's safeguarded Newton iteration in 4, 7 and 6 calls to eps
-times the bracket's smaller end, so no value depends on the tolerance.  The
-bundle is still computed lazily once per tolerance and cached.
+by solve_root's safeguarded Newton iteration to eps times the bracket's
+smaller end, so no value depends on the tolerance.  A cold bundle makes 4,
+7 and 6 such calls; the 10 for a_c and a_L, and rho(a_c) and rho(a_L),
+are one AGM loop of _neck_terms each.  The bundle is still computed lazily
+once per tolerance and cached.
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ def solve_a_c(tol: Tolerance) -> float:
     """Maximizer a_c of rho, located as the root of phi' = 2 pi sinh(2a) rho'.
 
     With w = sinh(a)**2, c = 1 + 2w and p = 1 + w, rho' = (2p/3) R_D(0, w, c)
-    - R_F(0, w, c), the Carlson pair of phi, so phi' shares rho's root and
-    its slope phi'' comes from the same call (see _neck_terms).  The root
-    is bracketed by [0.3, 0.7].
+    - R_F(0, w, c), so phi' shares rho's root, and one AGM loop gives phi'
+    and its slope phi'' together (see _neck_terms).  The root is bracketed
+    by [0.3, 0.7].
     """
     return solve_root(lambda a: _neck_terms(a)[3:], 0.3, 0.7)
 
@@ -160,7 +162,8 @@ def solve_a_0(K: float, tol: Tolerance) -> float:
 def solve_a_L(tol: Tolerance) -> float:
     """Unique zero a_L of the area deficit, the bundle's root of phi on [a_c, a_l].
 
-    phi is a closed form in R_F and R_D, so a_L does not depend on tol.
+    phi is a closed form in complete R_F and R_D, so a_L does not depend on
+    tol.
     """
     return constants_bundle(tol).a_L
 

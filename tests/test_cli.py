@@ -460,21 +460,21 @@ GOLDEN = {
     "constants":
         "39cd2c79a0917483cbbbabcb0e495f604994b96a7e3b88418b6a6544b4fc0fbd",
     "constants --json":
-        "9e379f64baa7bc88c777ac73a40683519a5b74a5697da83586bed9b779efee48",
+        "bca1a4c8cb97aa37bd2a1b52a4b9cc5f999e9ce00790216d59f1603dc4be6908",
     "sweep rho --lo 0.01 --hi 3 --n 300":
         "fc59ffcb666a92ceb0b4fee640d5e4190ebbf83104578cd9e7b6a9f4acd807ae",
     "sweep phi --json":
-        "60c2536cba94cf236a799946535180071ded080608b30e23777ddfc7e99fe148",
+        "4ca1c717c5b52acfbd638dca7179cd6bde82f1b84b2c5dfda7127a7edc00bccd",
     "classify --a 0.6":
-        "2a54194a7633211506e46fc45ec2ee37c48c264b37d43be67c69853954546bb3",
+        "dcda2bbd0bbb090356f6f3d2b642c130d22e36171718a551039b3f8e583aa21f",
     "classify --distance 0.8":
-        "3e646b1f226df377569f2e2343f973567ffc8b0236bc5da48b19fac9ed325f95",
+        "49ad8e24852a698276043caae2ff507eef60e3b4645472706fed304080bbeccf",
     "classify --circles 0,0,1 0,0,2.2":
-        "476504f1e6f24a249bd4033ab6875e4def26971fec0f13a632420d2e11100586",
+        "b4783151d5e3cddfab0460f693e8d50913c7c8416ddf2ca28c9f01b12e13ca1a",
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":
-        "808abdb60aa494c9a4b02e9c91f948976d7c761cc857c10eb27cef7f69588827",
+        "fa45126445f91b015c6fd397d88ba41d66000b46c544d68a30b80a8ccceb4b3c",
     "mesh --a 0.6 --y-max 3 --out tube.obj":
         "57bfedd84c17e5f7737fcd854333ebc01e2f5ae210d77ecb2b4c4ec46e57173d",
     "constants --out constants.txt":
@@ -482,7 +482,7 @@ GOLDEN = {
     "sweep rho --lo 0 --hi 1 --n 3":
         "4df9569fb03768c4be98f9aad1281a9dd99bf1a55086ee8887178b61325acca5",
     "classify --distance 1.5 --out classify.json":
-        "10bb2e40c532437f19f542c26c6b3ebdf9e16a7c026f728313eb6627aba25ec9",
+        "f6511f74bf530eda832d24dad323b0c897c3e4917815e14e2a01f0850a5b2322",
     "catenary --a 0.5 --y-max 2.5 --n 5 --json":
         "6e9d72366fd45d5b27add24dc5ab1e2e57ef0df39d8ac2b37ed7d84b29db6da3",
     "compete --a 0.6 --r 3":
@@ -492,7 +492,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --s 0.05":
         "1cc523be70ac194beb989bdf213925e1d727bc8eca1872078592abeaa7e1b715",
     "compete --a 0.6 --r 3 --s 0.05 --json --out compete.json":
-        "dd1d529bc89e92fb2dc29cfd5fa09ca509b4c0f1c043bc01ee4bcff2338d4200",
+        "978a8a9f7f1c17302f36340844ddd01345c723cd7b464237573e9677596894e9",
     "mesh --a 0.6 --y-max 2 --n-profile 6 --n-angle 8 --out m.obj --json":
         "5bfc4042fd4e695ae79dd7beac0dbf9201b785702ed2f8f4155dcac907d7794b",
     "compete --a 0.6 --r 0.5":

@@ -1,4 +1,4 @@
-"""Pinned integrand-evaluation and root-solver counts of canonical calls.
+"""Pinned integrand-evaluation, root-solver and kernel counts of canonical calls.
 
 quad_finite, quad_semi_infinite and quad_sqrt_endpoint are each wrapped in
 every module namespace that holds them, and the integrand of the outermost
@@ -10,9 +10,11 @@ reached the quadrature layer again.
 The solver pins count calls of the f handed to solve_root, wrapped in the
 constants and circles namespaces: the (value, slope) calls its safeguarded
 Newton iteration makes to reach solve_root's relative floor, with no call
-at a bracket end whose sign is known.  The Carlson pins count calls of
-_carlson in the catenoid namespace, one duplication sequence each, and the
-last pin checks that normalize_coaxial builds its map without applying any.
+at a bracket end whose sign is known.  The kernel pins count calls of
+_neck_terms, one AGM loop each, and of _carlson, one duplication sequence
+each, in every namespace that binds them; the AGM pin counts the loop's
+steps; the last pin checks that normalize_coaxial builds its map without
+applying any.
 """
 
 import math
@@ -219,7 +221,7 @@ def test_solver_budget_calls():
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Run fn with module.name wrapped and return how many calls it made."""
+    """Run fn with every binding of module.name wrapped; return the calls made."""
 
     def run(module, name, fn):
         calls = 0
@@ -230,11 +232,11 @@ def count_calls(monkeypatch):
             calls += 1
             return original(*args)
 
-        monkeypatch.setattr(module, name, counted)
-        try:
+        with monkeypatch.context() as patch:
+            for namespace in (catenoid, constants, circles):
+                if getattr(namespace, name, None) is original:
+                    patch.setattr(namespace, name, counted)
             fn()
-        finally:
-            monkeypatch.setattr(module, name, original)
         return calls
 
     return run
@@ -242,28 +244,76 @@ def count_calls(monkeypatch):
 
 def test_rho_prime_carlson_calls(count_calls):
     # rho, rho', phi and both slopes of phi, for every residual and slope
-    # the solvers use, come from one duplication sequence.
+    # the solvers use, come from one AGM loop and no duplication sequence.
     for a in (0.01, 0.5, 3.0):
-        assert count_calls(catenoid, "_carlson", lambda: catenoid._neck_terms(a)) == 1
+        assert count_calls(catenoid, "_carlson", lambda: catenoid._neck_terms(a)) == 0
 
 
 def test_cold_bundle_carlson_calls(count_calls, monkeypatch):
     monkeypatch.setattr(constants, "_CACHE", {})
+    assert count_calls(catenoid, "_carlson", lambda: constants_bundle(TOL)) == 0
+
+
+def test_cold_bundle_kernel_calls(count_calls, monkeypatch):
+    monkeypatch.setattr(constants, "_CACHE", {})
     # 4 phi' calls for a_c, rho(a_c), 6 phi calls for a_L, rho(a_L).
-    assert count_calls(catenoid, "_carlson", lambda: constants_bundle(TOL)) == 12
+    assert count_calls(catenoid, "_neck_terms", lambda: constants_bundle(TOL)) == 12
+
+
+def _separations():
+    bundle = constants_bundle(TOL)
+    inner = circle_from_center_radius(0j, 1.0)
+    outer = circle_from_center_radius(0j, 2.2)
+    return (
+        lambda: catenoids_for_separation(1e-9, bundle, TOL),
+        lambda: catenoids_for_circles(inner, outer, bundle, TOL),
+    )
 
 
 def test_separation_carlson_calls(count_calls):
-    # One call per residual: rho and rho' come from one duplication sequence.
-    bundle = constants_bundle(TOL)
-    tiny = count_calls(catenoid, "_carlson", lambda: catenoids_for_separation(1e-9, bundle, TOL))
-    assert tiny == 5
-    inner = circle_from_center_radius(0j, 1.0)
-    outer = circle_from_center_radius(0j, 2.2)
-    pair = count_calls(
-        catenoid, "_carlson", lambda: catenoids_for_circles(inner, outer, bundle, TOL)
-    )
-    assert pair == 10
+    for solve in _separations():
+        assert count_calls(catenoid, "_carlson", solve) == 0
+
+
+def test_separation_kernel_calls(count_calls):
+    # One kernel call per residual: rho and rho' come from one AGM loop.
+    tiny, pair = (count_calls(catenoid, "_neck_terms", solve) for solve in _separations())
+    assert (tiny, pair) == (5, 10)
+
+
+def test_area_difference_kernel_calls(count_calls):
+    # Phi takes phi from the AGM loop and its tail from one duplication.
+    for name in ("_neck_terms", "_carlson"):
+        assert count_calls(catenoid, name, lambda: area_difference(0.6, 3.0, TOL)) == 1
+
+
+class _RootCountingMath:
+    """The math module with its square roots counted."""
+
+    def __init__(self):
+        self.roots = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sqrt(self, x):
+        self.roots += 1
+        return math.sqrt(x)
+
+
+def test_agm_steps(monkeypatch):
+    # _neck_terms takes sqrt(c) and sqrt(p / c), then one root per AGM step
+    # but the last, so a loop of n steps takes n + 1 roots.
+    counting = _RootCountingMath()
+    monkeypatch.setattr(catenoid, "math", counting)
+    necks = [10.0 ** (-6.0 + k * (math.log10(25.0) + 6.0) / 400) for k in range(401)]
+    steps = {}
+    for a in necks:
+        counting.roots = 0
+        catenoid._neck_terms(a)
+        steps[counting.roots - 1] = steps.get(counting.roots - 1, 0) + 1
+    assert max(steps) <= 7
+    assert steps == {4: 84, 5: 52, 6: 92, 7: 173}
 
 
 def test_normalize_coaxial_applies_no_isometry(count_calls):
