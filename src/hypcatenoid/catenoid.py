@@ -288,7 +288,7 @@ def catenary_x(a: float, y: float, tol: Tolerance) -> float:
     keeps sinh finite.  The value is exact to rounding whatever tol is.
     """
     _check_neck(a)
-    if y < a:
+    if not y >= a:
         raise ValueError(f"profile coordinate y={y} below the neck distance a={a}")
     delta = min(y - a, _TAIL_SPAN)
     t = math.sinh(delta) * math.sinh(2.0 * a + delta)
@@ -314,8 +314,8 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
     catenary_x, exact to rounding whatever tol is.
     """
     _check_neck(a)
-    if not y_max > a:
-        raise ValueError(f"y_max={y_max} must exceed the neck distance a={a}")
+    if not a < y_max < math.inf:
+        raise ValueError(f"y_max={y_max} must be finite and exceed the neck distance a={a}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
     span = y_max - a
@@ -329,7 +329,7 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
 
 def disk_area_total(r: float) -> float:
     """Combined area 4*pi*(cosh r - 1) of the two geodesic disks of radius r."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError(f"disk radius must be nonnegative, got {r}")
     return _FOUR_PI * (math.cosh(r) - 1.0)
 
@@ -368,7 +368,7 @@ def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
     to rounding and r - a is clamped there.
     """
     _check_neck(a)
-    if r < a:
+    if not r >= a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
     disks = disk_area_total(r)
     if r == a:
@@ -401,7 +401,7 @@ def area_deficit(a: float, tol: Tolerance) -> float:
 def plane_separation(a: float, r: float, tol: Tolerance) -> float:
     """Distance L between the two spanning disks' planes; equals 2*x(r)."""
     _check_neck(a)
-    if r < a:
+    if not r >= a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
     return 2.0 * catenary_x(a, r, tol)
 
@@ -411,7 +411,7 @@ def mvt_f(x: float, K: float) -> float:
 
     f(x) = -30 cosh 3x - 18 cosh 5x + 10 sinh 7x + 15 (1-K) cosh 8x.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     if not 0.0 < K < 1.0:
         raise ValueError(f"K must lie in (0, 1), got {K}")

@@ -82,16 +82,20 @@ def solve_root(
 ) -> float:
     """Root of f in [lo, hi] by Newton's method, safeguarded by bisection.
 
-    f(x) returns (value, slope) and must change sign once on [lo, hi].  The
-    iteration starts at start (clamped to the bracket; the midpoint by
-    default), takes the direction of the crossing from the first slope (or
-    from f(lo) if that slope is 0), and moves the end of each iterate's sign
-    to it.  It takes the Newton step while that lands in the bracket and at
-    most halves the step before last, and bisects otherwise, until a step is
-    within x_tol = eps * min(|lo|, |hi|) plus rounding, 2 eps |x|; so a root
-    near a small end keeps its relative digits.  An end is evaluated only if
+    f(x) returns (value, slope) and must change sign once on [lo, hi], at a
+    simple root (nonzero slope).  The iteration starts at start (clamped to
+    the bracket; the midpoint by default), takes the direction of the
+    crossing from the first slope (or from f(lo) if that slope is 0), and
+    moves the end of each iterate's sign to it.  It takes the Newton step
+    when that lands strictly inside the bracket or is already within the
+    stop test, and bisects otherwise, until a step is within x_tol = eps *
+    min(|lo|, |hi|) plus rounding, 2 eps |x|; so a root near a small end
+    keeps its relative digits.  A Newton step onto an end already evaluated
+    means the iterates cycle in the rounding noise of f, and the bisection
+    it gets instead closes the few-ulp bracket.  An end is evaluated only if
     the iteration closes on it, raising BracketError if f has no sign change
-    there; EvaluationBudgetError after _MAX_ITERATIONS steps.
+    there; EvaluationBudgetError after _MAX_ITERATIONS steps.  A multiple
+    root converges only linearly and may exhaust that budget.
     """
     if not lo < hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
@@ -99,7 +103,6 @@ def solve_root(
     x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
     lo_seen = hi_seen = False  # until an iterate replaces it, an end is trusted
     up = 0.0  # +1 if f crosses upward, -1 if downward
-    step = last = hi - lo
     for _ in range(_MAX_ITERATIONS):
         value, slope = f(x)
         if not up:
@@ -109,10 +112,9 @@ def solve_root(
         else:
             lo, lo_seen = x, True
         newton = value / slope if slope else math.inf
-        inside = lo <= x - newton <= hi and 2.0 * abs(newton) <= abs(last)
-        last, step = step, newton if inside else x - 0.5 * (lo + hi)
-        x -= step
         tol = x_tol + 2.0 * _EPS * abs(x)
+        step = newton if abs(newton) <= tol or lo < x - newton < hi else x - 0.5 * (lo + hi)
+        x -= step
         if abs(step) <= tol:
             for end, seen, sign in ((lo, lo_seen, -up), (hi, hi_seen, up)):
                 if not seen and abs(end - x) <= tol and not f(end)[0] * sign >= 0.0:

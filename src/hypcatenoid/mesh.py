@@ -49,10 +49,10 @@ class MeshParams:
                 raise TypeError(f"{name} must be an int, got {count!r}")
         if not self.neck_distance > 0.0:
             raise ValueError(f"neck distance must be positive, got {self.neck_distance}")
-        if not self.y_max > self.neck_distance:
+        if not self.neck_distance < self.y_max < math.inf:
             raise ValueError(
-                f"y_max must exceed the neck distance, got {self.y_max} "
-                f"<= {self.neck_distance}"
+                f"y_max must be finite and exceed the neck distance "
+                f"{self.neck_distance}, got {self.y_max}"
             )
         if self.n_profile < 2:
             raise ValueError(f"need at least 2 profile samples, got {self.n_profile}")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -96,6 +97,13 @@ class TestCatenaryX:
         with pytest.raises(ValueError):
             catenary_x(0.5, 0.4, tol)
 
+    def test_infinite_y_is_rho(self, tol):
+        # The _TAIL_SPAN clamp takes y = inf to the same point as y = 1000.
+        for a in (0.01, 0.6, 3.0):
+            x = catenary_x(a, math.inf, tol)
+            assert x == catenary_x(a, 1000.0, tol)
+            assert x == pytest.approx(gomes_rho(a, tol), rel=8.0 * sys.float_info.epsilon)
+
 
 class TestSampleCatenary:
     def test_degenerate_span(self, tol):
@@ -143,6 +151,11 @@ class TestSampleCatenary:
             sample_catenary(0.5, 0.4, 8, tol)
         with pytest.raises(ValueError):
             sample_catenary(0.5, 3.0, 1, tol)
+
+    def test_infinite_y_max_rejected(self, tol):
+        # The first node would be a + inf * 0 = nan.
+        with pytest.raises(ValueError, match="y_max"):
+            sample_catenary(0.6, math.inf, 3, tol)
 
 
 class TestDiskArea:
@@ -207,6 +220,10 @@ class TestAreaDifference:
             assert area_difference(a, a + 20.0, tol).phi_a_r == pytest.approx(
                 area_deficit(a, tol), abs=1e-6
             )
+
+    def test_infinite_radius(self, tol):
+        for a in (0.3, 0.6, 1.2):
+            assert area_difference(a, math.inf, tol).phi_a_r == area_deficit(a, tol)
 
     def test_domain(self, tol):
         with pytest.raises(ValueError):
@@ -305,3 +322,21 @@ class TestConcavityTerms:
             + area_deficit(0.6 + h, tol)
         ) / (h * h)
         assert i1 + i2 == pytest.approx(fd, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: catenary_x(0.6, math.nan, tol),
+        lambda tol: area_difference(0.6, math.nan, tol),
+        lambda tol: tube_area(0.6, math.nan, tol),
+        lambda tol: plane_separation(0.6, math.nan, tol),
+        lambda tol: disk_area_total(math.nan),
+        lambda tol: mvt_f(math.nan, 0.4),
+    ],
+    ids=["catenary_x", "area_difference", "tube_area", "plane_separation",
+         "disk_area_total", "mvt_f"],
+)
+def test_nan_argument_rejected(call, tol):
+    with pytest.raises(ValueError):
+        call(tol)

@@ -318,6 +318,13 @@ class TestCatenaryCommand:
         code, _, err = run_cli(capsys, "catenary", "--a", "0.5", "--y-max", "0.4")
         assert code == 2
 
+    def test_infinite_y_max(self, capsys):
+        code, out, err = run_cli(
+            capsys, "catenary", "--a", "0.6", "--y-max", "inf", "--n", "3"
+        )
+        assert code == 2
+        assert out == "" and "y_max" in err
+
 
 class TestCompeteCommand:
     def test_witness_found(self, capsys):
@@ -418,6 +425,14 @@ class TestMeshCommand:
             "mesh", "--a", "0.6", "--y-max", "0.5", "--out", str(tmp_path / "x.obj"),
         )
         assert code == 2
+
+    def test_infinite_y_max(self, capsys, tmp_path):
+        path = tmp_path / "x.obj"
+        code, _, err = run_cli(
+            capsys, "mesh", "--a", "0.6", "--y-max", "inf", "--out", str(path)
+        )
+        assert code == 2
+        assert "y_max" in err and not path.exists()
 
 
 class TestUsageErrors:

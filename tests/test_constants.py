@@ -81,6 +81,23 @@ class TestSolveRoot:
         with pytest.raises(EvaluationBudgetError):
             solve_root(lambda x: (math.copysign(1.0, x - 1.0), 0.0), 1e-300, 1e300)
 
+    def test_multiple_root(self):
+        # Where the slope vanishes, a Newton step cuts the distance to a root
+        # of multiplicity m only by the factor 1 - 1/m: a double root still
+        # reaches the relative floor, and one of multiplicity 10 cannot
+        # within the iteration cap.
+        def power(m):
+            def f(x):
+                t = x - 0.3
+                return t * abs(t) ** (m - 1), m * abs(t) ** (m - 1)
+
+            return f
+
+        root = solve_root(power(2), 0.0, 2.0)
+        assert root == pytest.approx(0.3, rel=4.0 * sys.float_info.epsilon)
+        with pytest.raises(EvaluationBudgetError):
+            solve_root(power(10), 0.0, 2.0)
+
     def test_bracket_order(self):
         with pytest.raises(ValueError):
             solve_root(lambda x: (x - 1.5, 1.0), 2.0, 1.0)

@@ -204,6 +204,50 @@ def test_tiny_separation_solver_calls(count_solver_calls):
     assert solves == [4, 1]
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_a_L_solver_calls_across_brackets(side):
+    # phi's rounding near a_L is above the stop test, so the last Newton
+    # steps can cycle between two evaluated points; each such step must
+    # bisect the few ulps between them, not the bracket's untouched far end.
+    bundle = constants_bundle(TOL)
+    a_c, a_l, a_L = bundle.a_c, bundle.a_l, bundle.a_L
+    calls = 0
+
+    def phi(a):
+        nonlocal calls
+        calls += 1
+        return catenoid._neck_terms(a)[2:4]
+
+    for k in range(300):
+        if side == "lower":
+            lo, hi = a_c * (1.0 + k * 1e-4), a_l
+        else:
+            lo, hi = a_c, a_l - k * 1e-3 * (a_l - a_L)
+        calls = 0
+        root = solve_root(phi, lo, hi)
+        assert calls <= 8, (k, calls)
+        assert abs(root - a_L) <= 4.0 * math.ulp(a_L), k
+
+
+def test_separation_sweep_solver_calls(count_solver_calls):
+    # The README sweep: 413 log-spaced separations in [1e-10, 1.0022] and
+    # twelve just below 2 rho(a_c); the four within the tie window of it
+    # take a_c without a solve.
+    bundle = constants_bundle(TOL)
+    span = math.log10(1.0022) + 10.0
+    separations = [10.0 ** (-10.0 + k * span / 412) for k in range(413)]
+    separations += [bundle.two_rho_ac - 10.0**-k for k in range(2, 14)]
+
+    def sweep():
+        for d in separations:
+            catenoids_for_separation(d, bundle, TOL)
+
+    solves = count_solver_calls(sweep)
+    assert len(solves) == 842
+    assert sum(solves) <= 2676
+    assert max(solves) <= 12
+
+
 def test_solver_budget_calls():
     calls = 0
 

@@ -91,6 +91,10 @@ class TestMeshParams:
         with pytest.raises(ValueError):
             MeshParams(0.6, 3.0, 16, 2)
 
+    def test_infinite_y_max_rejected(self):
+        with pytest.raises(ValueError, match="y_max"):
+            MeshParams(0.6, math.inf, 16, 24)
+
     @pytest.mark.parametrize(
         "field, counts",
         [
