@@ -69,7 +69,7 @@ _K = 1.0 - math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
 
 
 class EvaluationBudgetError(RuntimeError):
-    """Raised when the evaluation budget runs out before the tolerance is met."""
+    """Raised when solve_root's iteration cap or a quadrature budget runs out."""
 
 
 class ConsistencyError(RuntimeError):
@@ -78,7 +78,8 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute tolerance and evaluation budget for one integral."""
+    """Separation tie window abs_tol and constants-cache key; only the
+    quadrature module reads max_evaluations."""
 
     abs_tol: float = 1.0e-10
     max_evaluations: int = 2_000_000
@@ -328,10 +329,13 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
 
 
 def disk_area_total(r: float) -> float:
-    """Combined area 4*pi*(cosh r - 1) of the two geodesic disks of radius r."""
+    """Area 4*pi*(cosh r - 1) of the two geodesic disks of radius r; inf past r ~ 710."""
     if not r >= 0.0:
         raise ValueError(f"disk radius must be nonnegative, got {r}")
-    return _FOUR_PI * (math.cosh(r) - 1.0)
+    try:
+        return _FOUR_PI * (math.cosh(r) - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _area_excess(a: float, t: float) -> float:

@@ -309,6 +309,10 @@ class CatenoidSolutions:
     solutions: tuple[tuple[float, RegimeLabel], ...]
 
 
+# Raised for a separation d with no root of 2*rho(a) = d on [a_c, _NECK_CAP].
+_NO_OUTER_ROOT = f"outer branch of 2*rho(a) = {{}} not bracketed below a = {_NECK_CAP}"
+
+
 def catenoids_for_separation(
     d: float,
     bundle: ConstantsBundle,
@@ -345,6 +349,8 @@ def catenoids_for_separation(
     # a = (d/2) / log(2/a) from 2 lo starts near it.  rho(a_c) > d/2 signs
     # the other end, and the floor eps * lo keeps a tiny root's digits.
     lo = d / (4.0 * math.log(4.0 / d))
+    if lo == 0.0:  # 4 / d overflowed, so d is far below 2*rho(25)
+        raise BracketError(_NO_OUTER_ROOT.format(d))
     start = max(0.5 * d / math.log(1.0 / lo), bundle.a_c - q)
     inner = solve_root(residual, lo, bundle.a_c, start)
     # rho(a) e^a rises to 2 (1 - K), so a = log(4 (1 - K) / d) lies past the
@@ -354,9 +360,7 @@ def catenoids_for_separation(
     try:
         outer = solve_root(residual, bundle.a_c, _NECK_CAP, start)
     except BracketError as exc:
-        raise BracketError(
-            f"outer branch of 2*rho(a) = {d} not bracketed below a = {_NECK_CAP}"
-        ) from exc
+        raise BracketError(_NO_OUTER_ROOT.format(d)) from exc
     return CatenoidSolutions(
         d,
         (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -119,6 +120,8 @@ def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> None:
 def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> None:
     if not 0.0 <= args.lo < args.hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={args.lo}, hi={args.hi}")
+    if not math.isfinite(args.hi):
+        raise ValueError(f"hi must be finite, got hi={args.hi}")
     if args.n < 2:
         raise ValueError(f"need at least 2 sweep points, got n={args.n}")
     quantity = gomes_rho if args.quantity == "rho" else area_deficit

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .catenoid import Tolerance, area_difference, plane_separation
+from .catenoid import (
+    _FOUR_PI,
+    Tolerance,
+    area_difference,
+    disk_area_total,
+    plane_separation,
+)
 
 if TYPE_CHECKING:
     from .constants import ConstantsBundle
@@ -28,8 +34,6 @@ __all__ = [
     "competitor_area",
     "find_cheaper_competitor",
 ]
-
-_FOUR_PI = 4.0 * math.pi
 
 # Neck distances within this of a_c or a_L are flagged as at the threshold,
 # and ties at a_c resolve to the stable side.
@@ -89,11 +93,8 @@ def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
 
 def _cylinder_plus_disks(L: float, r: float, s: float) -> float:
     """Closed-form competitor area for cylinder radius s and plane separation L."""
-    return (
-        2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
-        + _FOUR_PI * (math.cosh(r) - 1.0)
-        - _FOUR_PI * (math.cosh(s) - 1.0)
-    )
+    cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
+    return cylinder + disk_area_total(r) - _FOUR_PI * (math.cosh(s) - 1.0)
 
 
 def _margin(phi: float, L: float, s: float) -> float:

@@ -9,14 +9,14 @@ by solve_root's safeguarded Newton iteration to eps times the bracket's
 smaller end, so no value depends on the tolerance.  A cold bundle makes 4,
 7 and 6 such calls; the 10 for a_c and a_L, and rho(a_c) and rho(a_L),
 are one AGM loop of _neck_terms each.  The bundle is still computed lazily
-once per tolerance and cached.
+once per tolerance and cached for the 32 most recently used tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,27 +170,17 @@ def solve_a_L(tol: Tolerance) -> float:
     return constants_bundle(tol).a_L
 
 
-# Bundles kept at once; inserting past this evicts the oldest tolerance.
-_CACHE_SIZE = 32
-_CACHE: dict[tuple[float, int], ConstantsBundle] = {}
-_CACHE_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=32)
 def constants_bundle(tol: Tolerance) -> ConstantsBundle:
-    """All constants for one tolerance, solved once per process and cached."""
-    key = (tol.abs_tol, tol.max_evaluations)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-
+    """All constants, cached for the 32 most recently used tolerances; two
+    concurrent first calls for one may return equal but distinct bundles."""
     K = compute_K(tol)
     a_c = solve_a_c(tol)
     rho_max = gomes_rho(a_c, tol)
     a_0 = solve_a_0(K, tol)
     a_l = math.acosh(1.0 / (1.0 - K))
     a_L = solve_root(lambda a: _neck_terms(a)[2:4], a_c, a_l)
-    bundle = ConstantsBundle(
+    return ConstantsBundle(
         K=K,
         a_c=a_c,
         rho_max=rho_max,
@@ -200,8 +190,3 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
         two_rho_ac=2.0 * rho_max,
         two_rho_aL=2.0 * gomes_rho(a_L, tol),
     )
-    with _CACHE_LOCK:
-        bundle = _CACHE.setdefault(key, bundle)
-        if len(_CACHE) > _CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]
-        return bundle

@@ -74,15 +74,16 @@ def halfspace_point(x: float, y: float, theta: float) -> tuple[float, float, flo
 
     The generating curve point (x, y) sits at hyperbolic distance y from the
     axis on the sphere of Euclidean radius exp(x) about the chart origin;
-    theta rotates it about the axis.
+    theta rotates it about the axis.  Past y ~ 710, where cosh y overflows,
+    the height is 0: the point is on the boundary plane to rounding.
     """
     radius = math.exp(x)
     horizontal = radius * math.tanh(y)
-    return (
-        horizontal * math.cos(theta),
-        horizontal * math.sin(theta),
-        radius / math.cosh(y),
-    )
+    try:
+        height = radius / math.cosh(y)
+    except OverflowError:
+        height = 0.0
+    return horizontal * math.cos(theta), horizontal * math.sin(theta), height
 
 
 def ball_from_halfspace(x1: float, x2: float, x3: float) -> tuple[float, float, float]:

@@ -174,6 +174,10 @@ class TestDiskArea:
         with pytest.raises(ValueError):
             disk_area_total(-0.1)
 
+    def test_inf_where_cosh_overflows(self):
+        assert math.isfinite(disk_area_total(700.0))
+        assert disk_area_total(711.0) == disk_area_total(math.inf) == math.inf
+
 
 class TestAreaDifference:
     def test_collapsed_tube(self, tol):
@@ -224,6 +228,8 @@ class TestAreaDifference:
     def test_infinite_radius(self, tol):
         for a in (0.3, 0.6, 1.2):
             assert area_difference(a, math.inf, tol).phi_a_r == area_deficit(a, tol)
+            # Past r ~ 710 cosh r overflows; the report is the r = inf one.
+            assert area_difference(a, 1000.0, tol) == area_difference(a, math.inf, tol)
 
     def test_domain(self, tol):
         with pytest.raises(ValueError):

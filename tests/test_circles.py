@@ -544,8 +544,9 @@ class TestCatenoidsForSeparation:
     def test_below_the_outer_branch_cap(self, bundle, tol):
         # The outer root is sought up to a = 25, so d < 2 rho(25) has none.
         two_rho_cap = 2.0 * gomes_rho(25.0, tol)
-        for d in (0.999 * two_rho_cap, 1e-11, 1e-300):
-            with pytest.raises(BracketError):
+        # Below ~2.2e-308, 4 / d overflows; subnormal d raise the same error.
+        for d in (0.999 * two_rho_cap, 1e-11, 1e-300, 1e-310, 5e-324):
+            with pytest.raises(BracketError, match="outer branch"):
                 catenoids_for_separation(d, bundle, tol)
         assert catenoids_for_separation(two_rho_cap, bundle, tol).solutions[1][0] == 25.0
         a_outer = catenoids_for_separation(1.001 * two_rho_cap, bundle, tol).solutions[1][0]

@@ -146,6 +146,13 @@ class TestSweepCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_infinite_hi(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "phi", "--lo", "0", "--hi", "inf", "--n", "3"
+        )
+        assert code == 2
+        assert "hi must be finite" in err
+
     def test_bad_count(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "rho", "--n", "1")
         assert code == 2
@@ -196,9 +203,10 @@ class TestClassifyCommand:
         assert [entry["kind"] for entry in solutions] == ["unstable", "area_minimizing"]
         assert solutions[1]["a"] == pytest.approx(16.99201, abs=1e-5)
         # Below 2 rho(25) ~ 3.3e-11 the outer root is not sought.
-        code, _, err = run_cli(capsys, "classify", "--distance", "1e-11")
-        assert code == 2
-        assert "error:" in err
+        for d in ("1e-11", "1e-310", "5e-324"):
+            code, _, err = run_cli(capsys, "classify", "--distance", d)
+            assert code == 2
+            assert "error: outer branch" in err
 
     def test_by_separation_empty(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--distance", "1.5")
@@ -353,14 +361,14 @@ class TestCompeteCommand:
             tube_area(0.6, 3.0, tol), abs=1e-9
         )
 
-    @pytest.mark.parametrize("r", ["30", "40", "60"])
+    @pytest.mark.parametrize("r", ["30", "40", "60", "1000"])
     def test_witness_at_large_radius(self, capsys, r):
         code, out, _ = run_cli(capsys, "compete", "--a", "0.6", "--r", r)
         assert code == 0
         assert "witness = True" in out
         assert "margin = 0.722454639189\n" in out
 
-    @pytest.mark.parametrize("r", ["30", "40", "60"])
+    @pytest.mark.parametrize("r", ["30", "40", "60", "1000"])
     def test_fixed_cylinder_height_at_large_radius(self, capsys, tol, r):
         s = 0.6 / 2**20
         code, out, _ = run_cli(
@@ -425,6 +433,15 @@ class TestMeshCommand:
             "mesh", "--a", "0.6", "--y-max", "0.5", "--out", str(tmp_path / "x.obj"),
         )
         assert code == 2
+
+    def test_y_max_past_cosh_overflow(self, capsys, tmp_path):
+        path = tmp_path / "far.obj"
+        code, _, _ = run_cli(
+            capsys, "mesh", "--a", "0.6", "--y-max", "1000", "--out", str(path)
+        )
+        assert code == 0
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
 
     def test_infinite_y_max(self, capsys, tmp_path):
         path = tmp_path / "x.obj"

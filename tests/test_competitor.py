@@ -159,6 +159,12 @@ class TestFindCheaperCompetitor:
         assert abs(report.margin - expected) <= 1e-12
         assert report.margin == pytest.approx(MARGIN_06_FAR, abs=1e-12)
 
+    def test_radius_past_cosh_overflow(self, tol):
+        far = find_cheaper_competitor(0.6, 1000.0, tol)
+        limit = find_cheaper_competitor(0.6, math.inf, tol)
+        assert (far.s, far.margin) == (limit.s, limit.margin)
+        assert far.area_competitor == competitor_area(0.6, 1000.0, 0.1, tol) == math.inf
+
     def test_no_witness_above_threshold(self, tol):
         report = find_cheaper_competitor(1.0, 3.0, tol)
         assert report.s is None

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypcatenoid import (
     Tolerance,
     area_deficit,
     compute_K,
-    constants,
     constants_bundle,
     gomes_rho,
     mvt_f,
@@ -227,14 +227,50 @@ class TestConstantsBundle:
         assert constants_bundle(tol) is constants_bundle(tol)
         assert constants_bundle(Tolerance()) is constants_bundle(tol)
 
-    def test_cache_bounded(self, monkeypatch):
-        cache = {}
-        monkeypatch.setattr(constants, "_CACHE", cache)
+    def test_cache_bounded(self):
         for i in range(100):
             constants_bundle(Tolerance(abs_tol=1e-8 * (1.0 + i / 100)))
-        assert 0 < len(cache) <= constants._CACHE_SIZE
+        assert constants_bundle.cache_info().currsize == 32
         repeated = Tolerance(abs_tol=1e-8 * 1.99)
         assert constants_bundle(repeated) is constants_bundle(repeated)
+
+    def test_cache_evicts_least_recently_used(self):
+        constants_bundle.cache_clear()
+        tols = [Tolerance(abs_tol=1e-8 * (1.0 + i / 100)) for i in range(33)]
+        first = constants_bundle(tols[0])
+        for tol in tols[1:32]:
+            constants_bundle(tol)
+        assert constants_bundle(tols[0]) is first
+        constants_bundle(tols[32])
+        assert constants_bundle(tols[0]) is first
+        misses = constants_bundle.cache_info().misses
+        constants_bundle(tols[1])
+        assert constants_bundle.cache_info().misses == misses + 1
+
+    def test_concurrent_calls_agree(self, tol):
+        # More threads than cores and a short switch interval interleave the
+        # cache's lookups, solves and evictions; every bundle must be equal.
+        reference = constants_bundle(tol)
+        tols = [Tolerance(abs_tol=1e-9 * (1.0 + i / 50)) for i in range(40)]
+        results = []
+
+        def worker(offset):
+            results.extend(constants_bundle(tols[(offset + i) % 40]) for i in range(80))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 6 * 80
+        assert all(bundle == reference for bundle in results)
+        assert constants_bundle.cache_info().currsize <= 32
 
     def test_self_consistency_across_tolerances(self):
         coarse = constants_bundle(Tolerance(abs_tol=1e-8))

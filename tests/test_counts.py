@@ -107,8 +107,8 @@ def test_fixture_counts_envelope_samples(count_evaluations):
     assert count == results[0].evaluations > 8
 
 
-def test_cold_bundle(count_evaluations, monkeypatch):
-    monkeypatch.setattr(constants, "_CACHE", {})
+def test_cold_bundle(count_evaluations):
+    constants_bundle.cache_clear()
     assert count_evaluations(lambda: constants_bundle(TOL)) == 0
 
 
@@ -183,8 +183,8 @@ def count_solver_calls(monkeypatch):
     return run
 
 
-def test_cold_bundle_solver_calls(count_solver_calls, monkeypatch):
-    monkeypatch.setattr(constants, "_CACHE", {})
+def test_cold_bundle_solver_calls(count_solver_calls):
+    constants_bundle.cache_clear()
     # phi' for a_c, mvt_f for a_0, phi for a_L.
     assert count_solver_calls(lambda: constants_bundle(TOL)) == [4, 7, 6]
 
@@ -293,13 +293,13 @@ def test_rho_prime_carlson_calls(count_calls):
         assert count_calls(catenoid, "_carlson", lambda: catenoid._neck_terms(a)) == 0
 
 
-def test_cold_bundle_carlson_calls(count_calls, monkeypatch):
-    monkeypatch.setattr(constants, "_CACHE", {})
+def test_cold_bundle_carlson_calls(count_calls):
+    constants_bundle.cache_clear()
     assert count_calls(catenoid, "_carlson", lambda: constants_bundle(TOL)) == 0
 
 
-def test_cold_bundle_kernel_calls(count_calls, monkeypatch):
-    monkeypatch.setattr(constants, "_CACHE", {})
+def test_cold_bundle_kernel_calls(count_calls):
+    constants_bundle.cache_clear()
     # 4 phi' calls for a_c, rho(a_c), 6 phi calls for a_L, rho(a_L).
     assert count_calls(catenoid, "_neck_terms", lambda: constants_bundle(TOL)) == 12
 

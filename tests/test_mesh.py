@@ -70,6 +70,10 @@ class TestCoordinateCharts:
         with pytest.raises(ValueError):
             halfspace_from_ball(1.0, 0.0, 0.0)
 
+    def test_point_past_cosh_overflow(self):
+        # Past y ~ 710 cosh y overflows; the point is on the boundary plane.
+        assert halfspace_point(0.1, 800.0, 0.0) == (math.exp(0.1), 0.0, 0.0)
+
     def test_surface_point_chart_identity(self):
         # tanh^2 + sech^2 = 1 makes the half-space norm exactly e^x.
         point = halfspace_point(0.75, 1.25, 2.0)
