@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .catenoid import Tolerance, sample_catenary
 
@@ -24,7 +25,7 @@ __all__ = [
 ]
 
 # OBJ lines formatted per write: enough to amortise each call, few enough
-# that one block's strings take well under a megabyte.
+# that one block's arguments and bytes take well under a megabyte.
 _OBJ_BLOCK = 4096
 
 
@@ -34,7 +35,9 @@ class MeshParams:
 
     n_profile counts samples of the generating curve from the neck out to
     y_max on one side; the full profile mirrors them through the neck.
-    n_angle is the number of angular steps of the sweep.
+    n_angle is the number of angular steps of the sweep.  Rows past about
+    y - neck_distance = 40 lie on one boundary circle of the ball to
+    rounding, so a larger y_max only adds coincident rows (see build_mesh).
     """
 
     neck_distance: float
@@ -62,7 +65,13 @@ class MeshParams:
 
 @dataclass(eq=False)
 class MeshData:
-    """Vertex/face soup in ball coordinates, with the parameters that built it."""
+    """Vertex/face soup in ball coordinates, with the parameters that built it.
+
+    Every vertex is a 3-tuple of floats and every face a 3-tuple of 0-based
+    vertex indices.  write_obj raises TypeError for a block whose entries
+    hold the wrong number of values in total; a short and a long entry in
+    the same block cancel out and are not caught.
+    """
 
     params: MeshParams
     vertices: list[tuple[float, float, float]] = field(default_factory=list)
@@ -135,7 +144,10 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     (u_j, r_j cos theta_m, r_j sin theta_m) and needs one chart map.  Every
     quad is then an isosceles trapezoid whose two diagonals have the same
     length, so all quads are split the same way.  The profile is exact to
-    rounding whatever tol is, so the mesh does not depend on it.
+    rounding whatever tol is, so the mesh does not depend on it.  Rows
+    past about y - a = 40 map to one boundary circle, so a larger y_max
+    only adds coincident rows and zero-area faces: a = 0.6, y_max = 1000
+    at the CLI's default resolution gives 4,032 vertices, 832 distinct.
     """
     if tol is None:
         tol = Tolerance()
@@ -165,17 +177,22 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
 def write_obj(mesh: MeshData, path: str) -> None:
     """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
 
-    Lines are formatted and written a block at a time, so the transient
-    strings stay bounded by the block whatever the mesh size.
+    Each block of lines is formatted by one bytes %, so the transient
+    objects stay bounded by the block whatever the mesh size.
     """
     vertices, faces = mesh.vertices, mesh.faces
-    with open(path, "w", newline="\n") as handle:
+    one_based = (1).__add__
+    with open(path, "wb") as handle:
+        # No local holds a block's arguments, so they are freed before the
+        # next block's are built.
         for start in range(0, len(vertices), _OBJ_BLOCK):
             block = vertices[start : start + _OBJ_BLOCK]
-            handle.write("".join(map("v %.12g %.12g %.12g\n".__mod__, block)))
+            handle.write(b"v %.12g %.12g %.12g\n" * len(block) % tuple(chain.from_iterable(block)))
         for start in range(0, len(faces), _OBJ_BLOCK):
             block = faces[start : start + _OBJ_BLOCK]
-            handle.write("".join([f"f {i + 1} {j + 1} {k + 1}\n" for i, j, k in block]))
+            handle.write(
+                b"f %d %d %d\n" * len(block) % tuple(map(one_based, chain.from_iterable(block)))
+            )
 
 
 def export_mesh(

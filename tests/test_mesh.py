@@ -17,6 +17,7 @@ from hypcatenoid import (
     halfspace_point,
     write_obj,
 )
+from hypcatenoid.mesh import _OBJ_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -247,12 +248,30 @@ def _scrambled_mesh():
     return MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
 
 
+def _block_edge_mesh(count, integers):
+    # count vertices and count faces, so both loops end on or just past a
+    # block edge; int coordinates check %.12g on ints against the f-string.
+    rng = random.Random(count)
+
+    def draw():
+        if integers:
+            return rng.randrange(-10**15, 10**15) // 10 ** rng.randrange(16)
+        return rng.uniform(-1.0, 1.0)
+
+    vertices = [(draw(), draw(), draw()) for _ in range(count)]
+    faces = [(rng.randrange(count), rng.randrange(count), rng.randrange(count))
+             for _ in range(count)]
+    return MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
+
+
 class TestObjOutput:
     def test_bytes_match_line_by_line_writer(self, tol, tmp_path):
         meshes = {
             "48x64": build_mesh(MeshParams(0.6, 3.0, 48, 64), tol),
             "scrambled": _scrambled_mesh(),
             "empty": MeshData(MeshParams(0.6, 3.0, 2, 3)),
+            "one block": _block_edge_mesh(_OBJ_BLOCK, integers=True),
+            "one block + 1": _block_edge_mesh(_OBJ_BLOCK + 1, integers=False),
         }
         for name, mesh in meshes.items():
             got, want = tmp_path / f"{name}.obj", tmp_path / f"{name}-ref.obj"
@@ -269,7 +288,8 @@ class TestObjOutput:
 
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of index
-        # strings about 4 MB; formatting a block at a time stays under 1 MB.
+        # strings about 4 MB, so it would exceed this bound; formatting a
+        # block at a time takes about 650 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
@@ -277,7 +297,20 @@ class TestObjOutput:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 2**20
+
+    @pytest.mark.parametrize(
+        "vertices, faces",
+        [
+            ([(0.0, 0.0, 0.0), (1.0, 0.0)], [(0, 1, 0)]),
+            ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0, 1, 0), (0, 1, 0, 1)]),
+        ],
+        ids=["2-tuple vertex", "4-tuple face"],
+    )
+    def test_wrong_length_entry_raises(self, vertices, faces, tmp_path):
+        mesh = MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
+        with pytest.raises(TypeError):
+            write_obj(mesh, str(tmp_path / "bad.obj"))
 
     def test_file_round_trip(self, mesh, tmp_path):
         path = tmp_path / "tube.obj"
