@@ -58,6 +58,11 @@ _FOUR_PI = 4.0 * math.pi
 # refuse neck distances past this cap.
 _NECK_CAP = 25.0
 
+# Near the neck the Carlson arguments of catenary_x are all about
+# sinh(a)**2 and R_J is their -3/2 power, so the profile needs sinh(a)**3
+# to be a normal double; below this neck distance R_J overflows.
+_PROFILE_NECK_MIN = sys.float_info.min ** (1.0 / 3.0)
+
 # Past y - a = _TAIL_SPAN the profile and the areas have converged to their
 # limits to rounding (their integrands decay like exp(-3 (y - a))); the
 # distance is clamped there, which keeps sinh finite.
@@ -173,8 +178,10 @@ def _carlson(x: float, y: float, z: float, p: float, gap: float) -> tuple[float,
         lam = sx * sy + sx * sz + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
         # R_C(1, 1 + e) = atanh(sqrt(-e)) / sqrt(-e); e shrinks 64-fold a
-        # step, so after the first few steps its cubic series is exact.
-        e = gap * scale**3 / (d * d)
+        # step, so after the first few steps its cubic series is exact.  A
+        # gap that underflowed to 0 gives R_C = 1 to rounding, even where
+        # d * d underflowed too.
+        e = gap * scale**3 / (d * d) if gap else 0.0
         if e > -1.0e-4:
             rc = 1.0 - e * (1.0 / 3.0 - e * (0.2 - e / 7.0))
         else:
@@ -287,8 +294,15 @@ def catenary_x(a: float, y: float, tol: Tolerance) -> float:
     so x(y) keeps full relative accuracy at the neck.  Past y - a =
     _TAIL_SPAN, x(y) equals rho(a) to rounding and y is clamped there, which
     keeps sinh finite.  The value is exact to rounding whatever tol is.
+    Neck distances below _PROFILE_NECK_MIN (about 2.8e-103) raise
+    ValueError.
     """
     _check_neck(a)
+    if a < _PROFILE_NECK_MIN:
+        raise ValueError(
+            f"neck distance {a} is below {_PROFILE_NECK_MIN:.6g}, the smallest "
+            "the profile x(y) supports"
+        )
     if not y >= a:
         raise ValueError(f"profile coordinate y={y} below the neck distance a={a}")
     delta = min(y - a, _TAIL_SPAN)

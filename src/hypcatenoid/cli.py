@@ -24,9 +24,7 @@ from .catenoid import (
     EvaluationBudgetError,
     Tolerance,
     area_deficit,
-    area_difference,
     gomes_rho,
-    plane_separation,
     sample_catenary,
 )
 
@@ -176,22 +174,13 @@ def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> None:
 
 
 def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> None:
-    from .competitor import _margin, competitor_area, find_cheaper_competitor
+    from .competitor import _report_at, find_cheaper_competitor
 
-    if args.s is not None:
-        competitor = competitor_area(args.a, args.r, args.s, tol)
-        area = area_difference(args.a, args.r, tol)
-        L = plane_separation(args.a, args.r, tol)
-        report = {
-            "a": args.a,
-            "r": args.r,
-            "s": args.s,
-            "area_catenoid": area.tube_area,
-            "area_competitor": competitor,
-            "margin": _margin(area.phi_a_r, L, args.s),
-        }
+    if args.s is None:
+        found = find_cheaper_competitor(args.a, args.r, tol)
     else:
-        report = dataclasses.asdict(find_cheaper_competitor(args.a, args.r, tol))
+        found = _report_at(args.a, args.r, args.s, tol)
+    report = dataclasses.asdict(found)
     # The search reports a margin only when it is positive.
     report["witness"] = report["margin"] is not None and report["margin"] > 0.0
     text = "".join(
@@ -276,7 +265,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--s", type=float, default=None, help="fixed cylinder half-height")
+    p.add_argument("--s", type=float, default=None, help="fixed cylinder radius")
     p.set_defaults(handler=_cmd_compete)
 
     p = sub.add_parser("mesh", parents=[common], help="export the surface as OBJ")

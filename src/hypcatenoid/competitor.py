@@ -11,13 +11,14 @@ L is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .catenoid import (
     _FOUR_PI,
     Tolerance,
+    _check_neck,
     area_difference,
     disk_area_total,
     plane_separation,
@@ -39,9 +40,6 @@ __all__ = [
 # and ties at a_c resolve to the stable side.
 _BOUNDARY_TOL = 1.0e-9
 
-# Deepest level of the geometric search grid s = a/2, a/4, ..., a/2**20.
-_GRID_DEPTH = 20
-
 
 class RegimeKind(str, Enum):
     UNSTABLE = "unstable"
@@ -60,8 +58,14 @@ class RegimeLabel:
 
 @dataclass(frozen=True)
 class CompetitorReport:
-    """Result of the competitor search; s and the derived fields are absent
-    when no grid point yields a positive margin."""
+    """Catenoid and cylinder-plus-disks areas for one cylinder radius s.
+
+    margin is the catenoid's area minus the competitor's.  The search
+    reports s = a / 2**20, the best radius in (0, a] to within 2 pi L s
+    (see find_cheaper_competitor); s and the derived fields are absent when
+    its margin is not positive, which is when Phi(a, r) <= 0 up to
+    rounding.
+    """
 
     a: float
     r: float
@@ -76,8 +80,7 @@ def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
 
     Ties within 1e-9 of a_c resolve to the stable side.
     """
-    if not a > 0.0:
-        raise ValueError(f"neck distance must be positive, got {a}")
+    _check_neck(a)
     if a < bundle.a_c - _BOUNDARY_TOL:
         kind = RegimeKind.UNSTABLE
     elif a < bundle.a_L:
@@ -91,20 +94,30 @@ def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
     )
 
 
-def _cylinder_plus_disks(L: float, r: float, s: float) -> float:
-    """Closed-form competitor area for cylinder radius s and plane separation L."""
-    cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
-    return cylinder + disk_area_total(r) - _FOUR_PI * (math.cosh(s) - 1.0)
-
-
-def _margin(phi: float, L: float, s: float) -> float:
-    """Tube area minus competitor area, from Phi = tube area - disk area.
+def _report_at(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport:
+    """Report for the cylinder of radius s, with a margin of either sign.
 
     Both areas contain the disks' 4 pi (cosh r - 1); subtracting them would
-    cancel every digit at large r, so the margin is Phi - pi L sinh 2s +
-    4 pi (cosh s - 1).
+    cancel every digit at large r, so the margin is taken from Phi = tube
+    area - disk area as Phi - pi L sinh 2s + 4 pi (cosh s - 1).
     """
-    return phi - math.pi * L * math.sinh(2.0 * s) + _FOUR_PI * (math.cosh(s) - 1.0)
+    _check_neck(a)
+    if not 0.0 < s <= a:
+        raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
+    if not r > a:
+        raise ValueError(f"tube radius r={r} must exceed the neck distance a={a}")
+    area = area_difference(a, r, tol)
+    L = plane_separation(a, r, tol)
+    cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
+    footprints = _FOUR_PI * (math.cosh(s) - 1.0)
+    return CompetitorReport(
+        a=a,
+        r=r,
+        s=s,
+        area_catenoid=area.tube_area,
+        area_competitor=cylinder + disk_area_total(r) - footprints,
+        margin=area.phi_a_r - math.pi * L * math.sinh(2.0 * s) + footprints,
+    )
 
 
 def competitor_area(a: float, r: float, s: float, tol: Tolerance) -> float:
@@ -115,45 +128,24 @@ def competitor_area(a: float, r: float, s: float, tol: Tolerance) -> float:
     Restricting s to (0, a] keeps the cylinder inside the region enclosed by
     the catenoid, where the comparison is meaningful.
     """
-    if not 0.0 < s <= a:
-        raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
-    if not r > a:
-        raise ValueError(f"tube radius r={r} must exceed the neck distance a={a}")
-    return _cylinder_plus_disks(plane_separation(a, r, tol), r, s)
+    return _report_at(a, r, s, tol).area_competitor
 
 
 def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorReport:
-    """Search the geometric grid s = a/2**k for the cheapest competitor.
+    """The competitor of cylinder radius s = a / 2**20, if it beats the catenoid.
 
-    Returns the grid point with the largest positive margin (catenoid area
-    minus competitor area), or a report with absent fields when every grid
-    point loses.  As s shrinks the margin approaches the area difference
-    Phi(a, r), so a positive Phi guarantees a witness on a fine enough grid.
+    The margin m(s) = Phi(a, r) - pi L sinh 2s + 4 pi (cosh s - 1) tends to
+    Phi as s -> 0+, and m(s) < Phi exactly when L > 2 tanh(s/2) / cosh s.
+    That bound rises on (0, 1.06], which holds (0, a_L], and along the zero
+    of Phi(a, .) for a in (0, a_L) the separation L is at least 1.27 times
+    the bound at s = a (4 / pi times as a -> 0).  Phi and L both grow with
+    r, so wherever Phi > 0 every s in (0, a] gives m(s) < Phi: the best
+    margin over (0, a] is Phi itself, approached only as s -> 0+, so no
+    radius beats s = a / 2**20 by more than pi L sinh 2s and no grid of
+    radii is needed.  Returns a report with absent fields when the margin
+    is not positive.
     """
-    if not r > a:
-        raise ValueError(f"tube radius r={r} must exceed the neck distance a={a}")
-    report = area_difference(a, r, tol)
-    sigma = report.tube_area
-    L = plane_separation(a, r, tol)
-
-    best_s: Optional[float] = None
-    best_margin = 0.0
-    for k in range(1, _GRID_DEPTH + 1):
-        s = a / (2.0**k)
-        margin = _margin(report.phi_a_r, L, s)
-        if margin > best_margin:
-            best_s = s
-            best_margin = margin
-
-    if best_s is None:
-        return CompetitorReport(
-            a=a, r=r, s=None, area_catenoid=sigma, area_competitor=None, margin=None
-        )
-    return CompetitorReport(
-        a=a,
-        r=r,
-        s=best_s,
-        area_catenoid=sigma,
-        area_competitor=_cylinder_plus_disks(L, r, best_s),
-        margin=best_margin,
-    )
+    report = _report_at(a, r, a * 2.0**-20, tol)
+    if report.margin > 0.0:
+        return report
+    return replace(report, s=None, area_competitor=None, margin=None)

@@ -11,6 +11,7 @@ from hypcatenoid import (
     area_deficit,
     area_difference,
     catenary_x,
+    catenoid,
     compute_K,
     concavity_terms,
     disk_area_total,
@@ -103,6 +104,28 @@ class TestCatenaryX:
             x = catenary_x(a, math.inf, tol)
             assert x == catenary_x(a, 1000.0, tol)
             assert x == pytest.approx(gomes_rho(a, tol), rel=8.0 * sys.float_info.epsilon)
+
+    def test_smallest_supported_neck(self, tol):
+        # Next to the neck the Carlson arguments are all about sinh(a)**2,
+        # so the floor is where sinh(a)**3 stops being a normal double.
+        floor = catenoid._PROFILE_NECK_MIN
+        assert floor == sys.float_info.min ** (1.0 / 3.0)
+        for a in (floor, 1e-100, 3e-82):
+            for offset in (0.0, 1e-300, a * 1e-12, a, 1e-3, 1.0, 100.0):
+                x = catenary_x(a, a + offset, tol)
+                assert math.isfinite(x) and x >= 0.0, (a, offset)
+        for a in (math.nextafter(floor, 0.0), 1e-155, 1e-200):
+            with pytest.raises(ValueError, match="smallest the profile"):
+                catenary_x(a, 1.0, tol)
+
+    def test_small_neck_through_callers(self, tol):
+        points = sample_catenary(1e-100, 1.0, 3, tol).points
+        assert points[0] == (0.0, 1e-100) and points[-1][0] == catenary_x(1e-100, 1.0, tol)
+        assert plane_separation(1e-100, 1.0, tol) == 2.0 * points[-1][0]
+        with pytest.raises(ValueError, match="smallest the profile"):
+            sample_catenary(1e-200, 1.0, 3, tol)
+        with pytest.raises(ValueError, match="smallest the profile"):
+            plane_separation(1e-200, 1.0, tol)
 
 
 class TestSampleCatenary:

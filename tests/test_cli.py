@@ -391,9 +391,39 @@ class TestCompeteCommand:
         assert code == 0
         assert "witness = False" in out
 
+    def test_fixed_cylinder_that_loses(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compete", "--a", "1.0", "--r", "3", "--s", "0.5", "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["s"] == 0.5 and report["margin"] < 0.0
+        assert report["witness"] is False
+
     def test_bad_geometry(self, capsys):
         code, _, err = run_cli(capsys, "compete", "--a", "0.6", "--r", "0.5")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compete", "--r", "1"),
+        ("catenary", "--y-max", "1", "--n", "3"),
+        ("mesh", "--y-max", "1", "--n-profile", "3", "--n-angle", "4", "--out", "m.obj"),
+    ],
+)
+def test_smallest_neck(capsys, monkeypatch, tmp_path, argv):
+    # The profile x(y) supports necks down to about 2.8e-103.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--a", "1e-100")
+    assert code == 0 and err == "" and "nan" not in out and "inf" not in out
+    code, out, err = run_cli(capsys, *argv, "--a", "1e-200")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: neck distance 1e-200 is below 2.81264e-103, "
+        "the smallest the profile x(y) supports\n"
+    )
 
 
 class TestMeshCommand:

@@ -70,6 +70,9 @@ class TestClassifyRegime:
             classify_regime(0.0, bundle)
         with pytest.raises(ValueError):
             classify_regime(-0.4, bundle)
+        for a in (26.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="neck distance"):
+                classify_regime(a, bundle)
 
     def test_kind_serializes_as_string(self, bundle):
         assert classify_regime(0.3, bundle).kind.value == "unstable"
@@ -136,8 +139,8 @@ class TestFindCheaperCompetitor:
         assert report.margin >= fixed
 
     def test_margin_approaches_area_difference(self, tol):
-        # On the finest grid point the cylinder contribution is about
-        # 2 pi L a / 2**20, so the best margin sits within 1e-5 of Phi.
+        # At s = a / 2**20 the cylinder contribution is about
+        # 2 pi L a / 2**20, so the margin sits within 1e-5 of Phi.
         report = find_cheaper_competitor(0.6, 3.0, tol)
         phi = area_difference(0.6, 3.0, tol).phi_a_r
         assert abs(report.margin - phi) < 1e-5
@@ -205,8 +208,71 @@ class TestFindCheaperCompetitor:
                 report = find_cheaper_competitor(a, a + dr, tol)
                 assert report.margin is None, f"witness at a={a}, r={a + dr}"
 
+    def test_matches_grid_scan(self, tol):
+        # The reference is the 20-point scan s = a / 2**k, k = 1..20, that
+        # kept the largest positive margin.  Where the sign of Phi is
+        # resolved it always picks k = 20, the one radius searched now.
+        necks = [min(float(a), 25.0) for a in np.geomspace(1e-6, 25.0, 60)]
+        gaps = [float(dr) for dr in np.geomspace(1e-9, 60.0, 60)]
+        witnesses = 0
+        for a in necks:
+            for r in (a + dr for dr in gaps):
+                phi = area_difference(a, r, tol).phi_a_r
+                if abs(phi) <= 1e-12:
+                    continue
+                L = plane_separation(a, r, tol)
+                best_s, best = None, 0.0
+                for k in range(1, 21):
+                    s = a / 2.0**k
+                    margin = (
+                        phi
+                        - math.pi * L * math.sinh(2.0 * s)
+                        + 4.0 * math.pi * (math.cosh(s) - 1.0)
+                    )
+                    if margin > best:
+                        best_s, best = s, margin
+                report = find_cheaper_competitor(a, r, tol)
+                expected = (best_s, best if best_s is not None else None)
+                assert (report.s, report.margin) == expected, (a, r)
+                witnesses += best_s is not None
+        assert witnesses > 1000
+
+    def test_separation_exceeds_bound_where_phi_vanishes(self, bundle, tol):
+        # margin(s) < Phi exactly when L > 2 tanh(s/2) / cosh s.  The bound
+        # rises on (0, a_L], and at the zero r0 of Phi(a, .) the separation
+        # already exceeds it at s = a by a factor of at least 1.27.
+        def bound(s):
+            return 2.0 * math.tanh(0.5 * s) / math.cosh(s)
+
+        grid = np.linspace(1e-6, 1.06, 500)
+        assert all(bound(u) < bound(v) for u, v in zip(grid, grid[1:]))
+        assert bundle.a_L < 1.06
+        necks = list(np.geomspace(1e-6, bundle.a_L, 40)[:-1])
+        for a in necks + [bundle.a_L * (1.0 - 1e-3), bundle.a_L * (1.0 - 1e-6)]:
+            a = float(a)
+            lo, hi = a, a + 41.0  # Phi(a, .) is constant past r - a = 40
+            assert area_difference(a, hi, tol).phi_a_r > 0.0
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if area_difference(a, mid, tol).phi_a_r > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            assert plane_separation(a, hi, tol) > 1.27 * bound(a), a
+
+    def test_smallest_neck(self, tol):
+        report = find_cheaper_competitor(1e-100, 1.0, tol)
+        assert report.s is None and math.isfinite(report.area_catenoid)
+        assert math.isfinite(competitor_area(1e-100, 1.0, 1e-101, tol))
+        with pytest.raises(ValueError, match="smallest the profile"):
+            find_cheaper_competitor(1e-200, 1.0, tol)
+        with pytest.raises(ValueError, match="smallest the profile"):
+            competitor_area(1e-200, 1.0, 1e-201, tol)
+
     def test_domain(self, tol):
         with pytest.raises(ValueError):
             find_cheaper_competitor(0.6, 0.6, tol)
         with pytest.raises(ValueError):
             find_cheaper_competitor(0.6, 0.5, tol)
+        for a in (0.0, -0.4, 26.0):
+            with pytest.raises(ValueError, match="neck distance must be in"):
+                find_cheaper_competitor(a, 30.0, tol)

@@ -349,3 +349,14 @@ class TestObjOutput:
         mesh = export_mesh(0.5, 2.0, 6, 8, str(tmp_path / "out.obj"), tol)
         assert isinstance(mesh, MeshData)
         assert len(mesh.vertices) == 8 * 11
+
+    def test_smallest_neck(self, tol, tmp_path):
+        mesh = build_mesh(MeshParams(1e-100, 1.0, 4, 6), tol)
+        assert all(math.isfinite(c) for v in mesh.vertices for c in v)
+        path = tmp_path / "tiny.obj"
+        assert len(export_mesh(1e-100, 1.0, 4, 6, str(path), tol).faces) == 72
+        assert path.read_bytes().count(b"\nf ") == 72
+        with pytest.raises(ValueError, match="smallest the profile"):
+            build_mesh(MeshParams(1e-200, 1.0, 4, 6), tol)
+        with pytest.raises(ValueError, match="smallest the profile"):
+            export_mesh(1e-200, 1.0, 4, 6, str(tmp_path / "none.obj"), tol)

@@ -10,6 +10,7 @@ form 1 + Gamma(-1/4) sqrt(pi) / (4 Gamma(1/4)).
 
 Every shipped value is a closed form or a root of one, exact to rounding
 whatever abs_tol is.  rho and x(y) are held to abs_tol and to 1e-13
+relative, and x(y) at necks near its floor (about 2.8e-103) to 2e-15
 relative; rho' to 1e-14 * max(1, |rho'|); phi to 1.5e-14 * max(1, |phi|)
 and Phi to 1e-13 * max(1, |Phi|), phi never looser than abs_tol; I2 to
 1e-12 * max(1, |I2|); K to 1e-15; a_c and a_L to 1e-15 relative.
@@ -305,6 +306,30 @@ def test_neck_terms_closed_forms():
         _close(phi, ref_phi, _scaled(ref_phi, 1.5e-14))
         _close(dphi, ref_dphi, 2e-15 * abs(float(ref_dphi)))
         _close(d2phi, ref_d2phi, _scaled(ref_d2phi, 1e-14))
+
+
+def test_catenary_x_tiny_necks():
+    """x(y) far from and next to the neck, at necks near the profile's floor.
+
+    The u form of oracle_x is 34% off at a = 1e-100, y = 1, so this oracle
+    integrates in s = v**2 instead:
+    x(y) = (sinh(2a) / 4) int_0^sqrt(T) 2 dv / ((v**2 + p) sqrt((v**2 + w)
+    (v**2 + c))), smooth in v, broken at every decade from v ~ a / 100 up.
+    """
+    for a, y in ((1e-100, 1.0), (3e-103, 3e-103 * (1 + 1e-3))):
+        with mp.workdps(DIGITS):
+            ta, ty = mpf(a), mpf(y)
+            w = mpmath.sinh(ta) ** 2
+            c, p = 1 + 2 * w, 1 + w
+            top = mpmath.sqrt(mpmath.sinh(ty - ta) * mpmath.sinh(ty + ta))
+            decades = range(int(mpmath.log10(ta)) - 2, int(mpmath.log10(top)) + 1)
+            breaks = [mpf(0)] + [mpf(10) ** k for k in decades if mpf(10) ** k < top]
+
+            def g(v):
+                return 2 / ((v * v + p) * mpmath.sqrt((v * v + w) * (v * v + c)))
+
+            reference = mpmath.sinh(2 * ta) / 4 * mpmath.quad(g, breaks + [top])
+        _close(catenary_x(a, y, Tolerance()), reference, 2e-15 * float(reference))
 
 
 def test_carlson_incomplete():
