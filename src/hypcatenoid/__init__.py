@@ -20,7 +20,6 @@ _EXPORTS = {
     "catenoid": (
         "AreaReport",
         "CatenarySample",
-        "Catenoid",
         "ConsistencyError",
         "EvaluationBudgetError",
         "Tolerance",

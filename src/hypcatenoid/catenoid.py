@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "AreaReport",
-    "Catenoid",
     "CatenarySample",
     "ConsistencyError",
     "EvaluationBudgetError",
@@ -83,34 +82,18 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Separation tie window abs_tol and constants-cache key; only the
-    quadrature module reads max_evaluations."""
+    """Separation tie window abs_tol and constants-cache key."""
 
     abs_tol: float = 1.0e-10
-    max_evaluations: int = 2_000_000
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be a positive integer, got {self.max_evaluations}"
-            )
 
 
 def _check_neck(a: float) -> None:
     if not 0.0 < a <= _NECK_CAP:
         raise ValueError(f"neck distance must be in (0, {_NECK_CAP}], got {a}")
-
-
-@dataclass(frozen=True)
-class Catenoid:
-    """A spherical catenoid, identified by its neck distance to the axis."""
-
-    neck_distance: float
-
-    def __post_init__(self) -> None:
-        _check_neck(self.neck_distance)
 
 
 @dataclass(frozen=True)
@@ -389,11 +372,11 @@ def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
     if not r >= a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
     disks = disk_area_total(r)
-    if r == a:
-        phi = -disks  # the tube is the neck circle and has no area
-    else:
-        delta = min(r - a, _TAIL_SPAN)
-        phi = _area_excess(a, math.sinh(delta) * math.sinh(2.0 * a + delta))
+    delta = min(r - a, _TAIL_SPAN)
+    t = math.sinh(delta) * math.sinh(2.0 * a + delta)
+    # t is 0 at r = a, where the tube is the neck circle and has no area,
+    # and where it underflows at tiny necks, so Phi is then -disks.
+    phi = _area_excess(a, t) if t else -disks
     return AreaReport(tube_area=phi + disks, disk_area_total=disks, phi_a_r=phi)
 
 
@@ -403,14 +386,16 @@ def tube_area(a: float, r: float, tol: Tolerance) -> float:
 
 
 def area_deficit(a: float, tol: Tolerance) -> float:
-    """Limit phi(a) of Phi(a, r) as r grows; positive exactly below its zero.
+    """Limit phi(a) of Phi(a, r) as r grows; the exact phi is positive
+    exactly below its zero.
 
     phi(a) = 4 pi [1 - p R_F(0, w, c) + (c p / 3) R_D(0, w, c)] with
     w = sinh(a)**2, c = 1 + 2w and p = 1 + w, which _neck_terms evaluates as
     4 pi [1 - cel(kc, 1, p / sqrt(c), 0)], exact to rounding whatever tol
     is: against mpmath its absolute error stays below 1.5e-14 * max(1, |phi|)
     for a in [1e-6, 25].  Below a ~ 1e-3 phi is small and the two terms
-    cancel, so that bound is not a relative one there.
+    cancel, so that bound is not a relative one there; below a ~ 1e-9 the
+    computed phi is rounding noise of either sign.
     """
     _check_neck(a)
     return _neck_terms(a)[2]

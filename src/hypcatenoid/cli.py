@@ -17,7 +17,6 @@ import dataclasses
 import math
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from .catenoid import (
     ConsistencyError,
@@ -27,9 +26,6 @@ from .catenoid import (
     gomes_rho,
     sample_catenary,
 )
-
-if TYPE_CHECKING:
-    from .constants import ConstantsBundle
 
 __all__ = ["main"]
 
@@ -73,16 +69,6 @@ def _csv(header: str, rows) -> str:
     return header + "\n" + "".join(f"{_fmt(u)},{_fmt(v)}\n" for u, v in rows)
 
 
-# Bundle fields in output order; the constants table leaves out rho_max.
-_BUNDLE_FIELDS = (
-    "K", "a_c", "two_rho_ac", "a_0", "a_l", "a_L", "two_rho_aL", "rho_max"
-)
-
-
-def _bundle_dict(bundle: ConstantsBundle) -> dict[str, float]:
-    return {name: getattr(bundle, name) for name in _BUNDLE_FIELDS}
-
-
 def _circle_literal(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -108,8 +94,8 @@ def _solution(a: float, label) -> dict:
 def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> None:
     from .constants import constants_bundle
 
-    fields = _bundle_dict(constants_bundle(tol))
-    del fields["rho_max"]
+    fields = dataclasses.asdict(constants_bundle(tol))
+    del fields["rho_max"]  # the table leaves out rho_max
     width = max(map(len, fields))
     text = "".join(f"{name:<{width}} = {_fmt(v)}\n" for name, v in fields.items())
     _emit(args, fields, text)
@@ -163,7 +149,7 @@ def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> None:
             "distance": found.separation,
             "solutions": [_solution(a, label) for a, label in found.solutions],
         }
-    report["bundle"] = _bundle_dict(bundle)
+    report["bundle"] = dataclasses.asdict(bundle)
     _emit(args, report)
 
 

@@ -20,7 +20,6 @@ from .catenoid import (
     Tolerance,
     _check_neck,
     area_difference,
-    disk_area_total,
     plane_separation,
 )
 
@@ -62,8 +61,9 @@ class CompetitorReport:
 
     margin is the catenoid's area minus the competitor's.  The search
     reports s = a / 2**20, the best radius in (0, a] to within 2 pi L s
-    (see find_cheaper_competitor); s and the derived fields are absent when
-    its margin is not positive, which is when Phi(a, r) <= 0 up to
+    (see find_cheaper_competitor; where L >= 1 / sqrt(2) the margin falls
+    strictly in s with no tanh bound); s and the derived fields are absent
+    when its margin is not positive, which is when Phi(a, r) <= 0 up to
     rounding.
     """
 
@@ -102,12 +102,14 @@ def _report_at(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport
     area - disk area as Phi - pi L sinh 2s + 4 pi (cosh s - 1).
     """
     _check_neck(a)
-    if not 0.0 < s <= a:
-        raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
     if not r > a:
         raise ValueError(f"tube radius r={r} must exceed the neck distance a={a}")
-    area = area_difference(a, r, tol)
+    # L first: below the profile's neck floor, where a / 2**20 may underflow
+    # to 0, the floor is the error to report.
     L = plane_separation(a, r, tol)
+    if not 0.0 < s <= a:
+        raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
+    area = area_difference(a, r, tol)
     cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
     footprints = _FOUR_PI * (math.cosh(s) - 1.0)
     return CompetitorReport(
@@ -115,7 +117,7 @@ def _report_at(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport
         r=r,
         s=s,
         area_catenoid=area.tube_area,
-        area_competitor=cylinder + disk_area_total(r) - footprints,
+        area_competitor=cylinder + area.disk_area_total - footprints,
         margin=area.phi_a_r - math.pi * L * math.sinh(2.0 * s) + footprints,
     )
 
@@ -142,8 +144,10 @@ def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorRep
     r, so wherever Phi > 0 every s in (0, a] gives m(s) < Phi: the best
     margin over (0, a] is Phi itself, approached only as s -> 0+, so no
     radius beats s = a / 2**20 by more than pi L sinh 2s and no grid of
-    radii is needed.  Returns a report with absent fields when the margin
-    is not positive.
+    radii is needed.  Where L >= 1 / sqrt(2) that needs no tanh bound: with
+    x = sinh s, m'(s) = 2 pi (2x - L (1 + 2x**2)) < 0 for every x except
+    one at L = 1 / sqrt(2), so m is strictly decreasing on (0, a].
+    Returns a report with absent fields when the margin is not positive.
     """
     report = _report_at(a, r, a * 2.0**-20, tol)
     if report.margin > 0.0:

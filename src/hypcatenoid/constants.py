@@ -55,16 +55,17 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class ConstantsBundle:
-    """All solved constants, ordered 0 < a_0 < a_c < a_L < a_l."""
+    """All solved constants, ordered 0 < a_0 < a_c < a_L < a_l; the CLI
+    prints the fields in their declared order."""
 
     K: float
     a_c: float
-    rho_max: float
+    two_rho_ac: float
     a_0: float
     a_l: float
     a_L: float
-    two_rho_ac: float
     two_rho_aL: float
+    rho_max: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a_0 < self.a_c < self.a_L < self.a_l:
@@ -183,10 +184,10 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
     return ConstantsBundle(
         K=K,
         a_c=a_c,
-        rho_max=rho_max,
+        two_rho_ac=2.0 * rho_max,
         a_0=a_0,
         a_l=a_l,
         a_L=a_L,
-        two_rho_ac=2.0 * rho_max,
         two_rho_aL=2.0 * gomes_rho(a_L, tol),
+        rho_max=rho_max,
     )

@@ -76,6 +76,10 @@ _WG_CENTER = 0.4179591836734694
 # floating-point noise and further bisection cannot reduce it.
 _ROUNDOFF_FACTOR = 50.0 * sys.float_info.epsilon
 
+# quad_finite raises EvaluationBudgetError rather than spend more
+# integrand evaluations than this on one integral.
+_MAX_EVALUATIONS = 2_000_000
+
 
 def _gk15(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
     """One Gauss7/Kronrod15 panel; returns (value, error indicator, int of |g|)."""
@@ -125,9 +129,9 @@ def quad_finite(
     intervals = [(-err, counter, lo, hi, value, err, resabs)]
 
     while total_err > tol.abs_tol and total_err > _ROUNDOFF_FACTOR * total_resabs:
-        if evaluations + 30 > tol.max_evaluations:
+        if evaluations + 30 > _MAX_EVALUATIONS:
             raise EvaluationBudgetError(
-                f"needed more than {tol.max_evaluations} evaluations to reach "
+                f"needed more than {_MAX_EVALUATIONS} evaluations to reach "
                 f"abs_tol={tol.abs_tol} (error indicator {total_err:.3e})"
             )
         _, _, a, b, v_parent, e_parent, r_parent = heapq.heappop(intervals)
@@ -207,8 +211,7 @@ def quad_semi_infinite(
         cut = lo + span
         tail_bound = math.exp(log_m - decay_rate * span) / decay_rate
 
-    inner = Tolerance(0.5 * tol.abs_tol, max(tol.max_evaluations - 8, 1))
-    head = quad_finite(g, lo, cut, inner)
+    head = quad_finite(g, lo, cut, Tolerance(0.5 * tol.abs_tol))
     return QuadratureResult(
         head.value, head.error_estimate + tail_bound, head.evaluations + 8
     )

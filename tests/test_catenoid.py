@@ -6,7 +6,6 @@ import pytest
 from hypcatenoid import (
     AreaReport,
     CatenarySample,
-    Catenoid,
     Tolerance,
     area_deficit,
     area_difference,
@@ -15,6 +14,7 @@ from hypcatenoid import (
     compute_K,
     concavity_terms,
     disk_area_total,
+    find_cheaper_competitor,
     gomes_rho,
     mvt_f,
     plane_separation,
@@ -33,19 +33,6 @@ L_06_3 = 0.98659320466039
 L_1_3 = 0.78735973880037
 I1_06 = -2.91956771379
 I2_06 = -9.8652543134
-
-
-class TestCatenoidType:
-    def test_valid_neck(self):
-        assert Catenoid(0.5).neck_distance == 0.5
-
-    def test_invalid_neck(self):
-        with pytest.raises(ValueError):
-            Catenoid(0.0)
-        with pytest.raises(ValueError):
-            Catenoid(-1.0)
-        with pytest.raises(ValueError):
-            Catenoid(26.0)
 
 
 class TestGomesRho:
@@ -253,6 +240,25 @@ class TestAreaDifference:
             assert area_difference(a, math.inf, tol).phi_a_r == area_deficit(a, tol)
             # Past r ~ 710 cosh r overflows; the report is the r = inf one.
             assert area_difference(a, 1000.0, tol) == area_difference(a, math.inf, tol)
+
+    def test_underflowed_tube(self, tol):
+        # Below necks of about 7.5e-155, T = sinh(r - a) sinh(r + a) can
+        # underflow to 0 with r > a; Phi is then -disks, as at r = a.
+        underflowed = 0
+        for a in (10.0**-e for e in range(320, 99, -5)):
+            for r in (10.0**-e for e in range(320, -1, -5)):
+                if not r > a:
+                    continue
+                rep = area_difference(a, r, tol)
+                assert tube_area(a, r, tol) == rep.tube_area
+                if math.sinh(r - a) * math.sinh(r + a) == 0.0:
+                    assert rep.phi_a_r == -rep.disk_area_total
+                    underflowed += 1
+                try:
+                    find_cheaper_competitor(a, r, tol)
+                except ValueError as exc:
+                    assert "smallest the profile" in str(exc)
+        assert underflowed > 400
 
     def test_domain(self, tol):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -404,6 +405,15 @@ class TestCompeteCommand:
         code, _, err = run_cli(capsys, "compete", "--a", "0.6", "--r", "0.5")
         assert code == 2
 
+    def test_underflowed_tube(self, capsys):
+        # Phi is defined there, but the profile floor stops the search.
+        code, out, err = run_cli(capsys, "compete", "--a", "1e-310", "--r", "1e-300")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: neck distance 1e-310 is below 2.81264e-103, "
+            "the smallest the profile x(y) supports\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -497,6 +507,65 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "constants", "--tol", "-1")
         assert code == 2
         assert "error:" in err
+
+
+# One valid command per code path, with the numeric options it takes and
+# their valid values; the sweep below swaps in each edge value in turn.
+EDGE_VALUES = (
+    "0", "5e-324", "1e-310", "1e-200", "1e-103", "25", "26", "710", "1e308",
+    "inf", "nan", "-1",
+)
+EDGE_COMMANDS = (
+    ("constants", {}),
+    ("sweep rho", {"--lo": "0.1", "--hi": "1", "--n": "3"}),
+    ("sweep phi", {"--lo": "0.1", "--hi": "1", "--n": "3"}),
+    ("classify", {"--a": "0.6"}),
+    ("classify", {"--distance": "0.8"}),
+    ("catenary", {"--a": "0.5", "--y-max": "2", "--n": "3"}),
+    ("compete", {"--a": "0.6", "--r": "3"}),
+    ("compete", {"--a": "0.6", "--r": "3", "--s": "0.05"}),
+    ("mesh", {"--a": "0.6", "--y-max": "2", "--n-profile": "4", "--n-angle": "4"}),
+)
+CIRCLES = ("0", "0", "1", "0", "0", "2.2")
+
+
+def edge_commands():
+    for words, options in EDGE_COMMANDS:
+        options = {**options, "--tol": "1e-10"}
+        out = ["--out", "m.obj"] if words == "mesh" else []
+        for option in options:
+            for value in EDGE_VALUES:
+                argv = words.split() + out
+                for name, default in options.items():
+                    argv += [name, value if name == option else default]
+                yield argv
+    for i in range(len(CIRCLES)):
+        for value in EDGE_VALUES:
+            numbers = CIRCLES[:i] + (value,) + CIRCLES[i + 1:]
+            yield ["classify", "--circles", ",".join(numbers[:3]), ",".join(numbers[3:])]
+    # A tube whose T = sinh(r - a) sinh(r + a) underflows needs a tiny neck
+    # and a tiny radius together, so compete's two also go crossed.
+    for a, r in itertools.product(EDGE_VALUES, repeat=2):
+        yield ["compete", "--a", a, "--r", r]
+
+
+def test_edge_values(capsys, monkeypatch, tmp_path):
+    # Every failure is a typed error that names its cause, or a usage error
+    # for a value argparse rejects (a float given to an integer option).
+    monkeypatch.chdir(tmp_path)
+    untyped = ("float division by zero", "math range error", "math domain error")
+    commands = 0
+    for argv in edge_commands():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 1, argv
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert not any(message in err for message in untyped), (argv, err)
+        commands += 1
+    assert commands > 400
 
 
 class TestModuleEntryPoint:

@@ -13,6 +13,7 @@ from hypcatenoid import (
     plane_separation,
     tube_area,
 )
+from hypcatenoid.competitor import _report_at
 
 # Frozen against an independent evaluation of the closed form
 # 2 pi L sinh(s) cosh(s) + disks(r) - 4 pi (cosh(s) - 1).
@@ -258,6 +259,26 @@ class TestFindCheaperCompetitor:
                 else:
                     lo = mid
             assert plane_separation(a, hi, tol) > 1.27 * bound(a), a
+
+    def test_margin_sign_matches_phi_where_separation_is_large(self, tol):
+        # Where L >= 1/sqrt(2) the margin m(s) falls strictly from Phi, and
+        # m(s) >= Phi - pi L sinh 2s, so outside that gap around 0 the
+        # margin at s = a / 2**20 has the sign of Phi.
+        checked = positive = 0
+        for a in (float(a) for a in np.geomspace(0.15, 1.1, 150)):
+            for r in (a + float(dr) for dr in np.geomspace(1e-9, 60.0, 150)):
+                L = plane_separation(a, r, tol)
+                if L < 1.0 / math.sqrt(2.0):
+                    continue
+                s = a * 2.0**-20
+                phi = area_difference(a, r, tol).phi_a_r
+                if abs(phi) <= math.pi * L * math.sinh(2.0 * s):
+                    continue
+                margin = _report_at(a, r, s, tol).margin
+                assert (margin > 0.0) == (phi > 0.0), (a, r)
+                checked += 1
+                positive += phi > 0.0
+        assert checked > 4000 and 0 < positive < checked
 
     def test_smallest_neck(self, tol):
         report = find_cheaper_competitor(1e-100, 1.0, tol)

@@ -63,8 +63,19 @@ SPAN = tuple(10.0 ** (-6.0 + k * (math.log10(25.0) + 6.0) / 24) for k in range(2
 STEP = mpf("1e-20")  # complex step: truncation error ~ STEP**2
 
 
+# The smallest neck the u form is checked at (test_rho_relative).  Below it
+# the form drifts: at a = 1e-100, y = 1 oracle_x is 34% off.
+U_FORM_NECK_MIN = 1e-9
+
+
 def _u_integral(g, a, u_hi):
     """int_0^u_hi g(u) du, split where the integrand turns over near sqrt(a)."""
+    if mpmath.re(a) < U_FORM_NECK_MIN:
+        raise ValueError(
+            f"the u-form oracle is unchecked below a = {U_FORM_NECK_MIN}, got "
+            f"a = {mpmath.nstr(mpmath.re(a), 5)}; integrate in v as "
+            "test_catenary_x_tiny_necks does"
+        )
     turn = mpmath.sqrt(mpmath.re(a))
     breaks = [mpf(0)] + [b for b in (turn, mpf(1), mpf(2)) if b < u_hi]
     return mpmath.quad(g, breaks + [u_hi])
@@ -306,6 +317,12 @@ def test_neck_terms_closed_forms():
         _close(phi, ref_phi, _scaled(ref_phi, 1.5e-14))
         _close(dphi, ref_dphi, 2e-15 * abs(float(ref_dphi)))
         _close(d2phi, ref_d2phi, _scaled(ref_d2phi, 1e-14))
+
+
+def test_u_form_refuses_tiny_necks():
+    with pytest.raises(ValueError, match="test_catenary_x_tiny_necks"):
+        oracle_x(1e-100, 1.0)
+    assert oracle_rho(U_FORM_NECK_MIN) > 0
 
 
 def test_catenary_x_tiny_necks():

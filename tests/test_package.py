@@ -98,6 +98,26 @@ def _run_cli(*argv):
     )
 
 
+def _imports_quadrature(node):
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return False
+    parts = (getattr(node, "module", None) or "").split(".")
+    parts += [part for alias in node.names for part in alias.name.split(".")]
+    return "quadrature" in parts
+
+
+def test_no_module_imports_quadrature():
+    # No package path integrates numerically; keeping it so lets the
+    # quadrature module go by deleting its file and its lazy-table entry.
+    source_dir = os.path.dirname(hypcatenoid.__file__)
+    for name in sorted(os.listdir(source_dir)):
+        if not name.endswith(".py") or name == "quadrature.py":
+            continue
+        with open(os.path.join(source_dir, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        assert not any(_imports_quadrature(node) for node in ast.walk(tree)), name
+
+
 class TestImportFootprint:
     def test_package_import_loads_no_module(self, tmp_path):
         assert _loaded("import hypcatenoid", tmp_path) == (set(), False)
