@@ -40,9 +40,6 @@ _EXPORTS = {
         "DegenerateCircleError",
         "IntersectingCirclesError",
         "IsometryMap",
-        "apply_isometry",
-        "axis_translation",
-        "boundary_circles",
         "catenoids_for_circles",
         "catenoids_for_separation",
         "circle_from_center_radius",

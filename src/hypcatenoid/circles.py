@@ -4,8 +4,8 @@ A circle in the boundary plane chart, Euclidean lines included, is stored as
 a spacelike unit vector in Minkowski 4-space (inversive coordinates); the
 distance between the geodesic planes spanning two disjoint circles is then
 arccosh of the inner product's magnitude.  The same vector is the circle's
-Hermitian matrix, on which a Moebius map acts linearly, so images of circles
-and the reduction of a disjoint pair to concentric position are exact
+Hermitian matrix, whose null combinations give a disjoint pair's limit
+points and so the Moebius map reducing it to concentric position
 (Schwerdtfeger, Geometry of Complex Numbers, 1962).  The module also
 enumerates the catenoids asymptotic to a given pair.
 """
@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .catenoid import _NECK_CAP, Tolerance, _neck_terms, gomes_rho
+from .catenoid import _NECK_CAP, Tolerance, _neck_terms
 from .competitor import RegimeLabel, classify_regime
 from .constants import BracketError, ConstantsBundle, solve_root
 
@@ -26,9 +26,6 @@ __all__ = [
     "DegenerateCircleError",
     "IntersectingCirclesError",
     "IsometryMap",
-    "apply_isometry",
-    "axis_translation",
-    "boundary_circles",
     "catenoids_for_circles",
     "catenoids_for_separation",
     "circle_from_center_radius",
@@ -43,7 +40,7 @@ class IntersectingCirclesError(ValueError):
 
 
 class DegenerateCircleError(ValueError):
-    """Raised when a chart operation meets a line-like or collapsed circle."""
+    """Raised for a line-like circle, or a circle or pair the chart cannot hold."""
 
 
 @dataclass(frozen=True)
@@ -79,12 +76,11 @@ class CircleAtInfinity:
         return complex(v1 * rho, v2 * rho)
 
 
-def _canonical(v1: float, v2: float, v3: float, v4: float) -> CircleAtInfinity:
-    """Sign a unit vector so v4 - v3 >= 0, breaking ties for lines on v1, v2."""
-    gap = v4 - v3
-    if gap < 0.0 or (gap == 0.0 and (v1 < 0.0 or (v1 == 0.0 and v2 < 0.0))):
-        v1, v2, v3, v4 = -v1, -v2, -v3, -v4
-    return CircleAtInfinity((v1, v2, v3, v4))
+def _check_parameters(c: complex, rho_e: float) -> None:
+    if not rho_e > 0.0:
+        raise ValueError(f"radius must be positive, got {rho_e}")
+    if not (cmath.isfinite(c) and math.isfinite(rho_e)):
+        raise ValueError(f"circle parameters must be finite, got c={c}, rho_e={rho_e}")
 
 
 def circle_from_center_radius(c: complex, rho_e: float) -> CircleAtInfinity:
@@ -100,16 +96,14 @@ def circle_from_center_radius(c: complex, rho_e: float) -> CircleAtInfinity:
     pair after moving the first circle onto the unit circle.
     """
     c = complex(c)
-    if not rho_e > 0.0:
-        raise ValueError(f"radius must be positive, got {rho_e}")
-    if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(rho_e)):
-        raise ValueError(f"circle parameters must be finite, got c={c}, rho_e={rho_e}")
+    _check_parameters(c, rho_e)
     norm = c.real * c.real + c.imag * c.imag
     half_inv = 0.5 / rho_e
     # 1 - rho_e**2 as a product keeps its digits for radii near 1.
     v3 = (norm - rho_e * rho_e - 1.0) * half_inv
     v4 = (norm + (1.0 - rho_e) * (1.0 + rho_e)) * half_inv
-    if not v4 > v3:
+    # A finite v4 - v3 = 1 / rho_e also bounds v1, v2, v3 and v4.
+    if not 0.0 < v4 - v3 < math.inf:
         raise DegenerateCircleError(
             f"circle of radius {rho_e} at {c} does not fit the inversive chart"
         )
@@ -126,12 +120,16 @@ def circle_pair(
     pair keeps the digits it would lose if built far from the chart origin
     or with radii far below 1 (see circle_from_center_radius).
     """
-    if not r1 > 0.0:
-        raise ValueError(f"radius must be positive, got {r1}")
-    shift = complex(c2) - complex(c1)
-    shift = complex(shift.real / r1, shift.imag / r1)
-    unit = circle_from_center_radius(0j, 1.0)
-    return unit, circle_from_center_radius(shift, r2 / r1)
+    _check_parameters(c1, r1)
+    _check_parameters(c2, r2)
+    ratio, shift = r2 / r1, c2 - c1
+    offset = complex(shift.real / r1, shift.imag / r1)
+    if not 0.0 < ratio < math.inf:
+        change = "underflows" if ratio == 0.0 else "overflows"
+        raise DegenerateCircleError(f"radius ratio r2/r1 = {r2}/{r1} {change}")
+    if not cmath.isfinite(offset):
+        raise DegenerateCircleError(f"offset (c2 - c1)/r1 = ({c2} - {c1})/{r1} overflows")
+    return circle_from_center_radius(0j, 1.0), circle_from_center_radius(offset, ratio)
 
 
 def inversive_product(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> float:
@@ -181,11 +179,7 @@ def plane_distance(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> floa
 
 @dataclass(frozen=True)
 class IsometryMap:
-    """Linear fractional transformation as a 2x2 complex matrix, det = 1.
-
-    Identified up to overall sign; build instances through from_matrix,
-    which normalizes the determinant.
-    """
+    """Moebius map z -> (a z + b) / (c z + d) with ad - bc = 1; from_matrix normalizes."""
 
     a: complex
     b: complex
@@ -207,60 +201,8 @@ class IsometryMap:
         scale = cmath.sqrt(det)
         return cls(a / scale, b / scale, c / scale, d / scale)
 
-    @classmethod
-    def identity(cls) -> IsometryMap:
-        return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
     def __call__(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def compose(self, other: IsometryMap) -> IsometryMap:
-        """The map z -> self(other(z)).
-
-        The product of unit-determinant matrices is unit-determinant, so no
-        renormalization is needed (and none can fail on a rounded det of 0).
-        """
-        return IsometryMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> IsometryMap:
-        return IsometryMap(self.d, -self.b, -self.c, self.a)
-
-
-def axis_translation(lam: float) -> IsometryMap:
-    """Translation by log(lam) along the vertical axis: z -> lam * z on the chart."""
-    if not lam > 0.0:
-        raise ValueError(f"scaling factor must be positive, got {lam}")
-    root = math.sqrt(lam)
-    return IsometryMap(complex(root), 0.0j, 0.0j, complex(1.0 / root))
-
-
-def apply_isometry(mapping: IsometryMap, circle: CircleAtInfinity) -> CircleAtInfinity:
-    """Image of a circle (or line) under a linear fractional map, exactly.
-
-    The circle is the zero set of h11 |z|^2 + 2 Re(h12 conj(z)) + h22 with
-    (h11, h12, h22) = (v4 - v3, -(v1 + i v2), v4 + v3); its image under M is
-    the zero set of N^dagger H N with N = M^-1.  det N = 1 keeps det H = -1,
-    so the image vector stays unit and only its sign is canonicalized.
-    """
-    v1, v2, v3, v4 = circle.coords
-    h11, h12, h22 = v4 - v3, -complex(v1, v2), v4 + v3
-    n11, n12, n21, n22 = mapping.d, -mapping.b, -mapping.c, mapping.a
-
-    def form(p: complex, q: complex, r: complex, s: complex) -> complex:
-        """(p, q)^dagger H (r, s)."""
-        return p.conjugate() * (h11 * r + h12 * s) + q.conjugate() * (
-            h12.conjugate() * r + h22 * s
-        )
-
-    g11 = form(n11, n21, n11, n21).real
-    g12 = form(n11, n21, n12, n22)
-    g22 = form(n12, n22, n12, n22).real
-    return _canonical(-g12.real, -g12.imag, 0.5 * (g22 - g11), 0.5 * (g22 + g11))
 
 
 def _limit_point(
@@ -378,17 +320,3 @@ def catenoids_for_circles(
 ) -> CatenoidSolutions:
     """Catenoids asymptotic to a disjoint circle pair, via their plane distance."""
     return catenoids_for_separation(plane_distance(circle1, circle2), bundle, tol)
-
-
-def boundary_circles(a: float, tol: Tolerance) -> tuple[CircleAtInfinity, CircleAtInfinity]:
-    """Asymptotic boundary circles of the standard catenoid with neck distance a.
-
-    The axis is the vertical line of the half-space chart and the surface is
-    symmetric about height 1, giving concentric circles of radii
-    exp(-rho(a)) and exp(+rho(a)); their plane distance is 2*rho(a).
-    """
-    rho = gomes_rho(a, tol)
-    return (
-        circle_from_center_radius(0.0j, math.exp(-rho)),
-        circle_from_center_radius(0.0j, math.exp(rho)),
-    )

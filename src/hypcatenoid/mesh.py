@@ -68,9 +68,7 @@ class MeshData:
     """Vertex/face soup in ball coordinates, with the parameters that built it.
 
     Every vertex is a 3-tuple of floats and every face a 3-tuple of 0-based
-    vertex indices.  write_obj raises TypeError for a block whose entries
-    hold the wrong number of values in total; a short and a long entry in
-    the same block cancel out and are not caught.
+    vertex indices; write_obj raises TypeError for any other entry.
     """
 
     params: MeshParams
@@ -174,24 +172,29 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     return mesh
 
 
+def _blocks(entries: list, kind: str):
+    """Consecutive slices of _OBJ_BLOCK entries, each entry checked to hold 3 values."""
+    for start in range(0, len(entries), _OBJ_BLOCK):
+        block = entries[start : start + _OBJ_BLOCK]
+        if set(map(len, block)) != {3}:
+            raise TypeError(f"every OBJ {kind} must hold 3 values")
+        yield block
+
+
 def write_obj(mesh: MeshData, path: str) -> None:
     """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
 
     Each block of lines is formatted by one bytes %, so the transient
     objects stay bounded by the block whatever the mesh size.
     """
-    vertices, faces = mesh.vertices, mesh.faces
-    one_based = (1).__add__
     with open(path, "wb") as handle:
         # No local holds a block's arguments, so they are freed before the
         # next block's are built.
-        for start in range(0, len(vertices), _OBJ_BLOCK):
-            block = vertices[start : start + _OBJ_BLOCK]
+        for block in _blocks(mesh.vertices, "vertex"):
             handle.write(b"v %.12g %.12g %.12g\n" * len(block) % tuple(chain.from_iterable(block)))
-        for start in range(0, len(faces), _OBJ_BLOCK):
-            block = faces[start : start + _OBJ_BLOCK]
+        for block in _blocks(mesh.faces, "face"):
             handle.write(
-                b"f %d %d %d\n" * len(block) % tuple(map(one_based, chain.from_iterable(block)))
+                b"f %d %d %d\n" * len(block) % tuple([i + 1 for i in chain.from_iterable(block)])
             )
 
 

@@ -1,21 +1,17 @@
 """Brute-force oracles and random-geometry samplers shared across test modules.
 
 Everything here is deliberately independent of the package's own quadrature:
-composite rules over numpy arrays, plus samplers for disjoint circle pairs
-and Moebius maps used by the distance-equivalence properties.
+composite rules over numpy arrays, plus a sampler for disjoint circle pairs
+and pointwise and closed-form checks of Moebius maps used by the
+distance-equivalence properties.
 """
 
+import cmath
 import math
 
 import numpy as np
 
-from hypcatenoid import (
-    IsometryMap,
-    apply_isometry,
-    axis_translation,
-    circle_from_center_radius,
-    inversive_product,
-)
+from hypcatenoid import circle_from_center_radius, inversive_product
 
 
 def midpoint(f, lo, hi, n=1_000_000):
@@ -48,24 +44,47 @@ def random_disjoint_pair(rng):
             return circle1, circle2
 
 
-def random_isometry(rng):
-    """Random isometry composed from a rotation, an axis scaling, a translation
-    and, half of the time, an inversion followed by another translation."""
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    mapping = IsometryMap.from_matrix(
-        complex(math.cos(angle), math.sin(angle)), 0.0, 0.0, 1.0
-    )
-    mapping = axis_translation(math.exp(rng.uniform(-1.0, 1.0))).compose(mapping)
+def circle_points(circle, n=5):
+    """n points of a circle, or of a line n . z = h with unit normal n."""
+    if circle.is_line:
+        v1, v2, h, _ = circle.coords
+        normal = complex(v1, v2)
+        return [normal * complex(h, t) for t in range(-(n // 2), n - n // 2)]
+    return [
+        circle.center + circle.radius * cmath.exp(2j * math.pi * (k + 0.25) / n)
+        for k in range(n)
+    ]
+
+
+def coaxial_images(mapping, circle1, circle2):
+    """(spread, radius) of each circle's image under mapping, about 0.
+
+    Each image's radii are |mapping(z)| at the circle's sample points, so a
+    relative spread (max - min) / max of 0 puts the image's centre at 0;
+    radius is the first sample's.
+    """
+    images = []
+    for circle in (circle1, circle2):
+        radii = [abs(mapping(z)) for z in circle_points(circle)]
+        images.append(((max(radii) - min(radii)) / max(radii), radii[0]))
+    return images
+
+
+def moved_pair(rng, circle1, circle2):
+    """Both circles under one random isometry, from closed-form images.
+
+    z -> lam e^(i theta) z + t takes centre c and radius r to
+    lam e^(i theta) c + t and lam r; half of the time z -> 1/z follows,
+    taking them to conj(c) / (|c|^2 - r^2) and r / ||c|^2 - r^2|.
+    """
+    scale = cmath.rect(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
     shift = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    mapping = IsometryMap.from_matrix(1.0, shift, 0.0, 1.0).compose(mapping)
-    if rng.random() < 0.5:
-        mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0).compose(mapping)
-        shift = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        mapping = IsometryMap.from_matrix(1.0, shift, 0.0, 1.0).compose(mapping)
-    return mapping
-
-
-def mapped_pair(rng, circle1, circle2):
-    """A random isometry applied to both circles of a pair."""
-    mapping = random_isometry(rng)
-    return apply_isometry(mapping, circle1), apply_isometry(mapping, circle2)
+    invert = rng.random() < 0.5
+    moved = []
+    for circle in (circle1, circle2):
+        c, r = scale * circle.center + shift, abs(scale) * circle.radius
+        if invert:
+            power = abs(c) ** 2 - r * r
+            c, r = c.conjugate() / power, r / abs(power)
+        moved.append(circle_from_center_radius(c, r))
+    return tuple(moved)

@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 
@@ -12,9 +11,6 @@ from hypcatenoid import (
     IsometryMap,
     RegimeKind,
     Tolerance,
-    apply_isometry,
-    axis_translation,
-    boundary_circles,
     catenoids_for_circles,
     catenoids_for_separation,
     circle_from_center_radius,
@@ -26,7 +22,7 @@ from hypcatenoid import (
     plane_distance,
 )
 
-from _oracles import mapped_pair, random_disjoint_pair, random_isometry
+from _oracles import coaxial_images, moved_pair, random_disjoint_pair
 
 # Frozen roots of 2*rho(a) = d from an independent high-precision solve.
 ROOTS_08 = (0.208851818955, 0.980635751523)
@@ -48,18 +44,6 @@ def _norm_tol(circle):
     v1, v2, v3, v4 = circle.coords
     magnitude = v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4
     return 1e-14 * max(1.0, magnitude)
-
-
-def _incidence(circle, w):
-    """Scale-free distance of the point w from a circle or line.
-
-    w is the null vector P = (Re w, Im w, (|w|^2 - 1)/2, (|w|^2 + 1)/2); it
-    lies on the circle exactly when the Minkowski product <v, P> vanishes.
-    """
-    p = (w.real, w.imag, 0.5 * (abs(w) ** 2 - 1.0), 0.5 * (abs(w) ** 2 + 1.0))
-    v = circle.coords
-    product = v[0] * p[0] + v[1] * p[1] + v[2] * p[2] - v[3] * p[3]
-    return abs(product) / (math.hypot(*v) * math.hypot(*p))
 
 
 class TestCircleAtInfinity:
@@ -103,6 +87,18 @@ class TestCircleAtInfinity:
         # |c|^2 - rho^2 +- 1 round to one double, so v4 - v3 = 1 / rho is lost.
         with pytest.raises(DegenerateCircleError):
             circle_from_center_radius(1e9 + 0.0j, 1.0)
+
+    def test_out_of_range_named(self):
+        # Finite positive inputs whose vector, or whose ratio or offset after
+        # the move onto the unit circle, leaves the double range.
+        with pytest.raises(DegenerateCircleError, match="inversive chart"):
+            circle_from_center_radius(0.0j, 1e-310)
+        with pytest.raises(DegenerateCircleError, match="r2/r1 .* overflows"):
+            circle_pair(0.0j, 1e-310, 0.0j, 2.2)
+        with pytest.raises(DegenerateCircleError, match="r2/r1 .* underflows"):
+            circle_pair(0.0j, 1e300, 1.0 + 0.0j, 1e-300)
+        with pytest.raises(DegenerateCircleError, match="offset"):
+            circle_pair(-1e308 + 0.0j, 1.0, 1e308 + 0.0j, 1.0)
 
     def test_line_has_no_chart(self):
         line = CircleAtInfinity((1.0, 0.0, 0.5, 0.5))
@@ -199,17 +195,6 @@ class TestIsometryMap:
         mapping = IsometryMap.from_matrix(1e3, 1e6 - 1.0 / 3.0, 1.0, 1e3)
         assert mapping(0.0) == pytest.approx((1e6 - 1.0 / 3.0) / 1e3, rel=1e-12)
 
-    def test_repeated_composition(self):
-        step = IsometryMap.from_matrix(1.1, 0.3 + 0.2j, 0.05, 0.95)
-        mapping = step
-        for _ in range(300):
-            mapping = mapping.compose(step)
-        z = 0.1 + 0.2j
-        expected = z
-        for _ in range(301):
-            expected = step(expected)
-        assert mapping(z) == pytest.approx(expected, rel=1e-9)
-
     def test_from_matrix_normalizes(self):
         mapping = IsometryMap.from_matrix(2.0, 0.0, 0.0, 2.0)
         assert abs(mapping.a * mapping.d - mapping.b * mapping.c - 1.0) <= 1e-12
@@ -218,166 +203,35 @@ class TestIsometryMap:
         with pytest.raises(ValueError):
             IsometryMap.from_matrix(1.0, 2.0, 2.0, 4.0)
 
-    def test_identity_action(self):
-        ident = IsometryMap.identity()
-        assert ident(3.0 + 4.0j) == 3.0 + 4.0j
-
-    def test_compose_order(self):
-        scale = axis_translation(4.0)
-        shift = IsometryMap.from_matrix(1.0, 1.0, 0.0, 1.0)
-        z = 0.5 + 0.25j
-        assert (shift.compose(scale))(z) == pytest.approx(4.0 * z + 1.0, abs=1e-12)
-        assert (scale.compose(shift))(z) == pytest.approx(4.0 * (z + 1.0), abs=1e-12)
-
-    def test_inverse(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            mapping = IsometryMap.from_matrix(
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            )
-            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert mapping(mapping.inverse()(z)) == pytest.approx(z, abs=1e-9)
-
-
-class TestAxisTranslation:
-    def test_identity(self):
-        mapping = axis_translation(1.0)
-        assert mapping.a == 1.0 and mapping.b == 0.0
-        assert mapping.c == 0.0 and mapping.d == 1.0
-
-    def test_group_law(self):
-        twice = axis_translation(2.0).compose(axis_translation(2.0))
-        four = axis_translation(4.0)
-        assert twice.a == pytest.approx(four.a, abs=1e-12)
-        assert twice.d == pytest.approx(four.d, abs=1e-12)
-
-    def test_distance_invariance(self):
-        circle1 = circle_from_center_radius(0.0j, 1.0)
-        circle2 = circle_from_center_radius(0.0j, math.exp(2.0))
-        mapping = axis_translation(math.e)
-        moved = plane_distance(
-            apply_isometry(mapping, circle1), apply_isometry(mapping, circle2)
-        )
-        assert moved == pytest.approx(2.0, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            axis_translation(0.0)
-        with pytest.raises(ValueError):
-            axis_translation(-1.0)
-
-
-class TestApplyIsometry:
-    def test_identity_fixes_circle(self):
-        circle = circle_from_center_radius(2.0 - 1.0j, 1.5)
-        image = apply_isometry(IsometryMap.identity(), circle)
-        for got, want in zip(image.coords, circle.coords):
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_scaling_action(self):
-        circle = circle_from_center_radius(0.0j, 1.0)
-        image = apply_isometry(axis_translation(2.0), circle)
-        assert abs(image.center) <= 1e-12
-        assert image.radius == pytest.approx(2.0, abs=1e-12)
-
-    def test_norm_preserved_on_random_inputs(self):
-        rng = random.Random(31337)
-        for _ in range(1000):
-            circle, other = random_disjoint_pair(rng)
-            image1, image2 = mapped_pair(rng, circle, other)
-            assert abs(_norm_sq(image1) - 1.0) <= _norm_tol(image1)
-            assert abs(_norm_sq(image2) - 1.0) <= _norm_tol(image2)
-
-    def test_circle_through_pole_becomes_line(self):
-        # z -> 1/(z - 1) sends the unit circle to the line Re z = -1/2.
-        circle = circle_from_center_radius(0.0j, 1.0)
-        mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, -1.0)
-        image = apply_isometry(mapping, circle)
-        assert image.is_line
-        for got, want in zip(image.coords, (1.0, 0.0, -0.5, -0.5)):
-            assert got == pytest.approx(want, abs=1e-15)
-
-    def test_pole_on_or_near_circle_keeps_distance(self):
-        circle1 = circle_from_center_radius(0.0j, 1.0)
-        circle2 = circle_from_center_radius(3.0 + 1.0j, 0.5)
-        reference = plane_distance(circle1, circle2)
-        for angle in (0.0, 0.7, math.pi / 2.0, 2.5, 4.0):
-            on_circle = cmath.exp(1j * angle)
-            for pole in (on_circle, on_circle * (1.0 + 1e-9), on_circle * (1.0 - 1e-9)):
-                mapping = IsometryMap.from_matrix(0.0, 1.0, 1.0, -pole)
-                moved = plane_distance(
-                    apply_isometry(mapping, circle1), apply_isometry(mapping, circle2)
-                )
-                assert abs(moved - reference) <= 1e-12
-
-    def test_sampled_points_lie_on_image(self):
-        # Independent of the Hermitian action: push five points of a random
-        # circle or line through the map pointwise and check each against the
-        # image.  Half the maps invert about a point within 1e-9 of the circle,
-        # so those images are nearly lines.
-        rng = random.Random(4242)
-        for trial in range(600):
-            circle, _ = random_disjoint_pair(rng)
-            center, radius = circle.center, circle.radius
-            points = [
-                center + radius * cmath.exp(2j * math.pi * (k + rng.random()) / 5)
-                for k in range(5)
-            ]
-            if trial % 3 == 2:
-                normal = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-                offset = rng.uniform(-3.0, 3.0)
-                circle = CircleAtInfinity((normal.real, normal.imag, offset, offset))
-                points = [normal * (offset + 1j * rng.uniform(-5.0, 5.0)) for _ in range(5)]
-            mapping = random_isometry(rng)
-            if trial % 2:
-                pole = rng.choice(points) * (1.0 + rng.uniform(-1e-9, 1e-9))
-                mapping = mapping.compose(IsometryMap.from_matrix(0.0, 1.0, 1.0, -pole))
-            image = apply_isometry(mapping, circle)
-            for z in points:
-                assert _incidence(image, mapping(z)) <= 1e-12
-
-    def test_line_maps_to_circle(self):
-        # Inversion of the line Re z = 1/2 is the circle through 0 and 2.
-        line = CircleAtInfinity((1.0, 0.0, 0.5, 0.5))
-        inversion = IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0)
-        image = apply_isometry(inversion, line)
-        assert image.center == pytest.approx(1.0 + 0.0j, abs=1e-10)
-        assert image.radius == pytest.approx(1.0, abs=1e-10)
-
-
 class TestNormalizeCoaxial:
+    # Each image is read pointwise, as |mapping(z)| at points z of the input
+    # circle (see coaxial_images): equal radii put its centre at 0.
     def test_concentric_pair_stays_concentric(self):
         circle1 = circle_from_center_radius(2.0 + 1.0j, 1.0)
         circle2 = circle_from_center_radius(2.0 + 1.0j, 3.0)
         mapping = normalize_coaxial(circle1, circle2)
-        image1 = apply_isometry(mapping, circle1)
-        image2 = apply_isometry(mapping, circle2)
-        assert abs(image1.center) <= 1e-10
-        assert abs(image2.center) <= 1e-10
-        assert image2.radius / image1.radius == pytest.approx(3.0, rel=1e-10)
+        (spread1, radius1), (spread2, radius2) = coaxial_images(mapping, circle1, circle2)
+        assert spread1 <= 1e-10
+        assert spread2 <= 1e-10
+        assert radius2 / radius1 == pytest.approx(3.0, rel=1e-10)
 
     def test_concentric_larger_first_gets_inverted(self):
         circle2 = circle_from_center_radius(0.0j, 1.0)
         for radius in (3.0, *NEAR_UNIT_RADII):
             circle1 = circle_from_center_radius(0.0j, radius)
             mapping = normalize_coaxial(circle1, circle2)
-            image1 = apply_isometry(mapping, circle1)
-            image2 = apply_isometry(mapping, circle2)
-            assert image1.radius < image2.radius
+            (_, radius1), (_, radius2) = coaxial_images(mapping, circle1, circle2)
+            assert radius1 < radius2
 
     def test_separated_pair(self):
         circle1 = circle_from_center_radius(0.0j, 1.0)
         circle2 = circle_from_center_radius(5.0 + 0.0j, 1.0)
         mapping = normalize_coaxial(circle1, circle2)
-        image1 = apply_isometry(mapping, circle1)
-        image2 = apply_isometry(mapping, circle2)
-        assert abs(image1.center) <= 1e-9 * image1.radius
-        assert abs(image2.center) <= 1e-9 * image2.radius
-        assert image1.radius < image2.radius
-        log_ratio = math.log(image2.radius / image1.radius)
+        (spread1, radius1), (spread2, radius2) = coaxial_images(mapping, circle1, circle2)
+        assert spread1 <= 1e-9
+        assert spread2 <= 1e-9
+        assert radius1 < radius2
+        log_ratio = math.log(radius2 / radius1)
         assert log_ratio == pytest.approx(
             plane_distance(circle1, circle2), abs=1e-9
         )
@@ -386,12 +240,11 @@ class TestNormalizeCoaxial:
         circle1 = circle_from_center_radius(0.3 + 0.0j, 1.0)
         circle2 = circle_from_center_radius(0.0j, 3.0)
         mapping = normalize_coaxial(circle1, circle2)
-        image1 = apply_isometry(mapping, circle1)
-        image2 = apply_isometry(mapping, circle2)
-        assert abs(image1.center) <= 1e-9 * image1.radius
-        assert abs(image2.center) <= 1e-9 * image2.radius
-        assert image1.radius < image2.radius
-        log_ratio = math.log(image2.radius / image1.radius)
+        (spread1, radius1), (spread2, radius2) = coaxial_images(mapping, circle1, circle2)
+        assert spread1 <= 1e-9
+        assert spread2 <= 1e-9
+        assert radius1 < radius2
+        log_ratio = math.log(radius2 / radius1)
         assert log_ratio == pytest.approx(
             plane_distance(circle1, circle2), abs=1e-9
         )
@@ -409,12 +262,11 @@ class TestNormalizeCoaxial:
         reference = plane_distance(line, circle)
         for first, second in ((line, circle), (circle, line)):
             mapping = normalize_coaxial(first, second)
-            image1 = apply_isometry(mapping, first)
-            image2 = apply_isometry(mapping, second)
-            assert abs(image1.center) <= 1e-12 * image1.radius
-            assert abs(image2.center) <= 1e-12 * image2.radius
-            assert image1.radius < image2.radius
-            log_ratio = math.log(image2.radius / image1.radius)
+            (spread1, radius1), (spread2, radius2) = coaxial_images(mapping, first, second)
+            assert spread1 <= 1e-12
+            assert spread2 <= 1e-12
+            assert radius1 < radius2
+            log_ratio = math.log(radius2 / radius1)
             assert log_ratio == pytest.approx(reference, abs=1e-12)
         # Parallel lines touch at infinity.
         with pytest.raises(IntersectingCirclesError):
@@ -431,13 +283,14 @@ class TestDistanceProperties:
             # The first circle's image is the inner one, in either order.
             for first, second in ((circle1, circle2), (circle2, circle1)):
                 mapping = normalize_coaxial(first, second)
-                image1 = apply_isometry(mapping, first)
-                image2 = apply_isometry(mapping, second)
-                assert image1.radius < image2.radius
-                log_ratio = math.log(image2.radius / image1.radius)
+                (spread1, radius1), (spread2, radius2) = coaxial_images(mapping, first, second)
+                assert spread1 <= 1e-9
+                assert spread2 <= 1e-9
+                assert radius1 < radius2
+                log_ratio = math.log(radius2 / radius1)
                 assert abs(log_ratio - reference) <= 1e-9
 
-            moved1, moved2 = mapped_pair(rng, circle1, circle2)
+            moved1, moved2 = moved_pair(rng, circle1, circle2)
             assert abs(plane_distance(moved1, moved2) - reference) <= 1e-9
 
 
@@ -588,26 +441,3 @@ class TestCatenoidsForCircles:
         circle2 = circle_from_center_radius(0.5 + 0.0j, 1.0)
         with pytest.raises(IntersectingCirclesError):
             catenoids_for_circles(circle1, circle2, bundle, tol)
-
-
-class TestBoundaryCircles:
-    def test_critical_distance(self, bundle, tol):
-        inner, outer = boundary_circles(bundle.a_c, tol)
-        assert plane_distance(inner, outer) == pytest.approx(1.00229, abs=1e-4)
-
-    def test_threshold_distance(self, bundle, tol):
-        inner, outer = boundary_circles(bundle.a_L, tol)
-        assert plane_distance(inner, outer) == pytest.approx(0.876895, abs=1e-5)
-
-    def test_matches_doubled_rho(self, tol):
-        inner, outer = boundary_circles(0.6, tol)
-        assert plane_distance(inner, outer) == pytest.approx(
-            2.0 * gomes_rho(0.6, tol), abs=1e-8
-        )
-
-    def test_swapped_by_unit_inversion(self, tol):
-        inner, outer = boundary_circles(0.6, tol)
-        inversion = IsometryMap.from_matrix(0.0, 1.0, 1.0, 0.0)
-        swapped = apply_isometry(inversion, inner)
-        for got, want in zip(swapped.coords, outer.coords):
-            assert got == pytest.approx(want, abs=1e-10)

@@ -527,6 +527,13 @@ EDGE_COMMANDS = (
     ("mesh", {"--a": "0.6", "--y-max": "2", "--n-profile": "4", "--n-angle": "4"}),
 )
 CIRCLES = ("0", "0", "1", "0", "0", "2.2")
+# Finite positive circles whose chart vector, or whose ratio r2/r1 after
+# circle_pair moves the first onto the unit circle, leaves the double range.
+CHART_LIMITS = (
+    ("0,0,1", "0,0,1e-310"),
+    ("0,0,1e-310", "0,0,2.2"),
+    ("0,0,1e300", "1,0,1e-300"),
+)
 
 
 def edge_commands():
@@ -543,6 +550,8 @@ def edge_commands():
         for value in EDGE_VALUES:
             numbers = CIRCLES[:i] + (value,) + CIRCLES[i + 1:]
             yield ["classify", "--circles", ",".join(numbers[:3]), ",".join(numbers[3:])]
+    for pair in CHART_LIMITS:
+        yield ["classify", "--circles", *pair]
     # A tube whose T = sinh(r - a) sinh(r + a) underflows needs a tiny neck
     # and a tiny radius together, so compete's two also go crossed.
     for a, r in itertools.product(EDGE_VALUES, repeat=2):
@@ -566,6 +575,14 @@ def test_edge_values(capsys, monkeypatch, tmp_path):
         assert not any(message in err for message in untyped), (argv, err)
         commands += 1
     assert commands > 400
+
+
+@pytest.mark.parametrize("pair", CHART_LIMITS, ids=" ".join)
+def test_chart_limits_name_their_cause(capsys, pair):
+    code, _, err = run_cli(capsys, "classify", "--circles", *pair)
+    assert code == 2
+    assert "does not fit the inversive chart" in err or "radius ratio r2/r1" in err
+    assert not any(word in err for word in ("intersect", "finite", "positive")), err
 
 
 class TestModuleEntryPoint:

@@ -13,8 +13,7 @@ Newton iteration makes to reach solve_root's relative floor, with no call
 at a bracket end whose sign is known.  The kernel pins count calls of
 _neck_terms, one AGM loop each, and of _carlson, one duplication sequence
 each, in every namespace that binds them; the AGM pin counts the loop's
-steps; the last pin checks that normalize_coaxial builds its map without
-applying any.
+steps.
 """
 
 import math
@@ -23,7 +22,6 @@ import pytest
 
 import hypcatenoid
 from hypcatenoid import (
-    CircleAtInfinity,
     EvaluationBudgetError,
     MeshParams,
     Tolerance,
@@ -42,7 +40,6 @@ from hypcatenoid import (
     constants_bundle,
     find_cheaper_competitor,
     mesh,
-    normalize_coaxial,
     quadrature,
     solve_root,
 )
@@ -359,15 +356,3 @@ def test_agm_steps(monkeypatch):
     assert max(steps) <= 7
     assert steps == {4: 84, 5: 52, 6: 92, 7: 173}
 
-
-def test_normalize_coaxial_applies_no_isometry(count_calls):
-    nested = (circle_from_center_radius(0.3, 1.0), circle_from_center_radius(0j, 3.0))
-    separated = (circle_from_center_radius(0j, 1.0), circle_from_center_radius(5.0, 1.0))
-    line = (CircleAtInfinity((1.0, 0.0, 2.0, 2.0)), circle_from_center_radius(0j, 1.0))
-
-    def normalize_both_orders():
-        for first, second in (nested, separated, line):
-            normalize_coaxial(first, second)
-            normalize_coaxial(second, first)
-
-    assert count_calls(circles, "apply_isometry", normalize_both_orders) == 0

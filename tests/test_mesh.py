@@ -304,8 +304,10 @@ class TestObjOutput:
         [
             ([(0.0, 0.0, 0.0), (1.0, 0.0)], [(0, 1, 0)]),
             ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0, 1, 0), (0, 1, 0, 1)]),
+            # Six values in all, so only a per-entry check catches them.
+            ([(1.0, 2.0), (3.0, 4.0, 5.0, 6.0)], []),
         ],
-        ids=["2-tuple vertex", "4-tuple face"],
+        ids=["2-tuple vertex", "4-tuple face", "short and long vertex"],
     )
     def test_wrong_length_entry_raises(self, vertices, faces, tmp_path):
         mesh = MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)

@@ -1,8 +1,10 @@
-"""The lazily resolved public surface, and the modules each entry point loads."""
+"""The lazily resolved public surface, the modules each entry point loads, and
+the README's Python examples."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -151,3 +153,16 @@ class TestImportFootprint:
     def test_json_subcommands_skip_quadrature(self, tmp_path, argv):
         loaded, _ = _loaded(_run_cli(*argv), tmp_path)
         assert "quadrature" not in loaded
+
+
+def test_readme_python_examples(monkeypatch, tmp_path):
+    # Every ```python block, in order and in one namespace, as a reader
+    # pasting them into one session would run them.
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```", handle.read(), re.M | re.S)
+    assert len(blocks) == 5
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, readme, "exec"), namespace)
