@@ -124,8 +124,10 @@ def circle_pair(
     _check_parameters(c2, r2)
     ratio, shift = r2 / r1, c2 - c1
     offset = complex(shift.real / r1, shift.imag / r1)
-    if not 0.0 < ratio < math.inf:
-        change = "underflows" if ratio == 0.0 else "overflows"
+    # A ratio whose reciprocal overflows has underflowed to subnormal, and
+    # the second circle's vector, which holds 1/ratio, cannot be built.
+    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
+        change = "overflows" if ratio == math.inf else "underflows"
         raise DegenerateCircleError(f"radius ratio r2/r1 = {r2}/{r1} {change}")
     if not cmath.isfinite(offset):
         raise DegenerateCircleError(f"offset (c2 - c1)/r1 = ({c2} - {c1})/{r1} overflows")
@@ -149,11 +151,13 @@ def _disjoint_excess(
     coincidence and p - sign(p) cancels, while <n, n> keeps its digits; so
     the sign of |p| - 1 decides disjointness with no margin.
     """
-    u, w = circle1.coords, circle2.coords
-    p = inversive_product(circle1, circle2)
-    n1, n2, n3, n4 = (ui - math.copysign(1.0, p) * wi for ui, wi in zip(u, w))
+    u1, u2, u3, u4 = circle1.coords
+    w1, w2, w3, w4 = circle2.coords
+    p = u1 * w1 + u2 * w2 + u3 * w3 - u4 * w4
+    sign = math.copysign(1.0, p)
+    n1, n2, n3, n4 = u1 - sign * w1, u2 - sign * w2, u3 - sign * w3, u4 - sign * w4
     spatial = n1 * n1 + n2 * n2 + n3 * n3
-    if spatial + n4 * n4 < sum(abs(ui * wi) for ui, wi in zip(u, w)):
+    if spatial + n4 * n4 < abs(u1 * w1) + abs(u2 * w2) + abs(u3 * w3) + abs(u4 * w4):
         excess = 0.5 * (n4 * n4 - spatial)
     else:
         excess = abs(p) - 1.0
@@ -267,6 +271,12 @@ def catenoids_for_separation(
     the two branches merge into the single a_c; below it one root lies on
     each side of a_c.  The outer root is sought up to a = 25, the end of
     rho's domain, so d below 2*rho(25) ~ 3.3e-11 raises BracketError.
+
+    Each root solves g(a) = log(2 rho(a) / d) = 0 by Chebyshev's third-order
+    step (Traub, Iterative Methods for the Solution of Equations, 1964,
+    ch. 5): the residual's one AGM loop also gives phi'', hence rho'', and
+    its slope g' / (1 + t), t = g g'' / (2 g'**2), makes solve_root's Newton
+    step the Chebyshev step (g / g') (1 + t).
     """
     if not d > 0.0:
         raise ValueError(f"plane separation must be positive, got {d}")
@@ -278,8 +288,18 @@ def catenoids_for_separation(
         return CatenoidSolutions(d, ((a, classify_regime(a, bundle)),))
 
     def residual(a: float) -> tuple[float, float]:
-        rho, drho = _neck_terms(a)[:2]
-        return math.log(2.0 * rho / d), drho / rho
+        rho, drho, _, _, dphi2 = _neck_terms(a)
+        g, slope = math.log(2.0 * rho / d), drho / rho
+        if drho == 0.0:
+            return g, slope
+        # rho'' from phi'' = 2 pi (2 cosh(2a) rho' + sinh(2a) rho''); t in
+        # the scale-free form g (rho rho'' / rho'**2 - 1) / 2 stays finite
+        # where g'' = rho''/rho - g'**2 overflows, below a ~ 1e-154.
+        two_a = 2.0 * a
+        drho2 = (dphi2 / (2.0 * math.pi) - 2.0 * math.cosh(two_a) * drho) / math.sinh(two_a)
+        t = 0.5 * g * (rho * drho2 / (drho * drho) - 1.0)
+        # solve_root reads the crossing direction off the slope's sign.
+        return g, slope / (1.0 + t) if 1.0 + t > 0.0 else slope
 
     # Near the maximum each root starts at a_c -+ q on the parabola through
     # (a_c, rho(a_c)), flat there, and (a_L, rho(a_L)).

@@ -110,7 +110,8 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> None:
         raise ValueError(f"need at least 2 sweep points, got n={args.n}")
     quantity = gomes_rho if args.quantity == "rho" else area_deficit
     step = (args.hi - args.lo) / (args.n - 1)
-    abscissas = [args.lo + i * step for i in range(args.n)]
+    # The last point is hi itself: lo + (n - 1) * step can round past it.
+    abscissas = [args.lo + i * step for i in range(args.n - 1)] + [args.hi]
     # The degenerate catenoid at a = 0 collapses onto the doubled disk.
     values = [quantity(a, tol) if a != 0.0 else 0.0 for a in abscissas]
     payload = {

@@ -84,7 +84,10 @@ def solve_root(
     """Root of f in [lo, hi] by Newton's method, safeguarded by bisection.
 
     f(x) returns (value, slope) and must change sign once on [lo, hi], at a
-    simple root (nonzero slope).  The iteration starts at start (clamped to
+    simple root (nonzero slope).  The slope need not be f'(x): any nonzero
+    slope with f''s sign is safe, and one corrected for curvature turns the
+    Newton step into a higher-order step (catenoids_for_separation hands a
+    Chebyshev slope).  The iteration starts at start (clamped to
     the bracket; the midpoint by default), takes the direction of the
     crossing from the first slope (or from f(lo) if that slope is 0), and
     moves the end of each iterate's sign to it.  It takes the Newton step

@@ -11,15 +11,18 @@ from hypcatenoid import (
     IsometryMap,
     RegimeKind,
     Tolerance,
+    catenoid,
     catenoids_for_circles,
     catenoids_for_separation,
     circle_from_center_radius,
     circle_pair,
+    circles,
     constants_bundle,
     gomes_rho,
     inversive_product,
     normalize_coaxial,
     plane_distance,
+    solve_root,
 )
 
 from _oracles import coaxial_images, moved_pair, random_disjoint_pair
@@ -97,6 +100,9 @@ class TestCircleAtInfinity:
             circle_pair(0.0j, 1e-310, 0.0j, 2.2)
         with pytest.raises(DegenerateCircleError, match="r2/r1 .* underflows"):
             circle_pair(0.0j, 1e300, 1.0 + 0.0j, 1e-300)
+        # A subnormal ratio: 1e-309 is above 0, but its reciprocal overflows.
+        with pytest.raises(DegenerateCircleError, match="r2/r1 .* underflows"):
+            circle_pair(0.0j, 1e300, 0.0j, 1e-9)
         with pytest.raises(DegenerateCircleError, match="offset"):
             circle_pair(-1e308 + 0.0j, 1.0, 1e308 + 0.0j, 1.0)
 
@@ -393,6 +399,40 @@ class TestCatenoidsForSeparation:
             assert label_outer.kind is outer_kind
             for a in (a_inner, a_outer):
                 assert abs(2.0 * gomes_rho(a, tol) - d) <= 1e-14 * d, (d, a)
+
+    def test_chebyshev_slopes_keep_their_sign(self, bundle, tol, monkeypatch):
+        # The residual hands solve_root the slope g' / (1 + t), t = g g'' /
+        # (2 g'**2); it must keep g''s sign, since solve_root reads the
+        # crossing direction off it.  rho'' is checked here by a central
+        # difference of rho', not through the phi'' the residual reads.
+        calls = []
+
+        def recording(f, lo, hi, start=None):
+            def g(x):
+                calls.append((x, *f(x)))
+                return calls[-1][1:]
+
+            return solve_root(g, lo, hi, start)
+
+        monkeypatch.setattr(circles, "solve_root", recording)
+        top = math.log10(1.0022)
+        separations = [10.0 ** (-10.0 + k * (top + 10.0) / 4000) for k in range(4001)]
+        separations += [bundle.two_rho_ac - 10.0 ** (-2.0 - k / 20) for k in range(160)]
+        # Just outside the 2 abs_tol tie window, where the roots meet at a_c.
+        separations += [bundle.two_rho_ac - 2e-10 * (1.0 + 2.0**-k) for k in range(53)]
+        for d in separations:
+            catenoids_for_separation(d, bundle, tol)
+        assert len(calls) > 20000
+        for a, value, slope in calls:
+            rho, drho = catenoid._neck_terms(a)[:2]
+            if drho == 0.0:
+                continue
+            h = 1e-5 * a
+            drho2 = (catenoid._neck_terms(a + h)[1] - catenoid._neck_terms(a - h)[1]) / (2 * h)
+            t = 0.5 * value * (rho * drho2 / (drho * drho) - 1.0)
+            assert slope * drho > 0.0, a
+            assert 1.0 + t > 0.0, a
+            assert slope == pytest.approx(drho / rho / (1.0 + t), rel=1e-6), a
 
     def test_below_the_outer_branch_cap(self, bundle, tol):
         # The outer root is sought up to a = 25, so d < 2 rho(25) has none.

@@ -191,14 +191,14 @@ def test_circles_solver_calls(count_solver_calls):
     inner = circle_from_center_radius(0j, 1.0)
     outer = circle_from_center_radius(0j, 2.2)
     solves = count_solver_calls(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
-    assert solves == [5, 5]
+    assert solves == [4, 4]
 
 
 def test_tiny_separation_solver_calls(count_solver_calls):
     bundle = constants_bundle(TOL)
     solves = count_solver_calls(lambda: catenoids_for_separation(1e-9, bundle, TOL))
     # The outer root's asymptotic start is already exact to rounding.
-    assert solves == [4, 1]
+    assert solves == [3, 1]
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -241,7 +241,7 @@ def test_separation_sweep_solver_calls(count_solver_calls):
 
     solves = count_solver_calls(sweep)
     assert len(solves) == 842
-    assert sum(solves) <= 2676
+    assert sum(solves) <= 2202
     assert max(solves) <= 12
 
 
@@ -317,9 +317,9 @@ def test_separation_carlson_calls(count_calls):
 
 
 def test_separation_kernel_calls(count_calls):
-    # One kernel call per residual: rho and rho' come from one AGM loop.
+    # One kernel call per residual: rho, rho' and phi'' come from one AGM loop.
     tiny, pair = (count_calls(catenoid, "_neck_terms", solve) for solve in _separations())
-    assert (tiny, pair) == (5, 10)
+    assert (tiny, pair) == (4, 8)
 
 
 def test_area_difference_kernel_calls(count_calls):
