@@ -69,6 +69,7 @@ _EXPORTS = {
     ),
     "mesh": (
         "MeshData",
+        "MeshEntries",
         "MeshParams",
         "ball_from_halfspace",
         "build_mesh",

@@ -8,13 +8,16 @@ the result can be dropped into any mesh viewer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+import struct
+from array import array
+from dataclasses import dataclass
+from operator import index as _as_index
 
 from .catenoid import Tolerance, sample_catenary
 
 __all__ = [
     "MeshData",
+    "MeshEntries",
     "MeshParams",
     "ball_from_halfspace",
     "build_mesh",
@@ -63,17 +66,79 @@ class MeshParams:
             raise ValueError(f"need at least 3 angular steps, got {self.n_angle}")
 
 
+class MeshEntries:
+    """Read-only sequence of 3-tuples over one flat array of 3n values.
+
+    len counts entries, [i] is the 3-tuple flat[3i:3i+3] (negative i counts
+    from the end), and a slice is a list of 3-tuples.  A view equals another
+    whose array is equal, and a list holding the same 3-tuples.  The array
+    itself is .flat.
+    """
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat: array) -> None:
+        self.flat = flat
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __getitem__(self, i):
+        flat = self.flat
+        if isinstance(i, slice):
+            return [tuple(flat[3 * k : 3 * k + 3]) for k in range(*i.indices(len(self)))]
+        k = _as_index(i)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("mesh entry index out of range")
+        return tuple(flat[3 * k : 3 * k + 3])
+
+    def __iter__(self):
+        values = iter(self.flat)
+        return zip(values, values, values)
+
+    def __eq__(self, other):
+        if isinstance(other, MeshEntries):
+            return self.flat == other.flat
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
+def _entries(entries, typecode: str, kind: str) -> MeshEntries:
+    """The entries as a view over an array(typecode); TypeError unless each holds 3 values."""
+    if isinstance(entries, MeshEntries) and entries.flat.typecode == typecode:
+        return entries
+    flat = array(typecode)
+    for entry in entries:
+        try:
+            count = len(entry)
+        except TypeError:
+            count = None
+        if count != 3:
+            raise TypeError(f"every mesh {kind} must hold 3 values, got {entry!r}")
+        flat.extend(entry)
+    return MeshEntries(flat)
+
+
 @dataclass(eq=False)
 class MeshData:
     """Vertex/face soup in ball coordinates, with the parameters that built it.
 
-    Every vertex is a 3-tuple of floats and every face a 3-tuple of 0-based
-    vertex indices; write_obj raises TypeError for any other entry.
+    vertices views one array('d') of 3n coordinates and faces one
+    array('l') of 3m 0-based vertex indices; each is a MeshEntries, so
+    vertices[i] is the 3-tuple of vertex i.  The constructor also takes
+    any iterable of 3-sequences, and raises TypeError for any other entry.
     """
 
     params: MeshParams
-    vertices: list[tuple[float, float, float]] = field(default_factory=list)
-    faces: list[tuple[int, int, int]] = field(default_factory=list)
+    vertices: MeshEntries = ()
+    faces: MeshEntries = ()
+
+    def __post_init__(self) -> None:
+        self.vertices = _entries(self.vertices, "d", "vertex")
+        self.faces = _entries(self.faces, "l", "face")
 
 
 def halfspace_point(x: float, y: float, theta: float) -> tuple[float, float, float]:
@@ -146,56 +211,64 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     past about y - a = 40 map to one boundary circle, so a larger y_max
     only adds coincident rows and zero-area faces: a = 0.6, y_max = 1000
     at the CLI's default resolution gives 4,032 vertices, 832 distinct.
+
+    Each row fills its stride-3 slots of one preallocated array('d'), and
+    the faces are six interleaved index runs written by slice assignment,
+    so the mesh holds no Python object per vertex or per face.
     """
     if tol is None:
         tol = Tolerance()
     rows = _profile_rows(params, tol)
-    n_angle = params.n_angle
-    step = 2.0 * math.pi / n_angle
-    cos_sin = [(math.cos(m * step), math.sin(m * step)) for m in range(n_angle)]
+    n = params.n_angle
+    step = 2.0 * math.pi / n
+    cos = [math.cos(m * step) for m in range(n)]
+    sin = [math.sin(m * step) for m in range(n)]
+    # Packing a row's values takes one C call; array("d", list) would
+    # convert them one at a time.
+    pack = struct.Struct(f"{n}d").pack
 
-    mesh = MeshData(params=params)
-    for x, y in rows:
+    vertices = array("d", [0.0]) * (3 * len(rows) * n)
+    for j, (x, y) in enumerate(rows):
         u, r, _ = ball_from_halfspace(*halfspace_point(x, y, 0.0))
-        mesh.vertices.extend((u, r * c, r * s) for c, s in cos_sin)
+        start, stop = 3 * j * n, 3 * (j + 1) * n
+        vertices[start:stop:3] = array("d", [u]) * n
+        vertices[start + 1 : stop : 3] = array("d", pack(*[r * c for c in cos]))
+        vertices[start + 2 : stop : 3] = array("d", pack(*[r * s for s in sin]))
 
-    # One int object per vertex index, shared by every face that uses it.
-    below = list(range(n_angle))
-    for j in range(1, len(rows)):
-        above = list(range(j * n_angle, (j + 1) * n_angle))
-        for i00, i01, i10, i11 in zip(
-            below, below[1:] + below[:1], above, above[1:] + above[:1]
-        ):
-            mesh.faces.append((i00, i01, i11))
-            mesh.faces.append((i00, i11, i10))
-        below = above
-    return mesh
-
-
-def _blocks(entries: list, kind: str):
-    """Consecutive slices of _OBJ_BLOCK entries, each entry checked to hold 3 values."""
-    for start in range(0, len(entries), _OBJ_BLOCK):
-        block = entries[start : start + _OBJ_BLOCK]
-        if set(map(len, block)) != {3}:
-            raise TypeError(f"every OBJ {kind} must hold 3 values")
-        yield block
+    # Quad q = (j - 1) n + m joins vertex q and its angular successor on
+    # row j - 1 to the two one row up, q + n and its successor, and splits
+    # into (q, q + 1, q + n + 1) and (q, q + n + 1, q + n).  At m = n - 1
+    # the successor wraps to the strip start, so those entries are reset.
+    quads = (len(rows) - 1) * n
+    index = array("l", range(quads + n + 1))
+    faces = array("l", [0]) * (6 * quads)
+    faces[0::6] = faces[3::6] = index[:quads]
+    faces[1::6] = index[1 : quads + 1]
+    faces[2::6] = faces[4::6] = index[n + 1 : quads + n + 1]
+    faces[5::6] = index[n : quads + n]
+    wrap = 6 * (n - 1)
+    faces[wrap + 1 :: 6 * n] = index[:quads:n]
+    faces[wrap + 2 :: 6 * n] = faces[wrap + 4 :: 6 * n] = index[n : quads + n : n]
+    return MeshData(params, MeshEntries(vertices), MeshEntries(faces))
 
 
 def write_obj(mesh: MeshData, path: str) -> None:
     """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
 
-    Each block of lines is formatted by one bytes %, so the transient
-    objects stay bounded by the block whatever the mesh size.
+    Each block of _OBJ_BLOCK lines is formatted from a slice of the flat
+    arrays by one bytes %, so the transient objects stay bounded by the
+    block whatever the mesh size.
     """
+    size = 3 * _OBJ_BLOCK
     with open(path, "wb") as handle:
-        # No local holds a block's arguments, so they are freed before the
-        # next block's are built.
-        for block in _blocks(mesh.vertices, "vertex"):
-            handle.write(b"v %.12g %.12g %.12g\n" * len(block) % tuple(chain.from_iterable(block)))
-        for block in _blocks(mesh.faces, "face"):
-            handle.write(
-                b"f %d %d %d\n" * len(block) % tuple([i + 1 for i in chain.from_iterable(block)])
-            )
+        flat = mesh.vertices.flat
+        for start in range(0, len(flat), size):
+            block = flat[start : start + size]
+            handle.write(b"v %.12g %.12g %.12g\n" * (len(block) // 3) % tuple(block))
+        flat = mesh.faces.flat
+        for start in range(0, len(flat), size):
+            block = flat[start : start + size]
+            handle.write(b"f %d %d %d\n" * (len(block) // 3) % tuple([i + 1 for i in block]))
 
 
 def export_mesh(

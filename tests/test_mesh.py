@@ -214,12 +214,64 @@ class TestBuildMesh:
     def test_faces_independent_of_neck(self, mesh, tol):
         other = build_mesh(MeshParams(1.1, 2.5, 16, 24), tol)
         assert other.faces == mesh.faces
+        assert other.vertices != mesh.vertices
+        assert build_mesh(MeshParams(1.1, 2.5, 16, 25), tol).faces != mesh.faces
+
+    def test_memory_bounded(self, tol):
+        # One tuple per vertex and per face would retain about 18.6 MiB
+        # here; the flat arrays hold 8 bytes a value, about 4.5 MiB.
+        build_mesh(MeshParams(0.6, 3.0, 4, 6), tol)
+        tracemalloc.start()
+        try:
+            mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mesh.faces) == 130_048
+        assert peak <= 10 * 2**20
+        assert retained <= 10 * 2**20
 
     def test_neck_cross_section_is_round(self, mesh):
         params = mesh.params
         neck = _rows(mesh)[params.n_profile - 1]
         radii = [math.hypot(*vertex) for vertex in neck]
         assert max(radii) - min(radii) <= 1e-12
+
+
+class TestMeshEntries:
+    """The sequence interface of MeshData.vertices and .faces."""
+
+    @pytest.mark.parametrize("name, kind", [("vertices", float), ("faces", int)])
+    def test_view_contract(self, mesh, name, kind):
+        entries = getattr(mesh, name)
+        flat = entries.flat
+        assert len(entries) * 3 == len(flat)
+        for i in (0, 1, len(entries) // 2, len(entries) - 1):
+            entry = entries[i]
+            assert type(entry) is tuple and len(entry) == 3
+            assert all(type(value) is kind for value in entry)
+            assert entry == tuple(flat[3 * i : 3 * i + 3])
+        assert entries[-1] == entries[len(entries) - 1]
+        assert entries[-len(entries)] == entries[0]
+        for i in (len(entries), -len(entries) - 1):
+            with pytest.raises(IndexError):
+                entries[i]
+        n_angle = mesh.params.n_angle
+        row = entries[n_angle : 2 * n_angle]
+        assert type(row) is list and len(row) == n_angle
+        assert row == [entries[i] for i in range(n_angle, 2 * n_angle)]
+        assert entries[::-7] == [entries[i] for i in range(len(entries) - 1, -1, -7)]
+        assert entries[len(entries) :] == []
+        listed = list(entries)
+        assert len(listed) == len(entries)
+        assert listed == [entries[i] for i in range(len(entries))]
+        assert entries == listed
+
+    def test_typecodes(self, mesh):
+        assert (mesh.vertices.flat.typecode, mesh.faces.flat.typecode) == ("d", "l")
+        empty = MeshData(mesh.params)
+        assert len(empty.vertices) == len(empty.faces) == 0
+        assert list(empty.vertices) == [] and empty.faces[:] == []
 
 
 def _obj_line_by_line(mesh, path):
@@ -250,7 +302,8 @@ def _scrambled_mesh():
 
 def _block_edge_mesh(count, integers):
     # count vertices and count faces, so both loops end on or just past a
-    # block edge; int coordinates check %.12g on ints against the f-string.
+    # block edge.  Int coordinates are stored as floats, exactly below 2**53,
+    # and give integral values with up to 15 digits to %.12g.
     rng = random.Random(count)
 
     def draw():
@@ -286,6 +339,14 @@ class TestObjOutput:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "8b15d20a9e513aa0c3f0e0a01f4e487d179eaed8176a88a2806fb9da12452ad5"
 
+    def test_same_bytes_from_tuples(self, tol, tmp_path):
+        built = build_mesh(MeshParams(0.6, 3.0, 12, 20), tol)
+        copied = MeshData(built.params, list(built.vertices), list(built.faces))
+        assert copied.vertices == built.vertices and copied.faces == built.faces
+        write_obj(built, str(tmp_path / "built.obj"))
+        write_obj(copied, str(tmp_path / "copied.obj"))
+        assert (tmp_path / "built.obj").read_bytes() == (tmp_path / "copied.obj").read_bytes()
+
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of index
         # strings about 4 MB, so it would exceed this bound; formatting a
@@ -306,13 +367,18 @@ class TestObjOutput:
             ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0, 1, 0), (0, 1, 0, 1)]),
             # Six values in all, so only a per-entry check catches them.
             ([(1.0, 2.0), (3.0, 4.0, 5.0, 6.0)], []),
+            ([(0.0, 0.0, 0.0), 1.0], []),
+            ([(0.0, 0.0, 0.0)], [(0, 0, 0), 0]),
         ],
-        ids=["2-tuple vertex", "4-tuple face", "short and long vertex"],
+        ids=["2-tuple vertex", "4-tuple face", "short and long vertex",
+             "bare float vertex", "bare int face"],
     )
     def test_wrong_length_entry_raises(self, vertices, faces, tmp_path):
-        mesh = MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
-        with pytest.raises(TypeError):
-            write_obj(mesh, str(tmp_path / "bad.obj"))
+        # The entries are checked when the mesh is built, so nothing is written.
+        path = tmp_path / "bad.obj"
+        with pytest.raises(TypeError, match="must hold 3 values"):
+            write_obj(MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces), str(path))
+        assert not path.exists()
 
     def test_file_round_trip(self, mesh, tmp_path):
         path = tmp_path / "tube.obj"
