@@ -31,6 +31,9 @@ __all__ = [
 # that one block's arguments and bytes take well under a megabyte.
 _OBJ_BLOCK = 4096
 
+# Face indices are stored as array('i'), 4 bytes a value.
+_MAX_VERTICES = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class MeshParams:
@@ -38,9 +41,10 @@ class MeshParams:
 
     n_profile counts samples of the generating curve from the neck out to
     y_max on one side; the full profile mirrors them through the neck.
-    n_angle is the number of angular steps of the sweep.  Rows past about
-    y - neck_distance = 40 lie on one boundary circle of the ball to
-    rounding, so a larger y_max only adds coincident rows (see build_mesh).
+    n_angle is the number of angular steps of the sweep.  Far rows crowd
+    onto one boundary circle of the ball, so a large y_max adds coincident
+    rows (see build_mesh).  Face indices are 32-bit, so the
+    (2 n_profile - 1) n_angle vertices may number at most 2**31 - 1.
     """
 
     neck_distance: float
@@ -64,10 +68,19 @@ class MeshParams:
             raise ValueError(f"need at least 2 profile samples, got {self.n_profile}")
         if self.n_angle < 3:
             raise ValueError(f"need at least 3 angular steps, got {self.n_angle}")
+        vertices = (2 * self.n_profile - 1) * self.n_angle
+        if vertices > _MAX_VERTICES:
+            raise ValueError(
+                f"{vertices} vertices exceed the {_MAX_VERTICES} that 32-bit face "
+                f"indices can address"
+            )
 
 
 class MeshEntries:
     """Read-only sequence of 3-tuples over one flat array of 3n values.
+
+    MeshData holds its coordinates in an array('d') and its 0-based vertex
+    indices in an array('i'), 4 bytes a value.
 
     len counts entries, [i] is the 3-tuple flat[3i:3i+3] (negative i counts
     from the end), and a slice is a list of 3-tuples.  A view equals another
@@ -106,20 +119,38 @@ class MeshEntries:
         return NotImplemented
 
 
-def _entries(entries, typecode: str, kind: str) -> MeshEntries:
-    """The entries as a view over an array(typecode); TypeError unless each holds 3 values."""
+def _entries(entries, typecode: str, kind: str, count: int | None = None) -> MeshEntries:
+    """The entries as a view over an array(typecode).
+
+    Raises TypeError unless each entry holds 3 values and, given count,
+    ValueError naming the first entry with a value outside range(count).
+    """
     if isinstance(entries, MeshEntries) and entries.flat.typecode == typecode:
-        return entries
-    flat = array(typecode)
-    for entry in entries:
-        try:
-            count = len(entry)
-        except TypeError:
-            count = None
-        if count != 3:
-            raise TypeError(f"every mesh {kind} must hold 3 values, got {entry!r}")
-        flat.extend(entry)
-    return MeshEntries(flat)
+        view = entries
+    else:
+        view = MeshEntries(array(typecode))
+        for entry in entries:
+            try:
+                size = len(entry)
+            except TypeError:
+                size = None
+            if size != 3:
+                raise TypeError(f"every mesh {kind} must hold 3 values, got {entry!r}")
+            try:
+                view.flat.extend(entry)
+            except OverflowError:
+                if count is None:
+                    raise
+                raise _out_of_range(len(view), entry, count) from None
+    flat = view.flat
+    if count is not None and flat and (min(flat) < 0 or max(flat) >= count):
+        k = next(i for i, value in enumerate(flat) if not 0 <= value < count) // 3
+        raise _out_of_range(k, view[k], count)
+    return view
+
+
+def _out_of_range(k: int, entry, count: int) -> ValueError:
+    return ValueError(f"mesh face {k} {entry!r} holds an index outside the {count} vertices")
 
 
 @dataclass(eq=False)
@@ -127,9 +158,11 @@ class MeshData:
     """Vertex/face soup in ball coordinates, with the parameters that built it.
 
     vertices views one array('d') of 3n coordinates and faces one
-    array('l') of 3m 0-based vertex indices; each is a MeshEntries, so
-    vertices[i] is the 3-tuple of vertex i.  The constructor also takes
-    any iterable of 3-sequences, and raises TypeError for any other entry.
+    array('i') of 3m 0-based vertex indices, 4 bytes a value; each is a
+    MeshEntries, so vertices[i] is the 3-tuple of vertex i.  The
+    constructor also takes any iterable of 3-sequences.  It raises
+    TypeError for any other entry, and ValueError naming the face entry
+    for an index outside range(len(vertices)).
     """
 
     params: MeshParams
@@ -138,7 +171,7 @@ class MeshData:
 
     def __post_init__(self) -> None:
         self.vertices = _entries(self.vertices, "d", "vertex")
-        self.faces = _entries(self.faces, "l", "face")
+        self.faces = _entries(self.faces, "i", "face", len(self.vertices))
 
 
 def halfspace_point(x: float, y: float, theta: float) -> tuple[float, float, float]:
@@ -207,14 +240,18 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     (u_j, r_j cos theta_m, r_j sin theta_m) and needs one chart map.  Every
     quad is then an isosceles trapezoid whose two diagonals have the same
     length, so all quads are split the same way.  The profile is exact to
-    rounding whatever tol is, so the mesh does not depend on it.  Rows
-    past about y - a = 40 map to one boundary circle, so a larger y_max
-    only adds coincident rows and zero-area faces: a = 0.6, y_max = 1000
-    at the CLI's default resolution gives 4,032 vertices, 832 distinct.
+    rounding whatever tol is, so the mesh does not depend on it.  Far
+    rows crowd onto one boundary circle, so a large y_max adds coincident
+    rows and zero-area faces.  At the CLI's default resolution (32 x 64)
+    and a = 0.6, the 4,032 vertices are all distinct at y_max = a + 20.6;
+    at a + 40.6, 3,904 are distinct and 3,456 as written to OBJ, and at
+    y_max = 1000, 957 and 832.
 
     Each row fills its stride-3 slots of one preallocated array('d'), and
-    the faces are six interleaved index runs written by slice assignment,
-    so the mesh holds no Python object per vertex or per face.
+    the faces are six interleaved index runs written by slice assignment
+    into one array('i'), so the mesh holds no Python object per vertex or
+    per face.  Their indices are in range by construction, so the mesh
+    skips MeshData's range check, which builds an int per index.
     """
     if tol is None:
         tol = Tolerance()
@@ -240,8 +277,8 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     # into (q, q + 1, q + n + 1) and (q, q + n + 1, q + n).  At m = n - 1
     # the successor wraps to the strip start, so those entries are reset.
     quads = (len(rows) - 1) * n
-    index = array("l", range(quads + n + 1))
-    faces = array("l", [0]) * (6 * quads)
+    index = array("i", range(quads + n + 1))
+    faces = array("i", [0]) * (6 * quads)
     faces[0::6] = faces[3::6] = index[:quads]
     faces[1::6] = index[1 : quads + 1]
     faces[2::6] = faces[4::6] = index[n + 1 : quads + n + 1]
@@ -249,7 +286,9 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     wrap = 6 * (n - 1)
     faces[wrap + 1 :: 6 * n] = index[:quads:n]
     faces[wrap + 2 :: 6 * n] = faces[wrap + 4 :: 6 * n] = index[n : quads + n : n]
-    return MeshData(params, MeshEntries(vertices), MeshEntries(faces))
+    mesh = MeshData(params)
+    mesh.vertices, mesh.faces = MeshEntries(vertices), MeshEntries(faces)
+    return mesh
 
 
 def write_obj(mesh: MeshData, path: str) -> None:
@@ -257,14 +296,34 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
     Each block of _OBJ_BLOCK lines is formatted from a slice of the flat
     arrays by one bytes %, so the transient objects stay bounded by the
-    block whatever the mesh size.
+    block whatever the mesh size.  A vertex block spans pieces of rows of
+    n_angle vertices.  Where each piece holds one first coordinate, bit for
+    bit, as build_mesh's rows do, that value is formatted once per piece;
+    otherwise every value of the block is.
     """
+    n = mesh.params.n_angle
     size = 3 * _OBJ_BLOCK
     with open(path, "wb") as handle:
         flat = mesh.vertices.flat
         for start in range(0, len(flat), size):
             block = flat[start : start + size]
-            handle.write(b"v %.12g %.12g %.12g\n" * (len(block) // 3) % tuple(block))
+            count = len(block) // 3
+            first = block[0::3]
+            # The block's pieces of rows start at 0 and at each row start.
+            # before[i] is first[i], or first[i + 1] where a piece starts at
+            # i + 1, so it equals first[1:] if and only if no piece varies.
+            edges = [0, *range(n - start // 3 % n, count, n), count]
+            before = first[:-1]
+            before[edges[1] - 1 :: n] = first[edges[1] :: n]
+            if before.tobytes() != first[1:].tobytes():
+                handle.write(b"v %.12g %.12g %.12g\n" * count % tuple(block))
+                continue
+            del block[0::3]
+            lines = b"".join(
+                (b"v %.12g" % first[i] + b" %.12g %.12g\n") * (j - i)
+                for i, j in zip(edges, edges[1:])
+            )
+            handle.write(lines % tuple(block))
         flat = mesh.faces.flat
         for start in range(0, len(flat), size):
             block = flat[start : start + size]

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -17,7 +18,7 @@ from hypcatenoid import (
     halfspace_point,
     write_obj,
 )
-from hypcatenoid.mesh import _OBJ_BLOCK
+from hypcatenoid.mesh import _OBJ_BLOCK, MeshEntries
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,9 @@ class TestMeshParams:
             MeshParams(0.6, 3.0, 1, 24)
         with pytest.raises(ValueError):
             MeshParams(0.6, 3.0, 16, 2)
+        # (2**17 - 1) * 2**16 vertices: past what 32-bit face indices address.
+        with pytest.raises(ValueError, match="32-bit"):
+            MeshParams(0.6, 3.0, 2**16, 2**16)
 
     def test_infinite_y_max_rejected(self):
         with pytest.raises(ValueError, match="y_max"):
@@ -219,7 +223,8 @@ class TestBuildMesh:
 
     def test_memory_bounded(self, tol):
         # One tuple per vertex and per face would retain about 18.6 MiB
-        # here; the flat arrays hold 8 bytes a value, about 4.5 MiB.
+        # here, and 8-byte face indices about 4.5 MiB; the flat arrays hold
+        # 8 bytes a coordinate and 4 an index, about 3 MiB.
         build_mesh(MeshParams(0.6, 3.0, 4, 6), tol)
         tracemalloc.start()
         try:
@@ -228,8 +233,8 @@ class TestBuildMesh:
         finally:
             tracemalloc.stop()
         assert len(mesh.faces) == 130_048
-        assert peak <= 10 * 2**20
-        assert retained <= 10 * 2**20
+        assert peak <= 4 * 2**20
+        assert retained <= 4 * 2**20
 
     def test_neck_cross_section_is_round(self, mesh):
         params = mesh.params
@@ -268,7 +273,8 @@ class TestMeshEntries:
         assert entries == listed
 
     def test_typecodes(self, mesh):
-        assert (mesh.vertices.flat.typecode, mesh.faces.flat.typecode) == ("d", "l")
+        assert (mesh.vertices.flat.typecode, mesh.faces.flat.typecode) == ("d", "i")
+        assert mesh.faces.flat.itemsize == 4
         empty = MeshData(mesh.params)
         assert len(empty.vertices) == len(empty.faces) == 0
         assert list(empty.vertices) == [] and empty.faces[:] == []
@@ -298,6 +304,19 @@ def _scrambled_mesh():
     faces += [(0, n - 1, n // 2), (n - 1, 0, 1)]
     rng.shuffle(faces)
     return MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
+
+
+def _row_mesh(n_rows, n_angle, first, extra=0):
+    # Row-major like build_mesh: vertex k is angular step k % n_angle of row
+    # k // n_angle, with first coordinate first(row, step); extra vertices
+    # start a row that is left partial.
+    rng = random.Random(n_rows * n_angle + extra)
+    count = n_rows * n_angle + extra
+    vertices = [
+        (first(k // n_angle, k % n_angle), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for k in range(count)
+    ]
+    return MeshData(MeshParams(0.6, 3.0, 2, n_angle), vertices, [(0, count // 2, count - 1)])
 
 
 def _block_edge_mesh(count, integers):
@@ -332,6 +351,33 @@ class TestObjOutput:
             _obj_line_by_line(mesh, str(want))
             assert got.read_bytes() == want.read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "n_rows, n_angle, first, extra",
+        [
+            # Rows of one signed zero each, then rows that mix the two.
+            (20, 8, lambda j, m: -0.0 if j % 2 else 0.0, 0),
+            (20, 8, lambda j, m: (0.0, -0.0)[j * m % 2], 0),
+            # NaN rows share one bit pattern; a row of both signs does not.
+            (20, 8, lambda j, m: math.nan if j % 3 == 0 else j / 7.0, 0),
+            (20, 8, lambda j, m: math.copysign(math.nan, m % 2 - 0.5), 0),
+            # Row 5 varies, so only the first of three blocks is not row-wise.
+            (600, 16, lambda j, m: j / 3.0 + (m / 10.0 if j == 5 else 0.0), 0),
+            (1000, 3, lambda j, m: j / 1000.0, 0),
+            (3, _OBJ_BLOCK + 1, lambda j, m: -j / 3.0, 0),
+            # Rows of 7 straddle the block edge, and the last row is partial.
+            (700, 7, lambda j, m: j / 700.0, 3),
+        ],
+        ids=["signed zero rows", "signed zeros in a row", "nan rows",
+             "nan of both signs in a row", "one row varies", "3 angles 1000 rows",
+             "block + 1 angles", "partial last row"],
+    )
+    def test_row_writer_edges(self, n_rows, n_angle, first, extra, tmp_path):
+        mesh = _row_mesh(n_rows, n_angle, first, extra)
+        got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+        write_obj(mesh, str(got))
+        _obj_line_by_line(mesh, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
     def test_pinned_hash(self, tol, tmp_path):
         path = tmp_path / "pinned.obj"
         mesh = export_mesh(0.6, 3.0, 48, 64, str(path), tol)
@@ -360,6 +406,17 @@ class TestObjOutput:
             tracemalloc.stop()
         assert peak <= 2**20
 
+    def test_transient_memory_bounded_wide_rows(self, tol, tmp_path):
+        # A block of whole rows would hold one 65,536-vertex row, about 12 MB.
+        mesh = build_mesh(MeshParams(0.6, 3.0, 2, 65_536), tol)
+        tracemalloc.start()
+        try:
+            write_obj(mesh, str(tmp_path / "wide.obj"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     @pytest.mark.parametrize(
         "vertices, faces",
         [
@@ -379,6 +436,32 @@ class TestObjOutput:
         with pytest.raises(TypeError, match="must hold 3 values"):
             write_obj(MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces), str(path))
         assert not path.exists()
+
+    def test_face_index_out_of_range_raises(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        with pytest.raises(ValueError, match=r"face 0 \(0, 5, -1\) .* 1 vertices"):
+            write_obj(
+                MeshData(MeshParams(0.6, 3.0, 2, 3), [(0.0, 0.0, 0.0)], [(0, 5, -1)]),
+                str(path),
+            )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("index", [2**31, -(2**31) - 1, 2**64])
+    def test_face_index_past_32_bits_raises(self, index):
+        vertices = [(0.0, 0.0, 0.0)] * 3
+        with pytest.raises(ValueError, match=r"face 1 .* 3 vertices"):
+            MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, [(0, 1, 2), (0, index, 1)])
+
+    def test_caller_views_are_range_checked(self, mesh):
+        count = len(mesh.vertices)
+        faces = MeshEntries(array("i", [0, 1, 2, 3, count, 4]))
+        with pytest.raises(ValueError, match=rf"face 1 \(3, {count}, 4\) .* {count} vertices"):
+            MeshData(mesh.params, mesh.vertices, faces)
+        wide = MeshEntries(array("q", [0, 1, 2, 3, -1, 4]))
+        with pytest.raises(ValueError, match=r"face 1 \(3, -1, 4\)"):
+            MeshData(mesh.params, mesh.vertices, wide)
+        copied = MeshData(mesh.params, mesh.vertices, MeshEntries(array("q", mesh.faces.flat)))
+        assert copied.faces == mesh.faces and copied.faces.flat.typecode == "i"
 
     def test_file_round_trip(self, mesh, tmp_path):
         path = tmp_path / "tube.obj"
