@@ -8,10 +8,10 @@ the result can be dropped into any mesh viewer.
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from dataclasses import dataclass
-from operator import index as _as_index
+from functools import partial
+from operator import eq
 
 from .catenoid import Tolerance, sample_catenary
 
@@ -31,9 +31,6 @@ __all__ = [
 # that one block's arguments and bytes take well under a megabyte.
 _OBJ_BLOCK = 4096
 
-# Face indices are stored as array('i'), 4 bytes a value.
-_MAX_VERTICES = 2**31 - 1
-
 
 @dataclass(frozen=True)
 class MeshParams:
@@ -43,8 +40,7 @@ class MeshParams:
     y_max on one side; the full profile mirrors them through the neck.
     n_angle is the number of angular steps of the sweep.  Far rows crowd
     onto one boundary circle of the ball, so a large y_max adds coincident
-    rows (see build_mesh).  Face indices are 32-bit, so the
-    (2 n_profile - 1) n_angle vertices may number at most 2**31 - 1.
+    rows (see build_mesh).
     """
 
     neck_distance: float
@@ -68,110 +64,88 @@ class MeshParams:
             raise ValueError(f"need at least 2 profile samples, got {self.n_profile}")
         if self.n_angle < 3:
             raise ValueError(f"need at least 3 angular steps, got {self.n_angle}")
-        vertices = (2 * self.n_profile - 1) * self.n_angle
-        if vertices > _MAX_VERTICES:
-            raise ValueError(
-                f"{vertices} vertices exceed the {_MAX_VERTICES} that 32-bit face "
-                f"indices can address"
-            )
 
 
 class MeshEntries:
-    """Read-only sequence of 3-tuples over one flat array of 3n values.
+    """Read-only sequence of count 3-tuples, entry(i) computed when read.
 
-    MeshData holds its coordinates in an array('d') and its 0-based vertex
-    indices in an array('i'), 4 bytes a value.
-
-    len counts entries, [i] is the 3-tuple flat[3i:3i+3] (negative i counts
-    from the end), and a slice is a list of 3-tuples.  A view equals another
-    whose array is equal, and a list holding the same 3-tuples.  The array
-    itself is .flat.
+    MeshData makes one for its vertices and one for its faces.  len counts
+    entries, [i] is entry i (negative i counts from the end), a slice is a
+    list of 3-tuples, and iteration yields them in order.  A view equals
+    another view, or a list, holding the same 3-tuples in the same order.
     """
 
-    __slots__ = ("flat",)
+    __slots__ = ("_count", "_entry")
 
-    def __init__(self, flat: array) -> None:
-        self.flat = flat
+    def __init__(self, count: int, entry) -> None:
+        self._count = count
+        self._entry = entry
 
     def __len__(self) -> int:
-        return len(self.flat) // 3
+        return self._count
 
     def __getitem__(self, i):
-        flat = self.flat
-        if isinstance(i, slice):
-            return [tuple(flat[3 * k : 3 * k + 3]) for k in range(*i.indices(len(self)))]
-        k = _as_index(i)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("mesh entry index out of range")
-        return tuple(flat[3 * k : 3 * k + 3])
+        k = range(self._count)[i]
+        if isinstance(k, range):
+            return list(map(self._entry, k))
+        return self._entry(k)
 
     def __iter__(self):
-        values = iter(self.flat)
-        return zip(values, values, values)
+        return map(self._entry, range(self._count))
 
     def __eq__(self, other):
-        if isinstance(other, MeshEntries):
-            return self.flat == other.flat
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
+        if not isinstance(other, (MeshEntries, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
-def _entries(entries, typecode: str, kind: str, count: int | None = None) -> MeshEntries:
-    """The entries as a view over an array(typecode).
-
-    Raises TypeError unless each entry holds 3 values and, given count,
-    ValueError naming the first entry with a value outside range(count).
-    """
-    if isinstance(entries, MeshEntries) and entries.flat.typecode == typecode:
-        view = entries
-    else:
-        view = MeshEntries(array(typecode))
-        for entry in entries:
-            try:
-                size = len(entry)
-            except TypeError:
-                size = None
-            if size != 3:
-                raise TypeError(f"every mesh {kind} must hold 3 values, got {entry!r}")
-            try:
-                view.flat.extend(entry)
-            except OverflowError:
-                if count is None:
-                    raise
-                raise _out_of_range(len(view), entry, count) from None
-    flat = view.flat
-    if count is not None and flat and (min(flat) < 0 or max(flat) >= count):
-        k = next(i for i, value in enumerate(flat) if not 0 <= value < count) // 3
-        raise _out_of_range(k, view[k], count)
-    return view
-
-
-def _out_of_range(k: int, entry, count: int) -> ValueError:
-    return ValueError(f"mesh face {k} {entry!r} holds an index outside the {count} vertices")
-
-
-@dataclass(eq=False)
 class MeshData:
-    """Vertex/face soup in ball coordinates, with the parameters that built it.
+    """Catenoid mesh in ball coordinates, held as the rows it is swept from.
 
-    vertices views one array('d') of 3n coordinates and faces one
-    array('i') of 3m 0-based vertex indices, 4 bytes a value; each is a
-    MeshEntries, so vertices[i] is the 3-tuple of vertex i.  The
-    constructor also takes any iterable of 3-sequences.  It raises
-    TypeError for any other entry, and ValueError naming the face entry
-    for an index outside range(len(vertices)).
+    Profile row j, from the mirrored far end through the neck to y_max, is
+    the circle (u[j], r[j] cos theta_m, r[j] sin theta_m) about the ball's
+    first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle; u, r,
+    cos and sin are array('d')s computed from params (tol goes to the
+    profile sampling), so every vertex is a rotation of a chart point and
+    every face joins in-range vertices; no caller supplies either.
+
+    vertices and faces are MeshEntries views computed from the rows on
+    access.  Vertex k = j n_angle + m is (u[j], r[j] * cos[m],
+    r[j] * sin[m]).  Quad q = (j - 1) n_angle + m joins vertex q and its
+    angular successor q' on row j - 1 to q + n_angle and q' + n_angle
+    one row up, where q' = q + 1, or q + 1 - n_angle on the last step
+    of a row; it splits into faces 2q = (q, q', q' + n_angle) and
+    2q + 1 = (q, q' + n_angle, q + n_angle), of 0-based vertex indices.
     """
 
-    params: MeshParams
-    vertices: MeshEntries = ()
-    faces: MeshEntries = ()
+    __slots__ = ("params", "u", "r", "cos", "sin", "vertices", "faces")
 
-    def __post_init__(self) -> None:
-        self.vertices = _entries(self.vertices, "d", "vertex")
-        self.faces = _entries(self.faces, "i", "face", len(self.vertices))
+    def __init__(self, params: MeshParams, *, tol: Tolerance | None = None) -> None:
+        self.params = params
+        u, r = self.u, self.r = array("d"), array("d")
+        if tol is None:
+            tol = Tolerance()
+        for x, y in _profile_rows(params, tol):
+            row_u, row_r, _ = ball_from_halfspace(*halfspace_point(x, y, 0.0))
+            u.append(row_u)
+            r.append(row_r)
+        n = params.n_angle
+        step = 2.0 * math.pi / n
+        cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
+        sin = self.sin = array("d", [math.sin(m * step) for m in range(n)])
+        self.vertices = MeshEntries(len(u) * n, partial(_vertex, n, u, r, cos, sin))
+        self.faces = MeshEntries(2 * (len(u) - 1) * n, partial(_face, n))
+
+
+def _vertex(n, u, r, cos, sin, k):
+    j, m = divmod(k, n)
+    return (u[j], r[j] * cos[m], r[j] * sin[m])
+
+
+def _face(n, k):
+    q, side = divmod(k, 2)
+    after = q + 1 - n if q % n == n - 1 else q + 1
+    return (q, after + n, q + n) if side else (q, after, after + n)
 
 
 def halfspace_point(x: float, y: float, theta: float) -> tuple[float, float, float]:
@@ -233,101 +207,80 @@ def _profile_rows(params: MeshParams, tol: Tolerance) -> list[tuple[float, float
 def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     """Triangulate the catenoid with the given resolution.
 
-    Vertices are laid out row-major: profile row j (from the mirrored far
-    end through the neck to y_max) times angular step m, at index
-    j * n_angle + m.  The sweep about the half-space axis is a Euclidean
-    rotation about the ball's first coordinate axis, so row j is the circle
-    (u_j, r_j cos theta_m, r_j sin theta_m) and needs one chart map.  Every
-    quad is then an isosceles trapezoid whose two diagonals have the same
-    length, so all quads are split the same way.  The profile is exact to
+    The sweep about the half-space axis is a Euclidean rotation about the
+    ball's first coordinate axis, so each profile row is a circle that
+    needs one chart map, and the mesh is stored as those rows (see
+    MeshData).  Every quad is then an isosceles trapezoid whose two
+    diagonals have the same length, so all quads are split the same way
+    and the faces depend only on the resolution.  The profile is exact to
     rounding whatever tol is, so the mesh does not depend on it.  Far
     rows crowd onto one boundary circle, so a large y_max adds coincident
     rows and zero-area faces.  At the CLI's default resolution (32 x 64)
     and a = 0.6, the 4,032 vertices are all distinct at y_max = a + 20.6;
     at a + 40.6, 3,904 are distinct and 3,456 as written to OBJ, and at
     y_max = 1000, 957 and 832.
-
-    Each row fills its stride-3 slots of one preallocated array('d'), and
-    the faces are six interleaved index runs written by slice assignment
-    into one array('i'), so the mesh holds no Python object per vertex or
-    per face.  Their indices are in range by construction, so the mesh
-    skips MeshData's range check, which builds an int per index.
     """
-    if tol is None:
-        tol = Tolerance()
-    rows = _profile_rows(params, tol)
-    n = params.n_angle
-    step = 2.0 * math.pi / n
-    cos = [math.cos(m * step) for m in range(n)]
-    sin = [math.sin(m * step) for m in range(n)]
-    # Packing a row's values takes one C call; array("d", list) would
-    # convert them one at a time.
-    pack = struct.Struct(f"{n}d").pack
-
-    vertices = array("d", [0.0]) * (3 * len(rows) * n)
-    for j, (x, y) in enumerate(rows):
-        u, r, _ = ball_from_halfspace(*halfspace_point(x, y, 0.0))
-        start, stop = 3 * j * n, 3 * (j + 1) * n
-        vertices[start:stop:3] = array("d", [u]) * n
-        vertices[start + 1 : stop : 3] = array("d", pack(*[r * c for c in cos]))
-        vertices[start + 2 : stop : 3] = array("d", pack(*[r * s for s in sin]))
-
-    # Quad q = (j - 1) n + m joins vertex q and its angular successor on
-    # row j - 1 to the two one row up, q + n and its successor, and splits
-    # into (q, q + 1, q + n + 1) and (q, q + n + 1, q + n).  At m = n - 1
-    # the successor wraps to the strip start, so those entries are reset.
-    quads = (len(rows) - 1) * n
-    index = array("i", range(quads + n + 1))
-    faces = array("i", [0]) * (6 * quads)
-    faces[0::6] = faces[3::6] = index[:quads]
-    faces[1::6] = index[1 : quads + 1]
-    faces[2::6] = faces[4::6] = index[n + 1 : quads + n + 1]
-    faces[5::6] = index[n : quads + n]
-    wrap = 6 * (n - 1)
-    faces[wrap + 1 :: 6 * n] = index[:quads:n]
-    faces[wrap + 2 :: 6 * n] = faces[wrap + 4 :: 6 * n] = index[n : quads + n : n]
-    mesh = MeshData(params)
-    mesh.vertices, mesh.faces = MeshEntries(vertices), MeshEntries(faces)
-    return mesh
+    return MeshData(params, tol=tol)
 
 
 def write_obj(mesh: MeshData, path: str) -> None:
     """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
 
-    Each block of _OBJ_BLOCK lines is formatted from a slice of the flat
-    arrays by one bytes %, so the transient objects stay bounded by the
-    block whatever the mesh size.  A vertex block spans pieces of rows of
-    n_angle vertices.  Where each piece holds one first coordinate, bit for
-    bit, as build_mesh's rows do, that value is formatted once per piece;
-    otherwise every value of the block is.
+    The lines are formatted from the mesh's rows, _OBJ_BLOCK lines per
+    bytes % and write, so the transient objects stay bounded by the block
+    whatever the mesh size.
     """
-    n = mesh.params.n_angle
-    size = 3 * _OBJ_BLOCK
     with open(path, "wb") as handle:
-        flat = mesh.vertices.flat
-        for start in range(0, len(flat), size):
-            block = flat[start : start + size]
-            count = len(block) // 3
-            first = block[0::3]
-            # The block's pieces of rows start at 0 and at each row start.
-            # before[i] is first[i], or first[i + 1] where a piece starts at
-            # i + 1, so it equals first[1:] if and only if no piece varies.
-            edges = [0, *range(n - start // 3 % n, count, n), count]
-            before = first[:-1]
-            before[edges[1] - 1 :: n] = first[edges[1] :: n]
-            if before.tobytes() != first[1:].tobytes():
-                handle.write(b"v %.12g %.12g %.12g\n" * count % tuple(block))
-                continue
-            del block[0::3]
-            lines = b"".join(
-                (b"v %.12g" % first[i] + b" %.12g %.12g\n") * (j - i)
-                for i, j in zip(edges, edges[1:])
-            )
-            handle.write(lines % tuple(block))
-        flat = mesh.faces.flat
-        for start in range(0, len(flat), size):
-            block = flat[start : start + size]
-            handle.write(b"f %d %d %d\n" * (len(block) // 3) % tuple([i + 1 for i in block]))
+        _write_vertices(handle, mesh)
+        _write_faces(handle, mesh)
+
+
+def _write_vertices(handle, mesh: MeshData) -> None:
+    # A block spans pieces of rows.  Each piece formats its row's first
+    # coordinate once; its other two are the products r[j] * cos[m] and
+    # r[j] * sin[m] that mesh.vertices computes, interleaved in args.
+    n = mesh.params.n_angle
+    u, r, cos, sin = mesh.u, mesh.r, mesh.cos, mesh.sin
+    count = len(mesh.vertices)
+    for start in range(0, count, _OBJ_BLOCK):
+        stop = min(start + _OBJ_BLOCK, count)
+        args = [0.0] * (2 * (stop - start))
+        lines = []
+        k = start
+        while k < stop:
+            j, m = divmod(k, n)
+            end = min(stop, k - m + n)
+            scale, first, last = r[j].__mul__, 2 * (k - start), 2 * (end - start)
+            args[first:last:2] = map(scale, cos[m : m + end - k])
+            args[first + 1 : last : 2] = map(scale, sin[m : m + end - k])
+            lines.append((b"v %.12g" % u[j] + b" %.12g %.12g\n") * (end - k))
+            k = end
+        handle.write(b"".join(lines) % tuple(args))
+
+
+def _write_faces(handle, mesh: MeshData) -> None:
+    # A block covers _OBJ_BLOCK // 2 quads.  Quad q's faces are (q, q', q' + n)
+    # and (q, q' + n, q + n), 1-based here, laid out as six interleaved runs
+    # with q' = q + 1; the wraps, q % n = n - 1, are then reset.
+    n = mesh.params.n_angle
+    quads = len(mesh.faces) // 2
+    window = _OBJ_BLOCK // 2
+    for start in range(0, quads, window):
+        stop = min(start + window, quads)
+        size = stop - start
+        low = array("q", range(start + 1, stop + 2))
+        high = array("q", range(start + n + 1, stop + n + 2))
+        block = array("q", [0]) * (6 * size)
+        block[0::6] = block[3::6] = low[:size]
+        block[1::6] = low[1:]
+        block[2::6] = block[4::6] = high[1:]
+        block[5::6] = high[:size]
+        wrap = start + (n - 1 - start) % n
+        if wrap < stop:
+            at = 6 * (wrap - start)
+            block[at + 1 :: 6 * n] = array("q", range(wrap + 2 - n, stop + 2 - n, n))
+            block[at + 2 :: 6 * n] = block[at + 4 :: 6 * n] = array("q", range(wrap + 2, stop + 2, n))
+        handle.write(b"f %d %d %d\n" * (2 * size) % tuple(block))
 
 
 def export_mesh(

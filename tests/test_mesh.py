@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -96,9 +97,6 @@ class TestMeshParams:
             MeshParams(0.6, 3.0, 1, 24)
         with pytest.raises(ValueError):
             MeshParams(0.6, 3.0, 16, 2)
-        # (2**17 - 1) * 2**16 vertices: past what 32-bit face indices address.
-        with pytest.raises(ValueError, match="32-bit"):
-            MeshParams(0.6, 3.0, 2**16, 2**16)
 
     def test_infinite_y_max_rejected(self):
         with pytest.raises(ValueError, match="y_max"):
@@ -222,9 +220,9 @@ class TestBuildMesh:
         assert build_mesh(MeshParams(1.1, 2.5, 16, 25), tol).faces != mesh.faces
 
     def test_memory_bounded(self, tol):
-        # One tuple per vertex and per face would retain about 18.6 MiB
-        # here, and 8-byte face indices about 4.5 MiB; the flat arrays hold
-        # 8 bytes a coordinate and 4 an index, about 3 MiB.
+        # Flat arrays of every coordinate and face index would retain about
+        # 3 MiB here; the 255 profile rows and the 256 angles hold about
+        # 8 KiB of values.
         build_mesh(MeshParams(0.6, 3.0, 4, 6), tol)
         tracemalloc.start()
         try:
@@ -233,14 +231,42 @@ class TestBuildMesh:
         finally:
             tracemalloc.stop()
         assert len(mesh.faces) == 130_048
-        assert peak <= 4 * 2**20
-        assert retained <= 4 * 2**20
+        assert peak <= 64 * 2**10
+        assert retained <= 64 * 2**10
 
     def test_neck_cross_section_is_round(self, mesh):
         params = mesh.params
         neck = _rows(mesh)[params.n_profile - 1]
         radii = [math.hypot(*vertex) for vertex in neck]
         assert max(radii) - min(radii) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a, y_max",
+        [(1e-100, 1.0), (25.0, 26.0), (0.6, 1000.0), (0.6, 0.6 * (1.0 + 1e-12))],
+        ids=["smallest neck", "largest neck", "y_max 1000", "y_max just past a"],
+    )
+    def test_vertices_finite_in_closed_ball(self, a, y_max, tol):
+        mesh = build_mesh(MeshParams(a, y_max, 8, 12), tol)
+        for vertex in mesh.vertices:
+            assert all(math.isfinite(c) for c in vertex)
+            assert sum(c * c for c in vertex) <= 1.0
+
+
+def _reference_faces(n_rows, n_angle):
+    """Faces as six interleaved index runs in one array('i'), fixed up at the wraps."""
+    n = n_angle
+    quads = (n_rows - 1) * n
+    index = array("i", range(quads + n + 1))
+    faces = array("i", [0]) * (6 * quads)
+    faces[0::6] = faces[3::6] = index[:quads]
+    faces[1::6] = index[1 : quads + 1]
+    faces[2::6] = faces[4::6] = index[n + 1 : quads + n + 1]
+    faces[5::6] = index[n : quads + n]
+    wrap = 6 * (n - 1)
+    faces[wrap + 1 :: 6 * n] = index[:quads:n]
+    faces[wrap + 2 :: 6 * n] = faces[wrap + 4 :: 6 * n] = index[n : quads + n : n]
+    values = iter(faces)
+    return list(zip(values, values, values))
 
 
 class TestMeshEntries:
@@ -249,18 +275,18 @@ class TestMeshEntries:
     @pytest.mark.parametrize("name, kind", [("vertices", float), ("faces", int)])
     def test_view_contract(self, mesh, name, kind):
         entries = getattr(mesh, name)
-        flat = entries.flat
-        assert len(entries) * 3 == len(flat)
+        assert isinstance(entries, MeshEntries)
         for i in (0, 1, len(entries) // 2, len(entries) - 1):
             entry = entries[i]
             assert type(entry) is tuple and len(entry) == 3
             assert all(type(value) is kind for value in entry)
-            assert entry == tuple(flat[3 * i : 3 * i + 3])
         assert entries[-1] == entries[len(entries) - 1]
         assert entries[-len(entries)] == entries[0]
         for i in (len(entries), -len(entries) - 1):
             with pytest.raises(IndexError):
                 entries[i]
+        with pytest.raises(TypeError):
+            entries[0] = entries[0]
         n_angle = mesh.params.n_angle
         row = entries[n_angle : 2 * n_angle]
         assert type(row) is list and len(row) == n_angle
@@ -270,14 +296,28 @@ class TestMeshEntries:
         listed = list(entries)
         assert len(listed) == len(entries)
         assert listed == [entries[i] for i in range(len(entries))]
-        assert entries == listed
+        assert entries == listed and entries != listed[:-1]
+        assert pickle.loads(pickle.dumps(entries)) == entries
 
     def test_typecodes(self, mesh):
-        assert (mesh.vertices.flat.typecode, mesh.faces.flat.typecode) == ("d", "i")
-        assert mesh.faces.flat.itemsize == 4
-        empty = MeshData(mesh.params)
-        assert len(empty.vertices) == len(empty.faces) == 0
-        assert list(empty.vertices) == [] and empty.faces[:] == []
+        # The mesh holds its profile rows and the sweep's cosines and sines.
+        rows, n_angle = 2 * mesh.params.n_profile - 1, mesh.params.n_angle
+        stored = [(a.typecode, len(a)) for a in (mesh.u, mesh.r, mesh.cos, mesh.sin)]
+        assert stored == [("d", rows), ("d", rows), ("d", n_angle), ("d", n_angle)]
+        j, m = 5, 7
+        assert mesh.vertices[j * n_angle + m] == (
+            mesh.u[j], mesh.r[j] * mesh.cos[m], mesh.r[j] * mesh.sin[m]
+        )
+
+    @pytest.mark.parametrize(
+        "n_profile, n_angle",
+        [(5, 3), (4, 7), (3, 128), (2, _OBJ_BLOCK // 2), (2, _OBJ_BLOCK // 2 + 1)],
+    )
+    def test_faces_match_reference(self, n_profile, n_angle, tol):
+        # At n_angle = _OBJ_BLOCK // 2 (+ 1) the wrap quads end (start) a
+        # write_obj face block.
+        mesh = build_mesh(MeshParams(0.6, 3.0, n_profile, n_angle), tol)
+        assert list(mesh.faces) == _reference_faces(2 * n_profile - 1, n_angle)
 
 
 def _obj_line_by_line(mesh, path):
@@ -289,90 +329,35 @@ def _obj_line_by_line(mesh, path):
             handle.write(f"f {i + 1} {j + 1} {k + 1}\n")
 
 
-def _scrambled_mesh():
-    # Vertex and face counts that are not multiples of any block size, values
-    # spanning every float format branch, faces joining far-apart vertices.
-    rng = random.Random(2024)
-    specials = [0.0, -0.0, 1e-300, -2.5e-8, 1.0, -1.0, 123456789012.5, 1e22]
-    vertices = [
-        tuple(rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-1.0, 1.0)
-              for _ in range(3))
-        for _ in range(10_007)
-    ]
-    n = len(vertices)
-    faces = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(9_001)]
-    faces += [(0, n - 1, n // 2), (n - 1, 0, 1)]
-    rng.shuffle(faces)
-    return MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
-
-
-def _row_mesh(n_rows, n_angle, first, extra=0):
-    # Row-major like build_mesh: vertex k is angular step k % n_angle of row
-    # k // n_angle, with first coordinate first(row, step); extra vertices
-    # start a row that is left partial.
-    rng = random.Random(n_rows * n_angle + extra)
-    count = n_rows * n_angle + extra
-    vertices = [
-        (first(k // n_angle, k % n_angle), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        for k in range(count)
-    ]
-    return MeshData(MeshParams(0.6, 3.0, 2, n_angle), vertices, [(0, count // 2, count - 1)])
-
-
-def _block_edge_mesh(count, integers):
-    # count vertices and count faces, so both loops end on or just past a
-    # block edge.  Int coordinates are stored as floats, exactly below 2**53,
-    # and give integral values with up to 15 digits to %.12g.
-    rng = random.Random(count)
-
-    def draw():
-        if integers:
-            return rng.randrange(-10**15, 10**15) // 10 ** rng.randrange(16)
-        return rng.uniform(-1.0, 1.0)
-
-    vertices = [(draw(), draw(), draw()) for _ in range(count)]
-    faces = [(rng.randrange(count), rng.randrange(count), rng.randrange(count))
-             for _ in range(count)]
-    return MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces)
-
-
 class TestObjOutput:
     def test_bytes_match_line_by_line_writer(self, tol, tmp_path):
-        meshes = {
-            "48x64": build_mesh(MeshParams(0.6, 3.0, 48, 64), tol),
-            "scrambled": _scrambled_mesh(),
-            "empty": MeshData(MeshParams(0.6, 3.0, 2, 3)),
-            "one block": _block_edge_mesh(_OBJ_BLOCK, integers=True),
-            "one block + 1": _block_edge_mesh(_OBJ_BLOCK + 1, integers=False),
-        }
-        for name, mesh in meshes.items():
-            got, want = tmp_path / f"{name}.obj", tmp_path / f"{name}-ref.obj"
-            write_obj(mesh, str(got))
-            _obj_line_by_line(mesh, str(want))
-            assert got.read_bytes() == want.read_bytes(), name
+        mesh = build_mesh(MeshParams(0.6, 3.0, 48, 64), tol)
+        got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+        write_obj(mesh, str(got))
+        _obj_line_by_line(mesh, str(want))
+        assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
-        "n_rows, n_angle, first, extra",
+        "a, y_max, n_profile, n_angle",
         [
-            # Rows of one signed zero each, then rows that mix the two.
-            (20, 8, lambda j, m: -0.0 if j % 2 else 0.0, 0),
-            (20, 8, lambda j, m: (0.0, -0.0)[j * m % 2], 0),
-            # NaN rows share one bit pattern; a row of both signs does not.
-            (20, 8, lambda j, m: math.nan if j % 3 == 0 else j / 7.0, 0),
-            (20, 8, lambda j, m: math.copysign(math.nan, m % 2 - 0.5), 0),
-            # Row 5 varies, so only the first of three blocks is not row-wise.
-            (600, 16, lambda j, m: j / 3.0 + (m / 10.0 if j == 5 else 0.0), 0),
-            (1000, 3, lambda j, m: j / 1000.0, 0),
-            (3, _OBJ_BLOCK + 1, lambda j, m: -j / 3.0, 0),
-            # Rows of 7 straddle the block edge, and the last row is partial.
-            (700, 7, lambda j, m: j / 700.0, 3),
+            # Vertex blocks end just past, at and just before a row end, and
+            # the wrap quads fall inside, at the end and at the start of a
+            # face block.
+            (0.6, 3.0, 2, _OBJ_BLOCK - 1),
+            (0.6, 3.0, 2, _OBJ_BLOCK),
+            (0.6, 3.0, 2, _OBJ_BLOCK + 1),
+            (0.6, 3.0, 501, 3),
+            (0.6, 3.0, 33, 7),
+            # 599 rows of 7: the first vertex block ends inside row 585.
+            (0.6, 3.0, 300, 7),
+            (1e-100, 1.0, 4, 6),
+            (0.6, 1000.0, 32, 48),
         ],
-        ids=["signed zero rows", "signed zeros in a row", "nan rows",
-             "nan of both signs in a row", "one row varies", "3 angles 1000 rows",
-             "block + 1 angles", "partial last row"],
+        ids=["block - 1 angles", "block angles", "block + 1 angles", "3 angles 1000 rows",
+             "33x7", "rows of 7 across a block edge", "smallest neck", "y_max 1000"],
     )
-    def test_row_writer_edges(self, n_rows, n_angle, first, extra, tmp_path):
-        mesh = _row_mesh(n_rows, n_angle, first, extra)
+    def test_row_writer_edges(self, a, y_max, n_profile, n_angle, tol, tmp_path):
+        mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
         got, want = tmp_path / "got.obj", tmp_path / "want.obj"
         write_obj(mesh, str(got))
         _obj_line_by_line(mesh, str(want))
@@ -385,18 +370,10 @@ class TestObjOutput:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "8b15d20a9e513aa0c3f0e0a01f4e487d179eaed8176a88a2806fb9da12452ad5"
 
-    def test_same_bytes_from_tuples(self, tol, tmp_path):
-        built = build_mesh(MeshParams(0.6, 3.0, 12, 20), tol)
-        copied = MeshData(built.params, list(built.vertices), list(built.faces))
-        assert copied.vertices == built.vertices and copied.faces == built.faces
-        write_obj(built, str(tmp_path / "built.obj"))
-        write_obj(copied, str(tmp_path / "copied.obj"))
-        assert (tmp_path / "built.obj").read_bytes() == (tmp_path / "copied.obj").read_bytes()
-
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of index
         # strings about 4 MB, so it would exceed this bound; formatting a
-        # block at a time takes about 650 KiB.
+        # block at a time takes about 820 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
@@ -416,52 +393,6 @@ class TestObjOutput:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
-
-    @pytest.mark.parametrize(
-        "vertices, faces",
-        [
-            ([(0.0, 0.0, 0.0), (1.0, 0.0)], [(0, 1, 0)]),
-            ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0, 1, 0), (0, 1, 0, 1)]),
-            # Six values in all, so only a per-entry check catches them.
-            ([(1.0, 2.0), (3.0, 4.0, 5.0, 6.0)], []),
-            ([(0.0, 0.0, 0.0), 1.0], []),
-            ([(0.0, 0.0, 0.0)], [(0, 0, 0), 0]),
-        ],
-        ids=["2-tuple vertex", "4-tuple face", "short and long vertex",
-             "bare float vertex", "bare int face"],
-    )
-    def test_wrong_length_entry_raises(self, vertices, faces, tmp_path):
-        # The entries are checked when the mesh is built, so nothing is written.
-        path = tmp_path / "bad.obj"
-        with pytest.raises(TypeError, match="must hold 3 values"):
-            write_obj(MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, faces), str(path))
-        assert not path.exists()
-
-    def test_face_index_out_of_range_raises(self, tmp_path):
-        path = tmp_path / "bad.obj"
-        with pytest.raises(ValueError, match=r"face 0 \(0, 5, -1\) .* 1 vertices"):
-            write_obj(
-                MeshData(MeshParams(0.6, 3.0, 2, 3), [(0.0, 0.0, 0.0)], [(0, 5, -1)]),
-                str(path),
-            )
-        assert not path.exists()
-
-    @pytest.mark.parametrize("index", [2**31, -(2**31) - 1, 2**64])
-    def test_face_index_past_32_bits_raises(self, index):
-        vertices = [(0.0, 0.0, 0.0)] * 3
-        with pytest.raises(ValueError, match=r"face 1 .* 3 vertices"):
-            MeshData(MeshParams(0.6, 3.0, 2, 3), vertices, [(0, 1, 2), (0, index, 1)])
-
-    def test_caller_views_are_range_checked(self, mesh):
-        count = len(mesh.vertices)
-        faces = MeshEntries(array("i", [0, 1, 2, 3, count, 4]))
-        with pytest.raises(ValueError, match=rf"face 1 \(3, {count}, 4\) .* {count} vertices"):
-            MeshData(mesh.params, mesh.vertices, faces)
-        wide = MeshEntries(array("q", [0, 1, 2, 3, -1, 4]))
-        with pytest.raises(ValueError, match=r"face 1 \(3, -1, 4\)"):
-            MeshData(mesh.params, mesh.vertices, wide)
-        copied = MeshData(mesh.params, mesh.vertices, MeshEntries(array("q", mesh.faces.flat)))
-        assert copied.faces == mesh.faces and copied.faces.flat.typecode == "i"
 
     def test_file_round_trip(self, mesh, tmp_path):
         path = tmp_path / "tube.obj"
