@@ -4,6 +4,7 @@ import pickle
 import random
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -348,13 +349,14 @@ class TestObjOutput:
             (0.6, 3.0, 2, _OBJ_BLOCK + 1),
             (0.6, 3.0, 501, 3),
             (0.6, 3.0, 33, 7),
-            # 599 rows of 7: the first vertex block ends inside row 585.
+            # 599 rows of 7: the first vertex block ends inside row 585, so
+            # its last row is partial and the next block finishes it.
             (0.6, 3.0, 300, 7),
             (1e-100, 1.0, 4, 6),
             (0.6, 1000.0, 32, 48),
         ],
         ids=["block - 1 angles", "block angles", "block + 1 angles", "3 angles 1000 rows",
-             "33x7", "rows of 7 across a block edge", "smallest neck", "y_max 1000"],
+             "33x7", "partial last row", "smallest neck", "y_max 1000"],
     )
     def test_row_writer_edges(self, a, y_max, n_profile, n_angle, tol, tmp_path):
         mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
@@ -369,6 +371,44 @@ class TestObjOutput:
         assert (len(mesh.vertices), len(mesh.faces)) == (6_080, 12_032)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "8b15d20a9e513aa0c3f0e0a01f4e487d179eaed8176a88a2806fb9da12452ad5"
+
+    def test_same_bytes_from_tuples(self, tol, tmp_path):
+        # A mesh made from the same params by MeshData, and the 3-tuples its
+        # views yield, write the bytes of the built mesh.
+        built = build_mesh(MeshParams(0.6, 3.0, 12, 20), tol)
+        copied = MeshData(built.params, tol=tol)
+        tuples = SimpleNamespace(vertices=list(built.vertices), faces=list(built.faces))
+        assert copied.vertices == tuples.vertices and copied.faces == tuples.faces
+        write_obj(built, str(tmp_path / "built.obj"))
+        write_obj(copied, str(tmp_path / "copied.obj"))
+        _obj_line_by_line(tuples, str(tmp_path / "tuples.obj"))
+        built_bytes = (tmp_path / "built.obj").read_bytes()
+        assert built_bytes == (tmp_path / "copied.obj").read_bytes()
+        assert built_bytes == (tmp_path / "tuples.obj").read_bytes()
+
+    def test_face_index_out_of_range_raises(self, mesh, tmp_path):
+        # Every face joins in-range vertices by construction, so the OBJ
+        # names vertices 1..n only; reading past the faces raises.
+        count = len(mesh.vertices)
+        indices = [index for face in mesh.faces for index in face]
+        assert (min(indices), max(indices)) == (0, count - 1)
+        path = tmp_path / "tube.obj"
+        write_obj(mesh, str(path))
+        written = [int(index) for line in path.read_text().splitlines()
+                   if line.startswith("f ") for index in line.split()[1:]]
+        assert (min(written), max(written)) == (1, count)
+        for i in (len(mesh.faces), -len(mesh.faces) - 1):
+            with pytest.raises(IndexError):
+                mesh.faces[i]
+
+    @pytest.mark.parametrize("index", [2**31, -(2**31) - 1, 2**64])
+    def test_face_index_past_32_bits_raises(self, mesh, index):
+        # An index no 32-bit (or 64-bit) int holds raises IndexError, not
+        # OverflowError, from either view.
+        with pytest.raises(IndexError):
+            mesh.faces[index]
+        with pytest.raises(IndexError):
+            mesh.vertices[index]
 
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of index
