@@ -54,7 +54,7 @@ _EXPORTS = {
         "RegimeKind",
         "RegimeLabel",
         "classify_regime",
-        "competitor_area",
+        "competitor_report",
         "find_cheaper_competitor",
     ),
     "constants": (
@@ -63,7 +63,6 @@ _EXPORTS = {
         "compute_K",
         "constants_bundle",
         "solve_a_0",
-        "solve_a_L",
         "solve_a_c",
         "solve_root",
     ),

@@ -87,8 +87,8 @@ class Tolerance:
     abs_tol: float = 1.0e-10
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
 
 
 def _check_neck(a: float) -> None:

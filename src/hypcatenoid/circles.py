@@ -278,8 +278,8 @@ def catenoids_for_separation(
     its slope g' / (1 + t), t = g g'' / (2 g'**2), makes solve_root's Newton
     step the Chebyshev step (g / g') (1 + t).
     """
-    if not d > 0.0:
-        raise ValueError(f"plane separation must be positive, got {d}")
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"plane separation must be positive and finite, got {d}")
     window = 2.0 * tol.abs_tol
     if d > bundle.two_rho_ac + window:
         return CatenoidSolutions(d, ())

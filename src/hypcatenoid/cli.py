@@ -161,12 +161,12 @@ def _cmd_catenary(args: argparse.Namespace, tol: Tolerance) -> None:
 
 
 def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> None:
-    from .competitor import _report_at, find_cheaper_competitor
+    from .competitor import competitor_report, find_cheaper_competitor
 
     if args.s is None:
         found = find_cheaper_competitor(args.a, args.r, tol)
     else:
-        found = _report_at(args.a, args.r, args.s, tol)
+        found = competitor_report(args.a, args.r, args.s, tol)
     report = dataclasses.asdict(found)
     # The search reports a margin only when it is positive.
     report["witness"] = report["margin"] is not None and report["margin"] > 0.0

@@ -31,7 +31,7 @@ __all__ = [
     "RegimeKind",
     "RegimeLabel",
     "classify_regime",
-    "competitor_area",
+    "competitor_report",
     "find_cheaper_competitor",
 ]
 
@@ -59,12 +59,12 @@ class RegimeLabel:
 class CompetitorReport:
     """Catenoid and cylinder-plus-disks areas for one cylinder radius s.
 
-    margin is the catenoid's area minus the competitor's.  The search
-    reports s = a / 2**20, the best radius in (0, a] to within 2 pi L s
-    (see find_cheaper_competitor; where L >= 1 / sqrt(2) the margin falls
-    strictly in s with no tanh bound); s and the derived fields are absent
-    when its margin is not positive, which is when Phi(a, r) <= 0 up to
-    rounding.
+    margin is the catenoid's area minus the competitor's.  competitor_report
+    gives it at any s in (0, a].  find_cheaper_competitor reports
+    s = a / 2**20, the best radius in (0, a] to within 2 pi L s (where
+    L >= 1 / sqrt(2) the margin falls strictly in s with no tanh bound);
+    its s and derived fields are absent when its margin is not positive,
+    which is when Phi(a, r) <= 0 up to rounding.
     """
 
     a: float
@@ -94,12 +94,16 @@ def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
     )
 
 
-def _report_at(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport:
+def competitor_report(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport:
     """Report for the cylinder of radius s, with a margin of either sign.
 
-    Both areas contain the disks' 4 pi (cosh r - 1); subtracting them would
-    cancel every digit at large r, so the margin is taken from Phi = tube
-    area - disk area as Phi - pi L sinh 2s + 4 pi (cosh s - 1).
+    The competitor is the coaxial cylinder of radius s between the two
+    boundary planes plus the two spanning disks less its footprints; s in
+    (0, a] keeps the cylinder inside the region enclosed by the catenoid,
+    where the comparison is meaningful.  Both areas hold the disks'
+    4 pi (cosh r - 1), which would cancel every digit of their difference
+    at large r, so the margin is Phi - pi L sinh 2s + 4 pi (cosh s - 1),
+    from Phi = tube area - disk area.
     """
     _check_neck(a)
     if not r > a:
@@ -122,17 +126,6 @@ def _report_at(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport
     )
 
 
-def competitor_area(a: float, r: float, s: float, tol: Tolerance) -> float:
-    """Area of the competitor surface: coaxial cylinder of radius s between
-    the two boundary planes, plus the two spanning disks with the cylinder's
-    footprint disks removed.
-
-    Restricting s to (0, a] keeps the cylinder inside the region enclosed by
-    the catenoid, where the comparison is meaningful.
-    """
-    return _report_at(a, r, s, tol).area_competitor
-
-
 def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorReport:
     """The competitor of cylinder radius s = a / 2**20, if it beats the catenoid.
 
@@ -147,9 +140,10 @@ def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorRep
     radii is needed.  Where L >= 1 / sqrt(2) that needs no tanh bound: with
     x = sinh s, m'(s) = 2 pi (2x - L (1 + 2x**2)) < 0 for every x except
     one at L = 1 / sqrt(2), so m is strictly decreasing on (0, a].
-    Returns a report with absent fields when the margin is not positive.
+    Returns competitor_report(a, r, a / 2**20, tol), with absent fields
+    when the margin is not positive.
     """
-    report = _report_at(a, r, a * 2.0**-20, tol)
+    report = competitor_report(a, r, a * 2.0**-20, tol)
     if report.margin > 0.0:
         return report
     return replace(report, s=None, area_competitor=None, margin=None)

@@ -37,7 +37,6 @@ __all__ = [
     "compute_K",
     "constants_bundle",
     "solve_a_0",
-    "solve_a_L",
     "solve_a_c",
     "solve_root",
 ]
@@ -163,15 +162,6 @@ def solve_a_0(K: float, tol: Tolerance) -> float:
         return mvt_f(x, K), slope + 120.0 * (1.0 - K) * sinh(8.0 * x)
 
     return solve_root(f, 1.0e-6, math.log(1.5))
-
-
-def solve_a_L(tol: Tolerance) -> float:
-    """Unique zero a_L of the area deficit, the bundle's root of phi on [a_c, a_l].
-
-    phi is a closed form in complete R_F and R_D, so a_L does not depend on
-    tol.
-    """
-    return constants_bundle(tol).a_L
 
 
 @functools.lru_cache(maxsize=32)

@@ -27,8 +27,8 @@ __all__ = [
     "write_obj",
 ]
 
-# OBJ lines formatted per write: enough to amortise each call, few enough
-# that one block's arguments and bytes take well under a megabyte.
+# Most OBJ lines formatted per write: few enough that one write's arguments
+# and bytes take well under a megabyte.
 _OBJ_BLOCK = 4096
 
 
@@ -226,9 +226,10 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
 def write_obj(mesh: MeshData, path: str) -> None:
     """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
 
-    The lines are formatted from the mesh's rows, _OBJ_BLOCK lines per
-    bytes % and write, so the transient objects stay bounded by the block
-    whatever the mesh size.
+    Vertex lines are formatted from the mesh's rows a row (or _OBJ_BLOCK
+    vertices of a wider one) per bytes % and write, and face lines
+    _OBJ_BLOCK per write, so the transient objects stay bounded whatever
+    the mesh size.
     """
     with open(path, "wb") as handle:
         _write_vertices(handle, mesh)
@@ -236,26 +237,16 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
 
 def _write_vertices(handle, mesh: MeshData) -> None:
-    # A block spans pieces of rows.  Each piece formats its row's first
-    # coordinate once; its other two are the products r[j] * cos[m] and
-    # r[j] * sin[m] that mesh.vertices computes, interleaved in args.
-    n = mesh.params.n_angle
-    u, r, cos, sin = mesh.u, mesh.r, mesh.cos, mesh.sin
-    count = len(mesh.vertices)
-    for start in range(0, count, _OBJ_BLOCK):
-        stop = min(start + _OBJ_BLOCK, count)
-        args = [0.0] * (2 * (stop - start))
-        lines = []
-        k = start
-        while k < stop:
-            j, m = divmod(k, n)
-            end = min(stop, k - m + n)
-            scale, first, last = r[j].__mul__, 2 * (k - start), 2 * (end - start)
-            args[first:last:2] = map(scale, cos[m : m + end - k])
-            args[first + 1 : last : 2] = map(scale, sin[m : m + end - k])
-            lines.append((b"v %.12g" % u[j] + b" %.12g %.12g\n") * (end - k))
-            k = end
-        handle.write(b"".join(lines) % tuple(args))
+    # One write per row, or per _OBJ_BLOCK-vertex piece of a wider row.  Each
+    # piece formats its row's first coordinate once and interleaves in args
+    # the products r[j] * cos[m] and r[j] * sin[m] that mesh.vertices computes.
+    for u, r in zip(mesh.u, mesh.r):
+        for m in range(0, mesh.params.n_angle, _OBJ_BLOCK):
+            cos, sin = mesh.cos[m : m + _OBJ_BLOCK], mesh.sin[m : m + _OBJ_BLOCK]
+            args = [0.0] * (2 * len(cos))
+            args[0::2] = map(r.__mul__, cos)
+            args[1::2] = map(r.__mul__, sin)
+            handle.write((b"v %.12g" % u + b" %.12g %.12g\n") * len(cos) % tuple(args))
 
 
 def _write_faces(handle, mesh: MeshData) -> None:

@@ -375,3 +375,16 @@ class TestConcavityTerms:
 def test_nan_argument_rejected(call, tol):
     with pytest.raises(ValueError):
         call(tol)
+
+
+@pytest.mark.parametrize("abs_tol", [0.0, -1e-10, math.inf, -math.inf, math.nan])
+def test_tolerance_outside_open_range_rejected(abs_tol):
+    # The tie window 2 abs_tol must be a positive finite width; an infinite
+    # one would merge every separation into a_c.
+    with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
+        Tolerance(abs_tol=abs_tol)
+
+
+def test_tolerance_range_edges_accepted():
+    assert Tolerance(abs_tol=5e-324).abs_tol == 5e-324
+    assert Tolerance(abs_tol=1e308).abs_tol == 1e308

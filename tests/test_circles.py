@@ -458,6 +458,13 @@ class TestCatenoidsForSeparation:
         with pytest.raises(ValueError):
             catenoids_for_separation(-0.5, bundle, tol)
 
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_non_finite_separation_rejected(self, bundle, tol, d):
+        # An infinite separation is not a distance between two disjoint
+        # circles; it is named, not reported as a pair with no catenoid.
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {d}"):
+            catenoids_for_separation(d, bundle, tol)
+
 
 class TestCatenoidsForCircles:
     def test_matches_separation_solver(self, bundle, tol):

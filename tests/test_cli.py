@@ -219,6 +219,17 @@ class TestClassifyCommand:
             assert code == 2
             assert "error: outer branch" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--distance", "inf"),
+        ("--distance", "5", "--tol", "inf"),
+    ])
+    def test_by_separation_non_finite(self, capsys, argv):
+        # JSON has no Infinity, and an infinite tie window would report the
+        # critical catenoid for any separation, however far past 2 rho(a_c).
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert code == 2 and out == ""
+        assert "must be positive and finite, got inf" in err
+
     def test_by_separation_empty(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--distance", "1.5")
         assert code == 0
@@ -514,9 +525,11 @@ class TestUsageErrors:
         assert excinfo.value.code == 1
 
     def test_invalid_tolerance(self, capsys):
-        code, _, err = run_cli(capsys, "constants", "--tol", "-1")
-        assert code == 2
-        assert "error:" in err
+        for argv in (("constants", "--tol", "-1"), ("constants", "--tol", "inf"),
+                     ("sweep", "rho", "--json", "--tol", "inf")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert f"error: abs_tol must be positive and finite, got {float(argv[-1])}" in err
 
 
 # One valid command per code path, with the numeric options it takes and

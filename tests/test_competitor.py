@@ -7,13 +7,12 @@ from hypcatenoid import (
     RegimeKind,
     area_difference,
     classify_regime,
-    competitor_area,
+    competitor_report,
     disk_area_total,
     find_cheaper_competitor,
     plane_separation,
     tube_area,
 )
-from hypcatenoid.competitor import _report_at
 
 # Frozen against an independent evaluation of the closed form
 # 2 pi L sinh(s) cosh(s) + disks(r) - 4 pi (cosh(s) - 1).
@@ -83,13 +82,14 @@ class TestCompetitorArea:
     def test_thin_cylinder_limit(self, tol):
         # As s -> 0 the cylinder and the removed footprints vanish, leaving
         # just the two full disks.
-        value = competitor_area(0.6, 3.0, 1e-8, tol)
+        value = competitor_report(0.6, 3.0, 1e-8, tol).area_competitor
         assert value == pytest.approx(disk_area_total(3.0), abs=1e-6)
 
     def test_frozen_value(self, tol):
-        assert competitor_area(0.6, 3.0, 0.05, tol) == pytest.approx(
-            PI_06_3_005, abs=1e-9
-        )
+        # The margin, taken from Phi, agrees with the difference of the areas.
+        report = competitor_report(0.6, 3.0, 0.05, tol)
+        assert report.area_competitor == pytest.approx(PI_06_3_005, abs=1e-9)
+        assert report.margin == pytest.approx(MARGIN_06_3_005, abs=1e-9)
 
     def test_closed_form(self, tol):
         a, r, s = 0.7, 2.5, 0.2
@@ -99,24 +99,25 @@ class TestCompetitorArea:
             + disk_area_total(r)
             - 4.0 * math.pi * (math.cosh(s) - 1.0)
         )
-        assert competitor_area(a, r, s, tol) == pytest.approx(expected, rel=1e-12)
+        area = competitor_report(a, r, s, tol).area_competitor
+        assert area == pytest.approx(expected, rel=1e-12)
 
     def test_beats_catenoid_in_middle_regime(self, tol):
-        assert competitor_area(0.6, 3.0, 0.05, tol) < tube_area(0.6, 3.0, tol)
+        assert competitor_report(0.6, 3.0, 0.05, tol).area_competitor < tube_area(0.6, 3.0, tol)
 
     def test_neck_width_allowed_up_to_a(self, tol):
-        value = competitor_area(0.6, 3.0, 0.6, tol)
+        value = competitor_report(0.6, 3.0, 0.6, tol).area_competitor
         assert math.isfinite(value) and value > 0.0
 
     def test_domain(self, tol):
         with pytest.raises(ValueError):
-            competitor_area(0.6, 3.0, 0.0, tol)
+            competitor_report(0.6, 3.0, 0.0, tol)
         with pytest.raises(ValueError):
-            competitor_area(0.6, 3.0, -0.1, tol)
+            competitor_report(0.6, 3.0, -0.1, tol)
         with pytest.raises(ValueError):
-            competitor_area(0.6, 3.0, 0.7, tol)
+            competitor_report(0.6, 3.0, 0.7, tol)
         with pytest.raises(ValueError):
-            competitor_area(0.6, 0.5, 0.1, tol)
+            competitor_report(0.6, 0.5, 0.1, tol)
 
 
 class TestFindCheaperCompetitor:
@@ -133,9 +134,18 @@ class TestFindCheaperCompetitor:
             report.area_catenoid - report.area_competitor, abs=1e-9
         )
 
+    @pytest.mark.parametrize("a, r", [(0.6, 3.0), (0.3, 1.0), (0.8, 20.0), (1e-6, 30.0)])
+    def test_is_report_at_search_radius(self, tol, a, r):
+        # Where the margin is positive the search returns the report at
+        # s = a / 2**20 unchanged.
+        report = find_cheaper_competitor(a, r, tol)
+        assert report.margin > 0.0
+        assert report == competitor_report(a, r, a * 2**-20, tol)
+
     def test_margin_at_fixed_s(self, tol):
         report = find_cheaper_competitor(0.6, 3.0, tol)
-        fixed = report.area_catenoid - competitor_area(0.6, 3.0, 0.05, tol)
+        at_s = competitor_report(0.6, 3.0, 0.05, tol)
+        fixed = report.area_catenoid - at_s.area_competitor
         assert fixed == pytest.approx(MARGIN_06_3_005, abs=1e-9)
         assert report.margin >= fixed
 
@@ -167,7 +177,8 @@ class TestFindCheaperCompetitor:
         far = find_cheaper_competitor(0.6, 1000.0, tol)
         limit = find_cheaper_competitor(0.6, math.inf, tol)
         assert (far.s, far.margin) == (limit.s, limit.margin)
-        assert far.area_competitor == competitor_area(0.6, 1000.0, 0.1, tol) == math.inf
+        fixed = competitor_report(0.6, 1000.0, 0.1, tol)
+        assert far.area_competitor == fixed.area_competitor == math.inf
 
     def test_no_witness_above_threshold(self, tol):
         report = find_cheaper_competitor(1.0, 3.0, tol)
@@ -274,7 +285,7 @@ class TestFindCheaperCompetitor:
                 phi = area_difference(a, r, tol).phi_a_r
                 if abs(phi) <= math.pi * L * math.sinh(2.0 * s):
                     continue
-                margin = _report_at(a, r, s, tol).margin
+                margin = competitor_report(a, r, s, tol).margin
                 assert (margin > 0.0) == (phi > 0.0), (a, r)
                 checked += 1
                 positive += phi > 0.0
@@ -283,11 +294,11 @@ class TestFindCheaperCompetitor:
     def test_smallest_neck(self, tol):
         report = find_cheaper_competitor(1e-100, 1.0, tol)
         assert report.s is None and math.isfinite(report.area_catenoid)
-        assert math.isfinite(competitor_area(1e-100, 1.0, 1e-101, tol))
+        assert math.isfinite(competitor_report(1e-100, 1.0, 1e-101, tol).area_competitor)
         with pytest.raises(ValueError, match="smallest the profile"):
             find_cheaper_competitor(1e-200, 1.0, tol)
         with pytest.raises(ValueError, match="smallest the profile"):
-            competitor_area(1e-200, 1.0, 1e-201, tol)
+            competitor_report(1e-200, 1.0, 1e-201, tol)
 
     def test_domain(self, tol):
         with pytest.raises(ValueError):

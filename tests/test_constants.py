@@ -17,7 +17,6 @@ from hypcatenoid import (
     gomes_rho,
     mvt_f,
     solve_a_0,
-    solve_a_L,
     solve_a_c,
     solve_root,
 )
@@ -181,18 +180,20 @@ class TestSolveA0:
 
 
 class TestSolveAL:
+    """The bundle's a_L, the zero of the area deficit on [a_c, a_l]."""
+
     def test_printed_value(self, tol):
-        assert solve_a_L(tol) == pytest.approx(0.847486, abs=1e-5)
+        assert constants_bundle(tol).a_L == pytest.approx(0.847486, abs=1e-5)
 
     def test_frozen_reference(self, tol):
-        assert solve_a_L(tol) == pytest.approx(A_L_REF, abs=1e-8)
+        assert constants_bundle(tol).a_L == pytest.approx(A_L_REF, abs=1e-8)
 
     def test_doubled_rho(self, tol):
-        a_L = solve_a_L(tol)
+        a_L = constants_bundle(tol).a_L
         assert 2.0 * gomes_rho(a_L, tol) == pytest.approx(0.876895, abs=1e-5)
 
     def test_sign_change(self, tol):
-        a_L = solve_a_L(tol)
+        a_L = constants_bundle(tol).a_L
         assert area_deficit(a_L - 0.01, tol) > 0.0 > area_deficit(a_L + 0.01, tol)
 
 

@@ -341,22 +341,23 @@ class TestObjOutput:
     @pytest.mark.parametrize(
         "a, y_max, n_profile, n_angle",
         [
-            # Vertex blocks end just past, at and just before a row end, and
-            # the wrap quads fall inside, at the end and at the start of a
-            # face block.
+            # Rows of one piece just short of and at the block, rows of two
+            # and three pieces whose last holds one vertex; the wrap quads
+            # fall inside, at the end and at the start of a face block.
             (0.6, 3.0, 2, _OBJ_BLOCK - 1),
             (0.6, 3.0, 2, _OBJ_BLOCK),
             (0.6, 3.0, 2, _OBJ_BLOCK + 1),
+            (0.6, 3.0, 2, 2 * _OBJ_BLOCK + 1),
             (0.6, 3.0, 501, 3),
             (0.6, 3.0, 33, 7),
-            # 599 rows of 7: the first vertex block ends inside row 585, so
-            # its last row is partial and the next block finishes it.
+            # 599 rows of 7: a block of _OBJ_BLOCK vertex lines would end
+            # inside row 585 and leave it partial; each row is one write.
             (0.6, 3.0, 300, 7),
             (1e-100, 1.0, 4, 6),
             (0.6, 1000.0, 32, 48),
         ],
-        ids=["block - 1 angles", "block angles", "block + 1 angles", "3 angles 1000 rows",
-             "33x7", "partial last row", "smallest neck", "y_max 1000"],
+        ids=["block - 1 angles", "block angles", "block + 1 angles", "2 blocks + 1 angles",
+             "3 angles 1000 rows", "33x7", "partial last row", "smallest neck", "y_max 1000"],
     )
     def test_row_writer_edges(self, a, y_max, n_profile, n_angle, tol, tmp_path):
         mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
@@ -413,7 +414,7 @@ class TestObjOutput:
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of index
         # strings about 4 MB, so it would exceed this bound; formatting a
-        # block at a time takes about 820 KiB.
+        # row or a face block at a time takes about 750 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:

@@ -13,6 +13,8 @@ import pytest
 import hypcatenoid
 
 SUBMODULES = ("catenoid", "circles", "cli", "competitor", "constants", "mesh", "quadrature")
+# The names the lazy table resolves by loading quadrature.py.
+QUADRATURE_NAMES = hypcatenoid._EXPORTS["quadrature"]
 
 
 class TestPublicSurface:
@@ -101,11 +103,14 @@ def _run_cli(*argv):
 
 
 def _imports_quadrature(node):
+    # The module by path, or one of its names, which the lazy table would
+    # resolve by loading it (from . import quad_finite, from hypcatenoid
+    # import QuadratureResult).
     if not isinstance(node, (ast.Import, ast.ImportFrom)):
         return False
     parts = (getattr(node, "module", None) or "").split(".")
     parts += [part for alias in node.names for part in alias.name.split(".")]
-    return "quadrature" in parts
+    return not set(parts).isdisjoint(["quadrature", *QUADRATURE_NAMES])
 
 
 def test_no_module_imports_quadrature():
@@ -118,6 +123,37 @@ def test_no_module_imports_quadrature():
         with open(os.path.join(source_dir, name), encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), name)
         assert not any(_imports_quadrature(node) for node in ast.walk(tree)), name
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("from . import quadrature", True),
+        ("import hypcatenoid.quadrature", True),
+        ("from .quadrature import Tolerance", True),
+        ("from . import quad_finite", True),
+        ("from hypcatenoid import QuadratureResult", True),
+        ("from .catenoid import Tolerance as quad", False),
+        ("from . import catenoid", False),
+    ],
+)
+def test_quadrature_import_check(source, flagged):
+    (node,) = ast.parse(source).body
+    assert _imports_quadrature(node) is flagged
+
+
+def test_cli_imports_public_names_only():
+    # The CLI is a client of the library: every name it takes from a sibling
+    # module is in that module's __all__.
+    path = os.path.join(os.path.dirname(hypcatenoid.__file__), "cli.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert {node.module for node in imports} >= {"catenoid", "competitor", "mesh"}
+    for node in imports:
+        public = importlib.import_module(f"hypcatenoid.{node.module}").__all__
+        for alias in node.names:
+            assert alias.name in public, (node.module, alias.name)
 
 
 class TestImportFootprint:
