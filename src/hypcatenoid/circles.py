@@ -183,7 +183,7 @@ def plane_distance(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> floa
 
 @dataclass(frozen=True)
 class IsometryMap:
-    """Moebius map z -> (a z + b) / (c z + d) with ad - bc = 1; from_matrix normalizes."""
+    """Moebius map z -> (a z + b) / (c z + d) of a nonsingular matrix of any scale."""
 
     a: complex
     b: complex
@@ -191,19 +191,8 @@ class IsometryMap:
     d: complex
 
     def __post_init__(self) -> None:
-        ad, bc = self.a * self.d, self.b * self.c
-        det = ad - bc
-        # ad - bc carries roundoff of the order eps * max(|ad|, |bc|).
-        if abs(det - 1.0) > 1.0e-12 * max(1.0, abs(ad), abs(bc)):
-            raise ValueError(f"matrix determinant must be 1, got {det}")
-
-    @classmethod
-    def from_matrix(cls, a: complex, b: complex, c: complex, d: complex) -> IsometryMap:
-        det = a * d - b * c
-        if det == 0:
+        if self.a * self.d == self.b * self.c:
             raise ValueError("matrix is singular")
-        scale = cmath.sqrt(det)
-        return cls(a / scale, b / scale, c / scale, d / scale)
 
     def __call__(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
@@ -237,6 +226,7 @@ def normalize_coaxial(
     the limit point of 1/t to 0, and the first circle's image is the inner
     one; log of the radii ratio then reproduces the plane distance.
     Separated, nested, concentric and line pairs all take this one path.
+    The limit points are the matrix rows as they come: its scale is free.
     """
     p, excess = _disjoint_excess(circle1, circle2)
     # The root of larger magnitude avoids cancellation; the roots multiply to 1.
@@ -244,7 +234,7 @@ def normalize_coaxial(
     (x1, y1), (x2, y2) = (
         _limit_point(circle1.coords, circle2.coords, root) for root in (t, 1.0 / t)
     )
-    return IsometryMap.from_matrix(y2, -x2, y1, -x1)
+    return IsometryMap(y2, -x2, y1, -x1)
 
 
 @dataclass(frozen=True)
@@ -255,8 +245,9 @@ class CatenoidSolutions:
     solutions: tuple[tuple[float, RegimeLabel], ...]
 
 
-# Raised for a separation d with no root of 2*rho(a) = d on [a_c, _NECK_CAP].
-_NO_OUTER_ROOT = f"outer branch of 2*rho(a) = {{}} not bracketed below a = {_NECK_CAP}"
+# 2*rho(25): the outer root is sought up to a = 25, the end of rho's domain,
+# so no smaller separation has one.
+_MIN_SEPARATION = 2.0 * _neck_terms(_NECK_CAP)[0]
 
 
 def catenoids_for_separation(
@@ -270,7 +261,8 @@ def catenoids_for_separation(
     2*abs_tol of it, the tie window the caller sets (``--tol`` on the CLI),
     the two branches merge into the single a_c; below it one root lies on
     each side of a_c.  The outer root is sought up to a = 25, the end of
-    rho's domain, so d below 2*rho(25) ~ 3.3e-11 raises BracketError.
+    rho's domain, so d below 2*rho(25) ~ 3.3e-11 raises BracketError
+    before any root is solved.
 
     Each root solves g(a) = log(2 rho(a) / d) = 0 by Chebyshev's third-order
     step (Traub, Iterative Methods for the Solution of Equations, 1964,
@@ -286,6 +278,8 @@ def catenoids_for_separation(
     if abs(d - bundle.two_rho_ac) <= window:
         a = bundle.a_c
         return CatenoidSolutions(d, ((a, classify_regime(a, bundle)),))
+    if d < _MIN_SEPARATION:
+        raise BracketError(f"outer branch of 2*rho(a) = {d} has no root up to a = {_NECK_CAP}")
 
     def residual(a: float) -> tuple[float, float]:
         rho, drho, _, _, dphi2 = _neck_terms(a)
@@ -311,18 +305,13 @@ def catenoids_for_separation(
     # a = (d/2) / log(2/a) from 2 lo starts near it.  rho(a_c) > d/2 signs
     # the other end, and the floor eps * lo keeps a tiny root's digits.
     lo = d / (4.0 * math.log(4.0 / d))
-    if lo == 0.0:  # 4 / d overflowed, so d is far below 2*rho(25)
-        raise BracketError(_NO_OUTER_ROOT.format(d))
     start = max(0.5 * d / math.log(1.0 / lo), bundle.a_c - q)
     inner = solve_root(residual, lo, bundle.a_c, start)
     # rho(a) e^a rises to 2 (1 - K), so a = log(4 (1 - K) / d) lies past the
     # outer root, and is the closer start once d < 2 rho(a_L) puts it past a_L.
     far = math.log(4.0 * (1.0 - bundle.K) / d)
     start = bundle.a_c + q if d >= bundle.two_rho_aL else far
-    try:
-        outer = solve_root(residual, bundle.a_c, _NECK_CAP, start)
-    except BracketError as exc:
-        raise BracketError(_NO_OUTER_ROOT.format(d)) from exc
+    outer = solve_root(residual, bundle.a_c, _NECK_CAP, start)
     return CatenoidSolutions(
         d,
         (

@@ -1,6 +1,7 @@
 """Command-line interface: constants table, figure sweeps, classification, export.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on numerical or I/O failure.
+Exit codes: 0 on success, 1 on usage errors, 2 on an I/O error or a named
+numerical one (a ValueError or RuntimeError subclass); others propagate.
 
 Each subcommand builds its payload from library calls and hands it, with
 its text form if it has one, to one writer, _emit: the text goes to --out
@@ -270,13 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = Tolerance(abs_tol=args.tol)
         return args.handler(args, tol) or 0
-    except (
-        EvaluationBudgetError,
-        ConsistencyError,
-        ValueError,
-        OverflowError,
-        ZeroDivisionError,
-        OSError,
-    ) as exc:
+    except (EvaluationBudgetError, ConsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

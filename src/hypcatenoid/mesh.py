@@ -107,7 +107,9 @@ class MeshData:
     first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle; u, r,
     cos and sin are array('d')s computed from params (tol goes to the
     profile sampling), so every vertex is a rotation of a chart point and
-    every face joins in-range vertices; no caller supplies either.
+    every face joins in-range vertices; no caller supplies either.  Only
+    the n_profile sampled rows are charted: the mirrored arm is their
+    reflection u -> -u, so rows j and 2 n_profile - 2 - j pair up exactly.
 
     vertices and faces are MeshEntries views computed from the rows on
     access.  Vertex k = j n_angle + m is (u[j], r[j] * cos[m],
@@ -122,13 +124,17 @@ class MeshData:
 
     def __init__(self, params: MeshParams, *, tol: Tolerance | None = None) -> None:
         self.params = params
-        u, r = self.u, self.r = array("d"), array("d")
         if tol is None:
             tol = Tolerance()
-        for x, y in _profile_rows(params, tol):
+        sample = sample_catenary(params.neck_distance, params.y_max, params.n_profile, tol)
+        u, r = array("d"), array("d")
+        for x, y in sample.points:
             row_u, row_r, _ = ball_from_halfspace(*halfspace_point(x, y, 0.0))
             u.append(row_u)
             r.append(row_r)
+        # x -> -x is u -> -u in the ball; 0.0 - v keeps a zero u at +0.0.
+        u = self.u = array("d", [0.0 - v for v in u[:0:-1]]) + u
+        r = self.r = r[:0:-1] + r
         n = params.n_angle
         step = 2.0 * math.pi / n
         cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
@@ -193,17 +199,6 @@ def halfspace_from_ball(u: float, v: float, w: float) -> tuple[float, float, flo
     )
 
 
-def _profile_rows(params: MeshParams, tol: Tolerance) -> list[tuple[float, float]]:
-    """Full generating curve (x, y) rows: mirrored arm, neck, outgoing arm."""
-    sample = sample_catenary(
-        params.neck_distance, params.y_max, params.n_profile, tol
-    )
-    positive = list(sample.points)
-    mirrored = [(-x, y) for x, y in positive[1:]]
-    mirrored.reverse()
-    return mirrored + positive
-
-
 def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     """Triangulate the catenoid with the given resolution.
 
@@ -218,7 +213,7 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     rows and zero-area faces.  At the CLI's default resolution (32 x 64)
     and a = 0.6, the 4,032 vertices are all distinct at y_max = a + 20.6;
     at a + 40.6, 3,904 are distinct and 3,456 as written to OBJ, and at
-    y_max = 1000, 957 and 832.
+    y_max = 1000, 960 and 832.
     """
     return MeshData(params, tol=tol)
 

@@ -193,21 +193,26 @@ class TestPlaneDistance:
 
 
 class TestIsometryMap:
-    def test_determinant_enforced(self):
-        with pytest.raises(ValueError):
-            IsometryMap(2.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
     def test_determinant_relative_to_entries(self):
-        mapping = IsometryMap.from_matrix(1e3, 1e6 - 1.0 / 3.0, 1.0, 1e3)
+        mapping = IsometryMap(1e3, 1e6 - 1.0 / 3.0, 1.0, 1e3)
         assert mapping(0.0) == pytest.approx((1e6 - 1.0 / 3.0) / 1e3, rel=1e-12)
 
-    def test_from_matrix_normalizes(self):
-        mapping = IsometryMap.from_matrix(2.0, 0.0, 0.0, 2.0)
-        assert abs(mapping.a * mapping.d - mapping.b * mapping.c - 1.0) <= 1e-12
-
     def test_singular_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            IsometryMap.from_matrix(1.0, 2.0, 2.0, 4.0)
+        with pytest.raises(ValueError, match="singular"):
+            IsometryMap(1.0, 2.0, 2.0, 4.0)
+
+    def test_any_nonsingular_matrix_accepted(self):
+        mapping = IsometryMap(2, 0, 0, 1)
+        for z in (0j, 1.0, 1.5 - 2.0j, -3e5j):
+            assert mapping(z) == 2 * z
+
+    @pytest.mark.parametrize("scale", (2.0, 1e-150, 3j))
+    def test_scaling_leaves_the_map_unchanged(self, scale):
+        entries = (1.0 + 2.0j, -0.5, 3.0j, 4.0 - 1.0j)
+        mapping = IsometryMap(*entries)
+        scaled = IsometryMap(*(scale * e for e in entries))
+        for z in (0j, 1.0, -2.5 + 0.75j, 1e3j):
+            assert abs(scaled(z) - mapping(z)) <= 1e-15 * abs(mapping(z))
 
 class TestNormalizeCoaxial:
     # Each image is read pointwise, as |mapping(z)| at points z of the input

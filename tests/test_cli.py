@@ -560,20 +560,30 @@ CHART_LIMITS = (
 )
 
 
-def edge_commands():
+INTEGER_OPTIONS = ("--n", "--n-profile", "--n-angle")
+
+
+def option_edges(values, integers=True):
+    """Each command with one numeric option, or one circle field, at each value."""
     for words, options in EDGE_COMMANDS:
         options = {**options, "--tol": "1e-10"}
         out = ["--out", "m.obj"] if words == "mesh" else []
         for option in options:
-            for value in EDGE_VALUES:
+            if option in INTEGER_OPTIONS and not integers:
+                continue
+            for value in values:
                 argv = words.split() + out
                 for name, default in options.items():
                     argv += [name, value if name == option else default]
                 yield argv
     for i in range(len(CIRCLES)):
-        for value in EDGE_VALUES:
+        for value in values:
             numbers = CIRCLES[:i] + (value,) + CIRCLES[i + 1:]
             yield ["classify", "--circles", ",".join(numbers[:3]), ",".join(numbers[3:])]
+
+
+def edge_commands():
+    yield from option_edges(EDGE_VALUES)
     for pair in CHART_LIMITS:
         yield ["classify", "--circles", *pair]
     # A tube whose T = sinh(r - a) sinh(r + a) underflows needs a tiny neck
@@ -599,6 +609,30 @@ def test_edge_values(capsys, monkeypatch, tmp_path):
         assert not any(message in err for message in untyped), (argv, err)
         commands += 1
     assert commands > 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(option_edges(
+        ("0", "-1", "5e-324", "1e-200", "25", "25.000000000000004", "1e308", "inf", "nan"),
+        integers=False,
+    )),
+    ids=" ".join,
+)
+def test_float_option_edges(capsys, monkeypatch, tmp_path, argv):
+    # main names every failure it expects as a ValueError or RuntimeError
+    # subclass and maps it to exit 2; any other error propagates here.  The
+    # parser rejects a circle radius that is not positive (exit 1).
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 1
+        assert "radius must be positive" in capsys.readouterr().err
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err.startswith("error: ") if code else err == ""
 
 
 @pytest.mark.parametrize("pair", CHART_LIMITS, ids=" ".join)

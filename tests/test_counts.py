@@ -22,6 +22,7 @@ import pytest
 
 import hypcatenoid
 from hypcatenoid import (
+    BracketError,
     EvaluationBudgetError,
     MeshParams,
     Tolerance,
@@ -39,6 +40,7 @@ from hypcatenoid import (
     constants,
     constants_bundle,
     find_cheaper_competitor,
+    gomes_rho,
     mesh,
     quadrature,
     solve_root,
@@ -199,6 +201,21 @@ def test_tiny_separation_solver_calls(count_solver_calls):
     solves = count_solver_calls(lambda: catenoids_for_separation(1e-9, bundle, TOL))
     # The outer root's asymptotic start is already exact to rounding.
     assert solves == [3, 1]
+
+
+@pytest.mark.parametrize(
+    "d", [0.999 * 2.0 * gomes_rho(25.0, TOL), 1e-300], ids=["just_below_cap", "1e-300"]
+)
+def test_below_outer_cap_solver_calls(count_solver_calls, d):
+    # Below 2 rho(25) the outer branch has no root, which is known before
+    # either root is solved.
+    bundle = constants_bundle(TOL)
+
+    def below_cap():
+        with pytest.raises(BracketError, match="outer branch"):
+            catenoids_for_separation(d, bundle, TOL)
+
+    assert count_solver_calls(below_cap) == []
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])

@@ -161,19 +161,23 @@ class TestBuildMesh:
         assert y_neck == pytest.approx(params.neck_distance, abs=1e-9)
         assert y_end == pytest.approx(params.y_max, abs=1e-9)
 
-    def test_mirror_symmetry(self, mesh):
+    def test_mirror_symmetry(self, mesh, tol):
         # Reflecting x to -x in the half-space is u to -u in the ball, so
         # profile rows j and 2 n_profile - 2 - j pair up exactly.
-        params = mesh.params
-        n_angle = params.n_angle
-        top = 2 * params.n_profile - 2
-        for j in range(params.n_profile):
-            for m in range(n_angle):
-                u1, v1, w1 = mesh.vertices[j * n_angle + m]
-                u2, v2, w2 = mesh.vertices[(top - j) * n_angle + m]
-                assert u1 == pytest.approx(-u2, abs=1e-10)
-                assert v1 == pytest.approx(v2, abs=1e-10)
-                assert w1 == pytest.approx(w2, abs=1e-10)
+        for params in (
+            mesh.params,
+            MeshParams(25.0, 26.0, 9, 11),
+            MeshParams(1e-100, 1.0, 4, 6),
+            MeshParams(0.6, 1000.0, 32, 48),
+        ):
+            vertices = build_mesh(params, tol).vertices
+            n_angle = params.n_angle
+            top = 2 * params.n_profile - 2
+            for j in range(params.n_profile - 1):
+                for m in range(n_angle):
+                    u1, v1, w1 = vertices[j * n_angle + m]
+                    u2, v2, w2 = vertices[(top - j) * n_angle + m]
+                    assert u1 == -u2 and v1 == v2 and w1 == w2, (params, j, m)
 
     def test_conservation_along_profile(self, tol):
         # The surface satisfies 2 pi sinh(y) cosh(y) sin(theta) =
