@@ -70,11 +70,8 @@ _EXPORTS = {
         "MeshData",
         "MeshEntries",
         "MeshParams",
-        "ball_from_halfspace",
         "build_mesh",
         "export_mesh",
-        "halfspace_from_ball",
-        "halfspace_point",
         "write_obj",
     ),
     "quadrature": (

@@ -1,8 +1,8 @@
 """Triangle meshes of the catenoid surface in the Poincare ball.
 
-The surface of revolution is sampled from its generating curve, swept around
-the vertical axis of the half-space chart, and mapped into the unit ball so
-the result can be dropped into any mesh viewer.
+The surface of revolution is sampled from its generating curve, each sample
+is mapped into the unit ball in closed form, and the image is swept around
+the ball's first axis, so the result can be dropped into any mesh viewer.
 """
 
 from __future__ import annotations
@@ -19,17 +19,19 @@ __all__ = [
     "MeshData",
     "MeshEntries",
     "MeshParams",
-    "ball_from_halfspace",
     "build_mesh",
     "export_mesh",
-    "halfspace_from_ball",
-    "halfspace_point",
     "write_obj",
 ]
 
 # Most OBJ lines formatted per write: few enough that one write's arguments
 # and bytes take well under a megabyte.
 _OBJ_BLOCK = 4096
+
+# Bound on sum(c * c) - |p|**2 for a row point p, in units of eps / 2 with a
+# libm call as 2: u and r err by 13 each (26 squared), cos**2 + sin**2 by 4,
+# and the sum rounds each of its three squares at most 5 times.
+_SUM_ROUNDING = 35 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,12 @@ class MeshData:
     the circle (u[j], r[j] cos theta_m, r[j] sin theta_m) about the ball's
     first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle; u, r,
     cos and sin are array('d')s computed from params (tol goes to the
-    profile sampling), so every vertex is a rotation of a chart point and
-    every face joins in-range vertices; no caller supplies either.  Only
-    the n_profile sampled rows are charted: the mirrored arm is their
-    reflection u -> -u, so rows j and 2 n_profile - 2 - j pair up exactly.
+    profile sampling); no caller supplies vertices or faces.  Profile
+    point (x, y) gives u = sinh x / den and r = tanh y / den, where
+    den = cosh x + sech y, to rounding; on a row within rounding of the
+    sphere r steps inward by ulps until every vertex has sum(c * c) <= 1.
+    Only the n_profile sampled rows are computed: the mirrored arm is
+    their reflection u -> -u, so rows j and 2 n_profile - 2 - j pair up.
 
     vertices and faces are MeshEntries views computed from the rows on
     access.  Vertex k = j n_angle + m is (u[j], r[j] * cos[m],
@@ -126,19 +130,28 @@ class MeshData:
         self.params = params
         if tol is None:
             tol = Tolerance()
+        n = params.n_angle
+        step = 2.0 * math.pi / n
+        cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
+        sin = self.sin = array("d", [math.sin(m * step) for m in range(n)])
         sample = sample_catenary(params.neck_distance, params.y_max, params.n_profile, tol)
         u, r = array("d"), array("d")
         for x, y in sample.points:
-            row_u, row_r, _ = ball_from_halfspace(*halfspace_point(x, y, 0.0))
+            e = math.exp(-y)  # sech y = 2e / (1 + e**2) underflows, never overflows
+            sech = 2.0 * e / (1.0 + e * e)
+            den = math.cosh(x) + sech
+            row_u, row_r = math.sinh(x) / den, math.tanh(y) / den
+            # 1 - |p|**2 = 2 sech / den does not cancel.  Near the sphere r
+            # steps in by ulps until each point p has sum(c * c) <= 1: x is
+            # at most rho(a_c) ~ 0.501, so r > 0.88 and each ulp takes ~eps.
+            if 2.0 * sech < _SUM_ROUNDING * den:
+                while not _in_ball(row_u, row_r, cos, sin):
+                    row_r = math.nextafter(row_r, 0.0)
             u.append(row_u)
             r.append(row_r)
         # x -> -x is u -> -u in the ball; 0.0 - v keeps a zero u at +0.0.
         u = self.u = array("d", [0.0 - v for v in u[:0:-1]]) + u
         r = self.r = r[:0:-1] + r
-        n = params.n_angle
-        step = 2.0 * math.pi / n
-        cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
-        sin = self.sin = array("d", [math.sin(m * step) for m in range(n)])
         self.vertices = MeshEntries(len(u) * n, partial(_vertex, n, u, r, cos, sin))
         self.faces = MeshEntries(2 * (len(u) - 1) * n, partial(_face, n))
 
@@ -148,63 +161,23 @@ def _vertex(n, u, r, cos, sin, k):
     return (u[j], r[j] * cos[m], r[j] * sin[m])
 
 
+def _in_ball(u, r, cos, sin):
+    # Every vertex (u, r cos, r sin) of the row passes sum(c * c) <= 1.0.
+    return all(sum(v * v for v in (u, r * c, r * s)) <= 1.0 for c, s in zip(cos, sin))
+
+
 def _face(n, k):
     q, side = divmod(k, 2)
     after = q + 1 - n if q % n == n - 1 else q + 1
     return (q, after + n, q + n) if side else (q, after, after + n)
 
 
-def halfspace_point(x: float, y: float, theta: float) -> tuple[float, float, float]:
-    """Chart point of the swept surface in upper half-space coordinates.
-
-    The generating curve point (x, y) sits at hyperbolic distance y from the
-    axis on the sphere of Euclidean radius exp(x) about the chart origin;
-    theta rotates it about the axis.  Past y ~ 710, where cosh y overflows,
-    the height is 0: the point is on the boundary plane to rounding.
-    """
-    radius = math.exp(x)
-    horizontal = radius * math.tanh(y)
-    try:
-        height = radius / math.cosh(y)
-    except OverflowError:
-        height = 0.0
-    return horizontal * math.cos(theta), horizontal * math.sin(theta), height
-
-
-def ball_from_halfspace(x1: float, x2: float, x3: float) -> tuple[float, float, float]:
-    """Map the upper half-space x3 > 0 onto the unit ball.
-
-    The boundary plane x3 = 0 goes to the lower hemisphere, the point
-    (0, 0, 1) to the ball center, and the vertical axis to the diameter
-    along the first ball coordinate.
-    """
-    den = x1 * x1 + x2 * x2 + (x3 + 1.0) * (x3 + 1.0)
-    return (
-        (x1 * x1 + x2 * x2 + x3 * x3 - 1.0) / den,
-        2.0 * x1 / den,
-        2.0 * x2 / den,
-    )
-
-
-def halfspace_from_ball(u: float, v: float, w: float) -> tuple[float, float, float]:
-    """Inverse of ball_from_halfspace; defined on the open unit ball only."""
-    norm_sq = u * u + v * v + w * w
-    if not norm_sq < 1.0:
-        raise ValueError(f"point with |p|^2 = {norm_sq} is not inside the unit ball")
-    den = v * v + w * w + (1.0 - u) * (1.0 - u)
-    return (
-        2.0 * v / den,
-        2.0 * w / den,
-        (1.0 - norm_sq) / den,
-    )
-
-
 def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     """Triangulate the catenoid with the given resolution.
 
-    The sweep about the half-space axis is a Euclidean rotation about the
-    ball's first coordinate axis, so each profile row is a circle that
-    needs one chart map, and the mesh is stored as those rows (see
+    The sweep of the profile is a Euclidean rotation about the ball's
+    first coordinate axis, so each profile row is a circle given by one
+    closed-form point, and the mesh is stored as those rows (see
     MeshData).  Every quad is then an isosceles trapezoid whose two
     diagonals have the same length, so all quads are split the same way
     and the faces depend only on the resolution.  The profile is exact to

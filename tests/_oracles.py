@@ -3,7 +3,7 @@
 Everything here is deliberately independent of the package's own quadrature:
 composite rules over numpy arrays, plus a sampler for disjoint circle pairs
 and pointwise and closed-form checks of Moebius maps used by the
-distance-equivalence properties.
+distance-equivalence properties, and the inverse of the mesh's ball map.
 """
 
 import cmath
@@ -25,6 +25,19 @@ def sqrt_endpoint_midpoint(g, lo, hi, n=1_000_000):
     """Oracle for integrands g(t)/sqrt(t - lo): midpoint rule after u**2 = t - lo."""
     width = math.sqrt(hi - lo)
     return 2.0 * midpoint(lambda u: g(lo + u * u), 0.0, width, n)
+
+
+def profile_coordinates(point):
+    """(x, y) of a ball point of the swept catenoid, from its coordinates alone.
+
+    The mesh maps profile point (x, y) to u = sinh x / den and radius
+    r = tanh y / den about the first axis, den = cosh x + sech y.  With
+    q = |p|**2, 1 + q = 2 cosh x / den and 1 - q = 2 sech y / den, so
+    x = atanh(2u / (1 + q)) and y = asinh(2r / (1 - q)).
+    """
+    u, v, w = point
+    q = u * u + v * v + w * w
+    return math.atanh(2.0 * u / (1.0 + q)), math.asinh(2.0 * math.hypot(v, w) / (1.0 - q))
 
 
 def random_disjoint_pair(rng):

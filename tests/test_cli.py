@@ -682,7 +682,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --json":
         "fa45126445f91b015c6fd397d88ba41d66000b46c544d68a30b80a8ccceb4b3c",
     "mesh --a 0.6 --y-max 3 --out tube.obj":
-        "57bfedd84c17e5f7737fcd854333ebc01e2f5ae210d77ecb2b4c4ec46e57173d",
+        "19dabca2faae61cec3fef626f1f7f5bb911979b3c1a481dd818ad4d5a4af3672",
     "constants --out constants.txt":
         "3d4a0d54060b2c112b98b0e79f667066f06da1765a09761c05c566c6c5395078",
     "sweep rho --lo 0 --hi 1 --n 3":
@@ -700,7 +700,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --s 0.05 --json --out compete.json":
         "978a8a9f7f1c17302f36340844ddd01345c723cd7b464237573e9677596894e9",
     "mesh --a 0.6 --y-max 2 --n-profile 6 --n-angle 8 --out m.obj --json":
-        "5bfc4042fd4e695ae79dd7beac0dbf9201b785702ed2f8f4155dcac907d7794b",
+        "5a09dd336e8d123a6896e30a7cb6e9149340da6e57aca61e09930ab649b588f7",
     "compete --a 0.6 --r 0.5":
         "b3d060984bff267607014622f9870c3eed29483df827c2479e39a9a7b20d5a0b",
     "mesh --a 0.6 --y-max 3":

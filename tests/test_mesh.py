@@ -1,26 +1,27 @@
 import hashlib
 import math
 import pickle
-import random
+import sys
 import tracemalloc
 from array import array
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 
 from hypcatenoid import (
     MeshData,
     MeshParams,
     Tolerance,
-    ball_from_halfspace,
     build_mesh,
     catenary_x,
     export_mesh,
-    halfspace_from_ball,
-    halfspace_point,
+    sample_catenary,
     write_obj,
 )
 from hypcatenoid.mesh import _OBJ_BLOCK, MeshEntries
+
+from _oracles import profile_coordinates
 
 
 @pytest.fixture(scope="module")
@@ -32,60 +33,6 @@ def _rows(mesh):
     n_angle = mesh.params.n_angle
     total = len(mesh.vertices) // n_angle
     return [mesh.vertices[j * n_angle : (j + 1) * n_angle] for j in range(total)]
-
-
-def _axis_coordinates(point):
-    # A point at warped coordinates (x, y, theta) sits at Euclidean norm
-    # e^x in the half-space, at hyperbolic distance y from the vertical
-    # axis: cosh(y) = |p| / height.
-    x1, x2, x3 = point
-    norm = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    return math.log(norm), math.acosh(norm / x3)
-
-
-class TestCoordinateCharts:
-    def test_hemisphere_pole_maps_to_origin(self):
-        u, v, w = ball_from_halfspace(0.0, 0.0, 1.0)
-        assert abs(u) <= 1e-15 and abs(v) <= 1e-15 and abs(w) <= 1e-15
-
-    def test_round_trip(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            point = (
-                rng.uniform(-5.0, 5.0),
-                rng.uniform(-5.0, 5.0),
-                math.exp(rng.uniform(-3.0, 3.0)),
-            )
-            back = halfspace_from_ball(*ball_from_halfspace(*point))
-            for got, want in zip(back, point):
-                assert got == pytest.approx(want, abs=1e-12 * (1.0 + abs(want)))
-
-    def test_image_inside_unit_ball(self):
-        rng = random.Random(100)
-        for _ in range(200):
-            point = ball_from_halfspace(
-                rng.uniform(-5.0, 5.0),
-                rng.uniform(-5.0, 5.0),
-                math.exp(rng.uniform(-3.0, 3.0)),
-            )
-            assert math.hypot(*point) < 1.0
-
-    def test_inverse_requires_interior_point(self):
-        with pytest.raises(ValueError):
-            halfspace_from_ball(1.0, 0.0, 0.0)
-
-    def test_point_past_cosh_overflow(self):
-        # Past y ~ 710 cosh y overflows; the point is on the boundary plane.
-        assert halfspace_point(0.1, 800.0, 0.0) == (math.exp(0.1), 0.0, 0.0)
-
-    def test_surface_point_chart_identity(self):
-        # tanh^2 + sech^2 = 1 makes the half-space norm exactly e^x.
-        point = halfspace_point(0.75, 1.25, 2.0)
-        norm = math.sqrt(sum(c * c for c in point))
-        assert norm == pytest.approx(math.exp(0.75), rel=1e-14)
-        x, y = _axis_coordinates(point)
-        assert x == pytest.approx(0.75, abs=1e-12)
-        assert y == pytest.approx(1.25, abs=1e-12)
 
 
 class TestMeshParams:
@@ -142,27 +89,25 @@ class TestBuildMesh:
     def test_rows_lie_on_catenary(self, mesh, tol):
         a = mesh.params.neck_distance
         for row in _rows(mesh):
-            x, y = _axis_coordinates(halfspace_from_ball(*row[0]))
-            # The chart round trip can land one ulp below the neck.
+            x, y = profile_coordinates(row[0])
+            # The inverse can land one ulp below the neck.
             assert abs(x) == pytest.approx(catenary_x(a, max(y, a), tol), abs=1e-6)
 
     def test_rows_have_constant_axis_distance(self, mesh):
         for row in _rows(mesh):
-            distances = [
-                _axis_coordinates(halfspace_from_ball(*vertex))[1] for vertex in row
-            ]
+            distances = [profile_coordinates(vertex)[1] for vertex in row]
             assert max(distances) - min(distances) <= 1e-9
 
     def test_row_span_covers_requested_range(self, mesh):
         params = mesh.params
         rows = _rows(mesh)
-        y_neck = _axis_coordinates(halfspace_from_ball(*rows[params.n_profile - 1][0]))[1]
-        y_end = _axis_coordinates(halfspace_from_ball(*rows[-1][0]))[1]
+        y_neck = profile_coordinates(rows[params.n_profile - 1][0])[1]
+        y_end = profile_coordinates(rows[-1][0])[1]
         assert y_neck == pytest.approx(params.neck_distance, abs=1e-9)
         assert y_end == pytest.approx(params.y_max, abs=1e-9)
 
     def test_mirror_symmetry(self, mesh, tol):
-        # Reflecting x to -x in the half-space is u to -u in the ball, so
+        # u = sinh x / den is odd in x, so reflecting x to -x is u to -u, and
         # profile rows j and 2 n_profile - 2 - j pair up exactly.
         for params in (
             mesh.params,
@@ -187,9 +132,7 @@ class TestBuildMesh:
         fine = build_mesh(MeshParams(0.6, 3.0, 96, 4), tol)
         a = fine.params.neck_distance
         expected = math.pi * math.sinh(2.0 * a)
-        profile = [
-            _axis_coordinates(halfspace_from_ball(*row[0])) for row in _rows(fine)
-        ]
+        profile = [profile_coordinates(row[0]) for row in _rows(fine)]
         for (x0, y0), (x1, y1) in zip(profile, profile[1:]):
             dx = x1 - x0
             dy = y1 - y0
@@ -201,7 +144,7 @@ class TestBuildMesh:
             assert flux == pytest.approx(expected, rel=0.01)
 
     def test_rows_share_first_coordinate(self, mesh):
-        # Each row is the image of one chart point rotated about the u axis.
+        # Each row is one closed-form point rotated about the u axis.
         for row in _rows(mesh):
             assert len({vertex[0] for vertex in row}) == 1
 
@@ -246,15 +189,55 @@ class TestBuildMesh:
         assert max(radii) - min(radii) <= 1e-12
 
     @pytest.mark.parametrize(
-        "a, y_max",
-        [(1e-100, 1.0), (25.0, 26.0), (0.6, 1000.0), (0.6, 0.6 * (1.0 + 1e-12))],
-        ids=["smallest neck", "largest neck", "y_max 1000", "y_max just past a"],
+        "a, y_max, n_profile, n_angle",
+        [
+            (1e-100, 1.0, 8, 12),
+            (25.0, 26.0, 8, 12),
+            (0.6, 1000.0, 8, 12),
+            (0.6, 0.6 * (1.0 + 1e-12), 8, 12),
+            (0.6, 1000.0, 32, 64),
+            (2.0, 1000.0, 16, 24),
+            (0.6, 41.0, 32, 64),
+            (0.6, 60.0, 32, 64),
+        ],
+        ids=["smallest neck", "largest neck", "y_max 1000", "y_max just past a",
+             "CLI default y_max 1000", "a 2 y_max 1000", "y_max 41", "y_max 60"],
     )
-    def test_vertices_finite_in_closed_ball(self, a, y_max, tol):
-        mesh = build_mesh(MeshParams(a, y_max, 8, 12), tol)
+    def test_vertices_finite_in_closed_ball(self, a, y_max, n_profile, n_angle, tol):
+        mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
         for vertex in mesh.vertices:
             assert all(math.isfinite(c) for c in vertex)
             assert sum(c * c for c in vertex) <= 1.0
+
+    @pytest.mark.parametrize(
+        "a, y_max, n_profile, n_angle",
+        [
+            (1e-100, 1.0, 4, 8),
+            (1e-8, 1.0, 32, 8),
+            (1e-3, 2.0, 32, 8),
+            (0.6, 3.0, 48, 8),
+            (2.0, 6.0, 32, 8),
+            (25.0, 26.0, 9, 8),
+            (0.6, 1000.0, 32, 64),
+        ],
+    )
+    def test_rows_match_mpmath(self, a, y_max, n_profile, n_angle, tol):
+        # Row j of the sampled arm is u = sinh x / den, r = tanh y / den with
+        # den = cosh x + sech y at its profile point; the mirrored arm
+        # negates u.  Rows within rounding of the sphere (and every row where
+        # sech y underflows) have r stepped inward by a few ulps.
+        mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
+        points = sample_catenary(a, y_max, n_profile, tol).points
+        bound = 4.0 * sys.float_info.epsilon
+        with mpmath.workdps(50):
+            for k, (u, r) in enumerate(zip(mesh.u, mesh.r)):
+                j = k - (n_profile - 1)
+                x, y = (mpmath.mpf(c) for c in points[abs(j)])
+                den = mpmath.cosh(x) + mpmath.sech(y)
+                want_u = math.copysign(1.0, j) * mpmath.sinh(x) / den
+                assert abs(u - want_u) <= bound * abs(want_u), (k, u, want_u)
+                want_r = mpmath.tanh(y) / den
+                assert abs(r - want_r) <= bound * want_r, (k, r, want_r)
 
 
 def _reference_faces(n_rows, n_angle):
@@ -375,7 +358,7 @@ class TestObjOutput:
         mesh = export_mesh(0.6, 3.0, 48, 64, str(path), tol)
         assert (len(mesh.vertices), len(mesh.faces)) == (6_080, 12_032)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "8b15d20a9e513aa0c3f0e0a01f4e487d179eaed8176a88a2806fb9da12452ad5"
+        assert digest == "54e7aa52c3a442834d4a796e3e69bef3d74e33c12e32cf80aa516f5eff92db5b"
 
     def test_same_bytes_from_tuples(self, tol, tmp_path):
         # A mesh made from the same params by MeshData, and the 3-tuples its
