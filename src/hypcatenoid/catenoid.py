@@ -326,11 +326,11 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
 
 
 def disk_area_total(r: float) -> float:
-    """Area 4*pi*(cosh r - 1) of the two geodesic disks of radius r; inf past r ~ 710."""
+    """Area 4*pi*(cosh r - 1) = 8*pi*sinh(r/2)**2 of the two disks of radius r; inf past r ~ 710."""
     if not r >= 0.0:
         raise ValueError(f"disk radius must be nonnegative, got {r}")
     try:
-        return _FOUR_PI * (math.cosh(r) - 1.0)
+        return 2.0 * _FOUR_PI * math.sinh(0.5 * r) ** 2
     except OverflowError:
         return math.inf
 

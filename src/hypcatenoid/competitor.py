@@ -16,10 +16,10 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .catenoid import (
-    _FOUR_PI,
     Tolerance,
     _check_neck,
     area_difference,
+    disk_area_total,
     plane_separation,
 )
 
@@ -115,7 +115,7 @@ def competitor_report(a: float, r: float, s: float, tol: Tolerance) -> Competito
         raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
     area = area_difference(a, r, tol)
     cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
-    footprints = _FOUR_PI * (math.cosh(s) - 1.0)
+    footprints = disk_area_total(s)
     return CompetitorReport(
         a=a,
         r=r,

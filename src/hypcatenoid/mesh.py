@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import eq
 
-from .catenoid import Tolerance, sample_catenary
+from .catenoid import Tolerance, gomes_rho, sample_catenary
 
 __all__ = [
     "MeshData",
@@ -40,9 +40,10 @@ class MeshParams:
 
     n_profile counts samples of the generating curve from the neck out to
     y_max on one side; the full profile mirrors them through the neck.
-    n_angle is the number of angular steps of the sweep.  Far rows crowd
-    onto one boundary circle of the ball, so a large y_max adds coincident
-    rows (see build_mesh).
+    n_angle is the number of angular steps of the sweep.  The samples stop
+    at y_end(a) ~ 34.5, where the surface reaches the sphere at infinity to
+    rounding, so a y_max past y_end gives the same mesh as y_end (see
+    MeshData).
     """
 
     neck_distance: float
@@ -104,16 +105,19 @@ class MeshEntries:
 class MeshData:
     """Catenoid mesh in ball coordinates, held as the rows it is swept from.
 
-    Profile row j, from the mirrored far end through the neck to y_max, is
-    the circle (u[j], r[j] cos theta_m, r[j] sin theta_m) about the ball's
-    first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle; u, r,
-    cos and sin are array('d')s computed from params (tol goes to the
+    Profile row j, from the mirrored far end through the neck to the far
+    end, is the circle (u[j], r[j] cos theta_m, r[j] sin theta_m) about the
+    ball's first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle;
+    u, r, cos and sin are array('d')s computed from params (tol goes to the
     profile sampling); no caller supplies vertices or faces.  Profile
     point (x, y) gives u = sinh x / den and r = tanh y / den, where
-    den = cosh x + sech y, to rounding; on a row within rounding of the
-    sphere r steps inward by ulps until every vertex has sum(c * c) <= 1.
-    Only the n_profile sampled rows are computed: the mirrored arm is
-    their reflection u -> -u, so rows j and 2 n_profile - 2 - j pair up.
+    den = cosh x + sech y, to rounding.  The profile is sampled over
+    [a, min(y_max, y_end)] with y_end = acosh((2 - S) / (S cosh rho(a)))
+    and S = _SUM_ROUNDING: as den <= cosh rho(a) + sech y, the slack
+    1 - |p|**2 = 2 sech y / den is at least S up to y_end, so every vertex
+    has sum(c * c) <= 1.  Only the n_profile sampled rows are computed: the
+    mirrored arm is their reflection u -> -u, so rows j and
+    2 n_profile - 2 - j pair up.
 
     vertices and faces are MeshEntries views computed from the rows on
     access.  Vertex k = j n_angle + m is (u[j], r[j] * cos[m],
@@ -134,21 +138,17 @@ class MeshData:
         step = 2.0 * math.pi / n
         cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
         sin = self.sin = array("d", [math.sin(m * step) for m in range(n)])
-        sample = sample_catenary(params.neck_distance, params.y_max, params.n_profile, tol)
+        a = params.neck_distance
+        cosh_rho = math.cosh(gomes_rho(a, tol))
+        y_end = math.acosh((2.0 - _SUM_ROUNDING) / (_SUM_ROUNDING * cosh_rho))
+        sample = sample_catenary(a, min(params.y_max, y_end), params.n_profile, tol)
         u, r = array("d"), array("d")
         for x, y in sample.points:
-            e = math.exp(-y)  # sech y = 2e / (1 + e**2) underflows, never overflows
+            e = math.exp(-y)
             sech = 2.0 * e / (1.0 + e * e)
             den = math.cosh(x) + sech
-            row_u, row_r = math.sinh(x) / den, math.tanh(y) / den
-            # 1 - |p|**2 = 2 sech / den does not cancel.  Near the sphere r
-            # steps in by ulps until each point p has sum(c * c) <= 1: x is
-            # at most rho(a_c) ~ 0.501, so r > 0.88 and each ulp takes ~eps.
-            if 2.0 * sech < _SUM_ROUNDING * den:
-                while not _in_ball(row_u, row_r, cos, sin):
-                    row_r = math.nextafter(row_r, 0.0)
-            u.append(row_u)
-            r.append(row_r)
+            u.append(math.sinh(x) / den)
+            r.append(math.tanh(y) / den)
         # x -> -x is u -> -u in the ball; 0.0 - v keeps a zero u at +0.0.
         u = self.u = array("d", [0.0 - v for v in u[:0:-1]]) + u
         r = self.r = r[:0:-1] + r
@@ -159,11 +159,6 @@ class MeshData:
 def _vertex(n, u, r, cos, sin, k):
     j, m = divmod(k, n)
     return (u[j], r[j] * cos[m], r[j] * sin[m])
-
-
-def _in_ball(u, r, cos, sin):
-    # Every vertex (u, r cos, r sin) of the row passes sum(c * c) <= 1.0.
-    return all(sum(v * v for v in (u, r * c, r * s)) <= 1.0 for c, s in zip(cos, sin))
 
 
 def _face(n, k):
@@ -181,12 +176,11 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     MeshData).  Every quad is then an isosceles trapezoid whose two
     diagonals have the same length, so all quads are split the same way
     and the faces depend only on the resolution.  The profile is exact to
-    rounding whatever tol is, so the mesh does not depend on it.  Far
-    rows crowd onto one boundary circle, so a large y_max adds coincident
-    rows and zero-area faces.  At the CLI's default resolution (32 x 64)
-    and a = 0.6, the 4,032 vertices are all distinct at y_max = a + 20.6;
-    at a + 40.6, 3,904 are distinct and 3,456 as written to OBJ, and at
-    y_max = 1000, 960 and 832.
+    rounding whatever tol is, so the mesh does not depend on it.  Rows
+    end at y_end ~ 34.5, so a y_max past y_end adds nothing.  At the CLI's
+    default resolution (32 x 64) and a = 0.6, the 4,032 vertices are all
+    distinct at y_max = a + 20.6 and at 1000; as written to OBJ's 12
+    digits, 4,032 and 3,752 are.
     """
     return MeshData(params, tol=tol)
 

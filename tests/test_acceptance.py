@@ -84,7 +84,7 @@ def test_criterion_08(tol):
     for a in grid:
         values = [area_difference(a, a + 0.5 * k, tol).phi_a_r for k in range(11)]
         ok_monotone &= all(v2 - v1 >= -1e-12 for v1, v2 in zip(values, values[1:]))
-        ok_collapsed &= values[0] == -(4.0 * math.pi * (math.cosh(a) - 1.0))
+        ok_collapsed &= values[0] == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
         limit = area_difference(a, a + 20.0, tol).phi_a_r
         ok_limit &= abs(limit - area_deficit(a, tol)) <= 1e-6
 

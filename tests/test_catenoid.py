@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import pytest
 
 from hypcatenoid import (
@@ -180,6 +181,16 @@ class TestDiskArea:
             4.0 * math.pi * (math.cosh(2.0) - 1.0), abs=1e-14
         )
 
+    @pytest.mark.parametrize("r", [1e-8, 1e-5, 1e-3, 0.1, 3.0, 700.0])
+    def test_matches_mpmath(self, r):
+        # 4 pi (cosh r - 1) cancels every digit at r = 1e-8; the area is
+        # evaluated without that cancellation, so it keeps full relative
+        # accuracy whatever r is.
+        with mpmath.workdps(50):
+            want = 4 * mpmath.pi * (mpmath.cosh(r) - 1)
+            error = abs(disk_area_total(r) - want) / want
+        assert error <= 4.0 * sys.float_info.epsilon
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             disk_area_total(-0.1)
@@ -187,6 +198,7 @@ class TestDiskArea:
     def test_inf_where_cosh_overflows(self):
         assert math.isfinite(disk_area_total(700.0))
         assert disk_area_total(711.0) == disk_area_total(math.inf) == math.inf
+        assert disk_area_total(2000.0) == math.inf
 
 
 class TestAreaDifference:
@@ -194,7 +206,7 @@ class TestAreaDifference:
         for a in (0.2, 0.7, 1.5):
             rep = area_difference(a, a, tol)
             assert rep.tube_area == 0.0
-            assert rep.phi_a_r == -(4.0 * math.pi * (math.cosh(a) - 1.0))
+            assert rep.phi_a_r == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
 
     def test_frozen_tube_area(self, tol):
         assert tube_area(0.5, 2.0, tol) == pytest.approx(TUBE_05_2, abs=1e-8)

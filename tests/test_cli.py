@@ -680,7 +680,7 @@ GOLDEN = {
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":
-        "fa45126445f91b015c6fd397d88ba41d66000b46c544d68a30b80a8ccceb4b3c",
+        "cae59652cc83e23733228a9e4f85ffdd4c6a328a658663b315d82b6cebe8dd9f",
     "mesh --a 0.6 --y-max 3 --out tube.obj":
         "19dabca2faae61cec3fef626f1f7f5bb911979b3c1a481dd818ad4d5a4af3672",
     "constants --out constants.txt":
@@ -698,7 +698,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --s 0.05":
         "1cc523be70ac194beb989bdf213925e1d727bc8eca1872078592abeaa7e1b715",
     "compete --a 0.6 --r 3 --s 0.05 --json --out compete.json":
-        "978a8a9f7f1c17302f36340844ddd01345c723cd7b464237573e9677596894e9",
+        "dedb92657fbd20eb9375ec6ecdd5b09ed4fb298188ce6c121f4e511e6eeb66fe",
     "mesh --a 0.6 --y-max 2 --n-profile 6 --n-angle 8 --out m.obj --json":
         "5a09dd336e8d123a6896e30a7cb6e9149340da6e57aca61e09930ab649b588f7",
     "compete --a 0.6 --r 0.5":

@@ -239,7 +239,7 @@ class TestFindCheaperCompetitor:
                     margin = (
                         phi
                         - math.pi * L * math.sinh(2.0 * s)
-                        + 4.0 * math.pi * (math.cosh(s) - 1.0)
+                        + 8.0 * math.pi * math.sinh(0.5 * s) ** 2
                     )
                     if margin > best:
                         best_s, best = s, margin

@@ -16,10 +16,11 @@ from hypcatenoid import (
     build_mesh,
     catenary_x,
     export_mesh,
+    gomes_rho,
     sample_catenary,
     write_obj,
 )
-from hypcatenoid.mesh import _OBJ_BLOCK, MeshEntries
+from hypcatenoid.mesh import _OBJ_BLOCK, _SUM_ROUNDING, MeshEntries
 
 from _oracles import profile_coordinates
 
@@ -27,6 +28,12 @@ from _oracles import profile_coordinates
 @pytest.fixture(scope="module")
 def mesh(tol):
     return build_mesh(MeshParams(0.6, 3.0, 16, 24), tol)
+
+
+def _y_end(a, tol):
+    # Where the slack 2 sech y / den of a row reaches _SUM_ROUNDING.
+    cosh_rho = math.cosh(gomes_rho(a, tol))
+    return math.acosh((2.0 - _SUM_ROUNDING) / (_SUM_ROUNDING * cosh_rho))
 
 
 def _rows(mesh):
@@ -209,6 +216,27 @@ class TestBuildMesh:
             assert all(math.isfinite(c) for c in vertex)
             assert sum(c * c for c in vertex) <= 1.0
 
+    @pytest.mark.parametrize("a", [1e-100, 1e-8, 0.6, 2.0, 25.0])
+    def test_rows_end_inside_ball_and_distinct(self, a, tol):
+        # Rows stop at y_end(a), so however far y_max reaches, every vertex
+        # passes the closed-ball check, consecutive rows differ as doubles,
+        # and a y_max past y_end gives the rows of y_end.
+        y_end = _y_end(a, tol)
+        past = (math.nextafter(y_end, math.inf), 1000.0, 1e300)
+        for n_profile, n_angle in ((2, 3), (8, 12), (32, 64), (256, 7)):
+            for y_max in (a + 1.0, math.nextafter(y_end, 0.0), y_end) + past:
+                mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
+                shape = (y_max, n_profile, n_angle)
+                for vertex in mesh.vertices:
+                    assert sum(c * c for c in vertex) <= 1.0, (shape, vertex)
+                rows = list(zip(mesh.u, mesh.r))
+                for j, (below, above) in enumerate(zip(rows, rows[1:])):
+                    assert below != above, (shape, j)
+                if y_max == y_end:
+                    end_rows = rows
+                elif y_max in past:
+                    assert rows == end_rows, shape
+
     @pytest.mark.parametrize(
         "a, y_max, n_profile, n_angle",
         [
@@ -224,10 +252,10 @@ class TestBuildMesh:
     def test_rows_match_mpmath(self, a, y_max, n_profile, n_angle, tol):
         # Row j of the sampled arm is u = sinh x / den, r = tanh y / den with
         # den = cosh x + sech y at its profile point; the mirrored arm
-        # negates u.  Rows within rounding of the sphere (and every row where
-        # sech y underflows) have r stepped inward by a few ulps.
+        # negates u.  The profile ends at the mesh's own end row, which is
+        # y_end(a) where y_max lies past it.
         mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
-        points = sample_catenary(a, y_max, n_profile, tol).points
+        points = sample_catenary(a, min(y_max, _y_end(a, tol)), n_profile, tol).points
         bound = 4.0 * sys.float_info.epsilon
         with mpmath.workdps(50):
             for k, (u, r) in enumerate(zip(mesh.u, mesh.r)):
