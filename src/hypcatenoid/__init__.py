@@ -71,7 +71,6 @@ _EXPORTS = {
         "MeshEntries",
         "MeshParams",
         "build_mesh",
-        "export_mesh",
         "write_obj",
     ),
     "quadrature": (

@@ -67,9 +67,10 @@ _PROFILE_NECK_MIN = sys.float_info.min ** (1.0 / 3.0)
 # distance is clamped there, which keeps sinh finite.
 _TAIL_SPAN = 40.0
 
-# K = int_0^1 x**-2 ((1 - x**4)**(-1/2) - 1) dx is the Beta integral
-# int_0^1 x**(s-1) ((1 - x**4)**(-1/2) - 1) dx continued to s = -1.
-_K = 1.0 - math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
+# K = int_0^1 x**-2 ((1 - x**4)**(-1/2) - 1) dx = 1 - sqrt(pi) Gamma(3/4) /
+# Gamma(1/4), the Beta integral int_0^1 x**(s-1) ((1 - x**4)**(-1/2) - 1) dx
+# continued to s = -1, rounded to the nearest double.
+_K = 0.4009298826322039
 
 
 class EvaluationBudgetError(RuntimeError):

@@ -182,9 +182,10 @@ def _cmd_mesh(args: argparse.Namespace, tol: Tolerance) -> int | None:
     if args.out is None:
         print("hypcatenoid mesh: error: --out PATH is required", file=sys.stderr)
         return 1
-    from .mesh import export_mesh
+    from .mesh import MeshParams, build_mesh, write_obj
 
-    mesh = export_mesh(args.a, args.y_max, args.n_profile, args.n_angle, args.out, tol)
+    mesh = build_mesh(MeshParams(args.a, args.y_max, args.n_profile, args.n_angle), tol)
+    write_obj(mesh, args.out)
     summary = {
         "out": args.out,
         "vertices": len(mesh.vertices),
@@ -202,7 +203,7 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--tol",
         type=float,
-        default=1.0e-10,
+        default=Tolerance.abs_tol,
         help="classify --distance reports the single critical catenoid "
         "within 2*TOL of 2*rho(a_c); every computed value is exact to "
         "rounding whatever TOL is",

@@ -131,9 +131,9 @@ def solve_root(
 def compute_K(tol: Tolerance) -> float:
     """The constant K = int_0^1 (1/x**2) (1/sqrt(1-x**4) - 1) dx.
 
-    K = 1 - sqrt(pi) Gamma(3/4) / Gamma(1/4) = 0.4009298826322038892..., the
+    K = 1 - sqrt(pi) Gamma(3/4) / Gamma(1/4) = 0.4009298826322038962..., the
     Beta integral int_0^1 x**(s-1) ((1-x**4)**(-1/2) - 1) dx continued to
-    s = -1 (DLMF 5.12); exact to rounding whatever tol is.
+    s = -1 (DLMF 5.12); the value is the double nearest K, whatever tol is.
     """
     return _K
 

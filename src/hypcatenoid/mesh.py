@@ -20,7 +20,6 @@ __all__ = [
     "MeshEntries",
     "MeshParams",
     "build_mesh",
-    "export_mesh",
     "write_obj",
 ]
 
@@ -108,10 +107,10 @@ class MeshData:
     Profile row j, from the mirrored far end through the neck to the far
     end, is the circle (u[j], r[j] cos theta_m, r[j] sin theta_m) about the
     ball's first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle;
-    u, r, cos and sin are array('d')s computed from params (tol goes to the
-    profile sampling); no caller supplies vertices or faces.  Profile
-    point (x, y) gives u = sinh x / den and r = tanh y / den, where
-    den = cosh x + sech y, to rounding.  The profile is sampled over
+    u, r, cos and sin are array('d')s computed from params alone; no caller
+    supplies vertices or faces.  Profile point (x, y) gives u = sinh x / den
+    and r = tanh y / den, where den = cosh x + sech y, to rounding, with
+    sech y = 2 e / (1 + e**2) for e = exp(-y).  The profile is sampled over
     [a, min(y_max, y_end)] with y_end = acosh((2 - S) / (S cosh rho(a)))
     and S = _SUM_ROUNDING: as den <= cosh rho(a) + sech y, the slack
     1 - |p|**2 = 2 sech y / den is at least S up to y_end, so every vertex
@@ -130,15 +129,13 @@ class MeshData:
 
     __slots__ = ("params", "u", "r", "cos", "sin", "vertices", "faces")
 
-    def __init__(self, params: MeshParams, *, tol: Tolerance | None = None) -> None:
+    def __init__(self, params: MeshParams) -> None:
         self.params = params
-        if tol is None:
-            tol = Tolerance()
         n = params.n_angle
         step = 2.0 * math.pi / n
         cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
         sin = self.sin = array("d", [math.sin(m * step) for m in range(n)])
-        a = params.neck_distance
+        a, tol = params.neck_distance, Tolerance()
         cosh_rho = math.cosh(gomes_rho(a, tol))
         y_end = math.acosh((2.0 - _SUM_ROUNDING) / (_SUM_ROUNDING * cosh_rho))
         sample = sample_catenary(a, min(params.y_max, y_end), params.n_profile, tol)
@@ -176,13 +173,13 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     MeshData).  Every quad is then an isosceles trapezoid whose two
     diagonals have the same length, so all quads are split the same way
     and the faces depend only on the resolution.  The profile is exact to
-    rounding whatever tol is, so the mesh does not depend on it.  Rows
-    end at y_end ~ 34.5, so a y_max past y_end adds nothing.  At the CLI's
-    default resolution (32 x 64) and a = 0.6, the 4,032 vertices are all
-    distinct at y_max = a + 20.6 and at 1000; as written to OBJ's 12
-    digits, 4,032 and 3,752 are.
+    rounding whatever tol is, so tol is not read and the mesh equals
+    MeshData(params).  Rows end at y_end ~ 34.5, so a y_max past y_end adds
+    nothing.  At the CLI's default resolution (32 x 64) and a = 0.6, the
+    4,032 vertices are all distinct at y_max = a + 20.6 and at 1000; as
+    written to OBJ's 12 digits, 4,032 and 3,752 are.
     """
-    return MeshData(params, tol=tol)
+    return MeshData(params)
 
 
 def write_obj(mesh: MeshData, path: str) -> None:
@@ -213,38 +210,21 @@ def _write_vertices(handle, mesh: MeshData) -> None:
 
 def _write_faces(handle, mesh: MeshData) -> None:
     # A block covers _OBJ_BLOCK // 2 quads.  Quad q's faces are (q, q', q' + n)
-    # and (q, q' + n, q + n), 1-based here, laid out as six interleaved runs
+    # and (q, q' + n, q + n), 1-based here, laid out as six interleaved ranges
     # with q' = q + 1; the wraps, q % n = n - 1, are then reset.
     n = mesh.params.n_angle
     quads = len(mesh.faces) // 2
     window = _OBJ_BLOCK // 2
     for start in range(0, quads, window):
         stop = min(start + window, quads)
-        size = stop - start
-        low = array("q", range(start + 1, stop + 2))
-        high = array("q", range(start + n + 1, stop + n + 2))
-        block = array("q", [0]) * (6 * size)
-        block[0::6] = block[3::6] = low[:size]
-        block[1::6] = low[1:]
-        block[2::6] = block[4::6] = high[1:]
-        block[5::6] = high[:size]
+        block = [0] * (6 * (stop - start))
+        block[0::6] = block[3::6] = range(start + 1, stop + 1)
+        block[1::6] = range(start + 2, stop + 2)
+        block[2::6] = block[4::6] = range(start + n + 2, stop + n + 2)
+        block[5::6] = range(start + n + 1, stop + n + 1)
         wrap = start + (n - 1 - start) % n
         if wrap < stop:
             at = 6 * (wrap - start)
-            block[at + 1 :: 6 * n] = array("q", range(wrap + 2 - n, stop + 2 - n, n))
-            block[at + 2 :: 6 * n] = block[at + 4 :: 6 * n] = array("q", range(wrap + 2, stop + 2, n))
-        handle.write(b"f %d %d %d\n" * (2 * size) % tuple(block))
-
-
-def export_mesh(
-    a: float,
-    y_max: float,
-    n_profile: int,
-    n_angle: int,
-    out: str,
-    tol: Tolerance | None = None,
-) -> MeshData:
-    """Build the catenoid mesh and write it to an OBJ file."""
-    mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
-    write_obj(mesh, out)
-    return mesh
+            block[at + 1 :: 6 * n] = range(wrap + 2 - n, stop + 2 - n, n)
+            block[at + 2 :: 6 * n] = block[at + 4 :: 6 * n] = range(wrap + 2, stop + 2, n)
+        handle.write(b"f %d %d %d\n" * (2 * (stop - start)) % tuple(block))

@@ -10,13 +10,14 @@ import random
 import pytest
 
 from hypcatenoid import (
+    MeshParams,
     RegimeKind,
     area_deficit,
     area_difference,
+    build_mesh,
     catenoids_for_circles,
     circle_from_center_radius,
     compute_K,
-    export_mesh,
     find_cheaper_competitor,
     gomes_rho,
     mvt_f,
@@ -188,9 +189,9 @@ def test_criterion_11(tol):
     )
 
 
-def test_criterion_12(tol, tmp_path):
+def test_criterion_12(tol):
     a, y_max = 0.6, 3.0
-    mesh = export_mesh(a, y_max, 48, 16, str(tmp_path / "tube.obj"), tol)
+    mesh = build_mesh(MeshParams(a, y_max, 48, 16), tol)
     n_angle = mesh.params.n_angle
 
     ok_inside = all(math.hypot(*vertex) < 1.0 for vertex in mesh.vertices)

@@ -13,6 +13,7 @@ import pytest
 
 import hypcatenoid
 from hypcatenoid import (
+    Tolerance,
     area_difference,
     circle_pair,
     gomes_rho,
@@ -139,7 +140,8 @@ class TestSweepCommand:
         assert code == 0
         report = json.loads(out)
         assert report["quantity"] == "rho"
-        assert report["tolerance"] == 1e-10
+        # Without --tol the CLI runs at the library's default tolerance.
+        assert report["tolerance"] == Tolerance().abs_tol == 1e-10
         assert len(report["abscissas"]) == 41
         assert len(report["values"]) == 41
         assert report["argmax_a"] == pytest.approx(bundle.a_c, abs=1e-2)
@@ -666,17 +668,17 @@ GOLDEN = {
     "constants":
         "39cd2c79a0917483cbbbabcb0e495f604994b96a7e3b88418b6a6544b4fc0fbd",
     "constants --json":
-        "bca1a4c8cb97aa37bd2a1b52a4b9cc5f999e9ce00790216d59f1603dc4be6908",
+        "9102bb890c522c1e094a1ea90efb5f962d7d4762e64cfff637b58b824fc1063f",
     "sweep rho --lo 0.01 --hi 3 --n 300":
         "fc59ffcb666a92ceb0b4fee640d5e4190ebbf83104578cd9e7b6a9f4acd807ae",
     "sweep phi --json":
         "4ca1c717c5b52acfbd638dca7179cd6bde82f1b84b2c5dfda7127a7edc00bccd",
     "classify --a 0.6":
-        "dcda2bbd0bbb090356f6f3d2b642c130d22e36171718a551039b3f8e583aa21f",
+        "02b1d34f46e17d6ceba8e1f814e9e1cbc2917a5ef2c4805d4b6242aed01ebd6f",
     "classify --distance 0.8":
-        "6801377394543a74cfbf44cee9ae7a3ff7c526bc93ad94143f62f1c5e3b22b1d",
+        "f0eccf4705d4c7a5bee09785acd1825daf54dd9764316c0f8b27dae0be804116",
     "classify --circles 0,0,1 0,0,2.2":
-        "e355dcef73cfcddee27bddefd5c4efaa647945a7c36c9e4cd47d9b2459edcc76",
+        "5fa20c854318b921af42383c2621727a5acabca21963d8ae292356ccef8c7b50",
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":
@@ -688,7 +690,7 @@ GOLDEN = {
     "sweep rho --lo 0 --hi 1 --n 3":
         "4df9569fb03768c4be98f9aad1281a9dd99bf1a55086ee8887178b61325acca5",
     "classify --distance 1.5 --out classify.json":
-        "f6511f74bf530eda832d24dad323b0c897c3e4917815e14e2a01f0850a5b2322",
+        "3ece262db76b350de1ccd4479425268e2a6ea53db31941df621fe25d1979c3ce",
     "catenary --a 0.5 --y-max 2.5 --n 5 --json":
         "6e9d72366fd45d5b27add24dc5ab1e2e57ef0df39d8ac2b37ed7d84b29db6da3",
     "compete --a 0.6 --r 3":

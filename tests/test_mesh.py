@@ -15,7 +15,6 @@ from hypcatenoid import (
     Tolerance,
     build_mesh,
     catenary_x,
-    export_mesh,
     gomes_rho,
     sample_catenary,
     write_obj,
@@ -359,6 +358,8 @@ class TestObjOutput:
             # Rows of one piece just short of and at the block, rows of two
             # and three pieces whose last holds one vertex; the wrap quads
             # fall inside, at the end and at the start of a face block.
+            (0.6, 3.0, 2, _OBJ_BLOCK // 2),
+            (0.6, 3.0, 2, _OBJ_BLOCK // 2 + 1),
             (0.6, 3.0, 2, _OBJ_BLOCK - 1),
             (0.6, 3.0, 2, _OBJ_BLOCK),
             (0.6, 3.0, 2, _OBJ_BLOCK + 1),
@@ -371,8 +372,9 @@ class TestObjOutput:
             (1e-100, 1.0, 4, 6),
             (0.6, 1000.0, 32, 48),
         ],
-        ids=["block - 1 angles", "block angles", "block + 1 angles", "2 blocks + 1 angles",
-             "3 angles 1000 rows", "33x7", "partial last row", "smallest neck", "y_max 1000"],
+        ids=["half block angles", "half block + 1 angles", "block - 1 angles", "block angles",
+             "block + 1 angles", "2 blocks + 1 angles", "3 angles 1000 rows", "33x7",
+             "partial last row", "smallest neck", "y_max 1000"],
     )
     def test_row_writer_edges(self, a, y_max, n_profile, n_angle, tol, tmp_path):
         mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
@@ -383,7 +385,8 @@ class TestObjOutput:
 
     def test_pinned_hash(self, tol, tmp_path):
         path = tmp_path / "pinned.obj"
-        mesh = export_mesh(0.6, 3.0, 48, 64, str(path), tol)
+        mesh = build_mesh(MeshParams(0.6, 3.0, 48, 64), tol)
+        write_obj(mesh, str(path))
         assert (len(mesh.vertices), len(mesh.faces)) == (6_080, 12_032)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "54e7aa52c3a442834d4a796e3e69bef3d74e33c12e32cf80aa516f5eff92db5b"
@@ -392,7 +395,7 @@ class TestObjOutput:
         # A mesh made from the same params by MeshData, and the 3-tuples its
         # views yield, write the bytes of the built mesh.
         built = build_mesh(MeshParams(0.6, 3.0, 12, 20), tol)
-        copied = MeshData(built.params, tol=tol)
+        copied = MeshData(built.params)
         tuples = SimpleNamespace(vertices=list(built.vertices), faces=list(built.faces))
         assert copied.vertices == tuples.vertices and copied.faces == tuples.faces
         write_obj(built, str(tmp_path / "built.obj"))
@@ -429,7 +432,7 @@ class TestObjOutput:
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of index
         # strings about 4 MB, so it would exceed this bound; formatting a
-        # row or a face block at a time takes about 750 KiB.
+        # row or a face block at a time takes about 710 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
@@ -477,24 +480,20 @@ class TestObjOutput:
                 assert 1 <= index <= len(vertices)
 
     def test_deterministic_bytes(self, tol, tmp_path):
+        # Two builds at different tolerances write the same bytes: the rows
+        # are exact to rounding whatever tol is.
         path1 = tmp_path / "one.obj"
         path2 = tmp_path / "two.obj"
-        export_mesh(0.5, 2.0, 6, 8, str(path1), tol)
-        export_mesh(0.5, 2.0, 6, 8, str(path2), tol)
+        write_obj(build_mesh(MeshParams(0.5, 2.0, 6, 8), tol), str(path1))
+        write_obj(build_mesh(MeshParams(0.5, 2.0, 6, 8), Tolerance(1e-4)), str(path2))
         assert path1.read_bytes() == path2.read_bytes()
-
-    def test_export_returns_mesh(self, tol, tmp_path):
-        mesh = export_mesh(0.5, 2.0, 6, 8, str(tmp_path / "out.obj"), tol)
-        assert isinstance(mesh, MeshData)
-        assert len(mesh.vertices) == 8 * 11
 
     def test_smallest_neck(self, tol, tmp_path):
         mesh = build_mesh(MeshParams(1e-100, 1.0, 4, 6), tol)
         assert all(math.isfinite(c) for v in mesh.vertices for c in v)
         path = tmp_path / "tiny.obj"
-        assert len(export_mesh(1e-100, 1.0, 4, 6, str(path), tol).faces) == 72
+        assert len(mesh.faces) == 72
+        write_obj(mesh, str(path))
         assert path.read_bytes().count(b"\nf ") == 72
         with pytest.raises(ValueError, match="smallest the profile"):
             build_mesh(MeshParams(1e-200, 1.0, 4, 6), tol)
-        with pytest.raises(ValueError, match="smallest the profile"):
-            export_mesh(1e-200, 1.0, 4, 6, str(tmp_path / "none.obj"), tol)
