@@ -73,12 +73,6 @@ _EXPORTS = {
         "build_mesh",
         "write_obj",
     ),
-    "quadrature": (
-        "QuadratureResult",
-        "quad_finite",
-        "quad_semi_infinite",
-        "quad_sqrt_endpoint",
-    ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -99,10 +99,9 @@ def _check_neck(a: float) -> None:
 
 @dataclass(frozen=True)
 class CatenarySample:
-    """Sampled catenary profile points (x, y) with their neck parameter."""
+    """Sampled catenary profile points (x, y)."""
 
     points: tuple[tuple[float, float], ...]
-    neck_distance: float
 
 
 @dataclass(frozen=True)
@@ -323,7 +322,7 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
         frac = i / (n - 1)
         y = a + span * frac * frac
         points.append((catenary_x(a, y, tol), y))
-    return CatenarySample(tuple(points), a)
+    return CatenarySample(tuple(points))
 
 
 def disk_area_total(r: float) -> float:

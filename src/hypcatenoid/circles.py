@@ -40,7 +40,7 @@ class IntersectingCirclesError(ValueError):
 
 
 class DegenerateCircleError(ValueError):
-    """Raised for a line-like circle, or a circle or pair the chart cannot hold."""
+    """Raised for a circle or pair the chart cannot hold."""
 
 
 @dataclass(frozen=True)
@@ -50,30 +50,10 @@ class CircleAtInfinity:
     The vector (v1, v2, v3, v4) is unit spacelike for the quadratic form
     v1**2 + v2**2 + v3**2 - v4**2 and is canonically signed so v4 - v3,
     which equals 1/radius in the planar chart, is nonnegative.  Euclidean
-    lines (circles through the chart's point at infinity) have v4 = v3 and
-    no center/radius readback.
+    lines (circles through the chart's point at infinity) have v4 = v3.
     """
 
     coords: tuple[float, float, float, float]
-
-    @property
-    def is_line(self) -> bool:
-        v1, v2, v3, v4 = self.coords
-        return v4 - v3 == 0.0
-
-    @property
-    def radius(self) -> float:
-        v1, v2, v3, v4 = self.coords
-        gap = v4 - v3
-        if gap <= 0.0:
-            raise DegenerateCircleError("a chart line has no center/radius readback")
-        return 1.0 / gap
-
-    @property
-    def center(self) -> complex:
-        rho = self.radius
-        v1, v2, _, _ = self.coords
-        return complex(v1 * rho, v2 * rho)
 
 
 def _check_parameters(c: complex, rho_e: float) -> None:

@@ -55,7 +55,9 @@ class BracketError(ValueError):
 @dataclass(frozen=True)
 class ConstantsBundle:
     """All solved constants, ordered 0 < a_0 < a_c < a_L < a_l; the CLI
-    prints the fields in their declared order."""
+    prints the fields in their declared order.  Each field is within 1 ulp
+    of its exact value; two_rho_aL, which carries rho's rounding at a_L, is
+    within 2 ulps."""
 
     K: float
     a_c: float

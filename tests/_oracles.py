@@ -4,6 +4,8 @@ Everything here is deliberately independent of the package's own quadrature:
 composite rules over numpy arrays, plus a sampler for disjoint circle pairs
 and pointwise and closed-form checks of Moebius maps used by the
 distance-equivalence properties, and the inverse of the mesh's ball map.
+Circles are read from their inversive vectors here, and maps from their
+matrix entries, with no package code between.
 """
 
 import cmath
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from hypcatenoid import circle_from_center_radius, inversive_product
+from hypcatenoid import circle_from_center_radius
 
 
 def midpoint(f, lo, hi, n=1_000_000):
@@ -40,6 +42,24 @@ def profile_coordinates(point):
     return math.atanh(2.0 * u / (1.0 + q)), math.asinh(2.0 * math.hypot(v, w) / (1.0 - q))
 
 
+def decode(circle):
+    """(centre, radius) of a circle from its vector (v1, v2, v3, v4), or None for a line.
+
+    v4 - v3 = 1 / radius and (v1, v2) = centre / radius; a line has v4 = v3.
+    """
+    v1, v2, v3, v4 = circle.coords
+    if v4 == v3:
+        return None
+    radius = 1.0 / (v4 - v3)
+    return complex(v1 * radius, v2 * radius), radius
+
+
+def minkowski_product(circle1, circle2):
+    """u1 w1 + u2 w2 + u3 w3 - u4 w4 of the two inversive vectors."""
+    (u1, u2, u3, u4), (w1, w2, w3, w4) = circle1.coords, circle2.coords
+    return u1 * w1 + u2 * w2 + u3 * w3 - u4 * w4
+
+
 def random_disjoint_pair(rng):
     """Two disjoint circles with radii in [0.2, 3] and centers within |c| <= 5.
 
@@ -53,32 +73,32 @@ def random_disjoint_pair(rng):
         r2 = rng.uniform(0.2, 3.0)
         circle1 = circle_from_center_radius(c1, r1)
         circle2 = circle_from_center_radius(c2, r2)
-        if abs(inversive_product(circle1, circle2)) >= 1.0 + 1.0e-3:
+        if abs(minkowski_product(circle1, circle2)) >= 1.0 + 1.0e-3:
             return circle1, circle2
 
 
 def circle_points(circle, n=5):
     """n points of a circle, or of a line n . z = h with unit normal n."""
-    if circle.is_line:
+    chart = decode(circle)
+    if chart is None:
         v1, v2, h, _ = circle.coords
         normal = complex(v1, v2)
         return [normal * complex(h, t) for t in range(-(n // 2), n - n // 2)]
-    return [
-        circle.center + circle.radius * cmath.exp(2j * math.pi * (k + 0.25) / n)
-        for k in range(n)
-    ]
+    center, radius = chart
+    return [center + radius * cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
 
 
 def coaxial_images(mapping, circle1, circle2):
     """(spread, radius) of each circle's image under mapping, about 0.
 
-    Each image's radii are |mapping(z)| at the circle's sample points, so a
-    relative spread (max - min) / max of 0 puts the image's centre at 0;
-    radius is the first sample's.
+    Each image's radii are |(a z + b) / (c z + d)|, from the map's entries,
+    at the circle's sample points z, so a relative spread (max - min) / max
+    of 0 puts the image's centre at 0; radius is the first sample's.
     """
+    a, b, c, d = mapping.a, mapping.b, mapping.c, mapping.d
     images = []
     for circle in (circle1, circle2):
-        radii = [abs(mapping(z)) for z in circle_points(circle)]
+        radii = [abs((a * z + b) / (c * z + d)) for z in circle_points(circle)]
         images.append(((max(radii) - min(radii)) / max(radii), radii[0]))
     return images
 
@@ -95,7 +115,8 @@ def moved_pair(rng, circle1, circle2):
     invert = rng.random() < 0.5
     moved = []
     for circle in (circle1, circle2):
-        c, r = scale * circle.center + shift, abs(scale) * circle.radius
+        center, radius = decode(circle)
+        c, r = scale * center + shift, abs(scale) * radius
         if invert:
             power = abs(c) ** 2 - r * r
             c, r = c.conjugate() / power, r / abs(power)

@@ -124,7 +124,6 @@ class TestSampleCatenary:
     def test_sample_invariants(self, tol):
         sample = sample_catenary(0.5, 3.0, 64, tol)
         assert isinstance(sample, CatenarySample)
-        assert sample.neck_distance == 0.5
         xs = [x for x, _ in sample.points]
         ys = [y for _, y in sample.points]
         assert xs[0] == 0.0

@@ -13,8 +13,9 @@ whatever abs_tol is.  rho and x(y) are held to abs_tol and to 1e-13
 relative, and x(y) at necks near its floor (about 2.8e-103) to 2e-15
 relative; rho' to 1e-14 * max(1, |rho'|); phi to 1.5e-14 * max(1, |phi|)
 and Phi to 1e-13 * max(1, |Phi|), phi never looser than abs_tol; I2 to
-1e-12 * max(1, |I2|); K exactly, as the double nearest the oracle; a_c
-and a_L to 1e-15 relative.
+1e-12 * max(1, |I2|); K exactly, as the double nearest the oracle.  Each
+field of the constants bundle is held to 1 ulp of its oracle at 50
+digits, two_rho_aL to 2 ulps.
 
 The package computes rho' as the closed form of phi' / (2 pi sinh(2a))
 through the identity phi'(a) = 2 pi sinh(2a) rho'(a); test_phi_rho_identity
@@ -31,6 +32,7 @@ cosh(2a) rho') / (2 pi sinh(2a))) to mpmath's derivative of the closed
 form of rho'.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -62,6 +64,14 @@ DIGITS = 30
 # Neck distances log-spaced over the package's domain [1e-6, 25].
 SPAN = tuple(10.0 ** (-6.0 + k * (math.log10(25.0) + 6.0) / 24) for k in range(25))
 STEP = mpf("1e-20")  # complex step: truncation error ~ STEP**2
+# The bundle's fields are held to ulps, so their oracles carry more digits.
+BUNDLE_DIGITS = 50
+# Allowed error of each bundle field in ulps of the shipped double.
+# two_rho_aL errs by +1.82 ulps, from evaluating rho at a_L, not from a_L.
+BUNDLE_ULPS = {
+    "K": 1, "a_c": 1, "two_rho_ac": 1, "a_0": 1,
+    "a_l": 1, "a_L": 1, "two_rho_aL": 2, "rho_max": 1,
+}
 
 
 # The smallest neck the u form is checked at (test_rho_relative).  Below it
@@ -184,14 +194,38 @@ def oracle_K():
 
 @functools.cache
 def oracle_a_c():
-    with mp.workdps(DIGITS):
+    with mp.workdps(BUNDLE_DIGITS):
         return mpmath.findroot(_drho, (mpf("0.4957"), mpf("0.4958")))
 
 
 @functools.cache
 def oracle_a_L():
-    with mp.workdps(DIGITS):
+    with mp.workdps(BUNDLE_DIGITS):
         return mpmath.findroot(_phi, (mpf("0.847"), mpf("0.848")))
+
+
+def _mvt_f(x, K):
+    """The comparison function whose zero is a_0."""
+    return (-30 * mpmath.cosh(3 * x) - 18 * mpmath.cosh(5 * x)
+            + 10 * mpmath.sinh(7 * x) + 15 * (1 - K) * mpmath.cosh(8 * x))
+
+
+@functools.cache
+def oracle_bundle():
+    """Every ConstantsBundle field, by name, at BUNDLE_DIGITS digits."""
+    with mp.workdps(BUNDLE_DIGITS):
+        K, a_c, a_L = oracle_K(), oracle_a_c(), oracle_a_L()
+        rho_max = _x(a_c, mpmath.inf)
+        return {
+            "K": K,
+            "a_c": a_c,
+            "two_rho_ac": 2 * rho_max,
+            "a_0": mpmath.findroot(lambda x: _mvt_f(x, K), mpf("0.287")),
+            "a_l": mpmath.acosh(1 / (1 - K)),
+            "a_L": a_L,
+            "two_rho_aL": 2 * _x(a_L, mpmath.inf),
+            "rho_max": rho_max,
+        }
 
 
 def _close(value, reference, allowed):
@@ -270,8 +304,12 @@ class TestClosedForms:
 @pytest.mark.parametrize("abs_tol", TOLERANCES)
 def test_thresholds(abs_tol):
     bundle = constants_bundle(Tolerance(abs_tol=abs_tol))
-    _close(bundle.a_c, oracle_a_c(), 1e-15 * float(oracle_a_c()))
-    _close(bundle.a_L, oracle_a_L(), 1e-15 * float(oracle_a_L()))
+    reference = oracle_bundle()
+    assert set(BUNDLE_ULPS) == {field.name for field in dataclasses.fields(bundle)}
+    for name, ulps in BUNDLE_ULPS.items():
+        value = getattr(bundle, name)
+        error = float((mpf(value) - reference[name]) / math.ulp(value))
+        assert abs(error) <= ulps, f"{name} errs by {error:+.3f} ulps"
 
 
 def test_phi_rho_identity():

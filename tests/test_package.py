@@ -12,9 +12,12 @@ import pytest
 
 import hypcatenoid
 
-SUBMODULES = ("catenoid", "circles", "cli", "competitor", "constants", "mesh", "quadrature")
-# The names the lazy table resolves by loading quadrature.py.
-QUADRATURE_NAMES = hypcatenoid._EXPORTS["quadrature"]
+SUBMODULES = ("catenoid", "circles", "cli", "competitor", "constants", "mesh")
+# quadrature.py's own names.  The package exports none of them; the
+# benchmark's span tracer imports the module by path and wraps its __all__.
+QUADRATURE_NAMES = (
+    "QuadratureResult", "quad_finite", "quad_semi_infinite", "quad_sqrt_endpoint"
+)
 
 
 class TestPublicSurface:
@@ -31,6 +34,12 @@ class TestPublicSurface:
         for name in SUBMODULES:
             exported.update(importlib.import_module(f"hypcatenoid.{name}").__all__)
         assert sorted(exported) == hypcatenoid.__all__
+
+    def test_quadrature_is_not_exported(self):
+        assert set(QUADRATURE_NAMES).isdisjoint(hypcatenoid.__all__)
+        assert set(QUADRATURE_NAMES).isdisjoint(dir(hypcatenoid))
+        quadrature = importlib.import_module("hypcatenoid.quadrature")
+        assert set(QUADRATURE_NAMES) <= set(quadrature.__all__)
 
     def test_star_import(self):
         namespace = {}
@@ -103,9 +112,8 @@ def _run_cli(*argv):
 
 
 def _imports_quadrature(node):
-    # The module by path, or one of its names, which the lazy table would
-    # resolve by loading it (from . import quad_finite, from hypcatenoid
-    # import QuadratureResult).
+    # The module by path, or one of its names (from . import quad_finite,
+    # from hypcatenoid import QuadratureResult).
     if not isinstance(node, (ast.Import, ast.ImportFrom)):
         return False
     parts = (getattr(node, "module", None) or "").split(".")
@@ -115,7 +123,7 @@ def _imports_quadrature(node):
 
 def test_no_module_imports_quadrature():
     # No package path integrates numerically; keeping it so lets the
-    # quadrature module go by deleting its file and its lazy-table entry.
+    # quadrature module go by deleting its file.
     source_dir = os.path.dirname(hypcatenoid.__file__)
     for name in sorted(os.listdir(source_dir)):
         if not name.endswith(".py") or name == "quadrature.py":
