@@ -23,15 +23,15 @@ tol arguments do not affect them.
 The constant K in the second-derivative terms is a Beta integral, in
 Gamma functions (DLMF 5.12).
 
-Every other module builds on this one, so it also holds Tolerance and the
-error types that the solvers raise and the CLI reports.
+Every other module builds on this one, so it also holds the record base,
+Tolerance and the error types that the solvers raise and the CLI reports.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "AreaReport",
@@ -81,15 +81,47 @@ class ConsistencyError(RuntimeError):
     """Raised when solved constants violate their required ordering."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Record:
+    """Read-only record of the fields its subclass names in __slots__, in order;
+    each subclass's __init__ binds them with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # One C call reads every field, so == and hash cost what a frozen
+        # dataclass's do; the class closes the key so one field gives a tuple.
+        cls._key = attrgetter(*cls.__slots__, "__class__")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._key(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)[:-1]
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Tolerance(_Record):
     """Separation tie window abs_tol and constants-cache key."""
 
-    abs_tol: float = 1.0e-10
+    __slots__ = ("abs_tol",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+    def __init__(self, abs_tol: float = 1.0e-10):
+        if not 0.0 < abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
+        object.__setattr__(self, "abs_tol", abs_tol)
 
 
 def _check_neck(a: float) -> None:
@@ -97,20 +129,24 @@ def _check_neck(a: float) -> None:
         raise ValueError(f"neck distance must be in (0, {_NECK_CAP}], got {a}")
 
 
-@dataclass(frozen=True)
-class CatenarySample:
+class CatenarySample(_Record):
     """Sampled catenary profile points (x, y)."""
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("points",)
+
+    def __init__(self, points: tuple[tuple[float, float], ...]):
+        object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
-class AreaReport:
+class AreaReport(_Record):
     """Tube area, total disk area, and their difference Phi(a, r)."""
 
-    tube_area: float
-    disk_area_total: float
-    phi_a_r: float
+    __slots__ = ("tube_area", "disk_area_total", "phi_a_r")
+
+    def __init__(self, tube_area: float, disk_area_total: float, phi_a_r: float):
+        object.__setattr__(self, "tube_area", tube_area)
+        object.__setattr__(self, "disk_area_total", disk_area_total)
+        object.__setattr__(self, "phi_a_r", phi_a_r)
 
 
 # Duplication stops once the arguments agree to this relative spread: the

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .catenoid import _NECK_CAP, Tolerance, _neck_terms
+from .catenoid import _NECK_CAP, Tolerance, _Record, _neck_terms
 from .competitor import RegimeLabel, classify_regime
 from .constants import BracketError, ConstantsBundle, solve_root
 
@@ -43,8 +42,7 @@ class DegenerateCircleError(ValueError):
     """Raised for a circle or pair the chart cannot hold."""
 
 
-@dataclass(frozen=True)
-class CircleAtInfinity:
+class CircleAtInfinity(_Record):
     """Round circle on the boundary sphere, as inversive coordinates.
 
     The vector (v1, v2, v3, v4) is unit spacelike for the quadratic form
@@ -53,7 +51,10 @@ class CircleAtInfinity:
     lines (circles through the chart's point at infinity) have v4 = v3.
     """
 
-    coords: tuple[float, float, float, float]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[float, float, float, float]):
+        object.__setattr__(self, "coords", coords)
 
 
 def _check_parameters(c: complex, rho_e: float) -> None:
@@ -161,18 +162,18 @@ def plane_distance(circle1: CircleAtInfinity, circle2: CircleAtInfinity) -> floa
     return 2.0 * math.asinh(math.sqrt(0.5 * excess))
 
 
-@dataclass(frozen=True)
-class IsometryMap:
+class IsometryMap(_Record):
     """Moebius map z -> (a z + b) / (c z + d) of a nonsingular matrix of any scale."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        if self.a * self.d == self.b * self.c:
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        if a * d == b * c:
             raise ValueError("matrix is singular")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __call__(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
@@ -217,12 +218,14 @@ def normalize_coaxial(
     return IsometryMap(y2, -x2, y1, -x1)
 
 
-@dataclass(frozen=True)
-class CatenoidSolutions:
+class CatenoidSolutions(_Record):
     """Catenoids asymptotic to a circle pair at the given plane separation."""
 
-    separation: float
-    solutions: tuple[tuple[float, RegimeLabel], ...]
+    __slots__ = ("separation", "solutions")
+
+    def __init__(self, separation: float, solutions: tuple[tuple[float, RegimeLabel], ...]):
+        object.__setattr__(self, "separation", separation)
+        object.__setattr__(self, "solutions", solutions)
 
 
 # 2*rho(25): the outer root is sought up to a = 25, the end of rho's domain,

@@ -7,14 +7,14 @@ Each subcommand builds its payload from library calls and hands it, with
 its text form if it has one, to one writer, _emit: the text goes to --out
 or stdout, or the payload as JSON under --json or without a text form.
 mesh writes the OBJ file to --out, so its summary always goes to stdout.
-Each subcommand imports the modules it needs when it runs, and json only
-when it emits JSON, so a run compiles no module it does not use.
+Each subcommand imports the modules it needs when it runs, json only when
+it emits JSON, and dataclasses only to read the constants bundle, so a run
+compiles no module it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import re
 import sys
@@ -93,6 +93,8 @@ def _solution(a: float, label) -> dict:
 
 
 def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> None:
+    import dataclasses
+
     from .constants import constants_bundle
 
     fields = dataclasses.asdict(constants_bundle(tol))
@@ -126,6 +128,8 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> None:
+    import dataclasses
+
     from .circles import catenoids_for_circles, catenoids_for_separation, circle_pair
     from .competitor import classify_regime
     from .constants import constants_bundle
@@ -168,7 +172,7 @@ def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> None:
         found = find_cheaper_competitor(args.a, args.r, tol)
     else:
         found = competitor_report(args.a, args.r, args.s, tol)
-    report = dataclasses.asdict(found)
+    report = {name: getattr(found, name) for name in found.__slots__}
     # The search reports a margin only when it is positive.
     report["witness"] = report["margin"] is not None and report["margin"] > 0.0
     text = "".join(
@@ -203,7 +207,7 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--tol",
         type=float,
-        default=Tolerance.abs_tol,
+        default=Tolerance().abs_tol,
         help="classify --distance reports the single critical catenoid "
         "within 2*TOL of 2*rho(a_c); every computed value is exact to "
         "rounding whatever TOL is",

@@ -11,12 +11,12 @@ L is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .catenoid import (
     Tolerance,
+    _Record,
     _check_neck,
     area_difference,
     disk_area_total,
@@ -46,17 +46,18 @@ class RegimeKind(str, Enum):
     AREA_MINIMIZING = "area_minimizing"
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
+class RegimeLabel(_Record):
     """Stability regime of one catenoid, with flags for the two thresholds."""
 
-    kind: RegimeKind
-    at_a_c: bool
-    at_a_L: bool
+    __slots__ = ("kind", "at_a_c", "at_a_L")
+
+    def __init__(self, kind: RegimeKind, at_a_c: bool, at_a_L: bool):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "at_a_c", at_a_c)
+        object.__setattr__(self, "at_a_L", at_a_L)
 
 
-@dataclass(frozen=True)
-class CompetitorReport:
+class CompetitorReport(_Record):
     """Catenoid and cylinder-plus-disks areas for one cylinder radius s.
 
     margin is the catenoid's area minus the competitor's.  competitor_report
@@ -67,12 +68,16 @@ class CompetitorReport:
     which is when Phi(a, r) <= 0 up to rounding.
     """
 
-    a: float
-    r: float
-    s: Optional[float]
-    area_catenoid: float
-    area_competitor: Optional[float]
-    margin: Optional[float]
+    __slots__ = ("a", "r", "s", "area_catenoid", "area_competitor", "margin")
+
+    def __init__(self, a: float, r: float, s: Optional[float], area_catenoid: float,
+                 area_competitor: Optional[float], margin: Optional[float]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "area_catenoid", area_catenoid)
+        object.__setattr__(self, "area_competitor", area_competitor)
+        object.__setattr__(self, "margin", margin)
 
 
 def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
@@ -146,4 +151,4 @@ def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorRep
     report = competitor_report(a, r, a * 2.0**-20, tol)
     if report.margin > 0.0:
         return report
-    return replace(report, s=None, area_competitor=None, margin=None)
+    return CompetitorReport(a, r, None, report.area_catenoid, None, None)

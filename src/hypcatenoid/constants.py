@@ -57,7 +57,8 @@ class ConstantsBundle:
     """All solved constants, ordered 0 < a_0 < a_c < a_L < a_l; the CLI
     prints the fields in their declared order.  Each field is within 1 ulp
     of its exact value; two_rho_aL, which carries rho's rounding at a_L, is
-    within 2 ulps."""
+    within 2 ulps.  Unlike the other records it is a dataclass, because the
+    benchmark's smoke test corrupts one with dataclasses.replace."""
 
     K: float
     a_c: float

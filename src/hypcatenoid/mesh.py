@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from operator import eq
 
-from .catenoid import Tolerance, gomes_rho, sample_catenary
+from .catenoid import Tolerance, _Record, gomes_rho, sample_catenary
 
 __all__ = [
     "MeshData",
@@ -33,8 +32,7 @@ _OBJ_BLOCK = 4096
 _SUM_ROUNDING = 35 * 2.0**-53
 
 
-@dataclass(frozen=True)
-class MeshParams:
+class MeshParams(_Record):
     """Sampling resolution for one catenoid surface.
 
     n_profile counts samples of the generating curve from the neck out to
@@ -45,27 +43,27 @@ class MeshParams:
     MeshData).
     """
 
-    neck_distance: float
-    y_max: float
-    n_profile: int
-    n_angle: int
+    __slots__ = ("neck_distance", "y_max", "n_profile", "n_angle")
 
-    def __post_init__(self) -> None:
-        for name in ("n_profile", "n_angle"):
-            count = getattr(self, name)
+    def __init__(self, neck_distance: float, y_max: float, n_profile: int, n_angle: int):
+        for name, count in (("n_profile", n_profile), ("n_angle", n_angle)):
             if isinstance(count, bool) or not isinstance(count, int):
                 raise TypeError(f"{name} must be an int, got {count!r}")
-        if not self.neck_distance > 0.0:
-            raise ValueError(f"neck distance must be positive, got {self.neck_distance}")
-        if not self.neck_distance < self.y_max < math.inf:
+        if not neck_distance > 0.0:
+            raise ValueError(f"neck distance must be positive, got {neck_distance}")
+        if not neck_distance < y_max < math.inf:
             raise ValueError(
                 f"y_max must be finite and exceed the neck distance "
-                f"{self.neck_distance}, got {self.y_max}"
+                f"{neck_distance}, got {y_max}"
             )
-        if self.n_profile < 2:
-            raise ValueError(f"need at least 2 profile samples, got {self.n_profile}")
-        if self.n_angle < 3:
-            raise ValueError(f"need at least 3 angular steps, got {self.n_angle}")
+        if n_profile < 2:
+            raise ValueError(f"need at least 2 profile samples, got {n_profile}")
+        if n_angle < 3:
+            raise ValueError(f"need at least 3 angular steps, got {n_angle}")
+        object.__setattr__(self, "neck_distance", neck_distance)
+        object.__setattr__(self, "y_max", y_max)
+        object.__setattr__(self, "n_profile", n_profile)
+        object.__setattr__(self, "n_angle", n_angle)
 
 
 class MeshEntries:

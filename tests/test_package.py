@@ -76,7 +76,8 @@ class TestPublicSurface:
 
 
 def _loaded(code, cwd):
-    """Package submodules a fresh interpreter loads running code, and whether json."""
+    """Package submodules a fresh interpreter loads running code, and whether
+    it loads json and dataclasses."""
     package_root = os.path.dirname(os.path.dirname(hypcatenoid.__file__))
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     probe = (
@@ -96,7 +97,7 @@ def _loaded(code, cwd):
     assert result.returncode == 0, result.stderr
     modules = ast.literal_eval(result.stderr.splitlines()[-1])
     package = {m.split(".", 1)[1] for m in modules if m.startswith("hypcatenoid.")}
-    return package - {"__main__"}, "json" in modules
+    return package - {"__main__"}, "json" in modules, "dataclasses" in modules
 
 
 def _run_cli(*argv):
@@ -166,7 +167,7 @@ def test_cli_imports_public_names_only():
 
 class TestImportFootprint:
     def test_package_import_loads_no_module(self, tmp_path):
-        assert _loaded("import hypcatenoid", tmp_path) == (set(), False)
+        assert _loaded("import hypcatenoid", tmp_path) == (set(), False, False)
 
     @pytest.mark.parametrize(
         "argv, modules",
@@ -183,8 +184,11 @@ class TestImportFootprint:
         ],
     )
     def test_text_subcommands(self, tmp_path, argv, modules):
-        loaded, json_loaded = _loaded(_run_cli(*argv), tmp_path)
+        # Only ConstantsBundle is a dataclass, so only a subcommand that
+        # loads the constants module loads dataclasses (and inspect).
+        loaded, json_loaded, dataclasses_loaded = _loaded(_run_cli(*argv), tmp_path)
         assert (loaded, json_loaded) == (modules, False)
+        assert dataclasses_loaded is ("constants" in modules)
 
     @pytest.mark.parametrize(
         "argv",
@@ -195,7 +199,7 @@ class TestImportFootprint:
         ],
     )
     def test_json_subcommands_skip_quadrature(self, tmp_path, argv):
-        loaded, _ = _loaded(_run_cli(*argv), tmp_path)
+        loaded, _, _ = _loaded(_run_cli(*argv), tmp_path)
         assert "quadrature" not in loaded
 
 
