@@ -130,7 +130,6 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> None:
 def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> None:
     import dataclasses
 
-    from .circles import catenoids_for_circles, catenoids_for_separation, circle_pair
     from .competitor import classify_regime
     from .constants import constants_bundle
 
@@ -142,6 +141,8 @@ def _cmd_classify(args: argparse.Namespace, tol: Tolerance) -> None:
             "separation": 2.0 * gomes_rho(args.a, tol),
         }
     else:
+        from .circles import catenoids_for_circles, catenoids_for_separation, circle_pair
+
         if args.distance is not None:
             found = catenoids_for_separation(args.distance, bundle, tol)
             mode = "separation"

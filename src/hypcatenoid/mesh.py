@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
-from operator import eq
+from itertools import chain
+from operator import eq, itemgetter, neg
 
 from .catenoid import Tolerance, _Record, gomes_rho, sample_catenary
 
@@ -28,8 +29,11 @@ _OBJ_BLOCK = 4096
 
 # Bound on sum(c * c) - |p|**2 for a row point p, in units of eps / 2 with a
 # libm call as 2: u and r err by 13 each (26 squared), cos**2 + sin**2 by 4,
+# as each sweep pair is libm's cos and sin of one double, negated or swapped,
 # and the sum rounds each of its three squares at most 5 times.
 _SUM_ROUNDING = 35 * 2.0**-53
+
+_PI_2_112 = 16312081666030376401667486162748272  # pi * 2**112, rounded
 
 
 class MeshParams(_Record):
@@ -106,9 +110,13 @@ class MeshData:
     end, is the circle (u[j], r[j] cos theta_m, r[j] sin theta_m) about the
     ball's first axis, with cos[m] and sin[m] at theta_m = 2 pi m / n_angle;
     u, r, cos and sin are array('d')s computed from params alone; no caller
-    supplies vertices or faces.  Profile point (x, y) gives u = sinh x / den
-    and r = tanh y / den, where den = cosh x + sech y, to rounding, with
-    sech y = 2 e / (1 + e**2) for e = exp(-y).  The profile is sampled over
+    supplies vertices or faces.  Each theta_m is folded onto the first
+    octant by exact reflections before one libm call, so entries that a
+    reflection of the circle pairs up, such as m and n_angle - m, are equal
+    or opposite bit for bit, and quarter turns are exact zeros.  Profile
+    point (x, y) gives u = sinh x / den and r = tanh y / den, where
+    den = cosh x + sech y, to rounding, with sech y = 2 e / (1 + e**2) for
+    e = exp(-y).  The profile is sampled over
     [a, min(y_max, y_end)] with y_end = acosh((2 - S) / (S cosh rho(a)))
     and S = _SUM_ROUNDING: as den <= cosh rho(a) + sech y, the slack
     1 - |p|**2 = 2 sech y / den is at least S up to y_end, so every vertex
@@ -130,9 +138,7 @@ class MeshData:
     def __init__(self, params: MeshParams) -> None:
         self.params = params
         n = params.n_angle
-        step = 2.0 * math.pi / n
-        cos = self.cos = array("d", [math.cos(m * step) for m in range(n)])
-        sin = self.sin = array("d", [math.sin(m * step) for m in range(n)])
+        cos, sin = self.cos, self.sin = _sweep(n)
         a, tol = params.neck_distance, Tolerance()
         cosh_rho = math.cosh(gomes_rho(a, tol))
         y_end = math.acosh((2.0 - _SUM_ROUNDING) / (_SUM_ROUNDING * cosh_rho))
@@ -149,6 +155,21 @@ class MeshData:
         r = self.r = r[:0:-1] + r
         self.vertices = MeshEntries(len(u) * n, partial(_vertex, n, u, r, cos, sin))
         self.faces = MeshEntries(2 * (len(u) - 1) * n, partial(_face, n))
+
+
+def _sweep(n):
+    # 2 pi m / n is pi p / (4 n) with p = 8 m.  Past a half turn p -> 8 n - p
+    # negates sin, past a quarter p -> 4 n - p negates cos, and past an eighth
+    # p -> 2 n - p swaps them; libm sees the folded angle, rounded once.
+    cos, sin = array("d"), array("d")
+    for p in range(0, 8 * n, 8):
+        h = 8 * n - p if p > 4 * n else p
+        q = 4 * n - h if h > 2 * n else h
+        t = (2 * n - q if q > n else q) * _PI_2_112 / (n << 114)
+        c, s = (math.sin(t), math.cos(t)) if q > n else (math.cos(t), math.sin(t))
+        cos.append(-c if h > 2 * n else c)
+        sin.append(-s if p > 4 * n else s)
+    return cos, sin
 
 
 def _vertex(n, u, r, cos, sin, k):
@@ -183,10 +204,12 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
 def write_obj(mesh: MeshData, path: str) -> None:
     """Write the mesh as ASCII OBJ with 1-based face indices and LF endings.
 
-    Vertex lines are formatted from the mesh's rows a row (or _OBJ_BLOCK
-    vertices of a wider one) per bytes % and write, and face lines
-    _OBJ_BLOCK per write, so the transient objects stay bounded whatever
-    the mesh size.
+    A row of up to _OBJ_BLOCK // 2 vertices formats each distinct magnitude
+    r * |cos[m]| and r * |sin[m]| once (34 of 256 numbers at n_angle = 128)
+    and lays out its lines from those tokens in one bytes % and write; a
+    wider row is formatted in place, _OBJ_BLOCK vertices a write.  Face
+    lines are laid out _OBJ_BLOCK a write from each index formatted once,
+    so the transient objects stay bounded whatever the mesh size.
     """
     with open(path, "wb") as handle:
         _write_vertices(handle, mesh)
@@ -194,35 +217,56 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
 
 def _write_vertices(handle, mesh: MeshData) -> None:
-    # One write per row, or per _OBJ_BLOCK-vertex piece of a wider row.  Each
-    # piece formats its row's first coordinate once and interleaves in args
-    # the products r[j] * cos[m] and r[j] * sin[m] that mesh.vertices computes.
+    # One write per row.  As r * -a is -(r * a) exactly, a row formats r * a
+    # once per distinct magnitude a of the sweep, and one getter lays out every
+    # row from those tokens and their negations.  Past _OBJ_BLOCK // 2 that
+    # layout nears a megabyte, so wider rows format in place, _OBJ_BLOCK a write.
+    n = mesh.params.n_angle
+    if n > _OBJ_BLOCK // 2:
+        for u, r in zip(mesh.u, mesh.r):
+            for m in range(0, n, _OBJ_BLOCK):
+                cos, sin = mesh.cos[m : m + _OBJ_BLOCK], mesh.sin[m : m + _OBJ_BLOCK]
+                args = [0.0] * (2 * len(cos))
+                args[0::2] = map(r.__mul__, cos)
+                args[1::2] = map(r.__mul__, sin)
+                handle.write((b"v %.12g" % u + b" %.12g %.12g\n") * len(cos) % tuple(args))
+        return
+    mags = list(dict.fromkeys(map(abs, mesh.cos + mesh.sin)))
+    at = dict(zip(map(neg, mags), range(len(mags), 2 * len(mags))))
+    at.update(zip(mags, range(len(mags))))  # so a zero, == its negation, maps to +0
+    pick = itemgetter(*map(at.__getitem__, chain.from_iterable(zip(mesh.cos, mesh.sin))))
     for u, r in zip(mesh.u, mesh.r):
-        for m in range(0, mesh.params.n_angle, _OBJ_BLOCK):
-            cos, sin = mesh.cos[m : m + _OBJ_BLOCK], mesh.sin[m : m + _OBJ_BLOCK]
-            args = [0.0] * (2 * len(cos))
-            args[0::2] = map(r.__mul__, cos)
-            args[1::2] = map(r.__mul__, sin)
-            handle.write((b"v %.12g" % u + b" %.12g %.12g\n") * len(cos) % tuple(args))
+        tokens = _tokens(b"%.12g ", map(r.__mul__, mags))
+        lines = (b"v %.12g" % u + b" %s %s\n") * n
+        handle.write(lines % pick(tokens + [b"-" + t for t in tokens]))
+
+
+def _tokens(spec, values):
+    # One bytes % formats all the values, split into a token each.
+    values = tuple(values)
+    return (spec * len(values) % values).split()
 
 
 def _write_faces(handle, mesh: MeshData) -> None:
     # A block covers _OBJ_BLOCK // 2 quads.  Quad q's faces are (q, q', q' + n)
-    # and (q, q' + n, q + n), 1-based here, laid out as six interleaved ranges
-    # with q' = q + 1; the wraps, q % n = n - 1, are then reset.
+    # and (q, q' + n, q + n), 1-based here, laid out from the index tokens of
+    # q + 1 and q + n + 1 with q' = q + 1; the wraps, q % n = n - 1, are reset.
     n = mesh.params.n_angle
     quads = len(mesh.faces) // 2
     window = _OBJ_BLOCK // 2
     for start in range(0, quads, window):
         stop = min(start + window, quads)
-        block = [0] * (6 * (stop - start))
-        block[0::6] = block[3::6] = range(start + 1, stop + 1)
-        block[1::6] = range(start + 2, stop + 2)
-        block[2::6] = block[4::6] = range(start + n + 2, stop + n + 2)
-        block[5::6] = range(start + n + 1, stop + n + 1)
+        low = _tokens(b"%d ", range(start + 1, stop + 2))
+        high = low[n:] + _tokens(b"%d ", range(max(start + n, stop + 1) + 1, stop + n + 2))
+        block = [b""] * (6 * (stop - start))
+        block[0::6] = block[3::6] = low[:-1]
+        block[1::6] = low[1:]
+        block[2::6] = block[4::6] = high[1:]
+        block[5::6] = high[:-1]
         wrap = start + (n - 1 - start) % n
         if wrap < stop:
             at = 6 * (wrap - start)
-            block[at + 1 :: 6 * n] = range(wrap + 2 - n, stop + 2 - n, n)
-            block[at + 2 :: 6 * n] = block[at + 4 :: 6 * n] = range(wrap + 2, stop + 2, n)
-        handle.write(b"f %d %d %d\n" * (2 * (stop - start)) % tuple(block))
+            wraps = low[wrap + 1 - start :: n]
+            block[at + 1 :: 6 * n] = [b"%d" % (wrap + 2 - n), *wraps[:-1]]
+            block[at + 2 :: 6 * n] = block[at + 4 :: 6 * n] = wraps
+        handle.write(b"f %s %s %s\n" * (2 * (stop - start)) % tuple(block))

@@ -684,7 +684,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --json":
         "cae59652cc83e23733228a9e4f85ffdd4c6a328a658663b315d82b6cebe8dd9f",
     "mesh --a 0.6 --y-max 3 --out tube.obj":
-        "19dabca2faae61cec3fef626f1f7f5bb911979b3c1a481dd818ad4d5a4af3672",
+        "d6b42721dbb4dd31bc0513b6b27fce5860d3309f46b2cbaf0f925bd2d6b67072",
     "constants --out constants.txt":
         "3d4a0d54060b2c112b98b0e79f667066f06da1765a09761c05c566c6c5395078",
     "sweep rho --lo 0 --hi 1 --n 3":
@@ -702,7 +702,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --s 0.05 --json --out compete.json":
         "dedb92657fbd20eb9375ec6ecdd5b09ed4fb298188ce6c121f4e511e6eeb66fe",
     "mesh --a 0.6 --y-max 2 --n-profile 6 --n-angle 8 --out m.obj --json":
-        "5a09dd336e8d123a6896e30a7cb6e9149340da6e57aca61e09930ab649b588f7",
+        "1a3cac7c5c6d2a6407486b7028e5acf82944a841636eca4a27183f3617ade6e2",
     "compete --a 0.6 --r 0.5":
         "b3d060984bff267607014622f9870c3eed29483df827c2479e39a9a7b20d5a0b",
     "mesh --a 0.6 --y-max 3":

@@ -267,6 +267,35 @@ class TestBuildMesh:
                 assert abs(r - want_r) <= bound * want_r, (k, r, want_r)
 
 
+@pytest.mark.parametrize("n", [*range(3, 65), 128, 160, 512, 1000, 4097])
+def test_sweep_table(n):
+    # Each angle is folded onto the first octant by exact integer reflections
+    # before libm sees it, so the reflections n allows hold bit for bit: ==
+    # on nonzero doubles compares bits, and every zero is +0.0.
+    mesh = MeshData(MeshParams(0.6, 3.0, 2, n))
+    cos, sin = mesh.cos, mesh.sin
+    for m in range(1, n):
+        assert (cos[n - m], sin[n - m]) == (cos[m], -sin[m]), m
+    if n % 2 == 0:
+        for m in range(n // 2 + 1):
+            assert (cos[n // 2 - m], sin[n // 2 - m]) == (-cos[m], sin[m]), m
+    if n % 4 == 0:
+        # The swap fixes the eighth turn, where libm's cos and sin of the
+        # double nearest pi / 4 differ by an ulp.
+        for m in set(range(n // 4 + 1)) - {n / 8}:
+            assert (cos[n // 4 - m], sin[n // 4 - m]) == (sin[m], cos[m]), m
+        quarters = [(cos[k * n // 4], sin[k * n // 4]) for k in range(4)]
+        assert quarters == [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    assert all(math.copysign(1.0, v) == 1.0 for v in cos + sin if v == 0.0)
+    with mpmath.workdps(40):
+        for m, (c, s) in enumerate(zip(cos, sin)):
+            theta = 2 * mpmath.pi * m / n
+            assert abs(c - mpmath.cos(theta)) <= 1.2e-16, m
+            assert abs(s - mpmath.sin(theta)) <= 1.2e-16, m
+            # The 4 units of eps / 2 that _SUM_ROUNDING counts for each pair.
+            assert abs(mpmath.mpf(c) ** 2 + mpmath.mpf(s) ** 2 - 1) <= 4 * 2.0**-53, m
+
+
 def _reference_faces(n_rows, n_angle):
     """Faces as six interleaved index runs in one array('i'), fixed up at the wraps."""
     n = n_angle
@@ -355,15 +384,19 @@ class TestObjOutput:
     @pytest.mark.parametrize(
         "a, y_max, n_profile, n_angle",
         [
-            # Rows of one piece just short of and at the block, rows of two
-            # and three pieces whose last holds one vertex; the wrap quads
-            # fall inside, at the end and at the start of a face block.
+            # The widest row of one shared layout and the narrowest formatted
+            # in place; rows of one piece just short of and at the block, rows
+            # of two and three pieces whose last holds one vertex, and one
+            # whose second piece holds the mirrors m = n - 8 ... n - 1 of the
+            # first's m = 1 ... 8; the wrap quads fall inside, at the end and
+            # at the start of a face block.
             (0.6, 3.0, 2, _OBJ_BLOCK // 2),
             (0.6, 3.0, 2, _OBJ_BLOCK // 2 + 1),
             (0.6, 3.0, 2, _OBJ_BLOCK - 1),
             (0.6, 3.0, 2, _OBJ_BLOCK),
             (0.6, 3.0, 2, _OBJ_BLOCK + 1),
             (0.6, 3.0, 2, 2 * _OBJ_BLOCK + 1),
+            (0.6, 3.0, 2, _OBJ_BLOCK + 8),
             (0.6, 3.0, 501, 3),
             (0.6, 3.0, 33, 7),
             # 599 rows of 7: a block of _OBJ_BLOCK vertex lines would end
@@ -371,10 +404,19 @@ class TestObjOutput:
             (0.6, 3.0, 300, 7),
             (1e-100, 1.0, 4, 6),
             (0.6, 1000.0, 32, 48),
+            # Each set of folds: quarter turns at n = 4 and 8, half but no
+            # quarter turns at n = 6 and 30 (2 mod 4), and only the mirror
+            # m -> n - m at the prime 31.
+            (0.6, 3.0, 5, 4),
+            (0.6, 3.0, 5, 6),
+            (0.6, 3.0, 5, 8),
+            (0.6, 3.0, 5, 30),
+            (0.6, 3.0, 5, 31),
         ],
         ids=["half block angles", "half block + 1 angles", "block - 1 angles", "block angles",
-             "block + 1 angles", "2 blocks + 1 angles", "3 angles 1000 rows", "33x7",
-             "partial last row", "smallest neck", "y_max 1000"],
+             "block + 1 angles", "2 blocks + 1 angles", "block + 8 angles", "3 angles 1000 rows",
+             "33x7", "partial last row", "smallest neck", "y_max 1000", "4 angles", "6 angles",
+             "8 angles", "30 angles", "31 angles"],
     )
     def test_row_writer_edges(self, a, y_max, n_profile, n_angle, tol, tmp_path):
         mesh = build_mesh(MeshParams(a, y_max, n_profile, n_angle), tol)
@@ -389,7 +431,7 @@ class TestObjOutput:
         write_obj(mesh, str(path))
         assert (len(mesh.vertices), len(mesh.faces)) == (6_080, 12_032)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "54e7aa52c3a442834d4a796e3e69bef3d74e33c12e32cf80aa516f5eff92db5b"
+        assert digest == "c8804ffd19a0326a7573beac869c712d1c831f9b3fcbcf169bdb0184f148de86"
 
     def test_same_bytes_from_tuples(self, tol, tmp_path):
         # A mesh made from the same params by MeshData, and the 3-tuples its
@@ -430,9 +472,10 @@ class TestObjOutput:
             mesh.vertices[index]
 
     def test_transient_memory_bounded(self, tol, tmp_path):
-        # A whole-file join would need over 12 MB here and a table of index
-        # strings about 4 MB, so it would exceed this bound; formatting a
-        # row or a face block at a time takes about 710 KiB.
+        # A whole-file join would need over 12 MB here and a table of every
+        # index's string about 4 MB, so it would exceed this bound; a row
+        # laid out from the tokens of its distinct coordinates, or a face
+        # block from those of its indices, at a time takes about 450 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
@@ -448,6 +491,18 @@ class TestObjOutput:
         tracemalloc.start()
         try:
             write_obj(mesh, str(tmp_path / "wide.obj"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_transient_memory_bounded_shared_layout(self, tol, tmp_path):
+        # The widest rows of one shared layout, at an odd n, whose rows hold
+        # about n distinct magnitudes: layout and tokens take about 790 KiB.
+        mesh = build_mesh(MeshParams(0.6, 3.0, 2, _OBJ_BLOCK // 2 - 1), tol)
+        tracemalloc.start()
+        try:
+            write_obj(mesh, str(tmp_path / "shared.obj"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

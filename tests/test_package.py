@@ -202,6 +202,19 @@ class TestImportFootprint:
         loaded, _, _ = _loaded(_run_cli(*argv), tmp_path)
         assert "quadrature" not in loaded
 
+    @pytest.mark.parametrize(
+        "argv, pair",
+        [
+            (("classify", "--a", "0.6"), set()),
+            (("classify", "--distance", "1.0"), {"circles"}),
+            (("classify", "--circles", "0,0,1", "0,0,2.2"), {"circles"}),
+        ],
+    )
+    def test_classify_loads_circles_for_pairs_only(self, tmp_path, argv, pair):
+        # A neck needs no circle pair, so classify --a does not compile circles.
+        loaded, _, _ = _loaded(_run_cli(*argv), tmp_path)
+        assert loaded == {"cli", "catenoid", "competitor", "constants"} | pair
+
 
 def test_readme_python_examples(monkeypatch, tmp_path):
     # Every ```python block, in order and in one namespace, as a reader
