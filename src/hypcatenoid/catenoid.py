@@ -18,8 +18,8 @@ rho' is an R_F and R_D pair like phi.  rho, rho', phi and phi'' need only
 complete integrals, so one AGM loop of Bulirsch's cel gives all of them
 together (Bulirsch, Numer. Math. 13, 1969; DLMF 19.2(iii), 19.8); the
 incomplete x(y) and Phi(a, r) use Carlson's duplication (Numer. Algorithms
-10, 1995; DLMF 19.36).  All are exact to rounding with no quadrature; their
-tol arguments do not affect them.
+10, 1995; DLMF 19.36).  All are exact to rounding with no quadrature; the
+tol that gomes_rho, area_deficit and sample_catenary take is not read.
 The constant K in the second-derivative terms is a Beta integral, in
 Gamma functions (DLMF 5.12).
 
@@ -297,13 +297,13 @@ def gomes_rho(a: float, tol: Tolerance) -> float:
     rho(a) is the integral of sinh(2a) / (cosh t * sqrt(sinh(2t)**2 -
     sinh(2a)**2)) for t from a to infinity.  With w = sinh(a)**2 and
     s = sinh(t)**2 - w it is (sinh(2a) / 6) * R_J(0, w, 1 + 2w, 1 + w),
-    from the AGM loop of _neck_terms, exact to rounding whatever tol is.
+    from the AGM loop of _neck_terms, exact to rounding; tol is not read.
     """
     _check_neck(a)
     return _neck_terms(a)[0]
 
 
-def catenary_x(a: float, y: float, tol: Tolerance) -> float:
+def catenary_x(a: float, y: float) -> float:
     """Axial coordinate x(y) of the catenary profile, zero at the neck y = a.
 
     With w = sinh(a)**2 and T = sinh(y - a) * sinh(y + a) = sinh(y)**2 - w,
@@ -312,7 +312,7 @@ def catenary_x(a: float, y: float, tol: Tolerance) -> float:
     [0, T] onto the ray and gives R_F minus an R_J term that is O(T) smaller,
     so x(y) keeps full relative accuracy at the neck.  Past y - a =
     _TAIL_SPAN, x(y) equals rho(a) to rounding and y is clamped there, which
-    keeps sinh finite.  The value is exact to rounding whatever tol is.
+    keeps sinh finite.  The value is exact to rounding.
     Neck distances below _PROFILE_NECK_MIN (about 2.8e-103) raise
     ValueError.
     """
@@ -345,7 +345,7 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
 
     Node spacing follows y_i = a + (y_max - a) * (i/(n-1))**2, matching the
     (y - a)**(-1/2) growth of the profile slope at the neck.  Each x is
-    catenary_x, exact to rounding whatever tol is.
+    catenary_x, exact to rounding; tol is not read.
     """
     _check_neck(a)
     if not a < y_max < math.inf:
@@ -357,7 +357,7 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
     for i in range(n):
         frac = i / (n - 1)
         y = a + span * frac * frac
-        points.append((catenary_x(a, y, tol), y))
+        points.append((catenary_x(a, y), y))
     return CatenarySample(tuple(points))
 
 
@@ -394,11 +394,10 @@ def _area_excess(a: float, t: float) -> float:
     return _neck_terms(a)[2] + _FOUR_PI * (lead + p * rf - c * p / 3.0 * rd)
 
 
-def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
+def area_difference(a: float, r: float) -> AreaReport:
     """Area difference Phi(a, r) between the tube and its two spanning disks.
 
-    Phi is phi(a) plus incomplete R_F and R_D terms, exact to rounding
-    whatever tol is.
+    Phi is phi(a) plus incomplete R_F and R_D terms, exact to rounding.
     It is never a difference of two large areas, so its absolute accuracy is
     independent of r; the tube area is reconstructed as Phi plus the
     closed-form disk area.  Past r - a = _TAIL_SPAN, Phi equals its limit
@@ -416,9 +415,9 @@ def area_difference(a: float, r: float, tol: Tolerance) -> AreaReport:
     return AreaReport(tube_area=phi + disks, disk_area_total=disks, phi_a_r=phi)
 
 
-def tube_area(a: float, r: float, tol: Tolerance) -> float:
+def tube_area(a: float, r: float) -> float:
     """Area of the compact tube between the neck circle at a and radius r."""
-    return area_difference(a, r, tol).tube_area
+    return area_difference(a, r).tube_area
 
 
 def area_deficit(a: float, tol: Tolerance) -> float:
@@ -427,8 +426,8 @@ def area_deficit(a: float, tol: Tolerance) -> float:
 
     phi(a) = 4 pi [1 - p R_F(0, w, c) + (c p / 3) R_D(0, w, c)] with
     w = sinh(a)**2, c = 1 + 2w and p = 1 + w, which _neck_terms evaluates as
-    4 pi [1 - cel(kc, 1, p / sqrt(c), 0)], exact to rounding whatever tol
-    is: against mpmath its absolute error stays below 1.5e-14 * max(1, |phi|)
+    4 pi [1 - cel(kc, 1, p / sqrt(c), 0)], exact to rounding (tol is not
+    read): against mpmath its absolute error is below 1.5e-14 * max(1, |phi|)
     for a in [1e-6, 25].  Below a ~ 1e-3 phi is small and the two terms
     cancel, so that bound is not a relative one there; below a ~ 1e-9 the
     computed phi is rounding noise of either sign.
@@ -437,12 +436,12 @@ def area_deficit(a: float, tol: Tolerance) -> float:
     return _neck_terms(a)[2]
 
 
-def plane_separation(a: float, r: float, tol: Tolerance) -> float:
+def plane_separation(a: float, r: float) -> float:
     """Distance L between the two spanning disks' planes; equals 2*x(r)."""
     _check_neck(a)
     if not r >= a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
-    return 2.0 * catenary_x(a, r, tol)
+    return 2.0 * catenary_x(a, r)
 
 
 def mvt_f(x: float, K: float) -> float:
@@ -462,12 +461,11 @@ def mvt_f(x: float, K: float) -> float:
     )
 
 
-def concavity_terms(a: float, tol: Tolerance) -> tuple[float, float]:
+def concavity_terms(a: float) -> tuple[float, float]:
     """The two terms I1(a), I2(a) whose sum is the deficit's second derivative.
 
     I1 = phi(a) + 4 pi ((1 - K) cosh a - 1) and I2 = phi''(a) - I1, with
-    phi and phi'' from the AGM loop of _neck_terms.  Both terms are exact to
-    rounding whatever tol is.
+    phi and phi'' from the AGM loop of _neck_terms, both exact to rounding.
     """
     _check_neck(a)
     _, _, phi, _, second = _neck_terms(a)

@@ -98,7 +98,6 @@ def _cmd_constants(args: argparse.Namespace, tol: Tolerance) -> None:
     from .constants import constants_bundle
 
     fields = dataclasses.asdict(constants_bundle(tol))
-    del fields["rho_max"]  # the table leaves out rho_max
     width = max(map(len, fields))
     text = "".join(f"{name:<{width}} = {_fmt(v)}\n" for name, v in fields.items())
     _emit(args, fields, text)
@@ -172,7 +171,7 @@ def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> None:
     if args.s is None:
         found = find_cheaper_competitor(args.a, args.r, tol)
     else:
-        found = competitor_report(args.a, args.r, args.s, tol)
+        found = competitor_report(args.a, args.r, args.s)
     report = {name: getattr(found, name) for name in found.__slots__}
     # The search reports a margin only when it is positive.
     report["witness"] = report["margin"] is not None and report["margin"] > 0.0

@@ -99,7 +99,7 @@ def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
     )
 
 
-def competitor_report(a: float, r: float, s: float, tol: Tolerance) -> CompetitorReport:
+def competitor_report(a: float, r: float, s: float) -> CompetitorReport:
     """Report for the cylinder of radius s, with a margin of either sign.
 
     The competitor is the coaxial cylinder of radius s between the two
@@ -115,10 +115,10 @@ def competitor_report(a: float, r: float, s: float, tol: Tolerance) -> Competito
         raise ValueError(f"tube radius r={r} must exceed the neck distance a={a}")
     # L first: below the profile's neck floor, where a / 2**20 may underflow
     # to 0, the floor is the error to report.
-    L = plane_separation(a, r, tol)
+    L = plane_separation(a, r)
     if not 0.0 < s <= a:
         raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
-    area = area_difference(a, r, tol)
+    area = area_difference(a, r)
     cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
     footprints = disk_area_total(s)
     return CompetitorReport(
@@ -145,10 +145,10 @@ def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorRep
     radii is needed.  Where L >= 1 / sqrt(2) that needs no tanh bound: with
     x = sinh s, m'(s) = 2 pi (2x - L (1 + 2x**2)) < 0 for every x except
     one at L = 1 / sqrt(2), so m is strictly decreasing on (0, a].
-    Returns competitor_report(a, r, a / 2**20, tol), with absent fields
-    when the margin is not positive.
+    Returns competitor_report(a, r, a / 2**20), with absent fields when the
+    margin is not positive; tol is not read.
     """
-    report = competitor_report(a, r, a * 2.0**-20, tol)
+    report = competitor_report(a, r, a * 2.0**-20)
     if report.margin > 0.0:
         return report
     return CompetitorReport(a, r, None, report.area_catenoid, None, None)

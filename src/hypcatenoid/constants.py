@@ -67,7 +67,6 @@ class ConstantsBundle:
     a_l: float
     a_L: float
     two_rho_aL: float
-    rho_max: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a_0 < self.a_c < self.a_L < self.a_l:
@@ -131,12 +130,12 @@ def solve_root(
     )
 
 
-def compute_K(tol: Tolerance) -> float:
+def compute_K() -> float:
     """The constant K = int_0^1 (1/x**2) (1/sqrt(1-x**4) - 1) dx.
 
     K = 1 - sqrt(pi) Gamma(3/4) / Gamma(1/4) = 0.4009298826322038962..., the
     Beta integral int_0^1 x**(s-1) ((1-x**4)**(-1/2) - 1) dx continued to
-    s = -1 (DLMF 5.12); the value is the double nearest K, whatever tol is.
+    s = -1 (DLMF 5.12); the value is the double nearest K.
     """
     return _K
 
@@ -152,11 +151,10 @@ def solve_a_c(tol: Tolerance) -> float:
     return solve_root(lambda a: _neck_terms(a)[3:], 0.3, 0.7)
 
 
-def solve_a_0(K: float, tol: Tolerance) -> float:
+def solve_a_0(K: float) -> float:
     """Unique zero of the comparison function mvt_f on (0, log(3/2)).
 
-    mvt_f and the slope handed with it are elementary, and mvt_f checks K
-    itself, so the root does not depend on tol.
+    mvt_f and the slope handed with it are elementary; mvt_f checks K itself.
     """
 
     def f(x: float) -> tuple[float, float]:
@@ -171,19 +169,17 @@ def solve_a_0(K: float, tol: Tolerance) -> float:
 def constants_bundle(tol: Tolerance) -> ConstantsBundle:
     """All constants, cached for the 32 most recently used tolerances; two
     concurrent first calls for one may return equal but distinct bundles."""
-    K = compute_K(tol)
+    K = compute_K()
     a_c = solve_a_c(tol)
-    rho_max = gomes_rho(a_c, tol)
-    a_0 = solve_a_0(K, tol)
+    a_0 = solve_a_0(K)
     a_l = math.acosh(1.0 / (1.0 - K))
     a_L = solve_root(lambda a: _neck_terms(a)[2:4], a_c, a_l)
     return ConstantsBundle(
         K=K,
         a_c=a_c,
-        two_rho_ac=2.0 * rho_max,
+        two_rho_ac=2.0 * gomes_rho(a_c, tol),
         a_0=a_0,
         a_l=a_l,
         a_L=a_L,
         two_rho_aL=2.0 * gomes_rho(a_L, tol),
-        rho_max=rho_max,
     )

@@ -34,8 +34,8 @@ def _report(number: int, description: str, ok: bool) -> bool:
     return ok
 
 
-def test_criterion_01(tol):
-    ok = abs(compute_K(tol) - 0.40093) <= 5e-5
+def test_criterion_01():
+    ok = abs(compute_K() - 0.40093) <= 5e-5
     assert _report(1, "K = 0.40093 within 5e-5", ok)
 
 
@@ -45,8 +45,8 @@ def test_criterion_02(bundle, tol):
     assert _report(2, "a_c = 0.49577 and 2 rho(a_c) = 1.00229 within 1e-4", ok_a and ok_d)
 
 
-def test_criterion_03(tol):
-    a_l = math.acosh(1.0 / (1.0 - compute_K(tol)))
+def test_criterion_03():
+    a_l = math.acosh(1.0 / (1.0 - compute_K()))
     ok = abs(a_l - 1.10055) <= 1e-4
     assert _report(3, "acosh(1/(1-K)) = 1.10055 within 1e-4", ok)
 
@@ -83,10 +83,10 @@ def test_criterion_08(tol):
     ok_collapsed = True
     ok_limit = True
     for a in grid:
-        values = [area_difference(a, a + 0.5 * k, tol).phi_a_r for k in range(11)]
+        values = [area_difference(a, a + 0.5 * k).phi_a_r for k in range(11)]
         ok_monotone &= all(v2 - v1 >= -1e-12 for v1, v2 in zip(values, values[1:]))
         ok_collapsed &= values[0] == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
-        limit = area_difference(a, a + 20.0, tol).phi_a_r
+        limit = area_difference(a, a + 20.0).phi_a_r
         ok_limit &= abs(limit - area_deficit(a, tol)) <= 1e-6
 
     abscissas = [0.01 + (3.0 - 0.01) * i / 299 for i in range(300)]

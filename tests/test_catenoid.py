@@ -61,59 +61,59 @@ class TestGomesRho:
 
 
 class TestCatenaryX:
-    def test_neck_value_is_zero(self, tol):
-        assert catenary_x(0.7, 0.7, tol) == 0.0
+    def test_neck_value_is_zero(self):
+        assert catenary_x(0.7, 0.7) == 0.0
 
     def test_saturates_to_rho(self, tol):
-        assert catenary_x(0.5, 30.0, tol) == pytest.approx(
+        assert catenary_x(0.5, 30.0) == pytest.approx(
             gomes_rho(0.5, tol), abs=1e-8
         )
 
     def test_far_from_neck_equals_rho(self, tol):
         # y - a is clamped where the remaining mass is below rounding.
-        assert catenary_x(0.5, 1000.0, tol) == pytest.approx(
+        assert catenary_x(0.5, 1000.0) == pytest.approx(
             gomes_rho(0.5, tol), abs=1e-15
         )
 
-    def test_frozen_reference(self, tol):
-        assert catenary_x(0.5, 1.0, tol) == pytest.approx(X_05_1, abs=1e-10)
+    def test_frozen_reference(self):
+        assert catenary_x(0.5, 1.0) == pytest.approx(X_05_1, abs=1e-10)
 
-    def test_monotone_in_y(self, tol):
-        values = [catenary_x(0.5, y, tol) for y in (0.5, 0.6, 1.0, 2.0, 5.0)]
+    def test_monotone_in_y(self):
+        values = [catenary_x(0.5, y) for y in (0.5, 0.6, 1.0, 2.0, 5.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_below_neck_rejected(self, tol):
+    def test_below_neck_rejected(self):
         with pytest.raises(ValueError):
-            catenary_x(0.5, 0.4, tol)
+            catenary_x(0.5, 0.4)
 
     def test_infinite_y_is_rho(self, tol):
         # The _TAIL_SPAN clamp takes y = inf to the same point as y = 1000.
         for a in (0.01, 0.6, 3.0):
-            x = catenary_x(a, math.inf, tol)
-            assert x == catenary_x(a, 1000.0, tol)
+            x = catenary_x(a, math.inf)
+            assert x == catenary_x(a, 1000.0)
             assert x == pytest.approx(gomes_rho(a, tol), rel=8.0 * sys.float_info.epsilon)
 
-    def test_smallest_supported_neck(self, tol):
+    def test_smallest_supported_neck(self):
         # Next to the neck the Carlson arguments are all about sinh(a)**2,
         # so the floor is where sinh(a)**3 stops being a normal double.
         floor = catenoid._PROFILE_NECK_MIN
         assert floor == sys.float_info.min ** (1.0 / 3.0)
         for a in (floor, 1e-100, 3e-82):
             for offset in (0.0, 1e-300, a * 1e-12, a, 1e-3, 1.0, 100.0):
-                x = catenary_x(a, a + offset, tol)
+                x = catenary_x(a, a + offset)
                 assert math.isfinite(x) and x >= 0.0, (a, offset)
         for a in (math.nextafter(floor, 0.0), 1e-155, 1e-200):
             with pytest.raises(ValueError, match="smallest the profile"):
-                catenary_x(a, 1.0, tol)
+                catenary_x(a, 1.0)
 
     def test_small_neck_through_callers(self, tol):
         points = sample_catenary(1e-100, 1.0, 3, tol).points
-        assert points[0] == (0.0, 1e-100) and points[-1][0] == catenary_x(1e-100, 1.0, tol)
-        assert plane_separation(1e-100, 1.0, tol) == 2.0 * points[-1][0]
+        assert points[0] == (0.0, 1e-100) and points[-1][0] == catenary_x(1e-100, 1.0)
+        assert plane_separation(1e-100, 1.0) == 2.0 * points[-1][0]
         with pytest.raises(ValueError, match="smallest the profile"):
             sample_catenary(1e-200, 1.0, 3, tol)
         with pytest.raises(ValueError, match="smallest the profile"):
-            plane_separation(1e-200, 1.0, tol)
+            plane_separation(1e-200, 1.0)
 
 
 class TestSampleCatenary:
@@ -201,39 +201,39 @@ class TestDiskArea:
 
 
 class TestAreaDifference:
-    def test_collapsed_tube(self, tol):
+    def test_collapsed_tube(self):
         for a in (0.2, 0.7, 1.5):
-            rep = area_difference(a, a, tol)
+            rep = area_difference(a, a)
             assert rep.tube_area == 0.0
             assert rep.phi_a_r == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
 
-    def test_frozen_tube_area(self, tol):
-        assert tube_area(0.5, 2.0, tol) == pytest.approx(TUBE_05_2, abs=1e-8)
+    def test_frozen_tube_area(self):
+        assert tube_area(0.5, 2.0) == pytest.approx(TUBE_05_2, abs=1e-8)
 
-    def test_report_identity(self, tol):
+    def test_report_identity(self):
         for a, r in ((0.5, 2.0), (0.9, 5.0), (1.5, 21.5)):
-            rep = area_difference(a, r, tol)
+            rep = area_difference(a, r)
             assert isinstance(rep, AreaReport)
             slack = 4.0 * math.ulp(max(abs(rep.tube_area), rep.disk_area_total))
             assert abs(rep.tube_area - rep.disk_area_total - rep.phi_a_r) <= slack
 
-    def test_sign_examples(self, tol):
-        assert area_difference(0.5, 3.0, tol).phi_a_r > 0.0
-        assert area_difference(1.2, 4.0, tol).phi_a_r < 0.0
-        assert tube_area(0.9, 5.0, tol) < disk_area_total(5.0)
+    def test_sign_examples(self):
+        assert area_difference(0.5, 3.0).phi_a_r > 0.0
+        assert area_difference(1.2, 4.0).phi_a_r < 0.0
+        assert tube_area(0.9, 5.0) < disk_area_total(5.0)
 
-    def test_monotone_in_r(self, tol):
+    def test_monotone_in_r(self):
         for a in (0.2, 0.5, 0.9, 1.5):
             values = [
-                area_difference(a, a + 0.5 * k, tol).phi_a_r for k in range(1, 11)
+                area_difference(a, a + 0.5 * k).phi_a_r for k in range(1, 11)
             ]
             assert all(b >= a_ - 1e-12 for a_, b in zip(values, values[1:]))
 
-    def test_phi_bounds(self, tol):
-        K = compute_K(tol)
+    def test_phi_bounds(self):
+        K = compute_K()
         for a in (0.2, 0.5, 0.9, 1.5):
             for r in (a + 0.5, a + 2.0, a + 10.0):
-                phi = area_difference(a, r, tol).phi_a_r
+                phi = area_difference(a, r).phi_a_r
                 lower = -4.0 * math.pi * (math.cosh(a) - 1.0)
                 upper = 4.0 * math.pi * K * math.cosh(a) - 4.0 * math.pi * (
                     math.cosh(a) - 1.0
@@ -242,15 +242,15 @@ class TestAreaDifference:
 
     def test_limit_consistency(self, tol):
         for a in (0.2, 0.5, 0.9, 1.2, 1.5):
-            assert area_difference(a, a + 20.0, tol).phi_a_r == pytest.approx(
+            assert area_difference(a, a + 20.0).phi_a_r == pytest.approx(
                 area_deficit(a, tol), abs=1e-6
             )
 
     def test_infinite_radius(self, tol):
         for a in (0.3, 0.6, 1.2):
-            assert area_difference(a, math.inf, tol).phi_a_r == area_deficit(a, tol)
+            assert area_difference(a, math.inf).phi_a_r == area_deficit(a, tol)
             # Past r ~ 710 cosh r overflows; the report is the r = inf one.
-            assert area_difference(a, 1000.0, tol) == area_difference(a, math.inf, tol)
+            assert area_difference(a, 1000.0) == area_difference(a, math.inf)
 
     def test_underflowed_tube(self, tol):
         # Below necks of about 7.5e-155, T = sinh(r - a) sinh(r + a) can
@@ -260,8 +260,8 @@ class TestAreaDifference:
             for r in (10.0**-e for e in range(320, -1, -5)):
                 if not r > a:
                     continue
-                rep = area_difference(a, r, tol)
-                assert tube_area(a, r, tol) == rep.tube_area
+                rep = area_difference(a, r)
+                assert tube_area(a, r) == rep.tube_area
                 if math.sinh(r - a) * math.sinh(r + a) == 0.0:
                     assert rep.phi_a_r == -rep.disk_area_total
                     underflowed += 1
@@ -271,11 +271,11 @@ class TestAreaDifference:
                     assert "smallest the profile" in str(exc)
         assert underflowed > 400
 
-    def test_domain(self, tol):
+    def test_domain(self):
         with pytest.raises(ValueError):
-            area_difference(0.5, 0.4, tol)
+            area_difference(0.5, 0.4)
         with pytest.raises(ValueError):
-            area_difference(0.0, 1.0, tol)
+            area_difference(0.0, 1.0)
 
 
 class TestAreaDeficit:
@@ -296,45 +296,45 @@ class TestAreaDeficit:
         assert area_deficit(3.0, tol) == pytest.approx(-63.4475, rel=1e-5)
 
     def test_upper_bound(self, tol):
-        K = compute_K(tol)
+        K = compute_K()
         for a in (0.1, 0.5, 1.0, 2.0, 3.0):
             bound = -4.0 * math.pi * (1.0 - K) * math.cosh(a) + 4.0 * math.pi
             assert area_deficit(a, tol) < bound
 
 
 class TestPlaneSeparation:
-    def test_collapsed(self, tol):
-        assert plane_separation(0.4, 0.4, tol) == 0.0
+    def test_collapsed(self):
+        assert plane_separation(0.4, 0.4) == 0.0
 
     def test_saturates(self, tol):
-        assert plane_separation(0.5, 10.0, tol) == pytest.approx(
+        assert plane_separation(0.5, 10.0) == pytest.approx(
             2.0 * gomes_rho(0.5, tol), abs=1e-6
         )
 
-    def test_shared_implementation_identity(self, tol):
-        assert plane_separation(0.3, 1.0, tol) == 2.0 * catenary_x(0.3, 1.0, tol)
+    def test_shared_implementation_identity(self):
+        assert plane_separation(0.3, 1.0) == 2.0 * catenary_x(0.3, 1.0)
 
-    def test_frozen_references(self, tol):
-        assert plane_separation(0.6, 3.0, tol) == pytest.approx(L_06_3, abs=1e-10)
-        assert plane_separation(1.0, 3.0, tol) == pytest.approx(L_1_3, abs=1e-10)
+    def test_frozen_references(self):
+        assert plane_separation(0.6, 3.0) == pytest.approx(L_06_3, abs=1e-10)
+        assert plane_separation(1.0, 3.0) == pytest.approx(L_1_3, abs=1e-10)
 
 
 class TestMvtF:
-    def test_value_at_zero(self, tol):
-        K = compute_K(tol)
+    def test_value_at_zero(self):
+        K = compute_K()
         assert mvt_f(0.0, K) == pytest.approx(-48.0 + 15.0 * (1.0 - K), abs=1e-12)
         assert mvt_f(0.0, K) < 0.0
 
-    def test_closed_form_at_log_3_2(self, tol):
-        K = compute_K(tol)
+    def test_closed_form_at_log_3_2(self):
+        K = compute_K()
         expected = (171374697.0 - 215561285.0 * K) / 1119744.0
         value = mvt_f(math.log(1.5), K)
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(75.8653194881, abs=1e-6)
         assert value > 0.0
 
-    def test_monotone_on_grid(self, tol):
-        K = compute_K(tol)
+    def test_monotone_on_grid(self):
+        K = compute_K()
         values = [mvt_f(2.0 * i / 999.0, K) for i in range(1000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -346,21 +346,21 @@ class TestMvtF:
 
 
 class TestConcavityTerms:
-    def test_first_term_negative(self, tol):
-        i1, _ = concavity_terms(0.3, tol)
+    def test_first_term_negative(self):
+        i1, _ = concavity_terms(0.3)
         assert i1 < 0.0
 
-    def test_sum_negative_past_a0(self, tol):
-        i1, i2 = concavity_terms(0.6, tol)
+    def test_sum_negative_past_a0(self):
+        i1, i2 = concavity_terms(0.6)
         assert i1 + i2 < 0.0
 
-    def test_frozen_references(self, tol):
-        i1, i2 = concavity_terms(0.6, tol)
+    def test_frozen_references(self):
+        i1, i2 = concavity_terms(0.6)
         assert i1 == pytest.approx(I1_06, abs=1e-8)
         assert i2 == pytest.approx(I2_06, abs=1e-8)
 
     def test_matches_finite_difference(self, tol):
-        i1, i2 = concavity_terms(0.6, tol)
+        i1, i2 = concavity_terms(0.6)
         h = 1e-3
         fd = (
             area_deficit(0.6 - h, tol)
@@ -373,19 +373,19 @@ class TestConcavityTerms:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda tol: catenary_x(0.6, math.nan, tol),
-        lambda tol: area_difference(0.6, math.nan, tol),
-        lambda tol: tube_area(0.6, math.nan, tol),
-        lambda tol: plane_separation(0.6, math.nan, tol),
-        lambda tol: disk_area_total(math.nan),
-        lambda tol: mvt_f(math.nan, 0.4),
+        lambda: catenary_x(0.6, math.nan),
+        lambda: area_difference(0.6, math.nan),
+        lambda: tube_area(0.6, math.nan),
+        lambda: plane_separation(0.6, math.nan),
+        lambda: disk_area_total(math.nan),
+        lambda: mvt_f(math.nan, 0.4),
     ],
     ids=["catenary_x", "area_difference", "tube_area", "plane_separation",
          "disk_area_total", "mvt_f"],
 )
-def test_nan_argument_rejected(call, tol):
+def test_nan_argument_rejected(call):
     with pytest.raises(ValueError):
-        call(tol)
+        call()
 
 
 @pytest.mark.parametrize("abs_tol", [0.0, -1e-10, math.inf, -math.inf, math.nan])

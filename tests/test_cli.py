@@ -374,7 +374,7 @@ class TestCompeteCommand:
         assert report["witness"] is False
         assert report["s"] is None and report["margin"] is None
 
-    def test_fixed_cylinder_height(self, capsys, tol):
+    def test_fixed_cylinder_height(self, capsys):
         code, out, _ = run_cli(
             capsys, "compete", "--a", "0.6", "--r", "3", "--s", "0.05", "--json"
         )
@@ -382,7 +382,7 @@ class TestCompeteCommand:
         report = json.loads(out)
         assert report["margin"] == pytest.approx(0.42652908564463, abs=1e-6)
         assert report["area_catenoid"] == pytest.approx(
-            tube_area(0.6, 3.0, tol), abs=1e-9
+            tube_area(0.6, 3.0), abs=1e-9
         )
 
     @pytest.mark.parametrize("r", ["30", "40", "60", "1000"])
@@ -393,15 +393,15 @@ class TestCompeteCommand:
         assert "margin = 0.722454639189\n" in out
 
     @pytest.mark.parametrize("r", ["30", "40", "60", "1000"])
-    def test_fixed_cylinder_height_at_large_radius(self, capsys, tol, r):
+    def test_fixed_cylinder_height_at_large_radius(self, capsys, r):
         s = 0.6 / 2**20
         code, out, _ = run_cli(
             capsys, "compete", "--a", "0.6", "--r", r, "--s", repr(s), "--json"
         )
         assert code == 0
         report = json.loads(out)
-        phi = area_difference(0.6, float(r), tol).phi_a_r
-        L = plane_separation(0.6, float(r), tol)
+        phi = area_difference(0.6, float(r)).phi_a_r
+        L = plane_separation(0.6, float(r))
         expected = (
             phi
             - math.pi * L * math.sinh(2.0 * s)
@@ -674,11 +674,11 @@ GOLDEN = {
     "sweep phi --json":
         "4ca1c717c5b52acfbd638dca7179cd6bde82f1b84b2c5dfda7127a7edc00bccd",
     "classify --a 0.6":
-        "02b1d34f46e17d6ceba8e1f814e9e1cbc2917a5ef2c4805d4b6242aed01ebd6f",
+        "b979f0a914277a5bb931556e46d74246ec6032832ff859e5c9c11245fc453a18",
     "classify --distance 0.8":
-        "f0eccf4705d4c7a5bee09785acd1825daf54dd9764316c0f8b27dae0be804116",
+        "f3a96337d87e452d409d965e8913eea062524af9de33416f581b0454221d1217",
     "classify --circles 0,0,1 0,0,2.2":
-        "5fa20c854318b921af42383c2621727a5acabca21963d8ae292356ccef8c7b50",
+        "108539ffb780eb22094ab52a716680ad6234b0a3d06022b73840e5407859541d",
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":
@@ -690,7 +690,7 @@ GOLDEN = {
     "sweep rho --lo 0 --hi 1 --n 3":
         "4df9569fb03768c4be98f9aad1281a9dd99bf1a55086ee8887178b61325acca5",
     "classify --distance 1.5 --out classify.json":
-        "3ece262db76b350de1ccd4479425268e2a6ea53db31941df621fe25d1979c3ce",
+        "135879468d73fe1277a2a2b7aef8dbc13156fa9114694df4da1de1b7ec48afad",
     "catenary --a 0.5 --y-max 2.5 --n 5 --json":
         "6e9d72366fd45d5b27add24dc5ab1e2e57ef0df39d8ac2b37ed7d84b29db6da3",
     "compete --a 0.6 --r 3":

@@ -79,45 +79,45 @@ class TestClassifyRegime:
 
 
 class TestCompetitorArea:
-    def test_thin_cylinder_limit(self, tol):
+    def test_thin_cylinder_limit(self):
         # As s -> 0 the cylinder and the removed footprints vanish, leaving
         # just the two full disks.
-        value = competitor_report(0.6, 3.0, 1e-8, tol).area_competitor
+        value = competitor_report(0.6, 3.0, 1e-8).area_competitor
         assert value == pytest.approx(disk_area_total(3.0), abs=1e-6)
 
-    def test_frozen_value(self, tol):
+    def test_frozen_value(self):
         # The margin, taken from Phi, agrees with the difference of the areas.
-        report = competitor_report(0.6, 3.0, 0.05, tol)
+        report = competitor_report(0.6, 3.0, 0.05)
         assert report.area_competitor == pytest.approx(PI_06_3_005, abs=1e-9)
         assert report.margin == pytest.approx(MARGIN_06_3_005, abs=1e-9)
 
-    def test_closed_form(self, tol):
+    def test_closed_form(self):
         a, r, s = 0.7, 2.5, 0.2
-        L = plane_separation(a, r, tol)
+        L = plane_separation(a, r)
         expected = (
             2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
             + disk_area_total(r)
             - 4.0 * math.pi * (math.cosh(s) - 1.0)
         )
-        area = competitor_report(a, r, s, tol).area_competitor
+        area = competitor_report(a, r, s).area_competitor
         assert area == pytest.approx(expected, rel=1e-12)
 
-    def test_beats_catenoid_in_middle_regime(self, tol):
-        assert competitor_report(0.6, 3.0, 0.05, tol).area_competitor < tube_area(0.6, 3.0, tol)
+    def test_beats_catenoid_in_middle_regime(self):
+        assert competitor_report(0.6, 3.0, 0.05).area_competitor < tube_area(0.6, 3.0)
 
-    def test_neck_width_allowed_up_to_a(self, tol):
-        value = competitor_report(0.6, 3.0, 0.6, tol).area_competitor
+    def test_neck_width_allowed_up_to_a(self):
+        value = competitor_report(0.6, 3.0, 0.6).area_competitor
         assert math.isfinite(value) and value > 0.0
 
-    def test_domain(self, tol):
+    def test_domain(self):
         with pytest.raises(ValueError):
-            competitor_report(0.6, 3.0, 0.0, tol)
+            competitor_report(0.6, 3.0, 0.0)
         with pytest.raises(ValueError):
-            competitor_report(0.6, 3.0, -0.1, tol)
+            competitor_report(0.6, 3.0, -0.1)
         with pytest.raises(ValueError):
-            competitor_report(0.6, 3.0, 0.7, tol)
+            competitor_report(0.6, 3.0, 0.7)
         with pytest.raises(ValueError):
-            competitor_report(0.6, 0.5, 0.1, tol)
+            competitor_report(0.6, 0.5, 0.1)
 
 
 class TestFindCheaperCompetitor:
@@ -128,7 +128,7 @@ class TestFindCheaperCompetitor:
         assert 0.0 < report.s < 0.6
         assert report.margin is not None and report.margin > 0.0
         assert report.area_catenoid == pytest.approx(
-            tube_area(0.6, 3.0, tol), abs=1e-9
+            tube_area(0.6, 3.0), abs=1e-9
         )
         assert report.margin == pytest.approx(
             report.area_catenoid - report.area_competitor, abs=1e-9
@@ -140,11 +140,11 @@ class TestFindCheaperCompetitor:
         # s = a / 2**20 unchanged.
         report = find_cheaper_competitor(a, r, tol)
         assert report.margin > 0.0
-        assert report == competitor_report(a, r, a * 2**-20, tol)
+        assert report == competitor_report(a, r, a * 2**-20)
 
     def test_margin_at_fixed_s(self, tol):
         report = find_cheaper_competitor(0.6, 3.0, tol)
-        at_s = competitor_report(0.6, 3.0, 0.05, tol)
+        at_s = competitor_report(0.6, 3.0, 0.05)
         fixed = report.area_catenoid - at_s.area_competitor
         assert fixed == pytest.approx(MARGIN_06_3_005, abs=1e-9)
         assert report.margin >= fixed
@@ -153,7 +153,7 @@ class TestFindCheaperCompetitor:
         # At s = a / 2**20 the cylinder contribution is about
         # 2 pi L a / 2**20, so the margin sits within 1e-5 of Phi.
         report = find_cheaper_competitor(0.6, 3.0, tol)
-        phi = area_difference(0.6, 3.0, tol).phi_a_r
+        phi = area_difference(0.6, 3.0).phi_a_r
         assert abs(report.margin - phi) < 1e-5
 
     @pytest.mark.parametrize("r", [30.0, 40.0, 60.0])
@@ -163,8 +163,8 @@ class TestFindCheaperCompetitor:
         report = find_cheaper_competitor(0.6, r, tol)
         assert report.s == 0.6 / 2**20
         s = report.s
-        phi = area_difference(0.6, r, tol).phi_a_r
-        L = plane_separation(0.6, r, tol)
+        phi = area_difference(0.6, r).phi_a_r
+        L = plane_separation(0.6, r)
         expected = (
             phi
             - math.pi * L * math.sinh(2.0 * s)
@@ -177,7 +177,7 @@ class TestFindCheaperCompetitor:
         far = find_cheaper_competitor(0.6, 1000.0, tol)
         limit = find_cheaper_competitor(0.6, math.inf, tol)
         assert (far.s, far.margin) == (limit.s, limit.margin)
-        fixed = competitor_report(0.6, 1000.0, 0.1, tol)
+        fixed = competitor_report(0.6, 1000.0, 0.1)
         assert far.area_competitor == fixed.area_competitor == math.inf
 
     def test_no_witness_above_threshold(self, tol):
@@ -186,14 +186,14 @@ class TestFindCheaperCompetitor:
         assert report.area_competitor is None
         assert report.margin is None
         assert report.area_catenoid == pytest.approx(
-            tube_area(1.0, 3.0, tol), abs=1e-9
+            tube_area(1.0, 3.0), abs=1e-9
         )
 
-    def test_no_witness_confirmed_by_dense_scan(self, tol):
+    def test_no_witness_confirmed_by_dense_scan(self):
         # margin(s) = Phi - 2 pi L sinh(s) cosh(s) + 4 pi (cosh(s) - 1), so
         # absence means the cylinder penalty dominates Phi for every s.
-        phi = area_difference(1.0, 3.0, tol).phi_a_r
-        L = plane_separation(1.0, 3.0, tol)
+        phi = area_difference(1.0, 3.0).phi_a_r
+        L = plane_separation(1.0, 3.0)
         s = np.linspace(1e-6, 1.0, 200_000)
         penalty = (
             2.0 * math.pi * L * np.sinh(s) * np.cosh(s)
@@ -229,10 +229,10 @@ class TestFindCheaperCompetitor:
         witnesses = 0
         for a in necks:
             for r in (a + dr for dr in gaps):
-                phi = area_difference(a, r, tol).phi_a_r
+                phi = area_difference(a, r).phi_a_r
                 if abs(phi) <= 1e-12:
                     continue
-                L = plane_separation(a, r, tol)
+                L = plane_separation(a, r)
                 best_s, best = None, 0.0
                 for k in range(1, 21):
                     s = a / 2.0**k
@@ -249,7 +249,7 @@ class TestFindCheaperCompetitor:
                 witnesses += best_s is not None
         assert witnesses > 1000
 
-    def test_separation_exceeds_bound_where_phi_vanishes(self, bundle, tol):
+    def test_separation_exceeds_bound_where_phi_vanishes(self, bundle):
         # margin(s) < Phi exactly when L > 2 tanh(s/2) / cosh s.  The bound
         # rises on (0, a_L], and at the zero r0 of Phi(a, .) the separation
         # already exceeds it at s = a by a factor of at least 1.27.
@@ -263,29 +263,29 @@ class TestFindCheaperCompetitor:
         for a in necks + [bundle.a_L * (1.0 - 1e-3), bundle.a_L * (1.0 - 1e-6)]:
             a = float(a)
             lo, hi = a, a + 41.0  # Phi(a, .) is constant past r - a = 40
-            assert area_difference(a, hi, tol).phi_a_r > 0.0
+            assert area_difference(a, hi).phi_a_r > 0.0
             while lo < (mid := 0.5 * (lo + hi)) < hi:
-                if area_difference(a, mid, tol).phi_a_r > 0.0:
+                if area_difference(a, mid).phi_a_r > 0.0:
                     hi = mid
                 else:
                     lo = mid
-            assert plane_separation(a, hi, tol) > 1.27 * bound(a), a
+            assert plane_separation(a, hi) > 1.27 * bound(a), a
 
-    def test_margin_sign_matches_phi_where_separation_is_large(self, tol):
+    def test_margin_sign_matches_phi_where_separation_is_large(self):
         # Where L >= 1/sqrt(2) the margin m(s) falls strictly from Phi, and
         # m(s) >= Phi - pi L sinh 2s, so outside that gap around 0 the
         # margin at s = a / 2**20 has the sign of Phi.
         checked = positive = 0
         for a in (float(a) for a in np.geomspace(0.15, 1.1, 150)):
             for r in (a + float(dr) for dr in np.geomspace(1e-9, 60.0, 150)):
-                L = plane_separation(a, r, tol)
+                L = plane_separation(a, r)
                 if L < 1.0 / math.sqrt(2.0):
                     continue
                 s = a * 2.0**-20
-                phi = area_difference(a, r, tol).phi_a_r
+                phi = area_difference(a, r).phi_a_r
                 if abs(phi) <= math.pi * L * math.sinh(2.0 * s):
                     continue
-                margin = competitor_report(a, r, s, tol).margin
+                margin = competitor_report(a, r, s).margin
                 assert (margin > 0.0) == (phi > 0.0), (a, r)
                 checked += 1
                 positive += phi > 0.0
@@ -294,11 +294,11 @@ class TestFindCheaperCompetitor:
     def test_smallest_neck(self, tol):
         report = find_cheaper_competitor(1e-100, 1.0, tol)
         assert report.s is None and math.isfinite(report.area_catenoid)
-        assert math.isfinite(competitor_report(1e-100, 1.0, 1e-101, tol).area_competitor)
+        assert math.isfinite(competitor_report(1e-100, 1.0, 1e-101).area_competitor)
         with pytest.raises(ValueError, match="smallest the profile"):
             find_cheaper_competitor(1e-200, 1.0, tol)
         with pytest.raises(ValueError, match="smallest the profile"):
-            competitor_report(1e-200, 1.0, 1e-201, tol)
+            competitor_report(1e-200, 1.0, 1e-201)
 
     def test_domain(self, tol):
         with pytest.raises(ValueError):

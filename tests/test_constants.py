@@ -107,14 +107,14 @@ class TestSolveRoot:
 
 
 class TestComputeK:
-    def test_printed_value(self, tol):
-        assert compute_K(tol) == pytest.approx(0.40093, abs=5e-5)
+    def test_printed_value(self):
+        assert compute_K() == pytest.approx(0.40093, abs=5e-5)
 
-    def test_frozen_reference(self, tol):
-        assert compute_K(tol) == pytest.approx(K_REF, abs=1e-10)
+    def test_frozen_reference(self):
+        assert compute_K() == pytest.approx(K_REF, abs=1e-10)
 
-    def test_lower_threshold_identity(self, tol):
-        K = compute_K(tol)
+    def test_lower_threshold_identity(self):
+        K = compute_K()
         assert math.acosh(1.0 / (1.0 - K)) == pytest.approx(1.10055, abs=1e-4)
 
     def test_integrand_vanishes_at_origin(self):
@@ -149,23 +149,23 @@ class TestSolveAc:
 
 
 class TestSolveA0:
-    def test_within_proof_bounds(self, tol):
-        K = compute_K(tol)
-        a_0 = solve_a_0(K, tol)
+    def test_within_proof_bounds(self):
+        K = compute_K()
+        a_0 = solve_a_0(K)
         assert 0.0 < a_0 < 0.405465
 
-    def test_sign_change(self, tol):
-        K = compute_K(tol)
-        a_0 = solve_a_0(K, tol)
+    def test_sign_change(self):
+        K = compute_K()
+        a_0 = solve_a_0(K)
         assert mvt_f(a_0 - 0.01, K) < 0.0 < mvt_f(a_0 + 0.01, K)
 
-    def test_frozen_reference(self, tol):
-        K = compute_K(tol)
-        assert solve_a_0(K, tol) == pytest.approx(A_0_REF, abs=1e-8)
+    def test_frozen_reference(self):
+        K = compute_K()
+        assert solve_a_0(K) == pytest.approx(A_0_REF, abs=1e-8)
 
-    def test_against_sign_scan(self, tol):
+    def test_against_sign_scan(self):
         # Brute-force bracket: locate the sign flip on a dense grid.
-        K = compute_K(tol)
+        K = compute_K()
         x = np.linspace(1e-6, 0.405465, 100_000)
         f = (
             -30.0 * np.cosh(3.0 * x)
@@ -176,7 +176,7 @@ class TestSolveA0:
         flips = np.nonzero(np.sign(f[:-1]) != np.sign(f[1:]))[0]
         assert len(flips) == 1
         lo, hi = x[flips[0]], x[flips[0] + 1]
-        assert lo <= solve_a_0(K, tol) <= hi
+        assert lo <= solve_a_0(K) <= hi
 
 
 class TestSolveAL:
@@ -208,13 +208,12 @@ class TestConstantsBundle:
 
     def test_frozen_references(self, bundle):
         assert bundle.K == pytest.approx(K_REF, abs=1e-10)
-        assert bundle.rho_max == pytest.approx(RHO_MAX_REF, abs=1e-9)
+        assert bundle.two_rho_ac / 2 == pytest.approx(RHO_MAX_REF, abs=1e-9)
         assert bundle.a_l == pytest.approx(A_L_LOWER_REF, abs=1e-9)
         assert bundle.two_rho_aL == pytest.approx(TWO_RHO_AL_REF, abs=1e-9)
 
     def test_derived_fields(self, bundle, tol):
-        assert bundle.two_rho_ac == 2.0 * bundle.rho_max
-        assert bundle.rho_max == pytest.approx(gomes_rho(bundle.a_c, tol), abs=1e-9)
+        assert bundle.two_rho_ac == 2.0 * gomes_rho(bundle.a_c, tol)
         assert bundle.two_rho_ac == pytest.approx(1.00229, abs=1e-4)
         assert bundle.a_l == pytest.approx(
             math.acosh(1.0 / (1.0 - bundle.K)), abs=1e-12
@@ -276,8 +275,7 @@ class TestConstantsBundle:
     def test_self_consistency_across_tolerances(self):
         coarse = constants_bundle(Tolerance(abs_tol=1e-8))
         fine = constants_bundle(Tolerance(abs_tol=1e-9))
-        for field in ("K", "a_c", "rho_max", "a_0", "a_l", "a_L",
-                      "two_rho_ac", "two_rho_aL"):
+        for field in ("K", "a_c", "a_0", "a_l", "a_L", "two_rho_ac", "two_rho_aL"):
             assert getattr(coarse, field) == pytest.approx(
                 getattr(fine, field), abs=1e-8
             )
@@ -287,7 +285,6 @@ class TestConstantsBundle:
             ConstantsBundle(
                 K=0.4,
                 a_c=0.5,
-                rho_max=0.5,
                 a_0=0.6,
                 a_l=1.1,
                 a_L=0.85,

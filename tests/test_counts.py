@@ -116,7 +116,7 @@ def test_solve_a_c(count_evaluations):
 
 
 def test_compute_K(count_evaluations):
-    assert count_evaluations(lambda: compute_K(TOL)) == 0
+    assert count_evaluations(lambda: compute_K()) == 0
 
 
 def test_catenoids_for_circles(count_evaluations):
@@ -138,7 +138,7 @@ def test_deficit_sweep(count_evaluations):
 def test_area_difference(count_evaluations):
     def evaluate():
         for r in (0.6, 0.6 + 1e-7, 3.0, 50.0):
-            area_difference(0.6, r, TOL)
+            area_difference(0.6, r)
 
     assert count_evaluations(evaluate) == 0
 
@@ -148,7 +148,7 @@ def test_find_cheaper_competitor(count_evaluations):
 
 
 def test_concavity_terms(count_evaluations):
-    assert count_evaluations(lambda: concavity_terms(0.6, TOL)) == 0
+    assert count_evaluations(lambda: concavity_terms(0.6)) == 0
 
 
 def test_build_mesh(count_evaluations):
@@ -318,6 +318,26 @@ def test_cold_bundle_kernel_calls(count_calls):
     assert count_calls(catenoid, "_neck_terms", lambda: constants_bundle(TOL)) == 12
 
 
+def test_cold_bundle_named_calls(monkeypatch):
+    # A cold bundle takes K, a_c and a_0 through the constants module's
+    # globals, once each, and a cached one calls none of them.
+    calls = {"compute_K": [], "solve_a_c": [], "solve_a_0": []}
+    for name, seen in calls.items():
+        original = getattr(constants, name)
+
+        def counted(*args, original=original, seen=seen):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constants, name, counted)
+    constants_bundle.cache_clear()
+    bundle = constants_bundle(TOL)
+    cold = {"compute_K": [()], "solve_a_c": [(TOL,)], "solve_a_0": [(bundle.K,)]}
+    assert calls == cold
+    assert constants_bundle(TOL) is bundle
+    assert calls == cold
+
+
 def _separations():
     bundle = constants_bundle(TOL)
     inner = circle_from_center_radius(0j, 1.0)
@@ -342,7 +362,7 @@ def test_separation_kernel_calls(count_calls):
 def test_area_difference_kernel_calls(count_calls):
     # Phi takes phi from the AGM loop and its tail from one duplication.
     for name in ("_neck_terms", "_carlson"):
-        assert count_calls(catenoid, name, lambda: area_difference(0.6, 3.0, TOL)) == 1
+        assert count_calls(catenoid, name, lambda: area_difference(0.6, 3.0)) == 1
 
 
 class _RootCountingMath:

@@ -92,12 +92,12 @@ class TestBuildMesh:
         used = {index for face in mesh.faces for index in face}
         assert used == set(range(len(mesh.vertices)))
 
-    def test_rows_lie_on_catenary(self, mesh, tol):
+    def test_rows_lie_on_catenary(self, mesh):
         a = mesh.params.neck_distance
         for row in _rows(mesh):
             x, y = profile_coordinates(row[0])
             # The inverse can land one ulp below the neck.
-            assert abs(x) == pytest.approx(catenary_x(a, max(y, a), tol), abs=1e-6)
+            assert abs(x) == pytest.approx(catenary_x(a, max(y, a)), abs=1e-6)
 
     def test_rows_have_constant_axis_distance(self, mesh):
         for row in _rows(mesh):

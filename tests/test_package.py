@@ -3,6 +3,7 @@ the README's Python examples."""
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -163,6 +164,77 @@ def test_cli_imports_public_names_only():
         public = importlib.import_module(f"hypcatenoid.{node.module}").__all__
         for alias in node.names:
             assert alias.name in public, (node.module, alias.name)
+
+
+# Parameters no body reads: the tol of the callables the benchmark still
+# calls with one (ROADMAP item 3), and the protocol's value.
+UNREAD_PARAMETERS = {
+    ("catenoid._Record.__setattr__", "value"),
+    ("catenoid.area_deficit", "tol"),
+    ("catenoid.gomes_rho", "tol"),
+    ("catenoid.sample_catenary", "tol"),
+    ("competitor.find_cheaper_competitor", "tol"),
+    ("constants.solve_a_c", "tol"),
+    ("mesh.build_mesh", "tol"),
+}
+
+
+def _unread_parameters(node, prefix):
+    # (qualified name, parameter) for every function under node whose body,
+    # nested functions included, never loads the parameter; a method's
+    # receiver is not counted.
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            args = child.args
+            params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            if isinstance(node, ast.ClassDef):
+                params = params[1:]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {
+                n.id for statement in body for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found.update((name, p.arg) for p in params if p and p.arg not in read)
+            found |= _unread_parameters(child, name)
+        else:
+            inner = f"{prefix}.{child.name}" if isinstance(child, ast.ClassDef) else prefix
+            found |= _unread_parameters(child, inner)
+    return found
+
+
+def test_unread_parameter_check():
+    tree = ast.parse(
+        "def f(a, b, *c, d, **e):\n    return lambda g: a + (lambda: d)()\n"
+        "class C:\n    def m(self, h):\n        pass\n"
+    )
+    assert _unread_parameters(tree, "x") == {
+        ("x.f", "b"), ("x.f", "c"), ("x.f", "e"), ("x.f.<lambda>", "g"), ("x.C.m", "h")
+    }
+
+
+def test_unread_parameters():
+    source_dir = os.path.dirname(hypcatenoid.__file__)
+    found = set()
+    for name in sorted(os.listdir(source_dir)):
+        if name.endswith(".py") and name != "quadrature.py":
+            with open(os.path.join(source_dir, name), encoding="utf-8") as handle:
+                found |= _unread_parameters(ast.parse(handle.read(), name), name[:-3])
+    assert found == UNREAD_PARAMETERS
+
+
+def test_tol_parameters():
+    # Three public callables read tol (constants_bundle through its cache);
+    # the others that take it are the unread ones above.
+    reading = {"constants_bundle", "catenoids_for_separation", "catenoids_for_circles"}
+    unread = {name.rsplit(".", 1)[1] for name, param in UNREAD_PARAMETERS if param == "tol"}
+    taking = {
+        name for name in hypcatenoid.__all__
+        if callable(obj := getattr(hypcatenoid, name)) and not isinstance(obj, type)
+        and "tol" in inspect.signature(obj).parameters
+    }
+    assert taking == reading | unread
 
 
 class TestImportFootprint:
