@@ -15,7 +15,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Home module of every public name.
+# Home module of every public name; a library module's __all__ is its entry.
 _EXPORTS = {
     "catenoid": (
         "AreaReport",

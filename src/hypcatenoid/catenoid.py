@@ -33,23 +33,9 @@ import math
 import sys
 from operator import attrgetter
 
-__all__ = [
-    "AreaReport",
-    "CatenarySample",
-    "ConsistencyError",
-    "EvaluationBudgetError",
-    "Tolerance",
-    "area_deficit",
-    "area_difference",
-    "catenary_x",
-    "concavity_terms",
-    "disk_area_total",
-    "gomes_rho",
-    "mvt_f",
-    "plane_separation",
-    "sample_catenary",
-    "tube_area",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["catenoid"]
 
 _FOUR_PI = 4.0 * math.pi
 

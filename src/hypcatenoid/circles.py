@@ -15,24 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import _EXPORTS
 from .catenoid import _NECK_CAP, Tolerance, _Record, _neck_terms
 from .competitor import RegimeLabel, classify_regime
 from .constants import BracketError, ConstantsBundle, solve_root
 
-__all__ = [
-    "CatenoidSolutions",
-    "CircleAtInfinity",
-    "DegenerateCircleError",
-    "IntersectingCirclesError",
-    "IsometryMap",
-    "catenoids_for_circles",
-    "catenoids_for_separation",
-    "circle_from_center_radius",
-    "circle_pair",
-    "inversive_product",
-    "normalize_coaxial",
-    "plane_distance",
-]
+__all__ = _EXPORTS["circles"]
 
 class IntersectingCirclesError(ValueError):
     """Raised for circle pairs that intersect or touch; no plane distance exists."""

@@ -14,6 +14,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
+from . import _EXPORTS
 from .catenoid import (
     Tolerance,
     _Record,
@@ -26,14 +27,7 @@ from .catenoid import (
 if TYPE_CHECKING:
     from .constants import ConstantsBundle
 
-__all__ = [
-    "CompetitorReport",
-    "RegimeKind",
-    "RegimeLabel",
-    "classify_regime",
-    "competitor_report",
-    "find_cheaper_competitor",
-]
+__all__ = _EXPORTS["competitor"]
 
 # Neck distances within this of a_c or a_L are flagged as at the threshold,
 # and ties at a_c resolve to the stable side.

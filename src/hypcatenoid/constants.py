@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+from . import _EXPORTS
 from .catenoid import (
     ConsistencyError,
     EvaluationBudgetError,
@@ -30,16 +31,7 @@ from .catenoid import (
     mvt_f,
 )
 
-__all__ = [
-    "BracketError",
-    "ConsistencyError",
-    "ConstantsBundle",
-    "compute_K",
-    "constants_bundle",
-    "solve_a_0",
-    "solve_a_c",
-    "solve_root",
-]
+__all__ = _EXPORTS["constants"]
 
 _EPS = sys.float_info.epsilon
 

@@ -13,15 +13,10 @@ from functools import partial
 from itertools import chain
 from operator import eq, itemgetter, neg
 
+from . import _EXPORTS
 from .catenoid import Tolerance, _Record, gomes_rho, sample_catenary
 
-__all__ = [
-    "MeshData",
-    "MeshEntries",
-    "MeshParams",
-    "build_mesh",
-    "write_obj",
-]
+__all__ = _EXPORTS["mesh"]
 
 # Most OBJ lines formatted per write: few enough that one write's arguments
 # and bytes take well under a megabyte.

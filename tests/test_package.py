@@ -14,8 +14,11 @@ import pytest
 import hypcatenoid
 
 SUBMODULES = ("catenoid", "circles", "cli", "competitor", "constants", "mesh")
-# quadrature.py's own names.  The package exports none of them; the
-# benchmark's span tracer imports the module by path and wraps its __all__.
+# The benchmark's span tracer imports each module by path and wraps the
+# functions its __all__ names.  A library module's __all__ is its entry in
+# the package's _EXPORTS; only cli.py and quadrature.py list theirs.
+LITERAL_ALL = {"cli.py", "quadrature.py"}
+# quadrature.py's own names.  The package exports none of them.
 QUADRATURE_NAMES = (
     "QuadratureResult", "quad_finite", "quad_semi_infinite", "quad_sqrt_endpoint"
 )
@@ -35,6 +38,20 @@ class TestPublicSurface:
         for name in SUBMODULES:
             exported.update(importlib.import_module(f"hypcatenoid.{name}").__all__)
         assert sorted(exported) == hypcatenoid.__all__
+
+    def test_table_files_each_name_under_its_defining_module(self):
+        # The tracer wraps a function only through the module its __module__
+        # names, so a name filed under a module that merely imports it would
+        # drop out of every trace.
+        for module, names in hypcatenoid._EXPORTS.items():
+            home = importlib.import_module(f"hypcatenoid.{module}")
+            for name in names:
+                assert getattr(home, name).__module__ == home.__name__, (module, name)
+
+    def test_module_all_is_its_table_entry(self):
+        for module, names in hypcatenoid._EXPORTS.items():
+            if module != "cli":
+                assert importlib.import_module(f"hypcatenoid.{module}").__all__ is names
 
     def test_quadrature_is_not_exported(self):
         assert set(QUADRATURE_NAMES).isdisjoint(hypcatenoid.__all__)
@@ -150,6 +167,52 @@ def test_no_module_imports_quadrature():
 def test_quadrature_import_check(source, flagged):
     (node,) = ast.parse(source).body
     assert _imports_quadrature(node) is flagged
+
+
+def _lists_all(tree):
+    # Whether the module binds __all__ to a list or tuple display at top level.
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, (ast.List, ast.Tuple)) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in targets
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ('__all__ = ["main"]', True),
+        ('__all__ = ("a", "b")', True),
+        ('__all__: list = ["a"]', True),
+        ('__all__ += ["a"]', True),
+        ('x = __all__ = ["a"]', True),
+        ('__all__ = _EXPORTS["mesh"]', False),
+        ('def f():\n    __all__ = ["a"]', False),
+        ('names = ["a"]', False),
+    ],
+)
+def test_literal_all_check(source, flagged):
+    assert _lists_all(ast.parse(source)) is flagged
+
+
+def test_one_list_of_public_names():
+    # _EXPORTS is the one list: a second literal in a library module could
+    # drift from it.
+    source_dir = os.path.dirname(hypcatenoid.__file__)
+    listing = set()
+    for name in os.listdir(source_dir):
+        if name.endswith(".py"):
+            with open(os.path.join(source_dir, name), encoding="utf-8") as handle:
+                if _lists_all(ast.parse(handle.read(), name)):
+                    listing.add(name)
+    assert listing == LITERAL_ALL
 
 
 def test_cli_imports_public_names_only():
