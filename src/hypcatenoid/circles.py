@@ -12,13 +12,15 @@ enumerates the catenoids asymptotic to a given pair.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 
 from . import _EXPORTS
 from .catenoid import _NECK_CAP, Tolerance, _Record, _neck_terms
 from .competitor import RegimeLabel, classify_regime
-from .constants import BracketError, ConstantsBundle, solve_root
+from .constants import BracketError, ConstantsBundle, solve_a_c, solve_root
 
 __all__ = _EXPORTS["circles"]
 
@@ -220,6 +222,80 @@ class CatenoidSolutions(_Record):
 # so no smaller separation has one.
 _MIN_SEPARATION = 2.0 * _neck_terms(_NECK_CAP)[0]
 
+# Nodes per branch of the start table: 32 hold every start within eps**(1/3)
+# of its root, so one Chebyshev step lands inside solve_root's stop test.
+_START_NODES = 32
+
+
+def _rho_second(a: float, drho: float, dphi2: float) -> float:
+    """rho''(a) from phi'' = 2 pi (2 cosh(2a) rho' + sinh(2a) rho'')."""
+    two_a = 2.0 * a
+    return (dphi2 / (2.0 * math.pi) - 2.0 * math.cosh(two_a) * drho) / math.sinh(two_a)
+
+
+def _hermite(nodes: list[tuple[float, float, float]]) -> tuple[tuple, tuple]:
+    """Knots and Horner coefficients of the cubic Hermite interpolant of
+    nodes (s, y, dy/ds) in increasing s."""
+    knots, cubics = [], []
+    for (s0, y0, dy0), (s1, y1, dy1) in zip(nodes, nodes[1:]):
+        h = s1 - s0
+        m = (y1 - y0) / h
+        knots.append(s0)
+        c2, c3 = (3.0 * m - 2.0 * dy0 - dy1) / h, (dy0 + dy1 - 2.0 * m) / (h * h)
+        cubics.append((s0, y0, dy0, c2, c3))
+    return tuple(knots), tuple(cubics)
+
+
+def _read(table: tuple[tuple, tuple], s: float) -> float:
+    """The interpolant at s >= 0; past the last node, its last cubic."""
+    knots, cubics = table
+    s0, c0, c1, c2, c3 = cubics[bisect.bisect(knots, s) - 1]
+    x = s - s0
+    return c0 + x * (c1 + x * (c2 + x * c3))
+
+
+@functools.cache
+def _start_table() -> tuple[float, tuple[tuple, tuple], tuple[tuple, tuple]]:
+    """2 rho(a_c) and the starts of both branches, as inverses of rho in sigma.
+
+    On either branch the root a of 2 rho(a) = d is a smooth function of
+    sigma = sqrt(log(2 rho(a_c) / d)), though a square root of d at the
+    maximum: sigma**2 = log(rho(a_c) / rho(a)) is flat there, and a leaves
+    a_c with slope -+q in sigma, q = sqrt(2 rho / -rho'') at a_c.  The inner
+    branch tabulates log(a / d) = log(a / (2 rho(a))), which only drifts
+    like -log log(1/a) as a -> 0.  The outer one tabulates a - sigma**2 =
+    log(2 (1 - K) / rho(a_c)) + log(rho(a) e**a / (2 (1 - K))), whose last
+    term rises to 0, so a tiny separation keeps the start a = log(4 (1 - K)
+    / d), exact to rounding.  The nodes a_c exp(-t (t + q / a_c)) and
+    a_c + t (t + q) lie about sigma = t apart; t runs to where the outer
+    node reaches the cap a = 25, and the inner one there is past every
+    inner root.  Each node takes rho and rho' from one AGM loop, so a build
+    is 2 * 31 + 5 calls of _neck_terms (4 of them for a_c), once per
+    process.
+    """
+    a_c = solve_a_c(Tolerance())
+    rho_c, drho, _, _, dphi2 = _neck_terms(a_c)
+    q = math.sqrt(-2.0 * rho_c / _rho_second(a_c, drho, dphi2))
+    inner, outer = [(0.0, math.log(a_c / (2.0 * rho_c)), -q / a_c)], [(0.0, a_c, q)]
+    t_end = 0.5 * (math.sqrt(q * q + 4.0 * (_NECK_CAP - a_c)) - q)
+
+    def node(a: float) -> tuple[float, float, float, float, float]:
+        """rho, rho', sigma**2, sigma and da/dsigma at a."""
+        rho, drho = _neck_terms(a)[:2]
+        s2 = math.log(rho_c / rho)
+        s = math.sqrt(s2)
+        return rho, drho, s2, s, -2.0 * rho * s / drho
+
+    for k in range(1, _START_NODES):
+        t = t_end * k / (_START_NODES - 1)
+        a = a_c * math.exp(-t * (t + q / a_c))
+        rho, drho, _, s, slope = node(a)
+        inner.append((s, math.log(a / (2.0 * rho)), (1.0 / a - drho / rho) * slope))
+        a = a_c + t * (t + q)
+        _, _, s2, s, slope = node(a)
+        outer.append((s, a - s2, slope - 2.0 * s))
+    return 2.0 * rho_c, _hermite(inner), _hermite(outer)
+
 
 def catenoids_for_separation(
     d: float,
@@ -239,7 +315,9 @@ def catenoids_for_separation(
     step (Traub, Iterative Methods for the Solution of Equations, 1964,
     ch. 5): the residual's one AGM loop also gives phi'', hence rho'', and
     its slope g' / (1 + t), t = g g'' / (2 g'**2), makes solve_root's Newton
-    step the Chebyshev step (g / g') (1 + t).
+    step the Chebyshev step (g / g') (1 + t).  Both roots start from a
+    piecewise-cubic Hermite inverse of rho (_start_table), built once per
+    process in about 0.3 ms and read in about 1 us.
     """
     if not 0.0 < d < math.inf:
         raise ValueError(f"plane separation must be positive and finite, got {d}")
@@ -257,32 +335,23 @@ def catenoids_for_separation(
         g, slope = math.log(2.0 * rho / d), drho / rho
         if drho == 0.0:
             return g, slope
-        # rho'' from phi'' = 2 pi (2 cosh(2a) rho' + sinh(2a) rho''); t in
-        # the scale-free form g (rho rho'' / rho'**2 - 1) / 2 stays finite
-        # where g'' = rho''/rho - g'**2 overflows, below a ~ 1e-154.
-        two_a = 2.0 * a
-        drho2 = (dphi2 / (2.0 * math.pi) - 2.0 * math.cosh(two_a) * drho) / math.sinh(two_a)
-        t = 0.5 * g * (rho * drho2 / (drho * drho) - 1.0)
+        # t in the scale-free form g (rho rho'' / rho'**2 - 1) / 2 stays
+        # finite where g'' = rho''/rho - g'**2 overflows, below a ~ 1e-154.
+        t = 0.5 * g * (rho * _rho_second(a, drho, dphi2) / (drho * drho) - 1.0)
         # solve_root reads the crossing direction off the slope's sign.
         return g, slope / (1.0 + t) if 1.0 + t > 0.0 else slope
 
-    # Near the maximum each root starts at a_c -+ q on the parabola through
-    # (a_c, rho(a_c)), flat there, and (a_L, rho(a_L)).
-    q = (bundle.a_L - bundle.a_c) * math.sqrt(
-        (bundle.two_rho_ac - d) / (bundle.two_rho_ac - bundle.two_rho_aL)
-    )
+    two_rho_c, inner_start, outer_start = _start_table()
+    # Only a bundle whose 2 rho(a_c) is above the true maximum lets d past
+    # the table's; sigma = 0 then starts both roots at a_c.
+    s2 = max(math.log1p((two_rho_c - d) / d), 0.0)
+    s = math.sqrt(s2)
     # rho(a) < a log(2/a) on the inner branch and lo = d / (4 log(4/d)) has
-    # lo log(2/lo) < d/2, so lo is below the root; one fixed-point step of
-    # a = (d/2) / log(2/a) from 2 lo starts near it.  rho(a_c) > d/2 signs
-    # the other end, and the floor eps * lo keeps a tiny root's digits.
+    # lo log(2/lo) < d/2, so lo is below the root; rho(a_c) > d/2 signs the
+    # other end, and the floor eps * lo keeps a tiny root's digits.
     lo = d / (4.0 * math.log(4.0 / d))
-    start = max(0.5 * d / math.log(1.0 / lo), bundle.a_c - q)
-    inner = solve_root(residual, lo, bundle.a_c, start)
-    # rho(a) e^a rises to 2 (1 - K), so a = log(4 (1 - K) / d) lies past the
-    # outer root, and is the closer start once d < 2 rho(a_L) puts it past a_L.
-    far = math.log(4.0 * (1.0 - bundle.K) / d)
-    start = bundle.a_c + q if d >= bundle.two_rho_aL else far
-    outer = solve_root(residual, bundle.a_c, _NECK_CAP, start)
+    inner = solve_root(residual, lo, bundle.a_c, d * math.exp(_read(inner_start, s)))
+    outer = solve_root(residual, bundle.a_c, _NECK_CAP, s2 + _read(outer_start, s))
     return CatenoidSolutions(
         d,
         (

@@ -6,6 +6,7 @@ import pytest
 from hypcatenoid import (
     BracketError,
     CircleAtInfinity,
+    ConstantsBundle,
     DegenerateCircleError,
     IntersectingCirclesError,
     IsometryMap,
@@ -406,11 +407,13 @@ class TestCatenoidsForSeparation:
         # The residual hands solve_root the slope g' / (1 + t), t = g g'' /
         # (2 g'**2); it must keep g''s sign, since solve_root reads the
         # crossing direction off it.  rho'' is checked here by a central
-        # difference of rho', not through the phi'' the residual reads.
+        # difference of rho', not through the phi'' the residual reads.  No
+        # call lands on a bracket end: each root has a sign change inside.
         calls = []
 
         def recording(f, lo, hi, start=None):
             def g(x):
+                assert lo < x < hi, (lo, x, hi)
                 calls.append((x, *f(x)))
                 return calls[-1][1:]
 
@@ -418,7 +421,7 @@ class TestCatenoidsForSeparation:
 
         monkeypatch.setattr(circles, "solve_root", recording)
         top = math.log10(1.0022)
-        separations = [10.0 ** (-10.0 + k * (top + 10.0) / 4000) for k in range(4001)]
+        separations = [10.0 ** (-10.0 + k * (top + 10.0) / 6000) for k in range(6001)]
         separations += [bundle.two_rho_ac - 10.0 ** (-2.0 - k / 20) for k in range(160)]
         # Just outside the 2 abs_tol tie window, where the roots meet at a_c.
         separations += [bundle.two_rho_ac - 2e-10 * (1.0 + 2.0**-k) for k in range(53)]
@@ -435,6 +438,30 @@ class TestCatenoidsForSeparation:
             assert slope * drho > 0.0, a
             assert 1.0 + t > 0.0, a
             assert slope == pytest.approx(drho / rho / (1.0 + t), rel=1e-6), a
+
+    @pytest.mark.parametrize("field, shift", [("a_c", 1e-6), ("two_rho_ac", -1e-12)])
+    def test_perturbed_bundle(self, bundle, tol, field, shift):
+        # The roots start from a table built from rho alone, so a bundle a
+        # little off (the benchmark's smoke test moves a_c by 1e-6) moves
+        # only the starts; the brackets still straddle every root.
+        perturbed = ConstantsBundle(**{**vars(bundle), field: getattr(bundle, field) + shift})
+        lo, hi = math.log(2.0 * gomes_rho(25.0, tol)), math.log(bundle.two_rho_ac)
+        separations = [math.exp(lo + k * (hi - lo) / 60) for k in range(60)]
+        separations += [bundle.two_rho_ac - 10.0 ** (-k / 2) for k in range(4, 19)]
+        for d in separations:
+            found = catenoids_for_separation(d, perturbed, tol)
+            assert len(found.solutions) == 2
+            for a, _ in found.solutions:
+                assert abs(2.0 * gomes_rho(a, tol) - d) <= 1e-14 * d, (d, a)
+
+    def test_bundle_above_the_maximum(self, bundle):
+        # Between the true 2 rho(a_c) and a bundle's larger one no root
+        # exists; that is a typed BracketError, not a failed square root.
+        tol = Tolerance(abs_tol=1e-14)
+        perturbed = ConstantsBundle(**{**vars(bundle), "two_rho_ac": bundle.two_rho_ac + 1e-12})
+        for d in (math.nextafter(bundle.two_rho_ac, 2.0), bundle.two_rho_ac + 5e-13):
+            with pytest.raises(BracketError):
+                catenoids_for_separation(d, perturbed, tol)
 
     def test_below_the_outer_branch_cap(self, bundle, tol):
         # The outer root is sought up to a = 25, so d < 2 rho(25) has none.

@@ -676,9 +676,9 @@ GOLDEN = {
     "classify --a 0.6":
         "b979f0a914277a5bb931556e46d74246ec6032832ff859e5c9c11245fc453a18",
     "classify --distance 0.8":
-        "f3a96337d87e452d409d965e8913eea062524af9de33416f581b0454221d1217",
+        "f33cebee2a0c9dab80a2f29625db8de6716bcabd457d251321e276087f280f2a",
     "classify --circles 0,0,1 0,0,2.2":
-        "108539ffb780eb22094ab52a716680ad6234b0a3d06022b73840e5407859541d",
+        "ec5bfc3e236ce38235c1a51a21b2ce3bc1bd44c4c6e4e7842b7f9d6034284019",
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":

@@ -29,13 +29,17 @@ relative, phi to 1.5e-14 * max(1, |phi|)), the duplication sequence that
 remains for the incomplete x(y) and Phi(a, r) to 1e-15 relative, and the
 solvers' slopes phi' and phi'' (and with them rho'' = (phi'' - 4 pi
 cosh(2a) rho') / (2 pi sinh(2a))) to mpmath's derivative of the closed
-form of rho'.
+form of rho'.  test_separation_roots holds both roots of 2 rho(a) = d to
+12 eps / |g'| of the root of g = log(2 rho / d) with rho from elliprj, and
+their median error to 1 ulp.
 """
 
 import dataclasses
 import functools
 import hashlib
 import math
+import statistics
+import sys
 
 import mpmath
 import pytest
@@ -46,6 +50,7 @@ from hypcatenoid import (
     area_deficit,
     area_difference,
     catenary_x,
+    catenoids_for_separation,
     compute_K,
     concavity_terms,
     constants_bundle,
@@ -451,3 +456,49 @@ def test_solver_slopes():
         _close(d2rho, curvature, 1e-14 * abs(float(curvature)))
         _close(dphi, ref_dphi, _scaled(ref_dphi, 1e-14))
         _close(d2phi, ref_d2phi, _scaled(ref_d2phi, 1e-14))
+
+
+def _separation_root(a, d):
+    """The root of g = log(2 rho / d) next to a, and g' = rho' / rho there.
+
+    rho = (sinh(2a) / 6) R_J(0, w, c, p) and rho' = (2p / 3) R_D(0, w, c)
+    - R_F(0, w, c); Newton's method from a, whose error is below 1e-10
+    relative, doubles its digits per step.
+    """
+    root, d = mpf(a), mpf(d)
+    for _ in range(6):
+        w = mpmath.sinh(root) ** 2
+        c, p = 1 + 2 * w, 1 + w
+        rho = mpmath.sinh(2 * root) / 6 * mpmath.elliprj(0, w, c, p)
+        slope = (2 * p / 3 * mpmath.elliprd(0, w, c) - mpmath.elliprf(0, w, c)) / rho
+        step = mpmath.log(2 * rho / d) / slope
+        root -= step
+        if abs(step) < root * mpf(10) ** (10 - DIGITS):
+            return root, slope
+    raise AssertionError(f"Newton's method did not settle on the root of {d} next to {a}")
+
+
+def test_separation_roots():
+    """Both roots of 2 rho(a) = d against mpmath, over the whole range of d.
+
+    90 separations log-spaced over [2 rho(25), 2 rho(a_c)) and 15 at half
+    decades from 1e-2 to 1e-9 below 2 rho(a_c), where the slope g' of
+    g = log(2 rho / d) vanishes, so a root's rounding band eps / |g'| is
+    wide.  Each root is within 12 bands of its oracle (the worst is 6.3),
+    and the median error is at most 1 ulp.
+    """
+    tol = Tolerance()
+    bundle = constants_bundle(tol)
+    lo, hi = math.log(2.0 * gomes_rho(25.0, tol)), math.log(bundle.two_rho_ac)
+    separations = [math.exp(lo + k * (hi - lo) / 90) for k in range(90)]
+    separations += [bundle.two_rho_ac - 10.0 ** (-k / 2) for k in range(4, 19)]
+    ulps = []
+    for d in separations:
+        for a, _ in catenoids_for_separation(d, bundle, tol).solutions:
+            with mp.workdps(DIGITS):
+                root, slope = _separation_root(a, d)
+                error = abs(mpf(a) - root)
+                assert error * abs(slope) <= 12.0 * sys.float_info.epsilon, (d, a)
+                ulps.append(float(error) / math.ulp(a))
+    assert len(ulps) == 210
+    assert statistics.median(ulps) <= 1.0
