@@ -143,6 +143,10 @@ _DUPLICATION_SPREAD = (sys.float_info.epsilon / 4.0) ** (1.0 / 6.0)
 # closing step squares it, so the complete integrals are exact to rounding.
 _AGM_SPREAD = math.sqrt(sys.float_info.epsilon)
 
+# Bound on the relative error of the rho that _neck_terms returns, as tested
+# against its closed form; the separation residual's rounding bound uses it.
+_RHO_ERROR = 2.0e-15
+
 
 def _rj_series(x: float, y: float, z: float, p: float) -> float:
     """Carlson's fifth-order series for R_J(x, y, z, p) at nearly equal arguments."""

@@ -18,9 +18,9 @@ import functools
 import math
 
 from . import _EXPORTS
-from .catenoid import _NECK_CAP, Tolerance, _Record, _neck_terms
+from .catenoid import _NECK_CAP, _RHO_ERROR, Tolerance, _Record, _neck_terms
 from .competitor import RegimeLabel, classify_regime
-from .constants import BracketError, ConstantsBundle, solve_a_c, solve_root
+from .constants import _EPS, BracketError, ConstantsBundle, solve_a_c, solve_root
 
 __all__ = _EXPORTS["circles"]
 
@@ -223,7 +223,7 @@ class CatenoidSolutions(_Record):
 _MIN_SEPARATION = 2.0 * _neck_terms(_NECK_CAP)[0]
 
 # Nodes per branch of the start table: 32 hold every start within eps**(1/3)
-# of its root, so one Chebyshev step lands inside solve_root's stop test.
+# of its root, so one Chebyshev step lands inside g's rounding bound.
 _START_NODES = 32
 
 
@@ -317,7 +317,12 @@ def catenoids_for_separation(
     its slope g' / (1 + t), t = g g'' / (2 g'**2), makes solve_root's Newton
     step the Chebyshev step (g / g') (1 + t).  Both roots start from a
     piecewise-cubic Hermite inverse of rho (_start_table), built once per
-    process in about 0.3 ms and read in about 1 us.
+    process in about 0.3 ms and read in about 1 us.  The residual also
+    returns a bound on g's rounding, _RHO_ERROR + eps (1 + |g|), and
+    solve_root stops at the first iterate whose |g| is within it, after one
+    more step; so a root takes its start and one confirming call.  A bundle
+    whose two_rho_ac is above the true maximum raises BracketError for a d
+    between the two, before any root is solved.
     """
     if not 0.0 < d < math.inf:
         raise ValueError(f"plane separation must be positive and finite, got {d}")
@@ -330,21 +335,27 @@ def catenoids_for_separation(
     if d < _MIN_SEPARATION:
         raise BracketError(f"outer branch of 2*rho(a) = {d} has no root up to a = {_NECK_CAP}")
 
-    def residual(a: float) -> tuple[float, float]:
+    def residual(a: float) -> tuple[float, float, float]:
         rho, drho, _, _, dphi2 = _neck_terms(a)
         g, slope = math.log(2.0 * rho / d), drho / rho
+        # rho's relative error and the division's eps / 2 reach g as
+        # absolute errors; log rounds g itself.
+        bound = _RHO_ERROR + _EPS * (1.0 + abs(g))
         if drho == 0.0:
-            return g, slope
+            return g, slope, bound
         # t in the scale-free form g (rho rho'' / rho'**2 - 1) / 2 stays
         # finite where g'' = rho''/rho - g'**2 overflows, below a ~ 1e-154.
         t = 0.5 * g * (rho * _rho_second(a, drho, dphi2) / (drho * drho) - 1.0)
         # solve_root reads the crossing direction off the slope's sign.
-        return g, slope / (1.0 + t) if 1.0 + t > 0.0 else slope
+        return g, slope / (1.0 + t) if 1.0 + t > 0.0 else slope, bound
 
     two_rho_c, inner_start, outer_start = _start_table()
-    # Only a bundle whose 2 rho(a_c) is above the true maximum lets d past
-    # the table's; sigma = 0 then starts both roots at a_c.
-    s2 = max(math.log1p((two_rho_c - d) / d), 0.0)
+    if d > two_rho_c:
+        raise BracketError(
+            f"2*rho(a) = {d} has no root: the bundle's two_rho_ac = "
+            f"{bundle.two_rho_ac} is above the maximum 2*rho(a_c) = {two_rho_c}"
+        )
+    s2 = math.log1p((two_rho_c - d) / d)
     s = math.sqrt(s2)
     # rho(a) < a log(2/a) on the inner branch and lo = d / (4 log(4/d)) has
     # lo log(2/lo) < d/2, so lo is below the root; rho(a_c) > d/2 signs the

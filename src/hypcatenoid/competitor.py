@@ -74,23 +74,32 @@ class CompetitorReport(_Record):
         object.__setattr__(self, "margin", margin)
 
 
+# The twelve labels, one [at_a_c][at_a_L] table per kind in RegimeKind's
+# order; records are read-only, so every classification shares them.
+_UNSTABLE, _STABLE_NOT_MINIMIZING, _AREA_MINIMIZING = (
+    (
+        (RegimeLabel(kind, False, False), RegimeLabel(kind, False, True)),
+        (RegimeLabel(kind, True, False), RegimeLabel(kind, True, True)),
+    )
+    for kind in RegimeKind
+)
+
+
 def classify_regime(a: float, bundle: ConstantsBundle) -> RegimeLabel:
     """Classify the catenoid with neck distance a against the bundle thresholds.
 
-    Ties within 1e-9 of a_c resolve to the stable side.
+    Ties within 1e-9 of a_c resolve to the stable side.  Each call returns
+    one of twelve shared labels, so two necks in one regime get one object.
     """
     _check_neck(a)
-    if a < bundle.a_c - _BOUNDARY_TOL:
-        kind = RegimeKind.UNSTABLE
-    elif a < bundle.a_L:
-        kind = RegimeKind.STABLE_NOT_MINIMIZING
+    a_c, a_L = bundle.a_c, bundle.a_L
+    if a < a_c - _BOUNDARY_TOL:
+        labels = _UNSTABLE
+    elif a < a_L:
+        labels = _STABLE_NOT_MINIMIZING
     else:
-        kind = RegimeKind.AREA_MINIMIZING
-    return RegimeLabel(
-        kind=kind,
-        at_a_c=abs(a - bundle.a_c) <= _BOUNDARY_TOL,
-        at_a_L=abs(a - bundle.a_L) <= _BOUNDARY_TOL,
-    )
+        labels = _AREA_MINIMIZING
+    return labels[abs(a - a_c) <= _BOUNDARY_TOL][abs(a - a_L) <= _BOUNDARY_TOL]
 
 
 def competitor_report(a: float, r: float, s: float) -> CompetitorReport:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -428,7 +429,7 @@ class TestCatenoidsForSeparation:
         for d in separations:
             catenoids_for_separation(d, bundle, tol)
         assert len(calls) > 20000
-        for a, value, slope in calls:
+        for a, value, slope, _ in calls:
             rho, drho = catenoid._neck_terms(a)[:2]
             if drho == 0.0:
                 continue
@@ -456,11 +457,17 @@ class TestCatenoidsForSeparation:
 
     def test_bundle_above_the_maximum(self, bundle):
         # Between the true 2 rho(a_c) and a bundle's larger one no root
-        # exists; that is a typed BracketError, not a failed square root.
+        # exists; that is a typed BracketError naming both maxima before any
+        # solve, not a failed square root or a bracket end without a sign
+        # change.
         tol = Tolerance(abs_tol=1e-14)
         perturbed = ConstantsBundle(**{**vars(bundle), "two_rho_ac": bundle.two_rho_ac + 1e-12})
+        message = re.escape(
+            f"two_rho_ac = {perturbed.two_rho_ac} is above the maximum "
+            f"2*rho(a_c) = {bundle.two_rho_ac}"
+        )
         for d in (math.nextafter(bundle.two_rho_ac, 2.0), bundle.two_rho_ac + 5e-13):
-            with pytest.raises(BracketError):
+            with pytest.raises(BracketError, match=message):
                 catenoids_for_separation(d, perturbed, tol)
 
     def test_below_the_outer_branch_cap(self, bundle, tol):

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from hypcatenoid import (
     RegimeKind,
+    RegimeLabel,
     area_difference,
     classify_regime,
     competitor_report,
@@ -76,6 +78,28 @@ class TestClassifyRegime:
 
     def test_kind_serializes_as_string(self, bundle):
         assert classify_regime(0.3, bundle).kind.value == "unstable"
+
+    def test_one_regime_one_label(self, bundle):
+        # Labels are read-only, so two necks in one regime share one object;
+        # it equals, hashes, prints and pickles as a label built afresh.
+        pairs = (
+            (0.2, 0.3),
+            (0.6, 0.7),
+            (1.2, 3.0),
+            (bundle.a_c, bundle.a_c - 1e-12),
+            (bundle.a_L, bundle.a_L + 1e-12),
+            (bundle.a_L - 1e-12, bundle.a_L - 2e-12),
+        )
+        labels = set()
+        for first, second in pairs:
+            label = classify_regime(first, bundle)
+            assert classify_regime(second, bundle) is label
+            fresh = RegimeLabel(label.kind, label.at_a_c, label.at_a_L)
+            assert fresh == label and hash(fresh) == hash(label)
+            assert repr(fresh) == repr(label)
+            assert pickle.loads(pickle.dumps(label)) == label
+            labels.add(label)
+        assert len(labels) == len(pairs)
 
 
 class TestCompetitorArea:

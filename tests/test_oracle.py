@@ -31,7 +31,9 @@ solvers' slopes phi' and phi'' (and with them rho'' = (phi'' - 4 pi
 cosh(2a) rho') / (2 pi sinh(2a))) to mpmath's derivative of the closed
 form of rho'.  test_separation_roots holds both roots of 2 rho(a) = d to
 12 eps / |g'| of the root of g = log(2 rho / d) with rho from elliprj, and
-their median error to 1 ulp.
+their median error to 1 ulp; test_separation_roots_within_their_stop holds
+g's rounding at each root to the bound the solver stops on, and each root
+to the width that bound implies.
 """
 
 import dataclasses
@@ -56,7 +58,7 @@ from hypcatenoid import (
     constants_bundle,
     gomes_rho,
 )
-from hypcatenoid.catenoid import _K, _carlson, _neck_terms
+from hypcatenoid.catenoid import _K, _RHO_ERROR, _carlson, _neck_terms
 
 TOLERANCES = (1e-8, 1e-10, 1e-12)
 NECKS = (0.05, 0.3, 0.8, 2.0)
@@ -357,7 +359,7 @@ def test_neck_terms_closed_forms():
         rho, drho, phi, dphi, d2phi = _neck_terms(a)
         with mp.workdps(DIGITS):
             ref_rho, ref_drho, ref_phi, ref_dphi, ref_d2phi = _neck_closed_forms(a)
-        _close(rho, ref_rho, 2e-15 * float(ref_rho))
+        _close(rho, ref_rho, _RHO_ERROR * float(ref_rho))
         _close(drho, ref_drho, 2e-15 * abs(float(ref_drho)))
         _close(phi, ref_phi, _scaled(ref_phi, 1.5e-14))
         _close(dphi, ref_dphi, 2e-15 * abs(float(ref_dphi)))
@@ -478,6 +480,45 @@ def _separation_root(a, d):
     raise AssertionError(f"Newton's method did not settle on the root of {d} next to {a}")
 
 
+@functools.cache
+def _separation_cases():
+    """Roots of 2 rho(a) = d and their oracles, as (d, a, error, g', g error).
+
+    error is |a - root| for the oracle root of g = log(2 rho / d) next to a,
+    g' = rho' / rho is taken there, and g error is the float g at a less
+    the exact one.  The first tuple holds both roots of the 105 separations
+    of test_separation_roots, the second the inner roots of 13 separations
+    at half decades from 10**-3.5 to 10**-9.5, where rho's rounding, not
+    the slope, sets the width of a root.
+    """
+    tol = Tolerance()
+    bundle = constants_bundle(tol)
+    lo, hi = math.log(2.0 * gomes_rho(25.0, tol)), math.log(bundle.two_rho_ac)
+    separations = [math.exp(lo + k * (hi - lo) / 90) for k in range(90)]
+    separations += [bundle.two_rho_ac - 10.0 ** (-k / 2) for k in range(4, 19)]
+    both = [
+        (d, a)
+        for d in separations
+        for a, _ in catenoids_for_separation(d, bundle, tol).solutions
+    ]
+    inner = [
+        (d, catenoids_for_separation(d, bundle, tol).solutions[0][0])
+        for d in (10.0 ** (-3.5 - k / 2) for k in range(13))
+    ]
+
+    def case(d, a):
+        g = math.log(2.0 * _neck_terms(a)[0] / d)
+        with mp.workdps(DIGITS):
+            root, slope = _separation_root(a, d)
+            t = mpf(a)
+            w = mpmath.sinh(t) ** 2
+            rho = mpmath.sinh(2 * t) / 6 * mpmath.elliprj(0, w, 1 + 2 * w, 1 + w)
+            g_error = mpf(g) - mpmath.log(2 * rho / d)
+            return d, a, float(abs(mpf(a) - root)), float(slope), float(g_error)
+
+    return tuple(case(*pair) for pair in both), tuple(case(*pair) for pair in inner)
+
+
 def test_separation_roots():
     """Both roots of 2 rho(a) = d against mpmath, over the whole range of d.
 
@@ -487,18 +528,30 @@ def test_separation_roots():
     wide.  Each root is within 12 bands of its oracle (the worst is 6.3),
     and the median error is at most 1 ulp.
     """
-    tol = Tolerance()
-    bundle = constants_bundle(tol)
-    lo, hi = math.log(2.0 * gomes_rho(25.0, tol)), math.log(bundle.two_rho_ac)
-    separations = [math.exp(lo + k * (hi - lo) / 90) for k in range(90)]
-    separations += [bundle.two_rho_ac - 10.0 ** (-k / 2) for k in range(4, 19)]
     ulps = []
-    for d in separations:
-        for a, _ in catenoids_for_separation(d, bundle, tol).solutions:
-            with mp.workdps(DIGITS):
-                root, slope = _separation_root(a, d)
-                error = abs(mpf(a) - root)
-                assert error * abs(slope) <= 12.0 * sys.float_info.epsilon, (d, a)
-                ulps.append(float(error) / math.ulp(a))
+    for d, a, error, slope, _ in _separation_cases()[0]:
+        assert error * abs(slope) <= 12.0 * sys.float_info.epsilon, (d, a)
+        ulps.append(error / math.ulp(a))
     assert len(ulps) == 210
     assert statistics.median(ulps) <= 1.0
+
+
+def test_separation_roots_within_their_stop():
+    """Each root of 2 rho(a) = d within the width its stop implies.
+
+    The residual bounds the rounding of g = log(2 rho / d) by _RHO_ERROR +
+    eps (1 + |g|): rho's relative error and the division's reach g as
+    absolute errors, and log rounds g itself.  Each float g at a root is
+    within that bound of the exact g (the worst uses 0.37 of it).
+    solve_root stops once |g| is within the bound and takes one more step,
+    so a root errs by at most (_RHO_ERROR + eps) / |g'| plus half an ulp
+    (the worst uses 0.35 of it), over the 210 roots of
+    test_separation_roots and 13 inner roots below d = 1e-3.
+    """
+    eps = sys.float_info.epsilon
+    both, inner = _separation_cases()
+    for d, a, error, slope, g_error in both + inner:
+        g = math.log(2.0 * _neck_terms(a)[0] / d)
+        assert abs(g_error) <= _RHO_ERROR + eps * (1.0 + abs(g)), (d, a)
+        assert error <= (_RHO_ERROR + eps) / abs(slope) + 0.5 * math.ulp(a), (d, a)
+    assert len(inner) == 13
