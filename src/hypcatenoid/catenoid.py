@@ -144,7 +144,8 @@ _DUPLICATION_SPREAD = (sys.float_info.epsilon / 4.0) ** (1.0 / 6.0)
 _AGM_SPREAD = math.sqrt(sys.float_info.epsilon)
 
 # Bound on the relative error of the rho that _neck_terms returns, as tested
-# against its closed form; the separation residual's rounding bound uses it.
+# against its closed form from both sides; a separation root is held to the
+# band (_RHO_ERROR + eps) / |g'| of g = log(2 rho / d) it implies.
 _RHO_ERROR = 2.0e-15
 
 

@@ -18,9 +18,9 @@ import functools
 import math
 
 from . import _EXPORTS
-from .catenoid import _NECK_CAP, _RHO_ERROR, Tolerance, _Record, _neck_terms
+from .catenoid import _NECK_CAP, Tolerance, _Record, _neck_terms
 from .competitor import RegimeLabel, classify_regime
-from .constants import _EPS, BracketError, ConstantsBundle, solve_a_c, solve_root
+from .constants import BracketError, ConstantsBundle, solve_a_c
 
 __all__ = _EXPORTS["circles"]
 
@@ -223,7 +223,7 @@ class CatenoidSolutions(_Record):
 _MIN_SEPARATION = 2.0 * _neck_terms(_NECK_CAP)[0]
 
 # Nodes per branch of the start table: 32 hold every start within eps**(1/3)
-# of its root, so one Chebyshev step lands inside g's rounding bound.
+# of its root, so one Chebyshev step lands inside the root's rounding band.
 _START_NODES = 32
 
 
@@ -297,6 +297,22 @@ def _start_table() -> tuple[float, tuple[tuple, tuple], tuple[tuple, tuple]]:
     return 2.0 * rho_c, _hermite(inner), _hermite(outer)
 
 
+def _chebyshev_root(a: float, d: float) -> float:
+    """a less Chebyshev's step (g / g') (1 + t) for g = log(2 rho / d).
+
+    t = g g'' / (2 g'**2) in the scale-free form g (rho rho'' / rho'**2 - 1)
+    / 2 stays finite where g'' = rho'' / rho - g'**2 overflows, below
+    a ~ 1e-154.  rho' is 0 only at the maximum a_c, the start for d =
+    2 rho(a_c), which a bundle claiming a larger maximum lets through.
+    """
+    rho, drho, _, _, dphi2 = _neck_terms(a)
+    if drho == 0.0:
+        return a
+    g = math.log(2.0 * rho / d)
+    t = 0.5 * g * (rho * _rho_second(a, drho, dphi2) / (drho * drho) - 1.0)
+    return a - g * rho / drho * (1.0 + t)
+
+
 def catenoids_for_separation(
     d: float,
     bundle: ConstantsBundle,
@@ -311,18 +327,15 @@ def catenoids_for_separation(
     rho's domain, so d below 2*rho(25) ~ 3.3e-11 raises BracketError
     before any root is solved.
 
-    Each root solves g(a) = log(2 rho(a) / d) = 0 by Chebyshev's third-order
-    step (Traub, Iterative Methods for the Solution of Equations, 1964,
-    ch. 5): the residual's one AGM loop also gives phi'', hence rho'', and
-    its slope g' / (1 + t), t = g g'' / (2 g'**2), makes solve_root's Newton
-    step the Chebyshev step (g / g') (1 + t).  Both roots start from a
-    piecewise-cubic Hermite inverse of rho (_start_table), built once per
-    process in about 0.3 ms and read in about 1 us.  The residual also
-    returns a bound on g's rounding, _RHO_ERROR + eps (1 + |g|), and
-    solve_root stops at the first iterate whose |g| is within it, after one
-    more step; so a root takes its start and one confirming call.  A bundle
-    whose two_rho_ac is above the true maximum raises BracketError for a d
-    between the two, before any root is solved.
+    Both roots start from a piecewise-cubic Hermite inverse of rho
+    (_start_table), built once per process in about 0.3 ms and read in
+    about 1 us, which holds each start within eps**(1/3) of its root.  Each
+    root is then one Chebyshev step (Traub, Iterative Methods for the
+    Solution of Equations, 1964, ch. 5) on g(a) = log(2 rho(a) / d), whose
+    third order lands it within the rounding band (_RHO_ERROR + eps) / |g'|
+    of g; its one AGM loop gives rho, rho' and phi'', hence rho''.  So a
+    root costs one AGM loop.  A bundle whose two_rho_ac is above the true
+    maximum raises BracketError for a d between the two.
     """
     if not 0.0 < d < math.inf:
         raise ValueError(f"plane separation must be positive and finite, got {d}")
@@ -334,21 +347,6 @@ def catenoids_for_separation(
         return CatenoidSolutions(d, ((a, classify_regime(a, bundle)),))
     if d < _MIN_SEPARATION:
         raise BracketError(f"outer branch of 2*rho(a) = {d} has no root up to a = {_NECK_CAP}")
-
-    def residual(a: float) -> tuple[float, float, float]:
-        rho, drho, _, _, dphi2 = _neck_terms(a)
-        g, slope = math.log(2.0 * rho / d), drho / rho
-        # rho's relative error and the division's eps / 2 reach g as
-        # absolute errors; log rounds g itself.
-        bound = _RHO_ERROR + _EPS * (1.0 + abs(g))
-        if drho == 0.0:
-            return g, slope, bound
-        # t in the scale-free form g (rho rho'' / rho'**2 - 1) / 2 stays
-        # finite where g'' = rho''/rho - g'**2 overflows, below a ~ 1e-154.
-        t = 0.5 * g * (rho * _rho_second(a, drho, dphi2) / (drho * drho) - 1.0)
-        # solve_root reads the crossing direction off the slope's sign.
-        return g, slope / (1.0 + t) if 1.0 + t > 0.0 else slope, bound
-
     two_rho_c, inner_start, outer_start = _start_table()
     if d > two_rho_c:
         raise BracketError(
@@ -357,12 +355,8 @@ def catenoids_for_separation(
         )
     s2 = math.log1p((two_rho_c - d) / d)
     s = math.sqrt(s2)
-    # rho(a) < a log(2/a) on the inner branch and lo = d / (4 log(4/d)) has
-    # lo log(2/lo) < d/2, so lo is below the root; rho(a_c) > d/2 signs the
-    # other end, and the floor eps * lo keeps a tiny root's digits.
-    lo = d / (4.0 * math.log(4.0 / d))
-    inner = solve_root(residual, lo, bundle.a_c, d * math.exp(_read(inner_start, s)))
-    outer = solve_root(residual, bundle.a_c, _NECK_CAP, s2 + _read(outer_start, s))
+    inner = _chebyshev_root(d * math.exp(_read(inner_start, s)), d)
+    outer = _chebyshev_root(s2 + _read(outer_start, s), d)
     return CatenoidSolutions(
         d,
         (

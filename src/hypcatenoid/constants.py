@@ -6,13 +6,10 @@ form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
 2*rho(a_L).  K is a closed form in Gamma functions; a_c, a_0 and a_L are
 roots of closed forms with closed-form slopes (phi', mvt_f and phi), found
 by solve_root's safeguarded Newton iteration to eps times the bracket's
-smaller end, so no value depends on the tolerance.  Their residuals hand
-solve_root a rounding bound of 0, so each stops on its step alone: the
-fields are held to 1 ulp, tighter than the residuals' rounding.  A cold
-bundle makes 4, 7 and 6 such calls; the 10 for a_c and a_L, and rho(a_c)
-and rho(a_L), are one AGM loop of _neck_terms each.  The bundle is still
-computed lazily once per tolerance and cached for the 32 most recently used
-tolerances.
+smaller end, so no value depends on the tolerance.  A cold bundle makes 4,
+7 and 6 such calls; the 10 for a_c and a_L, and rho(a_c) and rho(a_L),
+are one AGM loop of _neck_terms each.  The bundle is still computed lazily
+once per tolerance and cached for the 32 most recently used tolerances.
 """
 
 from __future__ import annotations
@@ -72,34 +69,28 @@ class ConstantsBundle:
 
 
 def solve_root(
-    f: Callable[[float], tuple[float, float, float]],
+    f: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     start: float | None = None,
 ) -> float:
     """Root of f in [lo, hi] by Newton's method, safeguarded by bisection.
 
-    f(x) returns (value, slope, bound) and must change sign once on [lo, hi],
-    at a simple root (nonzero slope); bound is the rounding error of value,
-    or 0 to stop on the step alone.  The slope need not be f'(x): any nonzero
-    slope with f''s sign is safe, and one corrected for curvature turns the
-    Newton step into a higher-order step (catenoids_for_separation hands a
-    Chebyshev slope).  The iteration starts at start (clamped to
-    the bracket; the midpoint by default), takes the direction of the
+    f(x) returns (value, slope) and must change sign once on [lo, hi], at a
+    simple root (nonzero slope).  The slope need not be f'(x): any nonzero
+    slope with f''s sign is safe.  The iteration starts at start (clamped
+    to the bracket; the midpoint by default), takes the direction of the
     crossing from the first slope (or from f(lo) if that slope is 0), and
     moves the end of each iterate's sign to it.  It takes the Newton step
     when that lands strictly inside the bracket or is already within the
-    stop test, and bisects otherwise.  It stops after a Newton step taken
-    where |value| <= bound, since x is then a root of f within its
-    rounding, or after any step within x_tol = eps * min(|lo|, |hi|) plus
-    rounding, 2 eps |x|, so a root near a small end keeps its relative
-    digits; either way it returns x less that step.  A Newton step onto an
-    end already evaluated means the iterates cycle in the rounding noise of
-    f, and the bisection it gets instead closes the few-ulp bracket.  An
-    end is evaluated only if the iteration closes on it, raising
-    BracketError if f has no sign change there; EvaluationBudgetError after
-    _MAX_ITERATIONS steps.  A multiple root converges only linearly and may
-    exhaust that budget.
+    stop test, and bisects otherwise, until a step is within x_tol = eps *
+    min(|lo|, |hi|) plus rounding, 2 eps |x|; so a root near a small end
+    keeps its relative digits.  A Newton step onto an end already evaluated
+    means the iterates cycle in the rounding noise of f, and the bisection
+    it gets instead closes the few-ulp bracket.  An end is evaluated only if
+    the iteration closes on it, raising BracketError if f has no sign change
+    there; EvaluationBudgetError after _MAX_ITERATIONS steps.  A multiple
+    root converges only linearly and may exhaust that budget.
     """
     if not lo < hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
@@ -108,7 +99,7 @@ def solve_root(
     lo_seen = hi_seen = False  # until an iterate replaces it, an end is trusted
     up = 0.0  # +1 if f crosses upward, -1 if downward
     for _ in range(_MAX_ITERATIONS):
-        value, slope, bound = f(x)
+        value, slope = f(x)
         if not up:
             up = math.copysign(1.0, slope if slope else -f(lo)[0])
         if value * up > 0.0:
@@ -119,7 +110,7 @@ def solve_root(
         tol = x_tol + 2.0 * _EPS * abs(x)
         step = newton if abs(newton) <= tol or lo < x - newton < hi else x - 0.5 * (lo + hi)
         x -= step
-        if abs(step) <= tol or step == newton and abs(value) <= bound:
+        if abs(step) <= tol:
             for end, seen, sign in ((lo, lo_seen, -up), (hi, hi_seen, up)):
                 if not seen and abs(end - x) <= tol and not f(end)[0] * sign >= 0.0:
                     raise BracketError(f"f does not change sign at the bracket end {end}")
@@ -147,12 +138,7 @@ def solve_a_c(tol: Tolerance) -> float:
     and its slope phi'' together (see _neck_terms).  The root is bracketed
     by [0.3, 0.7].
     """
-
-    def f(a: float) -> tuple[float, float, float]:
-        _, _, _, dphi, dphi2 = _neck_terms(a)
-        return dphi, dphi2, 0.0
-
-    return solve_root(f, 0.3, 0.7)
+    return solve_root(lambda a: _neck_terms(a)[3:], 0.3, 0.7)
 
 
 def solve_a_0(K: float) -> float:
@@ -161,10 +147,10 @@ def solve_a_0(K: float) -> float:
     mvt_f and the slope handed with it are elementary; mvt_f checks K itself.
     """
 
-    def f(x: float) -> tuple[float, float, float]:
+    def f(x: float) -> tuple[float, float]:
         sinh, cosh = math.sinh, math.cosh
         slope = 10.0 * (7.0 * cosh(7.0 * x) - 9.0 * (sinh(3.0 * x) + sinh(5.0 * x)))
-        return mvt_f(x, K), slope + 120.0 * (1.0 - K) * sinh(8.0 * x), 0.0
+        return mvt_f(x, K), slope + 120.0 * (1.0 - K) * sinh(8.0 * x)
 
     return solve_root(f, 1.0e-6, math.log(1.5))
 
@@ -177,12 +163,7 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
     a_c = solve_a_c(tol)
     a_0 = solve_a_0(K)
     a_l = math.acosh(1.0 / (1.0 - K))
-
-    def f(a: float) -> tuple[float, float, float]:
-        _, _, phi, dphi, _ = _neck_terms(a)
-        return phi, dphi, 0.0
-
-    a_L = solve_root(f, a_c, a_l)
+    a_L = solve_root(lambda a: _neck_terms(a)[2:4], a_c, a_l)
     return ConstantsBundle(
         K=K,
         a_c=a_c,

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -366,8 +367,8 @@ class TestCatenoidsForSeparation:
         (a_inner, label_inner), (a_outer, _) = found.solutions
         assert 0.0 < a_inner < bundle.a_c < a_outer
         assert label_inner.kind is RegimeKind.UNSTABLE
-        # The root is solved to solve_root's relative floor and 2 rho is
-        # exact to rounding, so the residual is a few ulps of d.
+        # The root is within its rounding band and 2 rho is exact to
+        # rounding, so the residual is a few ulps of d.
         assert abs(2.0 * gomes_rho(a_inner, tol) - d) <= 1e-13 * d
 
     def test_tiny_separation_outer_root(self, bundle, tol):
@@ -404,41 +405,62 @@ class TestCatenoidsForSeparation:
             for a in (a_inner, a_outer):
                 assert abs(2.0 * gomes_rho(a, tol) - d) <= 1e-14 * d, (d, a)
 
-    def test_chebyshev_slopes_keep_their_sign(self, bundle, tol, monkeypatch):
-        # The residual hands solve_root the slope g' / (1 + t), t = g g'' /
-        # (2 g'**2); it must keep g''s sign, since solve_root reads the
-        # crossing direction off it.  rho'' is checked here by a central
-        # difference of rho', not through the phi'' the residual reads.  No
-        # call lands on a bracket end: each root has a sign change inside.
-        calls = []
+    def test_chebyshev_steps_within_their_band(self, bundle, tol, monkeypatch):
+        # Nothing confirms a root at run time, so this sweep is its
+        # certificate: 6,214 separations over [1e-10, 2 rho(a_c)), the last
+        # 53 just outside the 2 abs_tol tie window, and 8 within 1 to 8 ulps
+        # of 2 rho(a_c) under a window of 1e-300.  Each root is one step
+        # (g / g') (1 + t) from its start, g = log(2 rho / d) and t = g g''
+        # / (2 g'**2), here with rho'' from a central difference of rho', not
+        # through the phi'' the package reads.  t stays within [-1.5e-5,
+        # 2.4e-6] over the sweep; within ulps of the maximum, g at the start
+        # is its own rounding, a few eps, against sigma**2 = k eps, and t ~
+        # -g / (4 sigma**2) reaches -1/4.  Each root lies on its own side of
+        # a_c, and within one band (_RHO_ERROR + eps) / |g'| (the worst uses
+        # 0.80 of it) of the root x - g / g' of plain Newton run to
+        # solve_root's relative floor.
+        eps = sys.float_info.epsilon
+        starts = []
+        step = circles._chebyshev_root
 
-        def recording(f, lo, hi, start=None):
-            def g(x):
-                assert lo < x < hi, (lo, x, hi)
-                calls.append((x, *f(x)))
-                return calls[-1][1:]
+        def recording(a, d):
+            starts.append(a)
+            return step(a, d)
 
-            return solve_root(g, lo, hi, start)
-
-        monkeypatch.setattr(circles, "solve_root", recording)
+        monkeypatch.setattr(circles, "_chebyshev_root", recording)
         top = math.log10(1.0022)
         separations = [10.0 ** (-10.0 + k * (top + 10.0) / 6000) for k in range(6001)]
         separations += [bundle.two_rho_ac - 10.0 ** (-2.0 - k / 20) for k in range(160)]
-        # Just outside the 2 abs_tol tie window, where the roots meet at a_c.
         separations += [bundle.two_rho_ac - 2e-10 * (1.0 + 2.0**-k) for k in range(53)]
-        for d in separations:
-            catenoids_for_separation(d, bundle, tol)
-        assert len(calls) > 20000
-        for a, value, slope, _ in calls:
-            rho, drho = catenoid._neck_terms(a)[:2]
-            if drho == 0.0:
-                continue
-            h = 1e-5 * a
-            drho2 = (catenoid._neck_terms(a + h)[1] - catenoid._neck_terms(a - h)[1]) / (2 * h)
-            t = 0.5 * value * (rho * drho2 / (drho * drho) - 1.0)
-            assert slope * drho > 0.0, a
-            assert 1.0 + t > 0.0, a
-            assert slope == pytest.approx(drho / rho / (1.0 + t), rel=1e-6), a
+        fine = Tolerance(abs_tol=1e-300)
+        ulps = [bundle.two_rho_ac - k * math.ulp(bundle.two_rho_ac) for k in range(1, 9)]
+        roots = []
+        for d, window in [(d, tol) for d in separations] + [(d, fine) for d in ulps]:
+            found = catenoids_for_separation(d, bundle, window).solutions
+            if len(found) == 2:
+                roots += [(d, a, side) for (a, _), side in zip(found, (-1.0, 1.0))]
+        # The six separations within 1e-10 of 2 rho(a_c) take a_c unsolved.
+        assert len(roots) == len(starts) == 2 * (len(separations) + len(ulps) - 6)
+        kernel = catenoid._neck_terms
+        for (d, a, side), start in zip(roots, starts):
+            rho, drho = kernel(start)[:2]
+            h = 1e-5 * start
+            drho2 = (kernel(start + h)[1] - kernel(start - h)[1]) / (2 * h)
+            t = 0.5 * math.log(2.0 * rho / d) * (rho * drho2 / (drho * drho) - 1.0)
+            if d in ulps:
+                assert abs(t) <= 0.5, (d, start)
+            else:
+                assert -1.5e-5 <= t <= 2.4e-6, (d, start)
+            assert (a - bundle.a_c) * side > 0.0, (d, a)
+
+            def residual(x):
+                rho, drho = kernel(x)[:2]
+                return math.log(2.0 * rho / d), drho / rho
+
+            lo, hi = (0.0, bundle.a_c) if side < 0 else (bundle.a_c, 25.0)
+            x = solve_root(residual, lo, hi, a)
+            g, slope = residual(x)
+            assert abs(a - x + g / slope) <= (catenoid._RHO_ERROR + eps) / abs(slope), (d, a)
 
     @pytest.mark.parametrize("field, shift", [("a_c", 1e-6), ("two_rho_ac", -1e-12)])
     def test_perturbed_bundle(self, bundle, tol, field, shift):

@@ -206,7 +206,7 @@ class TestClassifyCommand:
         kinds = [entry["kind"] for entry in report["solutions"]]
         assert kinds == ["unstable", "area_minimizing"]
         a_inner = report["solutions"][0]["a"]
-        # Root at solve_root's relative floor and 2 rho exact to rounding.
+        # Root within its rounding band and 2 rho exact to rounding.
         assert abs(2.0 * gomes_rho(a_inner, tol) - 1e-6) <= 1e-13 * 1e-6
 
     def test_by_separation_outer_bracket(self, capsys):
@@ -676,9 +676,9 @@ GOLDEN = {
     "classify --a 0.6":
         "b979f0a914277a5bb931556e46d74246ec6032832ff859e5c9c11245fc453a18",
     "classify --distance 0.8":
-        "f33cebee2a0c9dab80a2f29625db8de6716bcabd457d251321e276087f280f2a",
+        "f78796cd08e7dc4f4ce0bf22c91b4810ea63953f3dc942e63ffdf29d1d324e09",
     "classify --circles 0,0,1 0,0,2.2":
-        "ec5bfc3e236ce38235c1a51a21b2ce3bc1bd44c4c6e4e7842b7f9d6034284019",
+        "e3f09097f006cf4142a4fd7db05e7515387b1c2ba46e8c6cb370f4307381a429",
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":

@@ -8,15 +8,16 @@ is a closed form, so every pin is 0: a nonzero count means a package path
 reached the quadrature layer again.
 
 The solver pins count calls of the f handed to solve_root, wrapped in the
-constants and circles namespaces: the (value, slope, bound) calls its
-safeguarded Newton iteration makes until a value is within its rounding
-bound or a step within solve_root's relative floor, with no call at a
-bracket end whose sign is known.  The kernel pins count calls of
-_neck_terms, one AGM loop each, and of _carlson, one duplication sequence
-each, in every namespace that binds them; the AGM pin counts the loop's
-steps.  Both fixtures first build the start table of
-catenoids_for_separation, which is built once per process, so no pin
-depends on test order; test_start_table_calls pins the build itself.
+constants namespace: the (value, slope) calls its safeguarded Newton
+iteration makes for a_c, a_0 and a_L to reach solve_root's relative floor,
+with no call at a bracket end whose sign is known.  The kernel pins count
+calls of _neck_terms, one AGM loop each, and of _carlson, one duplication
+sequence each, in every namespace that binds them; the AGM pin counts the
+loop's steps.  A separation root is one Chebyshev step from its table
+start, so its pins count exactly one AGM loop per root.  Both fixtures
+first build the start table of catenoids_for_separation, which is built
+once per process, so no pin depends on test order; test_start_table_calls
+pins the build itself.
 """
 
 import math
@@ -175,8 +176,7 @@ def count_solver_calls(monkeypatch):
 
         return solve_root(g, lo, hi, start)
 
-    for namespace in (constants, circles):
-        monkeypatch.setattr(namespace, "solve_root", counted_solve)
+    monkeypatch.setattr(constants, "solve_root", counted_solve)
 
     def run(fn):
         solves.clear()
@@ -192,25 +192,30 @@ def test_cold_bundle_solver_calls(count_solver_calls):
     assert count_solver_calls(lambda: constants_bundle(TOL)) == [4, 7, 6]
 
 
-def test_circles_solver_calls(count_solver_calls):
+def test_circles_solver_calls(count_calls):
     bundle = constants_bundle(TOL)
     inner = circle_from_center_radius(0j, 1.0)
     outer = circle_from_center_radius(0j, 2.2)
-    solves = count_solver_calls(lambda: catenoids_for_circles(inner, outer, bundle, TOL))
-    assert solves == [2, 2]
+    count = count_calls(
+        catenoid, "_neck_terms", lambda: catenoids_for_circles(inner, outer, bundle, TOL)
+    )
+    assert count == 2
 
 
-def test_tiny_separation_solver_calls(count_solver_calls):
+def test_tiny_separation_solver_calls(count_calls):
+    # The outer root's asymptotic start is exact to rounding, and still
+    # takes its one step.
     bundle = constants_bundle(TOL)
-    solves = count_solver_calls(lambda: catenoids_for_separation(1e-9, bundle, TOL))
-    # The outer root's asymptotic start is already exact to rounding.
-    assert solves == [2, 1]
+    count = count_calls(
+        catenoid, "_neck_terms", lambda: catenoids_for_separation(1e-9, bundle, TOL)
+    )
+    assert count == 2
 
 
 @pytest.mark.parametrize(
     "d", [0.999 * 2.0 * gomes_rho(25.0, TOL), 1e-300], ids=["just_below_cap", "1e-300"]
 )
-def test_below_outer_cap_solver_calls(count_solver_calls, d):
+def test_below_outer_cap_solver_calls(count_calls, d):
     # Below 2 rho(25) the outer branch has no root, which is known before
     # either root is solved.
     bundle = constants_bundle(TOL)
@@ -219,7 +224,7 @@ def test_below_outer_cap_solver_calls(count_solver_calls, d):
         with pytest.raises(BracketError, match="outer branch"):
             catenoids_for_separation(d, bundle, TOL)
 
-    assert count_solver_calls(below_cap) == []
+    assert count_calls(catenoid, "_neck_terms", below_cap) == 0
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -234,7 +239,7 @@ def test_a_L_solver_calls_across_brackets(side):
     def phi(a):
         nonlocal calls
         calls += 1
-        return catenoid._neck_terms(a)[2:4] + (0.0,)
+        return catenoid._neck_terms(a)[2:4]
 
     for k in range(300):
         if side == "lower":
@@ -247,10 +252,11 @@ def test_a_L_solver_calls_across_brackets(side):
         assert abs(root - a_L) <= 4.0 * math.ulp(a_L), k
 
 
-def test_separation_sweep_solver_calls(count_solver_calls):
+def test_separation_sweep_solver_calls(count_calls):
     # The README sweep: 413 log-spaced separations in [1e-10, 1.0022] and
     # twelve just below 2 rho(a_c); the four within the tie window of it
-    # take a_c without a solve.
+    # take a_c without a solve, and each of the other 842 roots takes one
+    # AGM loop.
     bundle = constants_bundle(TOL)
     span = math.log10(1.0022) + 10.0
     separations = [10.0 ** (-10.0 + k * span / 412) for k in range(413)]
@@ -260,10 +266,7 @@ def test_separation_sweep_solver_calls(count_solver_calls):
         for d in separations:
             catenoids_for_separation(d, bundle, TOL)
 
-    solves = count_solver_calls(sweep)
-    assert len(solves) == 842
-    assert sum(solves) <= 1508
-    assert max(solves) <= 2
+    assert count_calls(catenoid, "_neck_terms", sweep) == 842
 
 
 def test_solver_budget_calls():
@@ -272,7 +275,7 @@ def test_solver_budget_calls():
     def step(x):
         nonlocal calls
         calls += 1
-        return math.copysign(1.0, x - 1.0), 0.0, 0.0
+        return math.copysign(1.0, x - 1.0), 0.0
 
     with pytest.raises(EvaluationBudgetError):
         solve_root(step, 1e-300, 1e300)
@@ -359,9 +362,9 @@ def test_separation_carlson_calls(count_calls):
 
 
 def test_separation_kernel_calls(count_calls):
-    # One kernel call per residual: rho, rho' and phi'' come from one AGM loop.
+    # One kernel call per root: rho, rho' and phi'' come from one AGM loop.
     tiny, pair = (count_calls(catenoid, "_neck_terms", solve) for solve in _separations())
-    assert (tiny, pair) == (3, 4)
+    assert (tiny, pair) == (2, 2)
 
 
 def test_start_table_calls(count_calls, count_solver_calls):

@@ -31,9 +31,9 @@ solvers' slopes phi' and phi'' (and with them rho'' = (phi'' - 4 pi
 cosh(2a) rho') / (2 pi sinh(2a))) to mpmath's derivative of the closed
 form of rho'.  test_separation_roots holds both roots of 2 rho(a) = d to
 12 eps / |g'| of the root of g = log(2 rho / d) with rho from elliprj, and
-their median error to 1 ulp; test_separation_roots_within_their_stop holds
-g's rounding at each root to the bound the solver stops on, and each root
-to the width that bound implies.
+their median error to 1 ulp; test_separation_roots_within_their_band holds
+g's rounding at each root to _RHO_ERROR + eps (1 + |g|), and each root to
+the band (_RHO_ERROR + eps) / |g'| that bound implies.
 """
 
 import dataclasses
@@ -353,17 +353,23 @@ def test_neck_terms_closed_forms():
 
     Below a ~ 1.5e-154 w = sinh(a)**2 is subnormal, and below ~2e-162 it
     is 0; the AGM's kc = sinh(a) / sqrt(c) stays positive and keeps its
-    digits there.
+    digits there.  rho's worst relative error over KERNEL_SPAN, 8.8e-16 at
+    a ~ 2e-5, must reach a quarter of _RHO_ERROR, so the bound is pinned
+    from both sides.
     """
+    rho_worst = 0.0
     for a in KERNEL_SPAN + (1e-300, 1e-160, 1e-100):
         rho, drho, phi, dphi, d2phi = _neck_terms(a)
         with mp.workdps(DIGITS):
             ref_rho, ref_drho, ref_phi, ref_dphi, ref_d2phi = _neck_closed_forms(a)
+            if a in KERNEL_SPAN:
+                rho_worst = max(rho_worst, float(abs(rho / ref_rho - 1)))
         _close(rho, ref_rho, _RHO_ERROR * float(ref_rho))
         _close(drho, ref_drho, 2e-15 * abs(float(ref_drho)))
         _close(phi, ref_phi, _scaled(ref_phi, 1.5e-14))
         _close(dphi, ref_dphi, 2e-15 * abs(float(ref_dphi)))
         _close(d2phi, ref_d2phi, _scaled(ref_d2phi, 1e-14))
+    assert rho_worst >= 0.25 * _RHO_ERROR
 
 
 def test_u_form_refuses_tiny_necks():
@@ -536,16 +542,16 @@ def test_separation_roots():
     assert statistics.median(ulps) <= 1.0
 
 
-def test_separation_roots_within_their_stop():
-    """Each root of 2 rho(a) = d within the width its stop implies.
+def test_separation_roots_within_their_band():
+    """Each root of 2 rho(a) = d within its rounding band.
 
-    The residual bounds the rounding of g = log(2 rho / d) by _RHO_ERROR +
-    eps (1 + |g|): rho's relative error and the division's reach g as
-    absolute errors, and log rounds g itself.  Each float g at a root is
-    within that bound of the exact g (the worst uses 0.37 of it).
-    solve_root stops once |g| is within the bound and takes one more step,
-    so a root errs by at most (_RHO_ERROR + eps) / |g'| plus half an ulp
-    (the worst uses 0.35 of it), over the 210 roots of
+    The float g = log(2 rho / d) errs by at most _RHO_ERROR + eps (1 + |g|):
+    rho's relative error and the division's reach g as absolute errors,
+    and log rounds g itself.  Each float g at a root is within that bound
+    of the exact g (the worst uses 0.37 of it), so g places a root only to
+    the band (_RHO_ERROR + eps) / |g'|.  Each root, one Chebyshev step from
+    its table start, is within that band plus half an ulp of its oracle
+    (the worst uses 0.41 of it), over the 210 roots of
     test_separation_roots and 13 inner roots below d = 1e-3.
     """
     eps = sys.float_info.epsilon
