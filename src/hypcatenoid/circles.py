@@ -218,10 +218,6 @@ class CatenoidSolutions(_Record):
         object.__setattr__(self, "solutions", solutions)
 
 
-# 2*rho(25): the outer root is sought up to a = 25, the end of rho's domain,
-# so no smaller separation has one.
-_MIN_SEPARATION = 2.0 * _neck_terms(_NECK_CAP)[0]
-
 # Nodes per branch of the start table: 32 hold every start within eps**(1/3)
 # of its root, so one Chebyshev step lands inside the root's rounding band.
 _START_NODES = 32
@@ -255,8 +251,9 @@ def _read(table: tuple[tuple, tuple], s: float) -> float:
 
 
 @functools.cache
-def _start_table() -> tuple[float, tuple[tuple, tuple], tuple[tuple, tuple]]:
-    """2 rho(a_c) and the starts of both branches, as inverses of rho in sigma.
+def _start_table() -> tuple[float, float, tuple[tuple, tuple], tuple[tuple, tuple]]:
+    """2 rho(25) and 2 rho(a_c), which bound every d with roots, and the
+    starts of both branches, as inverses of rho in sigma.
 
     On either branch the root a of 2 rho(a) = d is a smooth function of
     sigma = sqrt(log(2 rho(a_c) / d)), though a square root of d at the
@@ -270,8 +267,8 @@ def _start_table() -> tuple[float, tuple[tuple, tuple], tuple[tuple, tuple]]:
     a_c + t (t + q) lie about sigma = t apart; t runs to where the outer
     node reaches the cap a = 25, and the inner one there is past every
     inner root.  Each node takes rho and rho' from one AGM loop, so a build
-    is 2 * 31 + 5 calls of _neck_terms (4 of them for a_c), once per
-    process.
+    is 2 * 31 + 6 calls of _neck_terms (4 of them for a_c, 1 for rho(25)),
+    once per process.
     """
     a_c = solve_a_c(Tolerance())
     rho_c, drho, _, _, dphi2 = _neck_terms(a_c)
@@ -294,7 +291,8 @@ def _start_table() -> tuple[float, tuple[tuple, tuple], tuple[tuple, tuple]]:
         a = a_c + t * (t + q)
         _, _, s2, s, slope = node(a)
         outer.append((s, a - s2, slope - 2.0 * s))
-    return 2.0 * rho_c, _hermite(inner), _hermite(outer)
+    two_rho_cap = 2.0 * _neck_terms(_NECK_CAP)[0]
+    return two_rho_cap, 2.0 * rho_c, _hermite(inner), _hermite(outer)
 
 
 def _chebyshev_root(a: float, d: float) -> float:
@@ -302,12 +300,10 @@ def _chebyshev_root(a: float, d: float) -> float:
 
     t = g g'' / (2 g'**2) in the scale-free form g (rho rho'' / rho'**2 - 1)
     / 2 stays finite where g'' = rho'' / rho - g'**2 overflows, below
-    a ~ 1e-154.  rho' is 0 only at the maximum a_c, the start for d =
-    2 rho(a_c), which a bundle claiming a larger maximum lets through.
+    a ~ 1e-154.  No start is a_c, where rho' = 0: d = 2 rho(a_c) takes the
+    tie, and a d one ulp below starts 1.2e-8 from a_c, where |rho'| ~ 2e-8.
     """
     rho, drho, _, _, dphi2 = _neck_terms(a)
-    if drho == 0.0:
-        return a
     g = math.log(2.0 * rho / d)
     t = 0.5 * g * (rho * _rho_second(a, drho, dphi2) / (drho * drho) - 1.0)
     return a - g * rho / drho * (1.0 + t)
@@ -325,7 +321,8 @@ def catenoids_for_separation(
     the two branches merge into the single a_c; below it one root lies on
     each side of a_c.  The outer root is sought up to a = 25, the end of
     rho's domain, so d below 2*rho(25) ~ 3.3e-11 raises BracketError
-    before any root is solved.
+    before any root is solved.  Both bounds are rho's, from _start_table;
+    the bundle names the tie's a_c and labels the roots.
 
     Both roots start from a piecewise-cubic Hermite inverse of rho
     (_start_table), built once per process in about 0.3 ms and read in
@@ -334,25 +331,19 @@ def catenoids_for_separation(
     Solution of Equations, 1964, ch. 5) on g(a) = log(2 rho(a) / d), whose
     third order lands it within the rounding band (_RHO_ERROR + eps) / |g'|
     of g; its one AGM loop gives rho, rho' and phi'', hence rho''.  So a
-    root costs one AGM loop.  A bundle whose two_rho_ac is above the true
-    maximum raises BracketError for a d between the two.
+    root costs one AGM loop.
     """
     if not 0.0 < d < math.inf:
         raise ValueError(f"plane separation must be positive and finite, got {d}")
+    two_rho_cap, two_rho_c, inner_start, outer_start = _start_table()
     window = 2.0 * tol.abs_tol
-    if d > bundle.two_rho_ac + window:
+    if d > two_rho_c + window:
         return CatenoidSolutions(d, ())
-    if abs(d - bundle.two_rho_ac) <= window:
+    if abs(d - two_rho_c) <= window:
         a = bundle.a_c
         return CatenoidSolutions(d, ((a, classify_regime(a, bundle)),))
-    if d < _MIN_SEPARATION:
+    if d < two_rho_cap:
         raise BracketError(f"outer branch of 2*rho(a) = {d} has no root up to a = {_NECK_CAP}")
-    two_rho_c, inner_start, outer_start = _start_table()
-    if d > two_rho_c:
-        raise BracketError(
-            f"2*rho(a) = {d} has no root: the bundle's two_rho_ac = "
-            f"{bundle.two_rho_ac} is above the maximum 2*rho(a_c) = {two_rho_c}"
-        )
     s2 = math.log1p((two_rho_c - d) / d)
     s = math.sqrt(s2)
     inner = _chebyshev_root(d * math.exp(_read(inner_start, s)), d)

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 import sys
 
 import pytest
@@ -477,20 +476,35 @@ class TestCatenoidsForSeparation:
             for a, _ in found.solutions:
                 assert abs(2.0 * gomes_rho(a, tol) - d) <= 1e-14 * d, (d, a)
 
-    def test_bundle_above_the_maximum(self, bundle):
-        # Between the true 2 rho(a_c) and a bundle's larger one no root
-        # exists; that is a typed BracketError naming both maxima before any
-        # solve, not a failed square root or a bracket end without a sign
-        # change.
+    @staticmethod
+    def _decided_by_rho(bundle, shift):
+        # Whether d has roots depends on rho alone: a bundle whose two_rho_ac
+        # is off by shift gets no catenoid strictly above the true 2 rho(a_c)
+        # plus the window, the tie within it, and below it the two roots of
+        # the package bundle, bit for bit.
         tol = Tolerance(abs_tol=1e-14)
-        perturbed = ConstantsBundle(**{**vars(bundle), "two_rho_ac": bundle.two_rho_ac + 1e-12})
-        message = re.escape(
-            f"two_rho_ac = {perturbed.two_rho_ac} is above the maximum "
-            f"2*rho(a_c) = {bundle.two_rho_ac}"
-        )
-        for d in (math.nextafter(bundle.two_rho_ac, 2.0), bundle.two_rho_ac + 5e-13):
-            with pytest.raises(BracketError, match=message):
-                catenoids_for_separation(d, perturbed, tol)
+        window = 2.0 * tol.abs_tol
+        top = bundle.two_rho_ac
+        perturbed = ConstantsBundle(**{**vars(bundle), "two_rho_ac": top + shift})
+        for d in (math.nextafter(top + window, 2.0), top + 5e-13, top + 2e-12):
+            assert catenoids_for_separation(d, perturbed, tol).solutions == ()
+        for d in (top - window, math.nextafter(top, 0.0), top, top + window):
+            (a, label), = catenoids_for_separation(d, perturbed, tol).solutions
+            assert a == bundle.a_c and label.at_a_c
+        for d in (math.nextafter(top - window, 0.0), top - 5e-13, top - 2e-12, 0.8):
+            found = catenoids_for_separation(d, perturbed, tol).solutions
+            assert len(found) == 2
+            assert found == catenoids_for_separation(d, bundle, tol).solutions, d
+
+    def test_bundle_above_the_maximum(self, bundle):
+        # A d between the true maximum and the bundle's larger one has no
+        # catenoid, as any d above the maximum.
+        self._decided_by_rho(bundle, 1e-12)
+
+    def test_bundle_below_the_maximum(self, bundle):
+        # A d between the bundle's smaller maximum and the true one has its
+        # two roots.
+        self._decided_by_rho(bundle, -1e-12)
 
     def test_below_the_outer_branch_cap(self, bundle, tol):
         # The outer root is sought up to a = 25, so d < 2 rho(25) has none.

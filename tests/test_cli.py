@@ -322,6 +322,10 @@ class TestClassifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["classify", "--circles", "0,0", "0,0,2"])
         assert excinfo.value.code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["classify", "--circles", "0,0,x", "0,0,2"])
+        assert excinfo.value.code == 1
+        assert "non-numeric circle literal '0,0,x'" in capsys.readouterr().err
 
     def test_requires_exactly_one_mode(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -21,6 +21,9 @@ pins the build itself.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -369,15 +372,41 @@ def test_separation_kernel_calls(count_calls):
 
 def test_start_table_calls(count_calls, count_solver_calls):
     # The table takes a_c from solve_a_c's 4 calls, rho and rho'' at a_c
-    # from one more, and rho and rho' at 31 further nodes per branch; a
-    # built table is not built again.
+    # from one more, rho and rho' at 31 further nodes per branch, and
+    # rho(25) from one more; a built table is not built again.
     build = circles._start_table
-    for name, calls in (("_neck_terms", 67), ("_carlson", 0)):
+    for name, calls in (("_neck_terms", 68), ("_carlson", 0)):
         build.cache_clear()
         assert count_calls(catenoid, name, build) == calls
         assert count_calls(catenoid, name, build) == 0
     build.cache_clear()
     assert count_solver_calls(build) == [4]
+
+
+def test_import_kernel_calls():
+    # Importing circles runs no AGM loop: 2 rho(25) and 2 rho(a_c) come with
+    # the start table, on the first separation solved.  The count runs in a
+    # fresh interpreter, where circles is not yet imported.
+    package_root = os.path.dirname(os.path.dirname(hypcatenoid.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys\n"
+        "from hypcatenoid import catenoid\n"
+        "assert 'hypcatenoid.circles' not in sys.modules\n"
+        "calls, kernel = [], catenoid._neck_terms\n"
+        "catenoid._neck_terms = lambda a: calls.append(a) or kernel(a)\n"
+        "import hypcatenoid.circles\n"
+        "print(len(calls))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 def test_area_difference_kernel_calls(count_calls):

@@ -219,7 +219,9 @@ class TestBuildMesh:
     def test_rows_end_inside_ball_and_distinct(self, a, tol):
         # Rows stop at y_end(a), so however far y_max reaches, every vertex
         # passes the closed-ball check, consecutive rows differ as doubles,
-        # and a y_max past y_end gives the rows of y_end.
+        # and a y_max past y_end gives the rows of y_end.  The end row is
+        # within 40 units of eps / 2 of the sphere (it uses 33.5 to 37.4 of
+        # them), so an allowance much wider than the row sums need fails.
         y_end = _y_end(a, tol)
         past = (math.nextafter(y_end, math.inf), 1000.0, 1e300)
         for n_profile, n_angle in ((2, 3), (8, 12), (32, 64), (256, 7)):
@@ -233,6 +235,9 @@ class TestBuildMesh:
                     assert below != above, (shape, j)
                 if y_max == y_end:
                     end_rows = rows
+                    u, r = (mpmath.mpf(c) for c in rows[-1])
+                    with mpmath.workdps(50):
+                        assert 0 < 1 - u * u - r * r <= 40 * mpmath.mpf(2) ** -53, shape
                 elif y_max in past:
                     assert rows == end_rows, shape
 
@@ -341,6 +346,8 @@ class TestMeshEntries:
         assert len(listed) == len(entries)
         assert listed == [entries[i] for i in range(len(entries))]
         assert entries == listed and entries != listed[:-1]
+        # Only views and lists compare by entries; a tuple of them is unequal.
+        assert entries != tuple(listed) and tuple(listed) != entries
         assert pickle.loads(pickle.dumps(entries)) == entries
 
     def test_typecodes(self, mesh):
