@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # Home module of every public name; a library module's __all__ is its entry.
 _EXPORTS = {
     "catenoid": (
-        "AreaReport",
         "CatenarySample",
         "ConsistencyError",
         "EvaluationBudgetError",

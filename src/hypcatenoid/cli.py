@@ -172,7 +172,8 @@ def _cmd_compete(args: argparse.Namespace, tol: Tolerance) -> None:
         found = find_cheaper_competitor(args.a, args.r, tol)
     else:
         found = competitor_report(args.a, args.r, args.s)
-    report = {name: getattr(found, name) for name in found.__slots__}
+    report = {"a": args.a, "r": args.r}
+    report.update((name, getattr(found, name)) for name in found.__slots__)
     # The search reports a margin only when it is positive.
     report["witness"] = report["margin"] is not None and report["margin"] > 0.0
     text = "".join(

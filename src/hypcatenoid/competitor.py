@@ -59,15 +59,14 @@ class CompetitorReport(_Record):
     s = a / 2**20, the best radius in (0, a] to within 2 pi L s (where
     L >= 1 / sqrt(2) the margin falls strictly in s with no tanh bound);
     its s and derived fields are absent when its margin is not positive,
-    which is when Phi(a, r) <= 0 up to rounding.
+    which is when Phi(a, r) <= 0 up to rounding.  The report holds only
+    what was computed: the caller's a and r are not echoed.
     """
 
-    __slots__ = ("a", "r", "s", "area_catenoid", "area_competitor", "margin")
+    __slots__ = ("s", "area_catenoid", "area_competitor", "margin")
 
-    def __init__(self, a: float, r: float, s: Optional[float], area_catenoid: float,
+    def __init__(self, s: Optional[float], area_catenoid: float,
                  area_competitor: Optional[float], margin: Optional[float]):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "area_catenoid", area_catenoid)
         object.__setattr__(self, "area_competitor", area_competitor)
@@ -111,7 +110,8 @@ def competitor_report(a: float, r: float, s: float) -> CompetitorReport:
     where the comparison is meaningful.  Both areas hold the disks'
     4 pi (cosh r - 1), which would cancel every digit of their difference
     at large r, so the margin is Phi - pi L sinh 2s + 4 pi (cosh s - 1),
-    from Phi = tube area - disk area.
+    from Phi = tube area - disk area.  Phi = area_difference(a, r) and the
+    disks' area are each computed once, and the catenoid's area is their sum.
     """
     _check_neck(a)
     if not r > a:
@@ -121,16 +121,15 @@ def competitor_report(a: float, r: float, s: float) -> CompetitorReport:
     L = plane_separation(a, r)
     if not 0.0 < s <= a:
         raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
-    area = area_difference(a, r)
+    phi = area_difference(a, r)
+    disks = disk_area_total(r)
     cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
     footprints = disk_area_total(s)
     return CompetitorReport(
-        a=a,
-        r=r,
         s=s,
-        area_catenoid=area.tube_area,
-        area_competitor=cylinder + area.disk_area_total - footprints,
-        margin=area.phi_a_r - math.pi * L * math.sinh(2.0 * s) + footprints,
+        area_catenoid=phi + disks,
+        area_competitor=cylinder + disks - footprints,
+        margin=phi - math.pi * L * math.sinh(2.0 * s) + footprints,
     )
 
 
@@ -148,10 +147,10 @@ def find_cheaper_competitor(a: float, r: float, tol: Tolerance) -> CompetitorRep
     radii is needed.  Where L >= 1 / sqrt(2) that needs no tanh bound: with
     x = sinh s, m'(s) = 2 pi (2x - L (1 + 2x**2)) < 0 for every x except
     one at L = 1 / sqrt(2), so m is strictly decreasing on (0, a].
-    Returns competitor_report(a, r, a / 2**20), with absent fields when the
-    margin is not positive; tol is not read.
+    Returns competitor_report(a, r, a / 2**20), or, when its margin is not
+    positive, that report with only area_catenoid kept; tol is not read.
     """
     report = competitor_report(a, r, a * 2.0**-20)
     if report.margin > 0.0:
         return report
-    return CompetitorReport(a, r, None, report.area_catenoid, None, None)
+    return CompetitorReport(None, report.area_catenoid, None, None)

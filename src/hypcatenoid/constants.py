@@ -68,34 +68,29 @@ class ConstantsBundle:
             )
 
 
-def solve_root(
-    f: Callable[[float], tuple[float, float]],
-    lo: float,
-    hi: float,
-    start: float | None = None,
-) -> float:
+def solve_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float) -> float:
     """Root of f in [lo, hi] by Newton's method, safeguarded by bisection.
 
     f(x) returns (value, slope) and must change sign once on [lo, hi], at a
     simple root (nonzero slope).  The slope need not be f'(x): any nonzero
-    slope with f''s sign is safe.  The iteration starts at start (clamped
-    to the bracket; the midpoint by default), takes the direction of the
-    crossing from the first slope (or from f(lo) if that slope is 0), and
-    moves the end of each iterate's sign to it.  It takes the Newton step
-    when that lands strictly inside the bracket or is already within the
-    stop test, and bisects otherwise, until a step is within x_tol = eps *
-    min(|lo|, |hi|) plus rounding, 2 eps |x|; so a root near a small end
-    keeps its relative digits.  A Newton step onto an end already evaluated
-    means the iterates cycle in the rounding noise of f, and the bisection
-    it gets instead closes the few-ulp bracket.  An end is evaluated only if
-    the iteration closes on it, raising BracketError if f has no sign change
-    there; EvaluationBudgetError after _MAX_ITERATIONS steps.  A multiple
-    root converges only linearly and may exhaust that budget.
+    slope with f''s sign is safe.  The iteration starts at the midpoint,
+    takes the direction of the crossing from the first slope (or from f(lo)
+    if that slope is 0), and moves the end of each iterate's sign to it.  It
+    takes the Newton step when that lands strictly inside the bracket or is
+    already within the stop test, and bisects otherwise, until a step is
+    within x_tol = eps * min(|lo|, |hi|) plus rounding, 2 eps |x|; so a root
+    near a small end keeps its relative digits.  A Newton step onto an end
+    already evaluated means the iterates cycle in the rounding noise of f,
+    and the bisection it gets instead closes the few-ulp bracket.  An end is
+    evaluated only if the iteration closes on it, raising BracketError if f
+    has no sign change there; EvaluationBudgetError after _MAX_ITERATIONS
+    steps.  A multiple root converges only linearly and may exhaust that
+    budget.
     """
     if not lo < hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
     x_tol = _EPS * min(abs(lo), abs(hi))
-    x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
+    x = 0.5 * (lo + hi)
     lo_seen = hi_seen = False  # until an iterate replaces it, an end is trusted
     up = 0.0  # +1 if f crosses upward, -1 if downward
     for _ in range(_MAX_ITERATIONS):

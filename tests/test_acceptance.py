@@ -83,10 +83,10 @@ def test_criterion_08(tol):
     ok_collapsed = True
     ok_limit = True
     for a in grid:
-        values = [area_difference(a, a + 0.5 * k).phi_a_r for k in range(11)]
+        values = [area_difference(a, a + 0.5 * k) for k in range(11)]
         ok_monotone &= all(v2 - v1 >= -1e-12 for v1, v2 in zip(values, values[1:]))
         ok_collapsed &= values[0] == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
-        limit = area_difference(a, a + 20.0).phi_a_r
+        limit = area_difference(a, a + 20.0)
         ok_limit &= abs(limit - area_deficit(a, tol)) <= 1e-6
 
     abscissas = [0.01 + (3.0 - 0.01) * i / 299 for i in range(300)]

@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 from hypcatenoid import (
-    AreaReport,
     CatenarySample,
     Tolerance,
     area_deficit,
@@ -203,29 +202,28 @@ class TestDiskArea:
 class TestAreaDifference:
     def test_collapsed_tube(self):
         for a in (0.2, 0.7, 1.5):
-            rep = area_difference(a, a)
-            assert rep.tube_area == 0.0
-            assert rep.phi_a_r == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
+            assert tube_area(a, a) == 0.0
+            assert area_difference(a, a) == -(8.0 * math.pi * math.sinh(0.5 * a) ** 2)
 
     def test_frozen_tube_area(self):
         assert tube_area(0.5, 2.0) == pytest.approx(TUBE_05_2, abs=1e-8)
 
     def test_report_identity(self):
+        # The tube area is Phi plus the disks, bit for bit.
         for a, r in ((0.5, 2.0), (0.9, 5.0), (1.5, 21.5)):
-            rep = area_difference(a, r)
-            assert isinstance(rep, AreaReport)
-            slack = 4.0 * math.ulp(max(abs(rep.tube_area), rep.disk_area_total))
-            assert abs(rep.tube_area - rep.disk_area_total - rep.phi_a_r) <= slack
+            phi = area_difference(a, r)
+            assert type(phi) is float
+            assert tube_area(a, r) == phi + disk_area_total(r)
 
     def test_sign_examples(self):
-        assert area_difference(0.5, 3.0).phi_a_r > 0.0
-        assert area_difference(1.2, 4.0).phi_a_r < 0.0
+        assert area_difference(0.5, 3.0) > 0.0
+        assert area_difference(1.2, 4.0) < 0.0
         assert tube_area(0.9, 5.0) < disk_area_total(5.0)
 
     def test_monotone_in_r(self):
         for a in (0.2, 0.5, 0.9, 1.5):
             values = [
-                area_difference(a, a + 0.5 * k).phi_a_r for k in range(1, 11)
+                area_difference(a, a + 0.5 * k) for k in range(1, 11)
             ]
             assert all(b >= a_ - 1e-12 for a_, b in zip(values, values[1:]))
 
@@ -233,7 +231,7 @@ class TestAreaDifference:
         K = compute_K()
         for a in (0.2, 0.5, 0.9, 1.5):
             for r in (a + 0.5, a + 2.0, a + 10.0):
-                phi = area_difference(a, r).phi_a_r
+                phi = area_difference(a, r)
                 lower = -4.0 * math.pi * (math.cosh(a) - 1.0)
                 upper = 4.0 * math.pi * K * math.cosh(a) - 4.0 * math.pi * (
                     math.cosh(a) - 1.0
@@ -242,15 +240,17 @@ class TestAreaDifference:
 
     def test_limit_consistency(self, tol):
         for a in (0.2, 0.5, 0.9, 1.2, 1.5):
-            assert area_difference(a, a + 20.0).phi_a_r == pytest.approx(
+            assert area_difference(a, a + 20.0) == pytest.approx(
                 area_deficit(a, tol), abs=1e-6
             )
 
     def test_infinite_radius(self, tol):
         for a in (0.3, 0.6, 1.2):
-            assert area_difference(a, math.inf).phi_a_r == area_deficit(a, tol)
-            # Past r ~ 710 cosh r overflows; the report is the r = inf one.
+            assert area_difference(a, math.inf) == area_deficit(a, tol)
+            # Past r ~ 710 cosh r overflows; Phi is the r = inf one and the
+            # tube's area is infinite.
             assert area_difference(a, 1000.0) == area_difference(a, math.inf)
+            assert tube_area(a, 1000.0) == tube_area(a, math.inf) == math.inf
 
     def test_underflowed_tube(self, tol):
         # Below necks of about 7.5e-155, T = sinh(r - a) sinh(r + a) can
@@ -260,10 +260,10 @@ class TestAreaDifference:
             for r in (10.0**-e for e in range(320, -1, -5)):
                 if not r > a:
                     continue
-                rep = area_difference(a, r)
-                assert tube_area(a, r) == rep.tube_area
+                phi = area_difference(a, r)
+                assert tube_area(a, r) == phi + disk_area_total(r)
                 if math.sinh(r - a) * math.sinh(r + a) == 0.0:
-                    assert rep.phi_a_r == -rep.disk_area_total
+                    assert phi == -disk_area_total(r)
                     underflowed += 1
                 try:
                     find_cheaper_competitor(a, r, tol)

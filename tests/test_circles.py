@@ -457,9 +457,33 @@ class TestCatenoidsForSeparation:
                 return math.log(2.0 * rho / d), drho / rho
 
             lo, hi = (0.0, bundle.a_c) if side < 0 else (bundle.a_c, 25.0)
-            x = solve_root(residual, lo, hi, a)
+            x = solve_root(residual, lo, hi)
             g, slope = residual(x)
             assert abs(a - x + g / slope) <= (catenoid._RHO_ERROR + eps) / abs(slope), (d, a)
+
+    def test_start_error_on_dense_sigma_grid(self):
+        # The one-step root rests on every table start lying within
+        # eps**(1/3) of its root, relative.  This holds the starts, read as
+        # catenoids_for_separation reads them, at 20,000 sigma over
+        # (0, sqrt(log(2 rho(a_c) / 2 rho(25)))], nodes and the gaps between
+        # them alike, against roots of three Chebyshev steps.  The worst is
+        # 3.2e-6 on the inner branch and 3.1e-6 on the outer one; with 12
+        # nodes instead of 32 it would be 2.0e-4.
+        two_rho_cap, two_rho_c, inner_start, outer_start = circles._start_table()
+        top = math.sqrt(math.log(two_rho_c / two_rho_cap))
+        worst = [0.0, 0.0]
+        for k in range(1, 20001):
+            d = two_rho_c * math.exp(-(top * k / 20000) ** 2)
+            s2 = math.log1p((two_rho_c - d) / d)
+            s = math.sqrt(s2)
+            starts = (d * math.exp(circles._read(inner_start, s)),
+                      s2 + circles._read(outer_start, s))
+            for branch, start in enumerate(starts):
+                root = start
+                for _ in range(3):
+                    root = circles._chebyshev_root(root, d)
+                worst[branch] = max(worst[branch], abs(start - root) / root)
+        assert max(worst) < sys.float_info.epsilon ** (1.0 / 3.0), worst
 
     @pytest.mark.parametrize("field, shift", [("a_c", 1e-6), ("two_rho_ac", -1e-12)])
     def test_perturbed_bundle(self, bundle, tol, field, shift):

@@ -378,6 +378,23 @@ class TestCompeteCommand:
         assert report["witness"] is False
         assert report["s"] is None and report["margin"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ("--a", "0.6", "--r", "3"),
+        ("--a", "1.0", "--r", "3"),
+        ("--a", "0.6", "--r", "3", "--s", "0.05"),
+    ])
+    def test_key_order(self, capsys, argv):
+        # The report holds no a or r; the command puts the caller's first.
+        keys = ["a", "r", "s", "area_catenoid", "area_competitor", "margin", "witness"]
+        code, out, _ = run_cli(capsys, "compete", *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == keys
+        assert (report["a"], report["r"]) == (float(argv[1]), 3.0)
+        code, out, _ = run_cli(capsys, "compete", *argv)
+        assert code == 0
+        assert [line.split(" = ")[0] for line in out.splitlines()] == keys
+
     def test_fixed_cylinder_height(self, capsys):
         code, out, _ = run_cli(
             capsys, "compete", "--a", "0.6", "--r", "3", "--s", "0.05", "--json"
@@ -404,7 +421,7 @@ class TestCompeteCommand:
         )
         assert code == 0
         report = json.loads(out)
-        phi = area_difference(0.6, float(r)).phi_a_r
+        phi = area_difference(0.6, float(r))
         L = plane_separation(0.6, float(r))
         expected = (
             phi

@@ -55,9 +55,10 @@ class TestSolveRoot:
             solve_root(lambda x: (x * x + 1.0, 2.0 * x), 1.0, 2.0)
 
     def test_no_sign_change_at_start_end(self):
-        # A start clamped onto an end whose sign is wrong is re-checked there.
-        with pytest.raises(BracketError):
-            solve_root(lambda x: (x - 3.0, 1.0), 0.0, 2.0, start=5.0)
+        # The iteration closes on the end 2.0 from the midpoint; that end's
+        # sign is wrong, so it is checked there.
+        with pytest.raises(BracketError, match="at the bracket end 2.0"):
+            solve_root(lambda x: (x - 3.0, 1.0), 0.0, 2.0)
 
     def test_ends_not_evaluated(self):
         # Ends whose signs the caller knows are never evaluated unless the
@@ -68,10 +69,10 @@ class TestSolveRoot:
             seen.append(x)
             return math.log(x / 3.0), 1.0 / x
 
-        root = solve_root(f, 1e-3, 10.0, start=2.0)
+        root = solve_root(f, 1e-3, 10.0)
         assert root == pytest.approx(3.0, rel=4.0 * sys.float_info.epsilon)
         assert 1e-3 not in seen and 10.0 not in seen
-        assert len(seen) <= 6
+        assert len(seen) == 6
 
     def test_iteration_budget(self):
         # A step function over 600 decades has slope 0, so every step is a

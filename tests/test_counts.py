@@ -169,7 +169,7 @@ def count_solver_calls(monkeypatch):
     circles._start_table()  # built once per process, outside every count
     solves = []
 
-    def counted_solve(f, lo, hi, start=None):
+    def counted_solve(f, lo, hi):
         solves.append(0)
         index = len(solves) - 1
 
@@ -177,7 +177,7 @@ def count_solver_calls(monkeypatch):
             solves[index] += 1
             return f(x)
 
-        return solve_root(g, lo, hi, start)
+        return solve_root(g, lo, hi)
 
     monkeypatch.setattr(constants, "solve_root", counted_solve)
 

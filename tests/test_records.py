@@ -1,4 +1,4 @@
-"""The read-only record contract of the nine result records.
+"""The read-only record contract of the eight result records.
 
 Each record equals a record of its own class with equal fields and hashes
 alike, prints as Name(field=value, ...) in its declared field order (the
@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from hypcatenoid import (
-    AreaReport,
     CatenarySample,
     CatenoidSolutions,
     CircleAtInfinity,
@@ -37,12 +36,6 @@ RECORDS = [
         "CatenarySample(points=((0.0, 0.6), (0.5, 1.0)))",
     ),
     (
-        AreaReport,
-        (10.0, 9.5, 0.5),
-        (10.0, 9.5, -0.5),
-        "AreaReport(tube_area=10.0, disk_area_total=9.5, phi_a_r=0.5)",
-    ),
-    (
         CircleAtInfinity,
         ((0.0, 0.0, -0.5, 0.5),),
         ((0.0, 0.0, -0.5, 0.75),),
@@ -65,10 +58,9 @@ RECORDS = [
     ),
     (
         CompetitorReport,
-        (0.6, 3.0, None, 12.5, None, None),
-        (0.6, 3.0, 1e-6, 12.5, 12.0, 0.5),
-        "CompetitorReport(a=0.6, r=3.0, s=None, area_catenoid=12.5, "
-        "area_competitor=None, margin=None)",
+        (None, 12.5, None, None),
+        (1e-6, 12.5, 12.0, 0.5),
+        "CompetitorReport(s=None, area_catenoid=12.5, area_competitor=None, margin=None)",
     ),
     (
         MeshParams,
@@ -98,7 +90,7 @@ def test_equality_and_hash(cls, fields, other, text):
     "record, same_fields",
     [
         (CatenarySample(((0.0, 0.6),)), CircleAtInfinity(((0.0, 0.6),))),
-        (AreaReport(1.0, 2.0, 3.0), RegimeLabel(1.0, 2.0, 3.0)),
+        (CompetitorReport(1.0, 2.0, 3.0, 4.0), IsometryMap(1.0, 2.0, 3.0, 4.0)),
         (MeshParams(0.6, 3.0, 16, 24), IsometryMap(0.6, 3.0, 16, 24)),
     ],
 )
