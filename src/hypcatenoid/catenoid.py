@@ -17,9 +17,11 @@ R_D after one integration by parts; since phi'(a) = 2 pi sinh(2a) rho'(a),
 rho' is an R_F and R_D pair like phi.  rho, rho', phi and phi'' need only
 complete integrals, so one AGM loop of Bulirsch's cel gives all of them
 together (Bulirsch, Numer. Math. 13, 1969; DLMF 19.2(iii), 19.8); the
-incomplete x(y) and Phi(a, r) use Carlson's duplication (Numer. Algorithms
-10, 1995; DLMF 19.36).  All are exact to rounding with no quadrature; the
-tol that gomes_rho, area_deficit and sample_catenary take is not read.
+incomplete x(y) and Phi(a, r) add tails from Carlson's duplication (Numer.
+Algorithms 10, 1995; DLMF 19.36), and x(y) away from the neck is rho less
+such a tail.  None needs quadrature, and each states its error bound
+against mpmath in eps (x(y): 8 eps relative); the tol that gomes_rho,
+area_deficit and sample_catenary take is not read.
 The constant K in the second-derivative terms is a Beta integral, in
 Gamma functions (DLMF 5.12).
 
@@ -153,12 +155,15 @@ def _rj_series(x: float, y: float, z: float, p: float) -> float:
     return series / (mean * math.sqrt(mean))
 
 
-def _carlson(x: float, y: float, z: float, p: float, gap: float) -> tuple[float, float]:
-    """Carlson's R_F(x, y, z) and R_J(x, y, z, p) from one duplication sequence.
+def _carlson(
+    x: float, y: float, z: float, p: float, gap: float, rd: bool = False
+) -> tuple[float, ...]:
+    """Carlson's R_F(x, y, z) and R_J(x, y, z, p), and with rd R_D(x, y, z)
+    third, from one duplication sequence.
 
     x, y, z >= 0 with at most one zero, p > 0, and gap = (p-x)(p-y)(p-z),
     supplied exactly by the caller, <= 0, so each R_C term is an atanh or
-    its series; p = z with gap = 0 gives R_D(x, y, z) = R_J(x, y, z, z).
+    its series; R_D = R_J(x, y, z, z) takes the R_C term 1 at each step.
     Each step moves every argument v to (v + lam) / 4, which leaves R_F
     unchanged and changes R_J by a known R_C term, until the arguments agree
     closely enough for a fifth-order series about their mean (Carlson,
@@ -171,7 +176,7 @@ def _carlson(x: float, y: float, z: float, p: float, gap: float) -> tuple[float,
     spread = (max(x, y, z, p) - min(x, y, z, p)) / _DUPLICATION_SPREAD
     least = min(x, y, z, p)
     scale = 1.0  # 4**-m after m steps
-    tail = 0.0
+    tail = tail_d = 0.0
     while spread * scale > least:
         sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
@@ -187,6 +192,8 @@ def _carlson(x: float, y: float, z: float, p: float, gap: float) -> tuple[float,
             root = math.sqrt(-e)
             rc = math.atanh(root) / root
         tail += scale * rc / d
+        if rd:
+            tail_d += scale / (sz * (sz + sx) * (sz + sy))
         x, y = 0.25 * (x + lam), 0.25 * (y + lam)
         z, p = 0.25 * (z + lam), 0.25 * (p + lam)
         least = 0.25 * (least + lam)
@@ -198,7 +205,10 @@ def _carlson(x: float, y: float, z: float, p: float, gap: float) -> tuple[float,
     e2 = dx * dy - dz * dz
     e3 = dx * dy * dz
     rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0)
-    return rf / math.sqrt(mean), scale * _rj_series(x, y, z, p) + 6.0 * tail
+    rj = scale * _rj_series(x, y, z, p) + 6.0 * tail
+    if rd:
+        return rf / math.sqrt(mean), rj, scale * _rj_series(x, y, z, z) + 3.0 * tail_d
+    return rf / math.sqrt(mean), rj
 
 
 def _neck_terms(a: float) -> tuple[float, float, float, float, float]:
@@ -283,44 +293,100 @@ def gomes_rho(a: float, tol: Tolerance) -> float:
     return _neck_terms(a)[0]
 
 
-def catenary_x(a: float, y: float) -> float:
-    """Axial coordinate x(y) of the catenary profile, zero at the neck y = a.
-
-    With w = sinh(a)**2 and T = sinh(y - a) * sinh(y + a) = sinh(y)**2 - w,
-    x(y) = (sinh(2a) / 4) * int_0^T ds / ((s + p) sqrt(s (s + w) (s + c)))
-    for p = 1 + w, c = 1 + 2w.  The substitution s = T w c / (u + w c) maps
-    [0, T] onto the ray and gives R_F minus an R_J term that is O(T) smaller,
-    so x(y) keeps full relative accuracy at the neck.  Past y - a =
-    _TAIL_SPAN, x(y) equals rho(a) to rounding and y is clamped there, which
-    keeps sinh finite.  Against mpmath its relative error is below 8 eps
-    for a in [1e-6, 25] (the worst of 8,817 points is 5.4 eps).
-    Neck distances below _PROFILE_NECK_MIN (about 2.8e-103) raise
-    ValueError.
-    """
-    _check_neck(a)
+def _check_profile_neck(a: float) -> None:
     if a < _PROFILE_NECK_MIN:
         raise ValueError(
             f"neck distance {a} is below {_PROFILE_NECK_MIN:.6g}, the smallest "
             "the profile x(y) supports"
         )
+
+
+def _profile_terms(a: float, rho: float) -> tuple[float, float, float, float, float]:
+    """w, c, p and sinh(2a) of the neck a, and the T from which x takes its tail form.
+
+    R_J falls in each argument, so the tail (sinh(2a) / 6) R_J(T, T + w,
+    T + c, T + p) of _profile is below (sinh(2a) / 6) T**-1.5, which is at
+    most rho / 2 from T = (sinh(2a) / (3 rho))**(2/3) on.
+    """
+    w = math.sinh(a) ** 2
+    s2a = math.sinh(2.0 * a)
+    return w, 1.0 + 2.0 * w, 1.0 + w, s2a, (s2a / (3.0 * rho)) ** (2.0 / 3.0)
+
+
+def _spread(a: float, y: float, s2a: float, c: float) -> float:
+    """T = sinh(y - a) sinh(y + a) = sinh(y)**2 - sinh(a)**2, y - a clamped
+    at _TAIL_SPAN, with sinh(y + a) as the positive terms sinh(2a) cosh(y - a)
+    + cosh(2a) sinh(y - a), so 2a + (y - a) is not rounded before sinh."""
+    delta = min(y - a, _TAIL_SPAN)
+    sd = math.sinh(delta)
+    return sd * (s2a * math.cosh(delta) + c * sd)
+
+
+def _profile(a: float, rho: float, ys: list[float]) -> list[float]:
+    """x(y) at each y >= a of ys for the neck a, from rho = rho(a).
+
+    With w = sinh(a)**2, c = 1 + 2w, p = 1 + w and T as in _spread,
+    x(y) = (sinh(2a) / 4) int_0^T ds / ((s + p) sqrt(s (s + w) (s + c)))
+    = (sinh(2a) / 6) [R_J(0, w, c, p) - R_J(T, T + w, T + c, T + p)]: rho
+    less a tail whose arguments agree ever more closely as T grows, with
+    gap product exactly -p w (DLMF 19.16.2).  From the T of _profile_terms
+    on, the tail is at most rho / 2, so rho - tail loses at most one bit.
+    Below it the neck form holds: the substitution s = T w c / (u + w c)
+    maps [0, T] onto the ray and gives R_F minus an R_J term that is O(T)
+    smaller, so x(y) keeps full relative accuracy at the neck.  The neck
+    row T = 0 is 0.0 with no duplication.
+    """
+    w, c, p, s2a, switch = _profile_terms(a, rho)
+    wc = w * c
+    xs = []
+    for y in ys:
+        t = _spread(a, y, s2a, c)
+        if t >= switch:
+            x = rho - s2a / 6.0 * _carlson(t, t + w, t + c, t + p, -p * w)[1]
+        elif t:
+            rf, rj = _carlson(
+                c * (t + w),
+                w * (t + c),
+                wc,
+                wc * (t + p) / p,
+                -(c * t / p) * (w * w * t / p) * (wc * t / p),
+            )
+            x = s2a * math.sqrt(t) / (2.0 * p) * (rf - wc * t / (3.0 * p) * rj)
+        else:
+            x = 0.0
+        xs.append(x)
+    return xs
+
+
+def catenary_x(a: float, y: float) -> float:
+    """Axial coordinate x(y) of the catenary profile, zero at the neck y = a.
+
+    x(y) is rho(a), from the AGM loop, less a converging Carlson tail once
+    that tail is at most rho / 2, and a neck form of full relative accuracy
+    below (see _profile); sample_catenary, plane_separation and build_mesh
+    take the same values.  Past y - a = _TAIL_SPAN, x(y) equals rho(a) to
+    rounding and y is clamped there, which keeps sinh finite.  Against
+    mpmath its relative error is below 8 eps for a in [1e-6, 25]: the worst
+    of 29,725 points is 5.7 eps, in the tail form where rho errs by 5.4 eps.
+    Neck distances below _PROFILE_NECK_MIN (about 2.8e-103) raise
+    ValueError.
+    """
+    _check_neck(a)
+    _check_profile_neck(a)
     if not y >= a:
         raise ValueError(f"profile coordinate y={y} below the neck distance a={a}")
-    delta = min(y - a, _TAIL_SPAN)
-    w = math.sinh(a) ** 2
-    c, p = 1.0 + 2.0 * w, 1.0 + w
-    # sinh(2a + delta) as positive terms, c = cosh(2a): 2a + delta is not rounded.
-    s2a, sd = math.sinh(2.0 * a), math.sinh(delta)
-    t = sd * (s2a * math.cosh(delta) + c * sd)
-    wc = w * c
-    rf, rj = _carlson(
-        c * (t + w),
-        w * (t + c),
-        wc,
-        wc * (t + p) / p,
-        -(c * t / p) * (w * w * t / p) * (wc * t / p),
-    )
-    scale = s2a * math.sqrt(t) / (2.0 * p)
-    return scale * (rf - wc * t / (3.0 * p) * rj)
+    return _profile(a, _neck_terms(a)[0], [y])[0]
+
+
+def _sample(a: float, y_max: float, n: int, rho: float) -> tuple[tuple[float, float], ...]:
+    """The points of sample_catenary(a, y_max, n) from rho = rho(a)."""
+    _check_profile_neck(a)
+    span = y_max - a
+    ys = []
+    for i in range(n):
+        frac = i / (n - 1)
+        ys.append(a + span * frac * frac)
+    return tuple(zip(_profile(a, rho, ys), ys))
 
 
 def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenarySample:
@@ -328,20 +394,16 @@ def sample_catenary(a: float, y_max: float, n: int, tol: Tolerance) -> CatenaryS
 
     Node spacing follows y_i = a + (y_max - a) * (i/(n-1))**2, matching the
     (y - a)**(-1/2) growth of the profile slope at the neck.  Each x is
-    catenary_x, exact to rounding; tol is not read.
+    catenary_x(a, y_i) bit for bit, within 8 eps relative, from one AGM
+    loop for rho(a) and one duplication sequence per row past the neck;
+    tol is not read.
     """
     _check_neck(a)
     if not a < y_max < math.inf:
         raise ValueError(f"y_max={y_max} must be finite and exceed the neck distance a={a}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
-    span = y_max - a
-    points = []
-    for i in range(n):
-        frac = i / (n - 1)
-        y = a + span * frac * frac
-        points.append((catenary_x(a, y), y))
-    return CatenarySample(tuple(points))
+    return CatenarySample(_sample(a, y_max, n, _neck_terms(a)[0]))
 
 
 def disk_area_total(r: float) -> float:
@@ -354,48 +416,64 @@ def disk_area_total(r: float) -> float:
         return math.inf
 
 
-def _area_excess(a: float, t: float) -> float:
-    """Phi(a, r) at t = T = sinh(r - a) * sinh(r + a) for r > a.
+def _area_excess(
+    phi: float, w: float, c: float, p: float, t: float, rf: float, rd: float
+) -> float:
+    """Phi(a, r) from phi = phi(a), T = t > 0 and R_F, R_D at (T, T + w, T + c).
 
-    With w = sinh(a)**2, c = 1 + 2w, p = 1 + w and P(s) = s (s + w) (s + c),
-    the tube area is 2 pi int_0^T (s + w) / sqrt(P) ds.  Integrating by parts
-    against sqrt(P) / (s + c) leaves only Carlson terms:
-    Phi = 4 pi [1 + lead - p (F(0) - F(T)) + (c p / 3) (D(0) - D(T))] with
-    F(x) = R_F(x, x + w, x + c) and D(x) = R_D(x, x + w, x + c).  Here
-    lead = sqrt(P(T)) / (T + c) - cosh r, rearranged below so that nothing
-    cancels.  F(T), D(T) and lead vanish as T grows, leaving the deficit
-    phi(a) = 4 pi [1 - p F(0) + (c p / 3) D(0)], so Phi = phi(a) +
-    4 pi [lead + p F(T) - (c p / 3) D(T)] takes phi from _neck_terms and
-    keeps its absolute accuracy whatever r is.
+    With P(s) = s (s + w) (s + c) the tube area is 2 pi int_0^T (s + w) /
+    sqrt(P) ds.  Integrating by parts against sqrt(P) / (s + c) leaves only
+    Carlson terms: Phi = 4 pi [1 + lead - p (F(0) - F(T)) + (c p / 3)
+    (D(0) - D(T))] with F(x) = R_F(x, x + w, x + c) and D(x) = R_D(x, x + w,
+    x + c).  Here lead = sqrt(P(T)) / (T + c) - cosh r, rearranged below so
+    that nothing cancels.  F(T), D(T) and lead vanish as T grows, leaving
+    the deficit phi(a) = 4 pi [1 - p F(0) + (c p / 3) D(0)], so Phi =
+    phi(a) + 4 pi [lead + p F(T) - (c p / 3) D(T)] takes phi from
+    _neck_terms and keeps its absolute accuracy whatever r is.
     """
-    w = math.sinh(a) ** 2
-    c, p = 1.0 + 2.0 * w, 1.0 + w
-    rf, rd = _carlson(t, t + w, t + c, t + c, 0.0)
     lead = -p * (2.0 * t + c) / (
         math.sqrt(t + c) * (math.sqrt(t * (t + w)) + math.sqrt((t + p) * (t + c)))
     )
-    return _neck_terms(a)[2] + _FOUR_PI * (lead + p * rf - c * p / 3.0 * rd)
+    return phi + _FOUR_PI * (lead + p * rf - c * p / 3.0 * rd)
 
 
 def area_difference(a: float, r: float) -> float:
     """Area difference Phi(a, r) between the tube and its two spanning disks.
 
-    Phi is phi(a) plus incomplete R_F and R_D terms.  It is never a
-    difference of two large areas, so its absolute accuracy is independent
-    of r; tube_area adds the closed-form disk area back.  Against mpmath it
-    errs by below 128 eps * max(1, |Phi|) for a >= 0.2, and by 640 eps
-    below, where its terms cancel as phi's do (worst measured: 100 and 540
-    eps).  Past r - a = _TAIL_SPAN, Phi equals its limit to rounding and
-    r - a is clamped there.
+    Phi is phi(a) plus incomplete R_F and R_D terms (see _area_excess).  It
+    is never a difference of two large areas, so its absolute accuracy is
+    independent of r; tube_area adds the closed-form disk area back.
+    Against mpmath it errs by below 128 eps * max(1, |Phi|) for a >= 0.2,
+    and by 640 eps below, where its terms cancel as phi's do (worst
+    measured: 100 and 540 eps).  Past r - a = _TAIL_SPAN, Phi equals its
+    limit to rounding and r - a is clamped there.
     """
     _check_neck(a)
     if not r >= a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
-    delta = min(r - a, _TAIL_SPAN)
-    t = math.sinh(delta) * math.sinh(2.0 * a + delta)
+    w = math.sinh(a) ** 2
+    c, p = 1.0 + 2.0 * w, 1.0 + w
+    t = _spread(a, r, math.sinh(2.0 * a), c)
     # t is 0 at r = a, where the tube is the neck circle and has no area,
     # and where it underflows at tiny necks, so Phi is then minus the disks.
-    return _area_excess(a, t) if t else -disk_area_total(r)
+    if not t:
+        return -disk_area_total(r)
+    rf, _, rd = _carlson(t, t + w, t + c, t + p, -p * w, True)
+    return _area_excess(_neck_terms(a)[2], w, c, p, t, rf, rd)
+
+
+def _tube(a: float, r: float) -> tuple[float, float]:
+    """x(r) and Phi(a, r) for r > a, bit for bit catenary_x(a, r) and
+    area_difference(a, r), from one AGM loop for rho and phi and one
+    duplication sequence for R_F, R_J and R_D at (T, T + w, T + c); where
+    x(r) is in the neck form (see _profile), it takes a second sequence."""
+    _check_profile_neck(a)
+    rho, _, phi, _, _ = _neck_terms(a)
+    w, c, p, s2a, switch = _profile_terms(a, rho)
+    t = _spread(a, r, s2a, c)
+    rf, rj, rd = _carlson(t, t + w, t + c, t + p, -p * w, True)
+    x = rho - s2a / 6.0 * rj if t >= switch else _profile(a, rho, [r])[0]
+    return x, _area_excess(phi, w, c, p, t, rf, rd)
 
 
 def tube_area(a: float, r: float) -> float:

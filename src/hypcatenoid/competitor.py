@@ -19,9 +19,8 @@ from .catenoid import (
     Tolerance,
     _Record,
     _check_neck,
-    area_difference,
+    _tube,
     disk_area_total,
-    plane_separation,
 )
 
 if TYPE_CHECKING:
@@ -110,18 +109,20 @@ def competitor_report(a: float, r: float, s: float) -> CompetitorReport:
     where the comparison is meaningful.  Both areas hold the disks'
     4 pi (cosh r - 1), which would cancel every digit of their difference
     at large r, so the margin is Phi - pi L sinh 2s + 4 pi (cosh s - 1),
-    from Phi = tube area - disk area.  Phi = area_difference(a, r) and the
-    disks' area are each computed once, and the catenoid's area is their sum.
+    from Phi = tube area - disk area.  L and Phi are plane_separation(a, r)
+    and area_difference(a, r) bit for bit, from one AGM loop and one
+    duplication sequence (two where r is near the neck); the disks' area is
+    computed once, and the catenoid's area is Phi plus it.
     """
     _check_neck(a)
     if not r > a:
         raise ValueError(f"tube radius r={r} must exceed the neck distance a={a}")
     # L first: below the profile's neck floor, where a / 2**20 may underflow
     # to 0, the floor is the error to report.
-    L = plane_separation(a, r)
+    x, phi = _tube(a, r)
     if not 0.0 < s <= a:
         raise ValueError(f"cylinder radius s={s} must lie in (0, a] with a={a}")
-    phi = area_difference(a, r)
+    L = 2.0 * x
     disks = disk_area_total(r)
     cylinder = 2.0 * math.pi * L * math.sinh(s) * math.cosh(s)
     footprints = disk_area_total(s)

@@ -14,7 +14,7 @@ from itertools import chain
 from operator import eq, itemgetter, neg
 
 from . import _EXPORTS
-from .catenoid import Tolerance, _Record, gomes_rho, sample_catenary
+from .catenoid import Tolerance, _Record, _sample, gomes_rho
 
 __all__ = _EXPORTS["mesh"]
 
@@ -111,7 +111,8 @@ class MeshData:
     or opposite bit for bit, and quarter turns are exact zeros.  Profile
     point (x, y) gives u = sinh x / den and r = tanh y / den, where
     den = cosh x + sech y, to rounding, with sech y = 2 e / (1 + e**2) for
-    e = exp(-y).  The profile is sampled over
+    e = exp(-y).  The profile is sampled as sample_catenary samples it,
+    from the one rho(a) that also places y_end, over
     [a, min(y_max, y_end)] with y_end = acosh((2 - S) / (S cosh rho(a)))
     and S = _SUM_ROUNDING: as den <= cosh rho(a) + sech y, the slack
     1 - |p|**2 = 2 sech y / den is at least S up to y_end, so every vertex
@@ -134,12 +135,11 @@ class MeshData:
         self.params = params
         n = params.n_angle
         cos, sin = self.cos, self.sin = _sweep(n)
-        a, tol = params.neck_distance, Tolerance()
-        cosh_rho = math.cosh(gomes_rho(a, tol))
-        y_end = math.acosh((2.0 - _SUM_ROUNDING) / (_SUM_ROUNDING * cosh_rho))
-        sample = sample_catenary(a, min(params.y_max, y_end), params.n_profile, tol)
+        a = params.neck_distance
+        rho = gomes_rho(a, Tolerance())
+        y_end = math.acosh((2.0 - _SUM_ROUNDING) / (_SUM_ROUNDING * math.cosh(rho)))
         u, r = array("d"), array("d")
-        for x, y in sample.points:
+        for x, y in _sample(a, min(params.y_max, y_end), params.n_profile, rho):
             e = math.exp(-y)
             sech = 2.0 * e / (1.0 + e * e)
             den = math.cosh(x) + sech
@@ -186,8 +186,9 @@ def build_mesh(params: MeshParams, tol: Tolerance | None = None) -> MeshData:
     closed-form point, and the mesh is stored as those rows (see
     MeshData).  Every quad is then an isosceles trapezoid whose two
     diagonals have the same length, so all quads are split the same way
-    and the faces depend only on the resolution.  The profile is exact to
-    rounding whatever tol is, so tol is not read and the mesh equals
+    and the faces depend only on the resolution.  The profile rows are
+    sample_catenary's points bit for bit, within 8 eps relative of x(y),
+    whatever tol is, so tol is not read and the mesh equals
     MeshData(params).  Rows end at y_end ~ 34.5, so a y_max past y_end adds
     nothing.  At the CLI's default resolution (32 x 64) and a = 0.6, the
     4,032 vertices are all distinct at y_max = a + 20.6 and at 1000; as

@@ -115,7 +115,22 @@ class TestCatenaryX:
             plane_separation(1e-200, 1.0)
 
 
+# Profile shapes (a, y_max, n) of the mesh tests and of the oracle's points.
+SAMPLE_SHAPES = (
+    (1e-100, 1.0, 4), (1e-8, 1.0, 32), (1e-3, 2.0, 32), (0.6, 3.0, 48),
+    (2.0, 6.0, 32), (25.0, 26.0, 9), (0.6, 34.5, 32), (0.3, 0.8, 9),
+    (1.5, 2.2, 9), (0.1, 45.0, 9), (19.0, 22.0, 9),
+)
+
+
 class TestSampleCatenary:
+    @pytest.mark.parametrize("a, y_max, n", SAMPLE_SHAPES)
+    def test_rows_are_catenary_x(self, a, y_max, n, tol):
+        # One code path: a row's x is catenary_x at its y bit for bit, in
+        # the tail form and the neck form alike.
+        points = sample_catenary(a, y_max, n, tol).points
+        assert [x for x, _ in points] == [catenary_x(a, y) for _, y in points]
+
     def test_degenerate_span(self, tol):
         sample = sample_catenary(0.5, 0.5 + 1e-9, 2, tol)
         assert all(abs(x) <= 1e-4 for x, _ in sample.points)

@@ -703,7 +703,7 @@ GOLDEN = {
     "catenary --a 0.5 --y-max 2.5 --n 100":
         "0ab444670d4f85f7c6d2b14e267a3b1b1ca77ac008da17d55a16db64185fadb5",
     "compete --a 0.6 --r 3 --json":
-        "cae59652cc83e23733228a9e4f85ffdd4c6a328a658663b315d82b6cebe8dd9f",
+        "1bc9bbcc8e2f15e41c047780f58a9cd3c38da21649e18892a78aed1c155a1eb9",
     "mesh --a 0.6 --y-max 3 --out tube.obj":
         "d6b42721dbb4dd31bc0513b6b27fce5860d3309f46b2cbaf0f925bd2d6b67072",
     "constants --out constants.txt":
@@ -713,7 +713,7 @@ GOLDEN = {
     "classify --distance 1.5 --out classify.json":
         "135879468d73fe1277a2a2b7aef8dbc13156fa9114694df4da1de1b7ec48afad",
     "catenary --a 0.5 --y-max 2.5 --n 5 --json":
-        "6e9d72366fd45d5b27add24dc5ab1e2e57ef0df39d8ac2b37ed7d84b29db6da3",
+        "aba86f999418c852abac0ee9085c854df73571b4c9798b9bc9d280cb5cb955ec",
     "compete --a 0.6 --r 3":
         "8d02e119dd9f7555d5fffca32a2d8a07dc7345217597445c9bcdbdc66a603199",
     "compete --a 1.0 --r 3":
@@ -721,7 +721,7 @@ GOLDEN = {
     "compete --a 0.6 --r 3 --s 0.05":
         "1cc523be70ac194beb989bdf213925e1d727bc8eca1872078592abeaa7e1b715",
     "compete --a 0.6 --r 3 --s 0.05 --json --out compete.json":
-        "dedb92657fbd20eb9375ec6ecdd5b09ed4fb298188ce6c121f4e511e6eeb66fe",
+        "df31f95800a5288b35cf2d8a2d16bfc52c9c27f9c851196ce2aae3335b3da060",
     "mesh --a 0.6 --y-max 2 --n-profile 6 --n-angle 8 --out m.obj --json":
         "1a3cac7c5c6d2a6407486b7028e5acf82944a841636eca4a27183f3617ade6e2",
     "compete --a 0.6 --r 0.5":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypcatenoid import (
+    CompetitorReport,
     RegimeKind,
     RegimeLabel,
     area_difference,
@@ -128,6 +129,27 @@ class TestCompetitorArea:
 
     def test_beats_catenoid_in_middle_regime(self):
         assert competitor_report(0.6, 3.0, 0.05).area_competitor < tube_area(0.6, 3.0)
+
+    @pytest.mark.parametrize(
+        "a, r",
+        [(0.6, 3.0), (0.6, 0.9), (0.6, 0.6 + 1e-7), (1e-6, 0.3), (1e-6, 0.5),
+         (0.3, 45.0), (20.0, 20.2), (20.0, 21.0), (1e-100, 1.0)],
+    )
+    def test_fields_from_public_values(self, a, r):
+        # L and Phi share one AGM loop and one duplication sequence, and
+        # equal plane_separation and area_difference bit for bit on both
+        # sides of the profile's tail form (r = 0.9 and 0.6 + 1e-7 at a =
+        # 0.6, 0.3 at a = 1e-6 and 20.2 at a = 20 lie below it).
+        L, phi = plane_separation(a, r), area_difference(a, r)
+        disks = disk_area_total(r)
+        for s in (a * 2.0**-20, a / 3.0, a):
+            footprints = disk_area_total(s)
+            assert competitor_report(a, r, s) == CompetitorReport(
+                s,
+                phi + disks,
+                2.0 * math.pi * L * math.sinh(s) * math.cosh(s) + disks - footprints,
+                phi - math.pi * L * math.sinh(2.0 * s) + footprints,
+            ), s
 
     def test_neck_width_allowed_up_to_a(self):
         value = competitor_report(0.6, 3.0, 0.6).area_competitor

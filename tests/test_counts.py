@@ -12,12 +12,13 @@ constants namespace: the (value, slope) calls its safeguarded Newton
 iteration makes for a_c, a_0 and a_L to reach solve_root's relative floor,
 with no call at a bracket end whose sign is known.  The kernel pins count
 calls of _neck_terms, one AGM loop each, and of _carlson, one duplication
-sequence each, in every namespace that binds them; the AGM pin counts the
-loop's steps.  A separation root is one Chebyshev step from its table
-start, so its pins count exactly one AGM loop per root.  Both fixtures
-first build the start table of catenoids_for_separation, which is built
-once per process, so no pin depends on test order; test_start_table_calls
-pins the build itself.
+sequence each, in every namespace that binds them; the AGM and
+duplication pins count the loops' steps.  Every kernel pin is exact, so a
+count that falls fails as one that rises does.  A separation root is one
+Chebyshev step from its table start, so its pins count exactly one AGM
+loop per root.  Both fixtures first build the start table of
+catenoids_for_separation, which is built once per process, so no pin
+depends on test order; test_start_table_calls pins the build itself.
 """
 
 import math
@@ -42,6 +43,7 @@ from hypcatenoid import (
     circle_from_center_radius,
     circles,
     competitor,
+    competitor_report,
     compute_K,
     concavity_terms,
     constants,
@@ -50,6 +52,7 @@ from hypcatenoid import (
     gomes_rho,
     mesh,
     quadrature,
+    sample_catenary,
     solve_root,
 )
 
@@ -415,6 +418,33 @@ def test_area_difference_kernel_calls(count_calls):
         assert count_calls(catenoid, name, lambda: area_difference(0.6, 3.0)) == 1
 
 
+def test_sample_kernel_calls(count_calls):
+    # rho from one AGM loop for the whole sample, and one duplication per
+    # row past the neck; the neck row is 0.0 with none.
+    sample = lambda: sample_catenary(0.6, 3.0, 6, TOL)
+    assert count_calls(catenoid, "_neck_terms", sample) == 1
+    assert count_calls(catenoid, "_carlson", sample) == 5
+
+
+@pytest.mark.parametrize(
+    "compete",
+    [lambda: competitor_report(0.6, 3.0, 0.05), lambda: find_cheaper_competitor(0.6, 3.0, TOL)],
+    ids=["competitor_report", "find_cheaper_competitor"],
+)
+def test_competitor_kernel_calls(count_calls, compete):
+    # rho and phi from one AGM loop; Phi's R_F and R_D and the tail R_J of
+    # L = 2 x(r) from one duplication sequence.
+    for name in ("_neck_terms", "_carlson"):
+        assert count_calls(catenoid, name, compete) == 1
+
+
+def test_build_mesh_kernel_calls(count_calls):
+    # The rho that places the end row also serves the 47 rows past the neck.
+    build = lambda: build_mesh(MeshParams(0.6, 3.0, 48, 64), TOL)
+    assert count_calls(catenoid, "_neck_terms", build) == 1
+    assert count_calls(catenoid, "_carlson", build) == 47
+
+
 class _RootCountingMath:
     """The math module with its square roots counted."""
 
@@ -443,3 +473,39 @@ def test_agm_steps(monkeypatch):
     assert max(steps) <= 7
     assert steps == {4: 84, 5: 52, 6: 92, 7: 173}
 
+
+class _StepCountingMath(_RootCountingMath):
+    """Roots less the one each atanh R_C term takes."""
+
+    def atanh(self, x):
+        self.roots -= 1
+        return math.atanh(x)
+
+
+def test_duplication_steps(monkeypatch):
+    # Past its atanh terms, a duplication sequence of n steps returning k
+    # integrals takes 4n + k roots: four a step, one per closing series.
+    # The profile's tail form, rho less (sinh(2a) / 6) R_J(T, T + w, T + c,
+    # T + p), has x < y among its arguments; the neck form has x > y.  Of
+    # the 600 rows past the neck, 249 take the tail form; with the neck
+    # form alone, all 600 took 3,947 steps.
+    counting = _StepCountingMath()
+    monkeypatch.setattr(catenoid, "math", counting)
+    original = catenoid._carlson
+    steps = {"tail": [], "neck": []}
+
+    def counted(*args):
+        before = counting.roots
+        result = original(*args)
+        taken, closing = divmod(counting.roots - before, 4)
+        assert closing == len(result)
+        steps["tail" if args[0] < args[1] else "neck"].append(taken)
+        return result
+
+    monkeypatch.setattr(catenoid, "_carlson", counted)
+    necks = [10.0 ** (-6.0 + k * (math.log10(25.0) + 6.0) / 24) for k in range(25)]
+    for a in necks:
+        for span in (0.1, 1.0, 10.0):
+            sample_catenary(a, a + span, 9, TOL)
+    totals = {form: (len(taken), sum(taken)) for form, taken in steps.items()}
+    assert totals == {"tail": (249, 692), "neck": (351, 2033)}

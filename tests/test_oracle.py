@@ -10,8 +10,9 @@ form 1 + Gamma(-1/4) sqrt(pi) / (4 Gamma(1/4)) at 50 digits.
 
 Every shipped value is a closed form or a root of one, whatever abs_tol
 is, and each is held to the bound its docstring states in eps, on points
-that reach most of it.  rho is held to _RHO_ERROR relative; x(y) to 16 eps
-relative, and at necks near its floor (about 2.8e-103) to 2e-15 relative;
+that reach most of it.  rho is held to _RHO_ERROR relative; x(y) to 8 eps
+relative, on both sides of the switch to its tail form too, and at necks
+near its floor (about 2.8e-103) to 2e-15 relative;
 rho' to 1e-14 * max(1, |rho'|); phi to 1.5e-14 * max(1, |phi|), never
 looser than abs_tol; Phi to 128 eps * max(1, |Phi|) for a >= 0.2 and to
 640 eps below; I2 to 10 eps * (|phi''| + |I1|), the size of the two terms
@@ -27,8 +28,8 @@ derivative of phi.
 The kernel and Carlson tests alone call mpmath's elliprf, elliprj and
 elliprd: they hold each output of the AGM loop that yields rho, rho', phi,
 phi' and phi'' together to its closed form (rho, rho' and phi' to 2e-15
-relative, phi to 1.5e-14 * max(1, |phi|)), the duplication sequence that
-remains for the incomplete x(y) and Phi(a, r) to 1e-15 relative, and the
+relative, phi to 1.5e-14 * max(1, |phi|)), the duplication sequences that
+remain for the incomplete x(y) and Phi(a, r) to 1e-15 relative, and the
 solvers' slopes phi' and phi'' (and with them rho'' = (phi'' - 4 pi
 cosh(2a) rho') / (2 pi sinh(2a))) to mpmath's derivative of the closed
 form of rho'.  test_separation_roots holds both roots of 2 rho(a) = d to
@@ -60,7 +61,14 @@ from hypcatenoid import (
     constants_bundle,
     gomes_rho,
 )
-from hypcatenoid.catenoid import _K, _RHO_ERROR, _carlson, _neck_terms
+from hypcatenoid.catenoid import (
+    _K,
+    _RHO_ERROR,
+    _carlson,
+    _neck_terms,
+    _profile_terms,
+    _spread,
+)
 
 TOLERANCES = (1e-8, 1e-10, 1e-12)
 EPS = sys.float_info.epsilon
@@ -412,8 +420,65 @@ def test_catenary_x_tiny_necks():
         _close(catenary_x(a, y), reference, 2e-15 * float(reference))
 
 
+# Two necks where rho errs most, 4.0 eps (KERNEL_SPAN's worst) and 4.5 eps,
+# and four across the profile's domain.
+SWITCH_NECKS = (KERNEL_SPAN[21], 1.1224505680853058e-5, 1e-3, 0.6, 5.0, 19.0)
+
+
+def _switch_rows(a):
+    """The adjacent doubles y whose T lie on either side of the T from which
+    x takes its tail form: the last in the neck form, the first in the tail."""
+    w, c, _, s2a, switch = _profile_terms(a, _neck_terms(a)[0])
+    neck, tail = a, a + 1.0
+    while math.nextafter(neck, tail) < tail:
+        mid = 0.5 * (neck + tail)
+        if _spread(a, mid, s2a, c) >= switch:
+            tail = mid
+        else:
+            neck = mid
+    return neck, tail
+
+
+def _half_rho_row(a):
+    """The y at which x(y) is rho(a) / 2, to bisection in doubles."""
+    half = 0.5 * _neck_terms(a)[0]
+    lo, hi = a, a + 1.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if catenary_x(a, mid) >= half else (mid, hi)
+    return hi
+
+
+def test_catenary_x_across_tail_switch():
+    """x(y) within 8 eps relative on both sides of the tail form's switch.
+
+    Past the switch x = rho - tail with tail <= rho / 2, so x inherits
+    rho's relative error and the tail's.  The rows are the two doubles at
+    the switch itself, those whose T is 0.8 and 1.2 times the switch's,
+    and, at the two necks where rho errs most, the row where x is rho / 2,
+    which lies in the neck form.  The worst, 5.05 eps at a = 1.12e-5 and
+    1.2 times the switch, must reach half the bound.
+    """
+    worst = 0.0
+    for a in SWITCH_NECKS:
+        w, c, _, s2a, switch = _profile_terms(a, _neck_terms(a)[0])
+        rows = list(_switch_rows(a))
+        for factor in (0.8, 1.2):
+            rows.append(math.asinh(math.sqrt(factor * switch + w)))
+        if a < 1e-4:
+            rows.append(_half_rho_row(a))
+        for y in rows:
+            reference = oracle_x(a, y)
+            error = float(abs(mpf(catenary_x(a, y)) - reference) / reference) / EPS
+            assert error <= 8.0, (a, y, error)
+            worst = max(worst, error)
+    assert worst >= 4.0, worst
+
+
 def test_carlson_incomplete():
-    """R_F and R_J at the incomplete arguments of x(y) and Phi(a, r)."""
+    """R_F, R_J and R_D at the incomplete arguments of x(y) and Phi(a, r):
+    the profile's neck form, and the tail (T, T + w, T + c, T + p) that
+    x(y) past its switch, Phi and L share."""
     for a in (1e-6, 0.05, 0.6, 2.0, 12.0):
         w = math.sinh(a) ** 2
         c, p = 1.0 + 2.0 * w, 1.0 + w
@@ -423,12 +488,17 @@ def test_carlson_incomplete():
                 c * (t + w), w * (t + c), wc, wc * (t + p) / p,
                 -(c * t / p) * (w * w * t / p) * (wc * t / p),
             )
-            tail = (t, t + w, t + c, t + c, 0.0)  # R_J(x, y, z, z) = R_D
+            tail = (t, t + w, t + c, t + p, -p * w, True)
             for args in (profile, tail):
                 values = _carlson(*args)
+                assert len(values) == (3 if args[5:] else 2)
                 with mp.workdps(DIGITS):
                     x, y, z, q = (mpf(v) for v in args[:4])
-                    references = (mpmath.elliprf(x, y, z), mpmath.elliprj(x, y, z, q))
+                    references = (
+                        mpmath.elliprf(x, y, z),
+                        mpmath.elliprj(x, y, z, q),
+                        mpmath.elliprd(x, y, z),
+                    )
                 for value, reference in zip(values, references):
                     _close(value, reference, 1e-15 * float(reference))
 
