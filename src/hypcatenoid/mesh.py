@@ -202,7 +202,9 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
     A row of up to _OBJ_BLOCK // 2 vertices formats each distinct magnitude
     r * |cos[m]| and r * |sin[m]| once (34 of 256 numbers at n_angle = 128)
-    and lays out its lines from those tokens in one bytes % and write; a
+    and lays out its lines from those tokens in one bytes %; its mirror
+    partner, of the same r, reuses them while at most _OBJ_BLOCK tokens are
+    kept, and rows are joined into writes of under _OBJ_BLOCK lines.  A
     wider row is formatted in place, _OBJ_BLOCK vertices a write.  Face
     lines are laid out _OBJ_BLOCK a write from each index formatted once,
     so the transient objects stay bounded whatever the mesh size.
@@ -213,10 +215,10 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
 
 def _write_vertices(handle, mesh: MeshData) -> None:
-    # One write per row.  As r * -a is -(r * a) exactly, a row formats r * a
-    # once per distinct magnitude a of the sweep, and one getter lays out every
-    # row from those tokens and their negations.  Past _OBJ_BLOCK // 2 that
-    # layout nears a megabyte, so wider rows format in place, _OBJ_BLOCK a write.
+    # As r * -a is -(r * a) exactly, a row formats r * a once per distinct
+    # magnitude a of the sweep, and one getter lays out every row from those
+    # tokens and their negations.  Past _OBJ_BLOCK // 2 that layout nears a
+    # megabyte, so wider rows format in place, _OBJ_BLOCK a write.
     n = mesh.params.n_angle
     if n > _OBJ_BLOCK // 2:
         for u, r in zip(mesh.u, mesh.r):
@@ -231,10 +233,29 @@ def _write_vertices(handle, mesh: MeshData) -> None:
     at = dict(zip(map(neg, mags), range(len(mags), 2 * len(mags))))
     at.update(zip(mags, range(len(mags))))  # so a zero, == its negation, maps to +0
     pick = itemgetter(*map(at.__getitem__, chain.from_iterable(zip(mesh.cos, mesh.sin))))
-    for u, r in zip(mesh.u, mesh.r):
-        tokens = _tokens(b"%.12g ", map(r.__mul__, mags))
-        lines = (b"v %.12g" % u + b" %s %s\n") * n
-        handle.write(lines % pick(tokens + [b"-" + t for t in tokens]))
+    spec = b"%.12g " * len(mags)
+    # Rows j and last - j share r, so a mirrored row's formatted magnitudes are
+    # kept for its partner, while the kept rows hold at most _OBJ_BLOCK tokens.
+    last = len(mesh.u) - 1
+    keep = min(_OBJ_BLOCK // len(mags), last // 2)
+    kept = {}
+
+    def row(j):
+        text = kept.pop(j, None)
+        if text is None:
+            text = spec % tuple(map(mesh.r[j].__mul__, mags))
+            if j < keep:
+                kept[last - j] = text
+        tokens = text.split()
+        lines = (b"v %.12g" % mesh.u[j] + b" %s %s\n") * n
+        return lines % pick(tokens + [b"-" + t for t in tokens])
+
+    # A write joins one row fewer than fit in _OBJ_BLOCK lines, so a row of
+    # over a third of a block, whose layout nears the bound, is written alone.
+    rows = range(last + 1)
+    step = _OBJ_BLOCK // n - 1
+    for start in range(0, len(rows), step):
+        handle.write(b"".join(map(row, rows[start : start + step])))
 
 
 def _tokens(spec, values):

@@ -19,7 +19,7 @@ from hypcatenoid import (
     sample_catenary,
     write_obj,
 )
-from hypcatenoid.mesh import _OBJ_BLOCK, _SUM_ROUNDING, MeshEntries
+from hypcatenoid.mesh import _OBJ_BLOCK, _SUM_ROUNDING, MeshEntries, _write_vertices
 
 from _oracles import profile_coordinates
 
@@ -407,8 +407,14 @@ class TestObjOutput:
             (0.6, 3.0, 501, 3),
             (0.6, 3.0, 33, 7),
             # 599 rows of 7: a block of _OBJ_BLOCK vertex lines would end
-            # inside row 585 and leave it partial; each row is one write.
+            # inside row 585 and leave it partial; a write joins whole rows.
             (0.6, 3.0, 300, 7),
+            # 159 mirrored rows of 66 magnitudes each: _OBJ_BLOCK tokens keep
+            # rows 0 to 61, so the partners of later rows format their own.
+            (0.6, 3.0, 160, 256),
+            # Rows of the widest odd shared layout, about n magnitudes each:
+            # two mirrored rows are kept, the third formats again.
+            (0.6, 3.0, 4, _OBJ_BLOCK // 2 - 1),
             (1e-100, 1.0, 4, 6),
             (0.6, 1000.0, 32, 48),
             # Each set of folds: quarter turns at n = 4 and 8, half but no
@@ -422,7 +428,8 @@ class TestObjOutput:
         ],
         ids=["half block angles", "half block + 1 angles", "block - 1 angles", "block angles",
              "block + 1 angles", "2 blocks + 1 angles", "block + 8 angles", "3 angles 1000 rows",
-             "33x7", "partial last row", "smallest neck", "y_max 1000", "4 angles", "6 angles",
+             "33x7", "partial last row", "kept budget filled", "odd half block - 1 angles",
+             "smallest neck", "y_max 1000", "4 angles", "6 angles",
              "8 angles", "30 angles", "31 angles"],
     )
     def test_row_writer_edges(self, a, y_max, n_profile, n_angle, tol, tmp_path):
@@ -431,6 +438,16 @@ class TestObjOutput:
         write_obj(mesh, str(got))
         _obj_line_by_line(mesh, str(want))
         assert got.read_bytes() == want.read_bytes()
+
+    def test_vertex_writes_span_rows(self, tol, tmp_path):
+        # 127 rows of 128 vertices go out in writes of 31 rows, not one a row.
+        mesh = build_mesh(MeshParams(0.8, 3.0, 64, 128), tol)
+        writes = []
+        _write_vertices(SimpleNamespace(write=writes.append), mesh)
+        assert len(writes) <= 5
+        want = tmp_path / "want.obj"
+        _obj_line_by_line(mesh, str(want))
+        assert b"".join(writes) == want.read_bytes().split(b"f ", 1)[0]
 
     def test_pinned_hash(self, tol, tmp_path):
         path = tmp_path / "pinned.obj"
@@ -505,8 +522,9 @@ class TestObjOutput:
 
     def test_transient_memory_bounded_shared_layout(self, tol, tmp_path):
         # The widest rows of one shared layout, at an odd n, whose rows hold
-        # about n distinct magnitudes: layout and tokens take about 790 KiB.
-        mesh = build_mesh(MeshParams(0.6, 3.0, 2, _OBJ_BLOCK // 2 - 1), tol)
+        # about n distinct magnitudes: layout, tokens and the two rows kept
+        # for their partners take about 900 KiB.
+        mesh = build_mesh(MeshParams(0.6, 3.0, 4, _OBJ_BLOCK // 2 - 1), tol)
         tracemalloc.start()
         try:
             write_obj(mesh, str(tmp_path / "shared.obj"))
