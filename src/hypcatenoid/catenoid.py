@@ -60,6 +60,9 @@ _TAIL_SPAN = 40.0
 # continued to s = -1, rounded to the nearest double.
 _K = 0.4009298826322039
 
+# mvt_f exceeds exp(8x) from x ~ 1 on, so it overflows past this x.
+_MVT_OVERFLOW = math.log(sys.float_info.max) / 8.0
+
 
 class EvaluationBudgetError(RuntimeError):
     """Raised when solve_root's iteration cap or a quadrature budget runs out."""
@@ -216,7 +219,7 @@ def _neck_terms(a: float) -> tuple[float, float, float, float, float]:
 
     With w = sinh(a)**2, c = 1 + 2w = cosh(2a), p = 1 + w and R_F, R_J, R_D
     at (0, w, c, p): rho = (sinh(2a) / 6) R_J, phi = 4 pi (1 - p R_F +
-    (c p / 3) R_D) (see _area_excess), and, from the derivatives of R_F and
+    (c p / 3) R_D) (see _tube_tail), and, from the derivatives of R_F and
     R_D (DLMF 19.18) and Euler's identity w R_D(0, c, w) + c R_D(0, w, c) =
     3 R_F(0, w, c) for the degree -1/2 homogeneous R_F, d phi / dw =
     4 pi (p R_D / 3 - R_F / 2) and phi'' = 4 pi (p (c**2 + 2) R_D / 3 -
@@ -416,10 +419,9 @@ def disk_area_total(r: float) -> float:
         return math.inf
 
 
-def _area_excess(
-    phi: float, w: float, c: float, p: float, t: float, rf: float, rd: float
-) -> float:
-    """Phi(a, r) from phi = phi(a), T = t > 0 and R_F, R_D at (T, T + w, T + c).
+def _tube_tail(a: float, r: float, rho: float, phi: float) -> tuple[float, float | None]:
+    """Phi(a, r), and x(r) in _profile's tail form (None below its switch),
+    from rho(a), phi(a) and one duplication sequence at (T, T + w, T + c).
 
     With P(s) = s (s + w) (s + c) the tube area is 2 pi int_0^T (s + w) /
     sqrt(P) ds.  Integrating by parts against sqrt(P) / (s + c) leaves only
@@ -431,16 +433,24 @@ def _area_excess(
     phi(a) + 4 pi [lead + p F(T) - (c p / 3) D(T)] takes phi from
     _neck_terms and keeps its absolute accuracy whatever r is.
     """
+    w, c, p, s2a, switch = _profile_terms(a, rho)
+    t = _spread(a, r, s2a, c)
+    # t is 0 at r = a, where the tube is the neck circle and has no area,
+    # and where it underflows at tiny necks, so Phi is then minus the disks.
+    if not t:
+        return -disk_area_total(r), None
+    rf, rj, rd = _carlson(t, t + w, t + c, t + p, -p * w, True)
     lead = -p * (2.0 * t + c) / (
         math.sqrt(t + c) * (math.sqrt(t * (t + w)) + math.sqrt((t + p) * (t + c)))
     )
-    return phi + _FOUR_PI * (lead + p * rf - c * p / 3.0 * rd)
+    x = rho - s2a / 6.0 * rj if t >= switch else None
+    return phi + _FOUR_PI * (lead + p * rf - c * p / 3.0 * rd), x
 
 
 def area_difference(a: float, r: float) -> float:
     """Area difference Phi(a, r) between the tube and its two spanning disks.
 
-    Phi is phi(a) plus incomplete R_F and R_D terms (see _area_excess).  It
+    Phi is phi(a) plus incomplete R_F and R_D terms (see _tube_tail).  It
     is never a difference of two large areas, so its absolute accuracy is
     independent of r; tube_area adds the closed-form disk area back.
     Against mpmath it errs by below 128 eps * max(1, |Phi|) for a >= 0.2,
@@ -451,29 +461,17 @@ def area_difference(a: float, r: float) -> float:
     _check_neck(a)
     if not r >= a:
         raise ValueError(f"tube radius r={r} must be at least the neck distance a={a}")
-    w = math.sinh(a) ** 2
-    c, p = 1.0 + 2.0 * w, 1.0 + w
-    t = _spread(a, r, math.sinh(2.0 * a), c)
-    # t is 0 at r = a, where the tube is the neck circle and has no area,
-    # and where it underflows at tiny necks, so Phi is then minus the disks.
-    if not t:
-        return -disk_area_total(r)
-    rf, _, rd = _carlson(t, t + w, t + c, t + p, -p * w, True)
-    return _area_excess(_neck_terms(a)[2], w, c, p, t, rf, rd)
+    rho, _, phi, _, _ = _neck_terms(a)
+    return _tube_tail(a, r, rho, phi)[0]
 
 
 def _tube(a: float, r: float) -> tuple[float, float]:
-    """x(r) and Phi(a, r) for r > a, bit for bit catenary_x(a, r) and
-    area_difference(a, r), from one AGM loop for rho and phi and one
-    duplication sequence for R_F, R_J and R_D at (T, T + w, T + c); where
-    x(r) is in the neck form (see _profile), it takes a second sequence."""
+    """x(r) and Phi(a, r) for r > a, bit for bit catenary_x and area_difference,
+    from one AGM loop and one duplication sequence (two for a neck-form x)."""
     _check_profile_neck(a)
     rho, _, phi, _, _ = _neck_terms(a)
-    w, c, p, s2a, switch = _profile_terms(a, rho)
-    t = _spread(a, r, s2a, c)
-    rf, rj, rd = _carlson(t, t + w, t + c, t + p, -p * w, True)
-    x = rho - s2a / 6.0 * rj if t >= switch else _profile(a, rho, [r])[0]
-    return x, _area_excess(phi, w, c, p, t, rf, rd)
+    big_phi, x = _tube_tail(a, r, rho, phi)
+    return (_profile(a, rho, [r])[0] if x is None else x), big_phi
 
 
 def tube_area(a: float, r: float) -> float:
@@ -506,20 +504,21 @@ def plane_separation(a: float, r: float) -> float:
     return 2.0 * catenary_x(a, r)
 
 
-def mvt_f(x: float, K: float) -> float:
+def mvt_f(x: float) -> float:
     """Increasing comparison function whose unique zero separates deficit concavity.
 
-    f(x) = -30 cosh 3x - 18 cosh 5x + 10 sinh 7x + 15 (1-K) cosh 8x.
+    f(x) = -30 cosh 3x - 18 cosh 5x + 10 sinh 7x + 15 (1-K) cosh 8x, K as in
+    concavity_terms; math.inf past _MVT_OVERFLOW = log(float max) / 8.
     """
     if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    if not 0.0 < K < 1.0:
-        raise ValueError(f"K must lie in (0, 1), got {K}")
+    if x > _MVT_OVERFLOW:
+        return math.inf
     return (
         -30.0 * math.cosh(3.0 * x)
         - 18.0 * math.cosh(5.0 * x)
         + 10.0 * math.sinh(7.0 * x)
-        + 15.0 * (1.0 - K) * math.cosh(8.0 * x)
+        + 15.0 * (1.0 - _K) * math.cosh(8.0 * x)
     )
 
 

@@ -3,13 +3,13 @@
 The bundle collects: the integral constant K, the maximizer a_c of rho with
 the maximal separation 2*rho(a_c), the concavity threshold a_0, the closed
 form a_l = arccosh(1/(1-K)), and the deficit zero a_L with its separation
-2*rho(a_L).  K is a closed form in Gamma functions; a_c, a_0 and a_L are
-roots of closed forms with closed-form slopes (phi', mvt_f and phi), found
-by solve_root's safeguarded Newton iteration to eps times the bracket's
-smaller end, so no value depends on the tolerance.  A cold bundle makes 4,
-7 and 6 such calls; the 10 for a_c and a_L, and rho(a_c) and rho(a_L),
-are one AGM loop of _neck_terms each.  The bundle is still computed lazily
-once per tolerance and cached for the 32 most recently used tolerances.
+2*rho(a_L).  K is the literal _K that mvt_f and solve_a_0 read; a_c, a_0
+and a_L are roots of closed forms with closed-form slopes (phi', mvt_f and
+phi), found by solve_root's safeguarded Newton iteration to eps times the
+bracket's smaller end, so no value depends on the tolerance.  A cold bundle
+makes 4, 7 and 6 such calls; the 10 for a_c and a_L, and rho(a_c) and
+rho(a_L), are one AGM loop of _neck_terms each.  The bundle is computed
+lazily once per tolerance and cached for the 32 most recently used ones.
 """
 
 from __future__ import annotations
@@ -136,16 +136,16 @@ def solve_a_c(tol: Tolerance) -> float:
     return solve_root(lambda a: _neck_terms(a)[3:], 0.3, 0.7)
 
 
-def solve_a_0(K: float) -> float:
+def solve_a_0() -> float:
     """Unique zero of the comparison function mvt_f on (0, log(3/2)).
 
-    mvt_f and the slope handed with it are elementary; mvt_f checks K itself.
+    mvt_f and the slope handed with it are elementary, in K = compute_K().
     """
 
     def f(x: float) -> tuple[float, float]:
         sinh, cosh = math.sinh, math.cosh
         slope = 10.0 * (7.0 * cosh(7.0 * x) - 9.0 * (sinh(3.0 * x) + sinh(5.0 * x)))
-        return mvt_f(x, K), slope + 120.0 * (1.0 - K) * sinh(8.0 * x)
+        return mvt_f(x), slope + 120.0 * (1.0 - _K) * sinh(8.0 * x)
 
     return solve_root(f, 1.0e-6, math.log(1.5))
 
@@ -156,7 +156,7 @@ def constants_bundle(tol: Tolerance) -> ConstantsBundle:
     concurrent first calls for one may return equal but distinct bundles."""
     K = compute_K()
     a_c = solve_a_c(tol)
-    a_0 = solve_a_0(K)
+    a_0 = solve_a_0()
     a_l = math.acosh(1.0 / (1.0 - K))
     a_L = solve_root(lambda a: _neck_terms(a)[2:4], a_c, a_l)
     return ConstantsBundle(

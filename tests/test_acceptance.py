@@ -65,8 +65,8 @@ def test_criterion_05(tol):
 def test_criterion_06(bundle):
     upper = 0.405465
     ok_interval = 0.0 < bundle.a_0 < upper
-    ok_ends = mvt_f(1e-9, bundle.K) < 0.0 < mvt_f(upper, bundle.K)
-    ok_flip = mvt_f(bundle.a_0 - 1e-3, bundle.K) < 0.0 < mvt_f(bundle.a_0 + 1e-3, bundle.K)
+    ok_ends = mvt_f(1e-9) < 0.0 < mvt_f(upper)
+    ok_flip = mvt_f(bundle.a_0 - 1e-3) < 0.0 < mvt_f(bundle.a_0 + 1e-3)
     ok = ok_interval and ok_ends and ok_flip
     assert _report(6, "a_0 in (0, 0.405465) with a sign change of the slope bound", ok)
 

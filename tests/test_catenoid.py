@@ -337,27 +337,32 @@ class TestPlaneSeparation:
 class TestMvtF:
     def test_value_at_zero(self):
         K = compute_K()
-        assert mvt_f(0.0, K) == pytest.approx(-48.0 + 15.0 * (1.0 - K), abs=1e-12)
-        assert mvt_f(0.0, K) < 0.0
+        assert mvt_f(0.0) == pytest.approx(-48.0 + 15.0 * (1.0 - K), abs=1e-12)
+        assert mvt_f(0.0) < 0.0
 
     def test_closed_form_at_log_3_2(self):
         K = compute_K()
         expected = (171374697.0 - 215561285.0 * K) / 1119744.0
-        value = mvt_f(math.log(1.5), K)
+        value = mvt_f(math.log(1.5))
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(75.8653194881, abs=1e-6)
         assert value > 0.0
 
     def test_monotone_on_grid(self):
-        K = compute_K()
-        values = [mvt_f(2.0 * i / 999.0, K) for i in range(1000)]
+        values = [mvt_f(2.0 * i / 999.0) for i in range(1000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            mvt_f(-0.1, 0.4)
-        with pytest.raises(ValueError):
-            mvt_f(0.5, 1.5)
+            mvt_f(-0.1)
+
+    def test_inf_past_overflow(self):
+        # f increases to +inf; past log(float max) / 8 its cosh 8x term alone
+        # exceeds the largest double, so f is inf there and beyond, not an
+        # OverflowError from cosh or the nan of inf - inf.
+        assert math.isfinite(mvt_f(88.0))
+        for x in (88.8, 89.0, 710.0, 1e100, 1e308, math.inf):
+            assert mvt_f(x) == math.inf, x
 
 
 class TestConcavityTerms:
@@ -393,7 +398,7 @@ class TestConcavityTerms:
         lambda: tube_area(0.6, math.nan),
         lambda: plane_separation(0.6, math.nan),
         lambda: disk_area_total(math.nan),
-        lambda: mvt_f(math.nan, 0.4),
+        lambda: mvt_f(math.nan),
     ],
     ids=["catenary_x", "area_difference", "tube_area", "plane_separation",
          "disk_area_total", "mvt_f"],

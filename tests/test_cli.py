@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -15,8 +16,13 @@ import hypcatenoid
 from hypcatenoid import (
     Tolerance,
     area_difference,
+    catenary_x,
     circle_pair,
+    competitor_report,
+    concavity_terms,
+    disk_area_total,
     gomes_rho,
+    mvt_f,
     plane_distance,
     plane_separation,
     tube_area,
@@ -632,6 +638,27 @@ def test_edge_values(capsys, monkeypatch, tmp_path):
         assert not any(message in err for message in untyped), (argv, err)
         commands += 1
     assert commands > 400
+
+
+def test_library_edge_values():
+    # The library counterpart: every public function of the numbers, at each
+    # edge value and on every tuple of them, returns or raises a typed error
+    # (a ValueError or RuntimeError subclass), never an arithmetic error.
+    functions = (
+        mvt_f, concavity_terms, disk_area_total, catenary_x, area_difference,
+        tube_area, plane_separation, competitor_report,
+    )
+    values = [float(value) for value in EDGE_VALUES]
+    calls = 0
+    for fn in functions:
+        arity = len(inspect.signature(fn).parameters)
+        for args in itertools.product(values, repeat=arity):
+            try:
+                fn(*args)
+            except (ValueError, RuntimeError):
+                pass
+            calls += 1
+    assert calls == 3 * 12 + 4 * 12**2 + 12**3
 
 
 @pytest.mark.parametrize(

@@ -151,18 +151,15 @@ class TestSolveAc:
 
 class TestSolveA0:
     def test_within_proof_bounds(self):
-        K = compute_K()
-        a_0 = solve_a_0(K)
+        a_0 = solve_a_0()
         assert 0.0 < a_0 < 0.405465
 
     def test_sign_change(self):
-        K = compute_K()
-        a_0 = solve_a_0(K)
-        assert mvt_f(a_0 - 0.01, K) < 0.0 < mvt_f(a_0 + 0.01, K)
+        a_0 = solve_a_0()
+        assert mvt_f(a_0 - 0.01) < 0.0 < mvt_f(a_0 + 0.01)
 
     def test_frozen_reference(self):
-        K = compute_K()
-        assert solve_a_0(K) == pytest.approx(A_0_REF, abs=1e-8)
+        assert solve_a_0() == pytest.approx(A_0_REF, abs=1e-8)
 
     def test_against_sign_scan(self):
         # Brute-force bracket: locate the sign flip on a dense grid.
@@ -177,7 +174,7 @@ class TestSolveA0:
         flips = np.nonzero(np.sign(f[:-1]) != np.sign(f[1:]))[0]
         assert len(flips) == 1
         lo, hi = x[flips[0]], x[flips[0] + 1]
-        assert lo <= solve_a_0(K) <= hi
+        assert lo <= solve_a_0() <= hi
 
 
 class TestSolveAL:
@@ -222,7 +219,7 @@ class TestConstantsBundle:
 
     def test_solved_residuals(self, bundle, tol):
         assert abs(area_deficit(bundle.a_L, tol)) <= 1e-8
-        assert abs(mvt_f(bundle.a_0, bundle.K)) <= 1e-7
+        assert abs(mvt_f(bundle.a_0)) <= 1e-7
 
     def test_cache_identity(self, tol):
         assert constants_bundle(tol) is constants_bundle(tol)

@@ -346,7 +346,7 @@ def test_cold_bundle_named_calls(monkeypatch):
         monkeypatch.setattr(constants, name, counted)
     constants_bundle.cache_clear()
     bundle = constants_bundle(TOL)
-    cold = {"compute_K": [()], "solve_a_c": [(TOL,)], "solve_a_0": [(bundle.K,)]}
+    cold = {"compute_K": [()], "solve_a_c": [(TOL,)], "solve_a_0": [()]}
     assert calls == cold
     assert constants_bundle(TOL) is bundle
     assert calls == cold
@@ -413,9 +413,13 @@ def test_import_kernel_calls():
 
 
 def test_area_difference_kernel_calls(count_calls):
-    # Phi takes phi from the AGM loop and its tail from one duplication.
-    for name in ("_neck_terms", "_carlson"):
-        assert count_calls(catenoid, name, lambda: area_difference(0.6, 3.0)) == 1
+    # Phi takes phi from the AGM loop and its tail from one duplication.  A
+    # tube with T = 0, at r = a or underflowed, runs the AGM loop but no
+    # duplication: Phi is then minus the disks.
+    cases = {(0.6, 3.0): (1, 1), (0.6, 0.6): (1, 0), (1e-200, 1e-170): (1, 0)}
+    for args, calls in cases.items():
+        for name, count in zip(("_neck_terms", "_carlson"), calls):
+            assert count_calls(catenoid, name, lambda: area_difference(*args)) == count, args
 
 
 def test_sample_kernel_calls(count_calls):

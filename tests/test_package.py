@@ -72,9 +72,17 @@ class TestPublicSurface:
         assert quadrature.EvaluationBudgetError is hypcatenoid.EvaluationBudgetError
         assert constants.ConsistencyError is hypcatenoid.ConsistencyError
 
-    def test_submodules_are_attributes(self):
+    def test_submodules_are_attributes(self, tmp_path):
+        # Once a submodule is imported the import system binds it on the
+        # package, so the hook's submodule branch runs only on a fresh
+        # interpreter's first lookup: one interpreter per name.
         for name in SUBMODULES:
-            assert getattr(hypcatenoid, name) is importlib.import_module(f"hypcatenoid.{name}")
+            _loaded(
+                "import hypcatenoid\n"
+                f"assert {name!r} not in vars(hypcatenoid)\n"
+                f"assert getattr(hypcatenoid, {name!r}) is sys.modules['hypcatenoid.{name}']",
+                tmp_path,
+            )
 
     def test_patched_stand_in_is_not_bound(self, monkeypatch):
         from hypcatenoid import catenoid
