@@ -30,6 +30,9 @@ _SUM_ROUNDING = 35 * 2.0**-53
 
 _PI_2_112 = 16312081666030376401667486162748272  # pi * 2**112, rounded
 
+# Digit j of 0, 1, ..., 10**(j + 1) - 1, for the places j whose cycle is short.
+_DIGIT_CYCLES = [bytes(d for d in b"0123456789" for _ in range(10**j)) for j in range(3)]
+
 
 class MeshParams(_Record):
     """Sampling resolution for one catenoid surface.
@@ -206,8 +209,11 @@ def write_obj(mesh: MeshData, path: str) -> None:
     partner, of the same r, reuses them while at most _OBJ_BLOCK tokens are
     kept, and rows are joined into writes of under _OBJ_BLOCK lines.  A
     wider row is formatted in place, _OBJ_BLOCK vertices a write.  Face
-    lines are laid out _OBJ_BLOCK a write from each index formatted once,
-    so the transient objects stay bounded whatever the mesh size.
+    lines go out _OBJ_BLOCK a write, cut where an index gains a digit: the
+    lines of a piece are one template repeated, and each decimal place of
+    the consecutive indices is copied in as one column of digits, so only
+    the wrap quad of each row is formatted.  The transient objects stay
+    bounded whatever the mesh size.
     """
     with open(path, "wb") as handle:
         _write_vertices(handle, mesh)
@@ -258,32 +264,67 @@ def _write_vertices(handle, mesh: MeshData) -> None:
         handle.write(b"".join(map(row, rows[start : start + step])))
 
 
-def _tokens(spec, values):
-    # One bytes % formats all the values, split into a token each.
-    values = tuple(values)
-    return (spec * len(values) % values).split()
+def _digit_column(first, count, place):
+    # Digit `place` (0 for units) of first, first + 1, ..., first + count - 1
+    # as ASCII bytes: a slice of the low places' digit cycles, or above them
+    # one run of equal bytes for each 10**place values.
+    if place < len(_DIGIT_CYCLES):
+        cycle = _DIGIT_CYCLES[place]
+        at = first % len(cycle)
+        return (cycle * ((at + count) // len(cycle) + 1))[at : at + count]
+    step = 10**place
+    end = first + count
+    cuts = [first, *range((first // step + 1) * step, end, step), end]
+    return b"".join(b"%d" % (lo // step % 10) * (hi - lo) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def _write_faces(handle, mesh: MeshData) -> None:
-    # A block covers _OBJ_BLOCK // 2 quads.  Quad q's faces are (q, q', q' + n)
-    # and (q, q' + n, q + n), 1-based here, laid out from the index tokens of
-    # q + 1 and q + n + 1 with q' = q + 1; the wraps, q % n = n - 1, are reset.
+    # A block covers _OBJ_BLOCK // 2 quads.  Quad q's line pair is
+    # "f A B C\nf A C D\n" with the 1-based A = q + 1, B = q + 2, C = q + n + 2
+    # and D = q + n + 1, except at a wrap, q % n = n - 1, whose B and C step
+    # back n.  A block is cut where an index gains a digit, so the line pairs
+    # of a piece share one length and each digit is one strided column.
     n = mesh.params.n_angle
     quads = len(mesh.faces) // 2
     window = _OBJ_BLOCK // 2
     for start in range(0, quads, window):
         stop = min(start + window, quads)
-        low = _tokens(b"%d ", range(start + 1, stop + 2))
-        high = low[n:] + _tokens(b"%d ", range(max(start + n, stop + 1) + 1, stop + n + 2))
-        block = [b""] * (6 * (stop - start))
-        block[0::6] = block[3::6] = low[:-1]
-        block[1::6] = low[1:]
-        block[2::6] = block[4::6] = high[1:]
-        block[5::6] = high[:-1]
-        wrap = start + (n - 1 - start) % n
-        if wrap < stop:
-            at = 6 * (wrap - start)
-            wraps = low[wrap + 1 - start :: n]
-            block[at + 1 :: 6 * n] = [b"%d" % (wrap + 2 - n), *wraps[:-1]]
-            block[at + 2 :: 6 * n] = block[at + 4 :: 6 * n] = wraps
-        handle.write(b"f %s %s %s\n" * (2 * (stop - start)) % tuple(block))
+        tens = [10**j for j in range(1, len(b"%d" % (stop + n + 1)) + 1)]
+        steps = (p - s for p in tens for s in (1, 2, n + 1, n + 2))
+        cuts = sorted({start, stop, *(q for q in steps if start < q < stop)})
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            parts += _face_piece(n, lo, hi)
+        handle.write(b"".join(parts))
+
+
+def _face_piece(n, start, stop):
+    # A's and B's columns are slices of one set over A's values and the next,
+    # as are D's and C's over D's; each wrap's pair is formatted alone and
+    # goes in place of its slot, between slices of the piece's buffer.
+    count = stop - start
+    low, high = (
+        [_digit_column(first, count + 1, j) for j in range(len(b"%d" % (first + 1)))]
+        for first in (start + 1, start + n + 1)
+    )
+    a = [column[:-1] for column in low[: len(b"%d" % (start + 1))]]
+    d = [column[:-1] for column in high[: len(b"%d" % (start + n + 1))]]
+    b = [column[1:] for column in low]
+    c = [column[1:] for column in high]
+    pair, fill = bytearray(), []
+    for sep, columns in zip((b"f ", b" ", b" ", b"\nf ", b" ", b" "), (a, b, c, a, c, d)):
+        pair += sep + b"0" * len(columns)
+        fill.append((len(pair) - 1, columns))
+    pair += b"\n"
+    size = len(pair)
+    buf = bytearray(pair * count)
+    for units, columns in fill:
+        for j, column in enumerate(columns):
+            buf[units - j :: size] = column
+    view, at = memoryview(buf), 0
+    for q in range(start + (n - 1 - start) % n, stop, n):
+        slot = (q - start) * size
+        yield view[at:slot]
+        yield b"f %d %d %d\nf %d %d %d\n" % (q + 1, q + 2 - n, q + 2, q + 1, q + 2, q + n + 1)
+        at = slot + size
+    yield view[at:]

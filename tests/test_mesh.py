@@ -19,7 +19,15 @@ from hypcatenoid import (
     sample_catenary,
     write_obj,
 )
-from hypcatenoid.mesh import _OBJ_BLOCK, _SUM_ROUNDING, MeshEntries, _write_vertices
+from hypcatenoid.mesh import (
+    _OBJ_BLOCK,
+    _SUM_ROUNDING,
+    MeshEntries,
+    _digit_column,
+    _face,
+    _write_faces,
+    _write_vertices,
+)
 
 from _oracles import profile_coordinates
 
@@ -449,6 +457,57 @@ class TestObjOutput:
         _obj_line_by_line(mesh, str(want))
         assert b"".join(writes) == want.read_bytes().split(b"f ", 1)[0]
 
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_digit_column(self, j):
+        # Runs of indices from just below to just past 10**j, against the
+        # digits of str: places 0 to 2 come from a cycle, higher ones from
+        # runs of equal digits; no mesh in these tests reaches 7 digits.
+        for first in range(10**j - 2, 10**j + 2):
+            for count in (1, 10, 11, 2_049):
+                values = range(first, first + count)
+                width = len(str(values[-1]))
+                for place in range(width):
+                    want = "".join(str(v).zfill(width)[-1 - place] for v in values)
+                    assert _digit_column(first, count, place) == want.encode(), (first, count, place)
+
+    def test_face_lines_cross_a_million(self):
+        # 333,340 rows of 3 vertices: A, B, C and D gain their seventh digit
+        # at four different quads.  A stand-in holds only what _write_faces
+        # reads, so no profile is built, and only the lines near 10**6 are kept.
+        n, rows = 3, 333_340
+        faces = 2 * (rows - 1) * n
+        stand_in = SimpleNamespace(params=SimpleNamespace(n_angle=n), faces=range(faces))
+        lo, hi = 2 * (10**6 - n - 10), 2 * (10**6 + 10)
+        seen, near, last = 0, {}, b""
+
+        def write(data):
+            nonlocal seen, last
+            count = data.count(b"\n")
+            if seen < hi and seen + count > lo:
+                lines = data.splitlines()
+                near.update((seen + i, line) for i, line in enumerate(lines) if lo <= seen + i < hi)
+            seen += count
+            last = data[data.rindex(b"\n", 0, -1) + 1 :]
+
+        _write_faces(SimpleNamespace(write=write), stand_in)
+        assert near == {k: b"f %d %d %d" % tuple(i + 1 for i in _face(n, k)) for k in range(lo, hi)}
+        assert seen == faces
+        assert last == b"f %d %d %d\n" % tuple(i + 1 for i in _face(n, faces - 1))
+
+    @pytest.mark.parametrize("n_profile, n_angle", [(128, 256), (2, 65_536)])
+    def test_face_writer_memory(self, n_profile, n_angle, tol):
+        # A block of 2,048 quads is one buffer, its digit columns and its
+        # joined bytes, 220-260 KiB; a table of the formatted indices and
+        # the tokens of a bytes % come to 440-560 KiB.
+        mesh = build_mesh(MeshParams(0.6, 3.0, n_profile, n_angle), tol)
+        tracemalloc.start()
+        try:
+            _write_faces(SimpleNamespace(write=len), mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 384 * 2**10
+
     def test_pinned_hash(self, tol, tmp_path):
         path = tmp_path / "pinned.obj"
         mesh = build_mesh(MeshParams(0.6, 3.0, 48, 64), tol)
@@ -498,8 +557,9 @@ class TestObjOutput:
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of every
         # index's string about 4 MB, so it would exceed this bound; a row
-        # laid out from the tokens of its distinct coordinates, or a face
-        # block from those of its indices, at a time takes about 450 KiB.
+        # laid out from the tokens of its distinct coordinates at a time
+        # takes about 450 KiB, and a face block copied from digit columns
+        # about 220 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
