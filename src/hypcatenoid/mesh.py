@@ -205,15 +205,18 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
     A row of up to _OBJ_BLOCK // 2 vertices formats each distinct magnitude
     r * |cos[m]| and r * |sin[m]| once (34 of 256 numbers at n_angle = 128)
-    and lays out its lines from those tokens in one bytes %; its mirror
-    partner, of the same r, reuses them while at most _OBJ_BLOCK tokens are
-    kept, and rows are joined into writes of under _OBJ_BLOCK lines.  A
-    wider row is formatted in place, _OBJ_BLOCK vertices a write.  Face
-    lines go out _OBJ_BLOCK a write, cut where an index gains a digit: the
-    lines of a piece are one template repeated, and each decimal place of
-    the consecutive indices is copied in as one column of digits, so only
-    the wrap quad of each row is formatted.  The transient objects stay
-    bounded whatever the mesh size.
+    and lays out its lines from those tokens in one bytes %, with a
+    placeholder for u.  Its mirror partner, of the same r and the opposite
+    u, reuses that layout while the kept layouts hold at most
+    3 * _OBJ_BLOCK lines, and past that its tokens while as many tokens are
+    kept; each row takes its own u in one byte replace.  Rows are joined
+    into writes of under _OBJ_BLOCK lines.  A wider row is formatted in
+    place, _OBJ_BLOCK vertices a write.  Face lines go out _OBJ_BLOCK a
+    write, cut where an index gains a digit: the lines of a piece are one
+    template repeated, and each decimal place of the consecutive indices
+    is copied in as one column of digits, so only the wrap quad of each
+    row is formatted.  The transient objects stay bounded whatever the
+    mesh size.
     """
     with open(path, "wb") as handle:
         _write_vertices(handle, mesh)
@@ -222,9 +225,9 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
 def _write_vertices(handle, mesh: MeshData) -> None:
     # As r * -a is -(r * a) exactly, a row formats r * a once per distinct
-    # magnitude a of the sweep, and one getter lays out every row from those
-    # tokens and their negations.  Past _OBJ_BLOCK // 2 that layout nears a
-    # megabyte, so wider rows format in place, _OBJ_BLOCK a write.
+    # magnitude a of the sweep, and one getter lays out every row body from
+    # those tokens and their negations.  Past _OBJ_BLOCK // 2 that layout
+    # nears a megabyte, so wider rows format in place, _OBJ_BLOCK a write.
     n = mesh.params.n_angle
     if n > _OBJ_BLOCK // 2:
         for u, r in zip(mesh.u, mesh.r):
@@ -240,21 +243,26 @@ def _write_vertices(handle, mesh: MeshData) -> None:
     at.update(zip(mags, range(len(mags))))  # so a zero, == its negation, maps to +0
     pick = itemgetter(*map(at.__getitem__, chain.from_iterable(zip(mesh.cos, mesh.sin))))
     spec = b"%.12g " * len(mags)
-    # Rows j and last - j share r, so a mirrored row's formatted magnitudes are
-    # kept for its partner, while the kept rows hold at most _OBJ_BLOCK tokens.
+    lines = b"v \0 %s %s\n" * n
+    # Rows j and last - j share r and differ only in the sign of u.  A row's
+    # body, laid out with a \0 where u goes, is kept for its partner while the
+    # kept bodies hold at most 3 * _OBJ_BLOCK lines; past that a row keeps its
+    # formatted magnitudes, while the kept texts hold as many tokens.
     last = len(mesh.u) - 1
-    keep = min(_OBJ_BLOCK // len(mags), last // 2)
-    kept = {}
+    keep, keep_text = (min(3 * _OBJ_BLOCK // size, last // 2) for size in (n, len(mags)))
+    bodies, texts = {}, {}
 
     def row(j):
-        text = kept.pop(j, None)
-        if text is None:
-            text = spec % tuple(map(mesh.r[j].__mul__, mags))
+        body = bodies.pop(j, None)
+        if body is None:
+            text = texts.pop(j, None) or spec % tuple(map(mesh.r[j].__mul__, mags))
+            # The magnitudes, then their negations; the trailing "-" is never picked.
+            body = lines % pick((text + b"-" + text.replace(b" ", b" -")).split())
             if j < keep:
-                kept[last - j] = text
-        tokens = text.split()
-        lines = (b"v %.12g" % mesh.u[j] + b" %s %s\n") * n
-        return lines % pick(tokens + [b"-" + t for t in tokens])
+                bodies[last - j] = body
+            elif j < keep_text:
+                texts[last - j] = text
+        return body.replace(b"\0", b"%.12g" % mesh.u[j])
 
     # A write joins one row fewer than fit in _OBJ_BLOCK lines, so a row of
     # over a third of a block, whose layout nears the bound, is written alone.

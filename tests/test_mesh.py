@@ -4,6 +4,7 @@ import pickle
 import sys
 import tracemalloc
 from array import array
+from operator import itemgetter
 from types import SimpleNamespace
 
 import mpmath
@@ -417,11 +418,20 @@ class TestObjOutput:
             # 599 rows of 7: a block of _OBJ_BLOCK vertex lines would end
             # inside row 585 and leave it partial; a write joins whole rows.
             (0.6, 3.0, 300, 7),
-            # 159 mirrored rows of 66 magnitudes each: _OBJ_BLOCK tokens keep
-            # rows 0 to 61, so the partners of later rows format their own.
+            # 159 mirrored pairs of 66 magnitudes each: 3 * _OBJ_BLOCK lines
+            # keep the bodies of rows 0 to 47, and later rows keep their
+            # formatted magnitudes for their partners.
             (0.6, 3.0, 160, 256),
+            # 3 * _OBJ_BLOCK lines keep 76 bodies of 160 lines: every pair of
+            # 77 x 160 but the last pair of 78 x 160, whose partner lays out
+            # its row again from the kept magnitudes.
+            (0.6, 3.0, 77, 160),
+            (0.6, 3.0, 78, 160),
+            # About n magnitudes a row at an odd n, so bodies and texts both
+            # run out at row 48 and the partners of rows 48 to 58 format again.
+            (0.6, 3.0, 60, 255),
             # Rows of the widest odd shared layout, about n magnitudes each:
-            # two mirrored rows are kept, the third formats again.
+            # all three mirrored pairs keep their bodies.
             (0.6, 3.0, 4, _OBJ_BLOCK // 2 - 1),
             (1e-100, 1.0, 4, 6),
             (0.6, 1000.0, 32, 48),
@@ -436,7 +446,8 @@ class TestObjOutput:
         ],
         ids=["half block angles", "half block + 1 angles", "block - 1 angles", "block angles",
              "block + 1 angles", "2 blocks + 1 angles", "block + 8 angles", "3 angles 1000 rows",
-             "33x7", "partial last row", "kept budget filled", "odd half block - 1 angles",
+             "33x7", "partial last row", "kept budget filled", "bodies end at last pair",
+             "bodies a pair short", "odd angles past both budgets", "odd half block - 1 angles",
              "smallest neck", "y_max 1000", "4 angles", "6 angles",
              "8 angles", "30 angles", "31 angles"],
     )
@@ -453,6 +464,35 @@ class TestObjOutput:
         writes = []
         _write_vertices(SimpleNamespace(write=writes.append), mesh)
         assert len(writes) <= 5
+        want = tmp_path / "want.obj"
+        _obj_line_by_line(mesh, str(want))
+        assert b"".join(writes) == want.read_bytes().split(b"f ", 1)[0]
+
+    @pytest.mark.parametrize(
+        "n_profile, n_angle, layouts",
+        [(64, 128, 64), (80, 160, 2 * 80 - 1 - 76), (256, 512, 2 * 256 - 1 - 24)],
+    )
+    def test_mirrored_rows_laid_out_once(self, n_profile, n_angle, layouts, tol, tmp_path,
+                                         monkeypatch):
+        # Each call of the getter lays out one row.  A pair of mirrored rows
+        # within 3 * _OBJ_BLOCK kept lines is laid out once: every pair at
+        # 64 x 128, 76 of 79 at 80 x 160 and 24 of 255 at 256 x 512.
+        calls = []
+
+        def counting_itemgetter(*items):
+            get = itemgetter(*items)
+
+            def pick(tokens):
+                calls.append(1)
+                return get(tokens)
+
+            return pick
+
+        monkeypatch.setattr("hypcatenoid.mesh.itemgetter", counting_itemgetter)
+        mesh = build_mesh(MeshParams(0.6, 3.0, n_profile, n_angle), tol)
+        writes = []
+        _write_vertices(SimpleNamespace(write=writes.append), mesh)
+        assert len(calls) == layouts
         want = tmp_path / "want.obj"
         _obj_line_by_line(mesh, str(want))
         assert b"".join(writes) == want.read_bytes().split(b"f ", 1)[0]
@@ -557,9 +597,10 @@ class TestObjOutput:
     def test_transient_memory_bounded(self, tol, tmp_path):
         # A whole-file join would need over 12 MB here and a table of every
         # index's string about 4 MB, so it would exceed this bound; a row
-        # laid out from the tokens of its distinct coordinates at a time
-        # takes about 450 KiB, and a face block copied from digit columns
-        # about 220 KiB.
+        # laid out from the tokens of its distinct coordinates at a time,
+        # with the 48 bodies and 79 texts kept for mirror partners, takes
+        # about 890 KiB, and a face block copied from digit columns about
+        # 220 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
@@ -582,8 +623,8 @@ class TestObjOutput:
 
     def test_transient_memory_bounded_shared_layout(self, tol, tmp_path):
         # The widest rows of one shared layout, at an odd n, whose rows hold
-        # about n distinct magnitudes: layout, tokens and the two rows kept
-        # for their partners take about 900 KiB.
+        # about n distinct magnitudes: layout, tokens and the three row
+        # bodies kept for their partners take about 970 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 4, _OBJ_BLOCK // 2 - 1), tol)
         tracemalloc.start()
         try:
