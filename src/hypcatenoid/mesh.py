@@ -205,18 +205,18 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
     A row of up to _OBJ_BLOCK // 2 vertices formats each distinct magnitude
     r * |cos[m]| and r * |sin[m]| once (34 of 256 numbers at n_angle = 128)
-    and lays out its lines from those tokens in one bytes %, with a
-    placeholder for u.  Its mirror partner, of the same r and the opposite
-    u, reuses that layout while the kept layouts hold at most
-    3 * _OBJ_BLOCK lines, and past that its tokens while as many tokens are
-    kept; each row takes its own u in one byte replace.  Rows are joined
-    into writes of under _OBJ_BLOCK lines.  A wider row is formatted in
-    place, _OBJ_BLOCK vertices a write.  Face lines go out _OBJ_BLOCK a
-    write, cut where an index gains a digit: the lines of a piece are one
-    template repeated, and each decimal place of the consecutive indices
-    is copied in as one column of digits, so only the wrap quad of each
-    row is formatted.  The transient objects stay bounded whatever the
-    mesh size.
+    and lays out its lines from those tokens in one bytes %.  Rows j and
+    last - j have the same r and opposite u, so the mirrored pairs nearest
+    the middle row, while their layouts and the row being laid out hold at
+    most 2 * _OBJ_BLOCK lines, share one layout with a placeholder for u,
+    and each row of such a pair puts its u in with one byte replace.  Rows
+    are joined into writes of under _OBJ_BLOCK lines.  A wider row is
+    formatted in place, _OBJ_BLOCK vertices a write.  Face lines go out
+    _OBJ_BLOCK a write, cut where an index gains a digit: the lines of a
+    piece are one template repeated, and each decimal place of the
+    consecutive indices is copied in as one column of digits, so only the
+    wrap quad of each row is formatted.  The transient objects stay bounded
+    whatever the mesh size.
     """
     with open(path, "wb") as handle:
         _write_vertices(handle, mesh)
@@ -225,7 +225,7 @@ def write_obj(mesh: MeshData, path: str) -> None:
 
 def _write_vertices(handle, mesh: MeshData) -> None:
     # As r * -a is -(r * a) exactly, a row formats r * a once per distinct
-    # magnitude a of the sweep, and one getter lays out every row body from
+    # magnitude a of the sweep, and one getter lays out every row from
     # those tokens and their negations.  Past _OBJ_BLOCK // 2 that layout
     # nears a megabyte, so wider rows format in place, _OBJ_BLOCK a write.
     n = mesh.params.n_angle
@@ -244,24 +244,25 @@ def _write_vertices(handle, mesh: MeshData) -> None:
     pick = itemgetter(*map(at.__getitem__, chain.from_iterable(zip(mesh.cos, mesh.sin))))
     spec = b"%.12g " * len(mags)
     lines = b"v \0 %s %s\n" * n
-    # Rows j and last - j share r and differ only in the sign of u.  A row's
-    # body, laid out with a \0 where u goes, is kept for its partner while the
-    # kept bodies hold at most 3 * _OBJ_BLOCK lines; past that a row keeps its
-    # formatted magnitudes, while the kept texts hold as many tokens.
+    # Rows j and last - j share r and differ only in the sign of u.  The keep
+    # pairs nearest the middle row, so that a body is held across the fewest
+    # writes, lay out one body with a \0 where u goes, and each row of the
+    # pair puts its u in with one byte replace; the kept bodies and the row
+    # being laid out hold at most 2 * _OBJ_BLOCK lines.  Any other row is
+    # laid out from a template of its own u, which a repeat builds faster.
     last = len(mesh.u) - 1
-    keep, keep_text = (min(3 * _OBJ_BLOCK // size, last // 2) for size in (n, len(mags)))
-    bodies, texts = {}, {}
+    keep = min(2 * _OBJ_BLOCK // n - 1, last // 2)
+    bodies = {}
 
     def row(j):
         body = bodies.pop(j, None)
         if body is None:
-            text = texts.pop(j, None) or spec % tuple(map(mesh.r[j].__mul__, mags))
+            text = spec % tuple(map(mesh.r[j].__mul__, mags))
             # The magnitudes, then their negations; the trailing "-" is never picked.
-            body = lines % pick((text + b"-" + text.replace(b" ", b" -")).split())
-            if j < keep:
-                bodies[last - j] = body
-            elif j < keep_text:
-                texts[last - j] = text
+            tokens = pick((text + b"-" + text.replace(b" ", b" -")).split())
+            if not last - 2 * keep <= 2 * j < last:
+                return (b"v %.12g" % mesh.u[j] + b" %s %s\n") * n % tokens
+            body = bodies[last - j] = lines % tokens
         return body.replace(b"\0", b"%.12g" % mesh.u[j])
 
     # A write joins one row fewer than fit in _OBJ_BLOCK lines, so a row of

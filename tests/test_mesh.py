@@ -418,17 +418,17 @@ class TestObjOutput:
             # 599 rows of 7: a block of _OBJ_BLOCK vertex lines would end
             # inside row 585 and leave it partial; a write joins whole rows.
             (0.6, 3.0, 300, 7),
-            # 159 mirrored pairs of 66 magnitudes each: 3 * _OBJ_BLOCK lines
-            # keep the bodies of rows 0 to 47, and later rows keep their
-            # formatted magnitudes for their partners.
+            # 159 mirrored pairs of 66 magnitudes each: 2 * _OBJ_BLOCK lines
+            # keep the bodies of the 31 pairs nearest the middle row, and the
+            # rows of the other 128 pairs are laid out alone.
             (0.6, 3.0, 160, 256),
-            # 3 * _OBJ_BLOCK lines keep 76 bodies of 160 lines: every pair of
-            # 77 x 160 but the last pair of 78 x 160, whose partner lays out
-            # its row again from the kept magnitudes.
-            (0.6, 3.0, 77, 160),
-            (0.6, 3.0, 78, 160),
-            # About n magnitudes a row at an odd n, so bodies and texts both
-            # run out at row 48 and the partners of rows 48 to 58 format again.
+            # 2 * _OBJ_BLOCK lines keep 50 bodies of 160 lines: every pair of
+            # 51 x 160, and all but the outermost pair of 52 x 160, whose
+            # rows are laid out alone.
+            (0.6, 3.0, 51, 160),
+            (0.6, 3.0, 52, 160),
+            # About n magnitudes a row at an odd n: the 31 pairs nearest the
+            # middle keep their bodies and the outer 28 are laid out alone.
             (0.6, 3.0, 60, 255),
             # Rows of the widest odd shared layout, about n magnitudes each:
             # all three mirrored pairs keep their bodies.
@@ -447,7 +447,7 @@ class TestObjOutput:
         ids=["half block angles", "half block + 1 angles", "block - 1 angles", "block angles",
              "block + 1 angles", "2 blocks + 1 angles", "block + 8 angles", "3 angles 1000 rows",
              "33x7", "partial last row", "kept budget filled", "bodies end at last pair",
-             "bodies a pair short", "odd angles past both budgets", "odd half block - 1 angles",
+             "bodies a pair short", "odd angles outer pairs alone", "odd half block - 1 angles",
              "smallest neck", "y_max 1000", "4 angles", "6 angles",
              "8 angles", "30 angles", "31 angles"],
     )
@@ -470,13 +470,13 @@ class TestObjOutput:
 
     @pytest.mark.parametrize(
         "n_profile, n_angle, layouts",
-        [(64, 128, 64), (80, 160, 2 * 80 - 1 - 76), (256, 512, 2 * 256 - 1 - 24)],
+        [(64, 128, 64), (80, 160, 2 * 80 - 1 - 50), (256, 512, 2 * 256 - 1 - 15)],
     )
     def test_mirrored_rows_laid_out_once(self, n_profile, n_angle, layouts, tol, tmp_path,
                                          monkeypatch):
         # Each call of the getter lays out one row.  A pair of mirrored rows
-        # within 3 * _OBJ_BLOCK kept lines is laid out once: every pair at
-        # 64 x 128, 76 of 79 at 80 x 160 and 24 of 255 at 256 x 512.
+        # whose body is kept is laid out once: every pair at 64 x 128, the 50
+        # of 79 nearest the middle at 80 x 160 and 15 of 255 at 256 x 512.
         calls = []
 
         def counting_itemgetter(*items):
@@ -598,9 +598,8 @@ class TestObjOutput:
         # A whole-file join would need over 12 MB here and a table of every
         # index's string about 4 MB, so it would exceed this bound; a row
         # laid out from the tokens of its distinct coordinates at a time,
-        # with the 48 bodies and 79 texts kept for mirror partners, takes
-        # about 890 KiB, and a face block copied from digit columns about
-        # 220 KiB.
+        # with the 31 bodies kept for mirror partners, takes about 610 KiB,
+        # and a face block copied from digit columns about 220 KiB.
         mesh = build_mesh(MeshParams(0.6, 3.0, 128, 256), tol)
         tracemalloc.start()
         try:
@@ -629,6 +628,19 @@ class TestObjOutput:
         tracemalloc.start()
         try:
             write_obj(mesh, str(tmp_path / "shared.obj"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    @pytest.mark.parametrize("n_profile, n_angle", [(60, 1365), (40, _OBJ_BLOCK // 2 - 1)])
+    def test_transient_memory_bounded_kept_bodies(self, n_profile, n_angle, tol, tmp_path):
+        # Wide odd rows with more mirrored pairs than are kept: 5 bodies of
+        # 1,365 lines take about 860 KiB in all, and 3 of 2,047 about 970.
+        mesh = build_mesh(MeshParams(0.6, 3.0, n_profile, n_angle), tol)
+        tracemalloc.start()
+        try:
+            write_obj(mesh, str(tmp_path / "kept.obj"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
