@@ -1,17 +1,10 @@
-"""Adaptive numerical integration engine.
+"""The globally adaptive Gauss-Kronrod 7/15 integrator, quad_finite.
 
-The integrals it was built for share two pathologies: an inverse-square-root
-singularity at one endpoint, and semi-infinite upper limits with exponential
-decay.  The singularity is removed exactly by the substitution u**2 = t - lo
-(or hi - t), and infinite tails are truncated at a point where an explicit
-exponential envelope bound drops below the tolerance.  The finite-interval
-core is a globally adaptive Gauss-Kronrod 7/15 scheme.
-
-The package itself no longer integrates numerically: every quantity it
-ships is a closed form, and no package path imports this module.  The
-quad_* routines are kept for their own tests and for the span tracer in
-perfbench/, which wraps them; Tolerance and EvaluationBudgetError live in
-catenoid.py and are re-exported here.
+The package no longer integrates numerically: every quantity it ships is a
+closed form, and no package path imports this module.  It is kept only for
+the benchmark's span tracer in perfbench/, which imports it by path and
+patches quad_finite, until ROADMAP item 1 stage B deletes it.  Tolerance
+and EvaluationBudgetError live in catenoid.py and are imported here.
 """
 
 from __future__ import annotations
@@ -24,14 +17,7 @@ from typing import Callable
 
 from .catenoid import EvaluationBudgetError, Tolerance
 
-__all__ = [
-    "EvaluationBudgetError",
-    "QuadratureResult",
-    "Tolerance",
-    "quad_finite",
-    "quad_semi_infinite",
-    "quad_sqrt_endpoint",
-]
+__all__ = ["QuadratureResult", "quad_finite"]
 
 
 @dataclass(frozen=True)
@@ -155,63 +141,3 @@ def quad_finite(
     value = math.fsum(item[4] for item in intervals)
     error = math.fsum(item[5] for item in intervals)
     return QuadratureResult(value, max(error, 0.0), evaluations)
-
-
-def quad_sqrt_endpoint(
-    g: Callable[[float], float],
-    singular_end: str,
-    lo: float,
-    hi: float,
-    tol: Tolerance,
-) -> QuadratureResult:
-    """Integrate g(t)/sqrt(t - lo) (or g(t)/sqrt(hi - t)) over [lo, hi].
-
-    The caller supplies only the smooth factor g; the square-root weight is
-    removed exactly by u**2 = t - lo (resp. hi - t), which maps the integral
-    to 2 * int g(lo + u**2) du over [0, sqrt(hi - lo)].
-    """
-    if singular_end not in ("lower", "upper"):
-        raise ValueError(f"singular_end must be 'lower' or 'upper', got {singular_end!r}")
-    if not lo <= hi:
-        raise ValueError(f"integration bounds out of order: lo={lo} > hi={hi}")
-    if singular_end == "lower":
-        def substituted(u: float) -> float:
-            return 2.0 * g(lo + u * u)
-    else:
-        def substituted(u: float) -> float:
-            return 2.0 * g(hi - u * u)
-    return quad_finite(substituted, 0.0, math.sqrt(hi - lo), tol)
-
-
-def quad_semi_infinite(
-    g: Callable[[float], float], lo: float, decay_rate: float, tol: Tolerance
-) -> QuadratureResult:
-    """Integrate g over [lo, inf) assuming |g(t)| <= M * exp(-decay_rate*(t-lo)).
-
-    The envelope constant M is estimated from eight unit-spaced samples and
-    padded by one extra e-fold; the tail past the truncation point then
-    contributes less than half of abs_tol and is added to the error estimate.
-    """
-    if not decay_rate > 0.0:
-        raise ValueError(f"decay_rate must be positive, got {decay_rate}")
-
-    log_env = -math.inf
-    for k in range(8):
-        sample = abs(g(lo + float(k)))
-        if sample > 0.0:
-            log_env = max(log_env, math.log(sample) + decay_rate * k)
-
-    if log_env == -math.inf:
-        cut = lo + 1.0
-        tail_bound = 0.0
-    else:
-        log_m = log_env + decay_rate  # safety pad: one extra e-fold
-        span = (log_m + math.log(2.0 / (decay_rate * tol.abs_tol))) / decay_rate
-        span = max(span, 1.0)
-        cut = lo + span
-        tail_bound = math.exp(log_m - decay_rate * span) / decay_rate
-
-    head = quad_finite(g, lo, cut, Tolerance(0.5 * tol.abs_tol))
-    return QuadratureResult(
-        head.value, head.error_estimate + tail_bound, head.evaluations + 8
-    )

@@ -23,12 +23,6 @@ def midpoint(f, lo, hi, n=1_000_000):
     return float(np.sum(f(x)) * h)
 
 
-def sqrt_endpoint_midpoint(g, lo, hi, n=1_000_000):
-    """Oracle for integrands g(t)/sqrt(t - lo): midpoint rule after u**2 = t - lo."""
-    width = math.sqrt(hi - lo)
-    return 2.0 * midpoint(lambda u: g(lo + u * u), 0.0, width, n)
-
-
 def profile_coordinates(point):
     """(x, y) of a ball point of the swept catenoid, from its coordinates alone.
 

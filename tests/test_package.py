@@ -19,9 +19,8 @@ SUBMODULES = ("catenoid", "circles", "cli", "competitor", "constants", "mesh")
 # the package's _EXPORTS; only cli.py and quadrature.py list theirs.
 LITERAL_ALL = {"cli.py", "quadrature.py"}
 # quadrature.py's own names.  The package exports none of them.
-QUADRATURE_NAMES = (
-    "QuadratureResult", "quad_finite", "quad_semi_infinite", "quad_sqrt_endpoint"
-)
+# perfbench/spans.py wraps what this list names and patches quad_finite.
+QUADRATURE_NAMES = ("QuadratureResult", "quad_finite")
 
 
 class TestPublicSurface:
@@ -57,7 +56,7 @@ class TestPublicSurface:
         assert set(QUADRATURE_NAMES).isdisjoint(hypcatenoid.__all__)
         assert set(QUADRATURE_NAMES).isdisjoint(dir(hypcatenoid))
         quadrature = importlib.import_module("hypcatenoid.quadrature")
-        assert set(QUADRATURE_NAMES) <= set(quadrature.__all__)
+        assert tuple(quadrature.__all__) == QUADRATURE_NAMES
 
     def test_star_import(self):
         namespace = {}

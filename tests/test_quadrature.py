@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from hypcatenoid import quadrature
-from hypcatenoid.quadrature import (
-    EvaluationBudgetError,
-    Tolerance,
-    quad_finite,
-    quad_semi_infinite,
-    quad_sqrt_endpoint,
-)
+from hypcatenoid.quadrature import EvaluationBudgetError, Tolerance, quad_finite
 
-from _oracles import midpoint, sqrt_endpoint_midpoint
+from _oracles import midpoint
 
 
 class TestTolerance:
@@ -130,79 +124,3 @@ class TestQuadFinite:
             t.join()
         assert all(r == expected for r in results)
 
-
-class TestQuadSqrtEndpoint:
-    def test_unit_weight_lower(self, tol):
-        res = quad_sqrt_endpoint(lambda t: 1.0, "lower", 0.0, 1.0, tol)
-        assert res.value == pytest.approx(2.0, abs=1e-12)
-
-    def test_unit_weight_upper(self, tol):
-        res = quad_sqrt_endpoint(lambda t: 1.0, "upper", 0.0, 1.0, tol)
-        assert res.value == pytest.approx(2.0, abs=1e-12)
-
-    def test_cosine_against_oracle(self, tol):
-        res = quad_sqrt_endpoint(math.cos, "lower", 0.0, 1.0, tol)
-        oracle = sqrt_endpoint_midpoint(np.cos, 0.0, 1.0)
-        assert abs(res.value - oracle) <= 1e-10
-
-    def test_bad_end_label_rejected(self, tol):
-        with pytest.raises(ValueError):
-            quad_sqrt_endpoint(math.cos, "sideways", 0.0, 1.0, tol)
-
-    def test_substitution_consistency(self, tol):
-        # Richardson-extrapolate the truncated integrals to remove the
-        # 2 g(lo) sqrt(eps) head defect, then compare at 1e-5.
-        for g in (math.cos, math.exp):
-            direct = quad_sqrt_endpoint(g, "lower", 0.0, 1.0, tol).value
-            eps1, eps2 = 1.0e-6, 1.0e-8
-            trunc1 = quad_finite(
-                lambda t: g(t) / math.sqrt(t), eps1, 1.0, tol
-            ).value
-            trunc2 = quad_finite(
-                lambda t: g(t) / math.sqrt(t), eps2, 1.0, tol
-            ).value
-            s1, s2 = math.sqrt(eps1), math.sqrt(eps2)
-            extrapolated = (s1 * trunc2 - s2 * trunc1) / (s1 - s2)
-            assert abs(direct - extrapolated) <= 1e-5
-
-
-class TestQuadSemiInfinite:
-    def test_exponential(self, tol):
-        res = quad_semi_infinite(lambda t: math.exp(-t), 0.0, 1.0, tol)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
-
-    def test_fast_exponential(self, tol):
-        res = quad_semi_infinite(lambda t: math.exp(-3.0 * t), 0.0, 3.0, tol)
-        assert res.value == pytest.approx(1.0 / 3.0, abs=1e-10)
-
-    def test_deficit_style_tail_against_oracle(self, tol):
-        # The tube-minus-disk integrand for a = 0.5, started past the
-        # singularity; decays like exp(-3t).
-        shift = math.sinh(1.0) ** 2
-
-        def g(t):
-            d = math.sinh(2.0 * t) ** 2 - shift
-            return math.sinh(t) * (math.sinh(2.0 * t) / math.sqrt(d) - 1.0)
-
-        res = quad_semi_infinite(g, 1.5, 3.0, tol)
-
-        def g_np(t):
-            d = np.sinh(2.0 * t) ** 2 - shift
-            return np.sinh(t) * (np.sinh(2.0 * t) / np.sqrt(d) - 1.0)
-
-        oracle = midpoint(g_np, 1.5, 60.0)
-        assert abs(res.value - oracle) <= 1e-8
-
-    def test_error_estimate_includes_tail(self, tol):
-        res = quad_semi_infinite(lambda t: math.exp(-t), 0.0, 1.0, tol)
-        assert abs(res.value - 1.0) <= res.error_estimate + 1e-13
-
-    def test_zero_tail(self, tol):
-        res = quad_semi_infinite(lambda t: 0.0, 0.0, 1.0, tol)
-        assert res.value == 0.0
-
-    def test_invalid_decay_rate(self, tol):
-        with pytest.raises(ValueError):
-            quad_semi_infinite(lambda t: math.exp(-t), 0.0, 0.0, tol)
-        with pytest.raises(ValueError):
-            quad_semi_infinite(lambda t: math.exp(-t), 0.0, -2.0, tol)
